@@ -5,11 +5,9 @@ removing leading information positions.  Decoding is syndrome-based
 (Berlekamp-Massey plus Chien search) and has exactly three outcomes: the
 decoder returns the unique codeword within Hamming distance t of the input
 when one exists (which may be a miscorrection), and reports a failure
-otherwise.  Batch variants operate row-wise on bit matrices so the iterative
+otherwise.  The decoders work row-wise on bit matrices so the iterative
 array decoders can stay vectorised.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,21 +90,12 @@ class GaloisField:
             return 0
         return int(self.antilog_table[(self.log_table[a] + self.log_table[b]) % self.order])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int(self.antilog_table[(self.order - self.log_table[a]) % self.order])
-
     def pow_alpha(self, e: int) -> int:
         """alpha^e for any integer exponent."""
         return int(self.antilog_table[e % self.order])
 
     def __repr__(self):
         return f"GaloisField(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"
-
-
-def build_field(m: int, primitive_poly: int | None = None) -> GaloisField:
-    return GaloisField(m, primitive_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +151,6 @@ def _minimal_polynomial(field: GaloisField, exponent: int) -> int:
 # code construction
 
 
-@dataclass(frozen=True)
-class BddOutcome:
-    """Result of a bounded-distance decode: either a codeword or a failure.
-
-    ``word`` is the decoded word when decoding succeeded and None on failure.
-    ``ternary`` maps the outcome onto {+1, 0, -1} per bit: bit 0 -> +1,
-    bit 1 -> -1, failure -> all zeros.
-    """
-
-    word: np.ndarray | None
-    n: int
-
-    @property
-    def decoded(self) -> bool:
-        return self.word is not None
-
-    def ternary(self) -> np.ndarray:
-        if self.word is None:
-            return np.zeros(self.n, dtype=np.int8)
-        return (1 - 2 * self.word.astype(np.int8)).astype(np.int8)
-
-
 class BchCode:
     """A (possibly shortened) narrow-sense primitive BCH code.
 
@@ -196,7 +163,6 @@ class BchCode:
             raise CodeConstructionError(f"t must be >= 1, got {t}")
         self.field = field
         self.t = t
-        self.d_design = 2 * t + 1
         self.n_parent = field.order
 
         generator = 1
@@ -263,9 +229,6 @@ class BchCode:
 
     # -- public interface ----------------------------------------------------
 
-    def descriptor(self) -> str:
-        return f"{self.field.m},{self.t},{self.shorten},0x{self.field.primitive_poly:x}"
-
     def encode(self, info: np.ndarray) -> np.ndarray:
         """Systematic encode: information bits verbatim, parity appended."""
         info = np.asarray(info, dtype=np.uint8)
@@ -296,18 +259,8 @@ class BchCode:
         )
 
 
-def build_bch(m: int, t: int, shorten: int = 0, primitive_poly: int | None = None) -> BchCode:
-    return BchCode(build_field(m, primitive_poly), t, shorten)
-
-
-def parse_descriptor(text: str) -> BchCode:
-    """Inverse of BchCode.descriptor(): "m,t,shorten,primitive_poly(hex)"."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"descriptor must have 4 fields, got {text!r}")
-    m, t, shorten = int(parts[0]), int(parts[1]), int(parts[2])
-    poly = int(parts[3], 16)
-    return build_bch(m, t, shorten, poly)
+def build_bch(m: int, t: int, shorten: int = 0) -> BchCode:
+    return BchCode(GaloisField(m), t, shorten)
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +366,6 @@ def bdd_decode_matrix(
     return ternary, decoded, ok
 
 
-def bdd_decode(code: BchCode, r: np.ndarray) -> BddOutcome:
-    """Decode to the unique codeword within distance t, else report failure."""
-    r = np.asarray(r, dtype=np.uint8)
-    if r.shape != (code.n,):
-        raise ValueError(f"expected a length-{code.n} word")
-    _, decoded, ok = bdd_decode_matrix(code, r[None, :])
-    if not ok[0]:
-        return BddOutcome(word=None, n=code.n)
-    return BddOutcome(word=decoded[0], n=code.n)
-
-
 def ideal_decode_matrix(
     code: BchCode, words: np.ndarray, transmitted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,33 +379,22 @@ def ideal_decode_matrix(
     return ternary, decoded, ok
 
 
-def ideal_bdd_decode(code: BchCode, r: np.ndarray, transmitted: np.ndarray) -> BddOutcome:
-    """Genie-aided bounded-distance decode (no miscorrections).
-
-    Succeeds exactly when the input lies within distance t of the transmitted
-    word; never decodes to any other codeword.
-    """
-    r = np.asarray(r, dtype=np.uint8)
-    transmitted = np.asarray(transmitted, dtype=np.uint8)
-    if r.shape != (code.n,) or transmitted.shape != (code.n,):
-        raise ValueError(f"expected length-{code.n} words")
-    if np.count_nonzero(r != transmitted) <= code.t:
-        return BddOutcome(word=transmitted.copy(), n=code.n)
-    return BddOutcome(word=None, n=code.n)
-
-
 # ---------------------------------------------------------------------------
 # weight enumerators
 
 
-def weight_enumerator_exact(code: BchCode, max_k: int = 24) -> np.ndarray:
+# enumerating 2^k codewords stays affordable up to this dimension
+EXACT_MAX_K = 24
+
+
+def weight_enumerator_exact(code: BchCode) -> np.ndarray:
     """Exact weight distribution by enumerating all 2^k codewords.
 
-    Refuses k beyond ``max_k`` (the full enumeration is exponential in k).
+    Refuses k beyond ``EXACT_MAX_K`` (the full enumeration is exponential in k).
     """
-    if code.k > max_k:
+    if code.k > EXACT_MAX_K:
         raise ValueError(
-            f"exact enumeration needs k <= {max_k}, got k={code.k}; "
+            f"exact enumeration needs k <= {EXACT_MAX_K}, got k={code.k}; "
             "use weight_enumerator_approx for long codes"
         )
     if code._exact_enum is not None:
@@ -483,39 +414,22 @@ def weight_enumerator_exact(code: BchCode, max_k: int = 24) -> np.ndarray:
     return counts.copy()
 
 
-@dataclass(frozen=True)
-class ApproxWeightEnumerator:
-    """Binomial-with-rate-penalty model of a BCH weight distribution.
+def weight_enumerator_approx(code: BchCode) -> np.ndarray:
+    """Binomial-with-rate-penalty model of a BCH weight distribution, as logs.
 
-    A_h = 2^(-m*t) * C(n, h) for 2t+1 <= h <= n-2t-1, A_0 = A_n = 1, and zero
-    elsewhere (the true spectrum vanishes below the design distance).
+    log A_h for A_h = 2^(-m*t) * C(n, h) on 2t+1 <= h <= n-2t-1, A_0 = A_n = 1,
+    and -inf elsewhere (the true spectrum vanishes below the design distance).
     """
+    from scipy.special import gammaln
 
-    n: int
-    t: int
-    m: int
-
-    def __call__(self, h: int) -> float:
-        if h == 0 or h == self.n:
-            return 1.0
-        if 2 * self.t + 1 <= h <= self.n - 2 * self.t - 1:
-            return float(np.exp(self.log_table()[h]))
-        return 0.0
-
-    def log_table(self) -> np.ndarray:
-        from scipy.special import gammaln
-
-        h = np.arange(self.n + 1, dtype=np.float64)
-        logc = gammaln(self.n + 1) - gammaln(h + 1) - gammaln(self.n - h + 1)
-        out = np.full(self.n + 1, -np.inf)
-        lo, hi = 2 * self.t + 1, self.n - 2 * self.t - 1
-        if lo <= hi:
-            sel = slice(lo, hi + 1)
-            out[sel] = -self.m * self.t * np.log(2.0) + logc[sel]
-        out[0] = 0.0
-        out[self.n] = 0.0
-        return out
-
-
-def weight_enumerator_approx(code: BchCode) -> ApproxWeightEnumerator:
-    return ApproxWeightEnumerator(n=code.n, t=code.t, m=code.field.m)
+    n, t, m = code.n, code.t, code.field.m
+    h = np.arange(n + 1, dtype=np.float64)
+    logc = gammaln(n + 1) - gammaln(h + 1) - gammaln(n - h + 1)
+    out = np.full(n + 1, -np.inf)
+    lo, hi = 2 * t + 1, n - 2 * t - 1
+    if lo <= hi:
+        sel = slice(lo, hi + 1)
+        out[sel] = -m * t * np.log(2.0) + logc[sel]
+    out[0] = 0.0
+    out[n] = 0.0
+    return out

@@ -51,5 +51,11 @@ def transmit(bits: np.ndarray, params: ChannelParams, rng: np.random.Generator) 
 
 
 def harden(llr: np.ndarray) -> np.ndarray:
-    """Hard decision: positive LLR -> 0, negative -> 1, exact zero -> 0."""
-    return (np.asarray(llr) < 0).astype(np.uint8)
+    """Hard decision: positive LLR -> 0, negative -> 1, exact zero -> 0.
+
+    Raises ValueError on NaN, which has no sign to decide; +-inf is a known bit.
+    """
+    llr = np.asarray(llr)
+    if np.isnan(llr).any():
+        raise ValueError("NaN channel LLR")
+    return (llr < 0).astype(np.uint8)

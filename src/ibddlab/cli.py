@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -72,9 +72,20 @@ def _write_manifest(path: str, command: str, argv, config: dict, seed, outputs,
         "config": config,
         "outputs": list(outputs),
     }
+    _write_json(path, doc)
+
+
+def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _write_profile(args, argv, doc: dict, config: dict, started: str) -> None:
+    """Write a DE profile to ``args.out``, pointing at the manifest beside it."""
+    manifest = args.out + ".manifest.json"
+    _write_json(args.out, {**doc, "manifest": manifest})
+    _write_manifest(manifest, args.command, argv, config, None, [args.out], started)
 
 
 def _add_component_args(p: _Parser) -> None:
@@ -114,11 +125,6 @@ def _cmd_de_threshold(args, argv) -> int:
         else:
             res = run_sc_window(profile, thr, rate, args.window, 24, max_slides=400)
             doc = sc_profile_json(res, code.n, code.t, threshold=thr)
-        manifest = args.out + ".manifest.json"
-        doc["manifest"] = manifest
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
         cfg = {
             "ensemble": args.ensemble,
             "m": args.m,
@@ -128,8 +134,7 @@ def _cmd_de_threshold(args, argv) -> int:
             "tol_db": args.tol_db,
             "rate": rate,
         }
-        _write_manifest(manifest, "de-threshold", argv, cfg, None,
-                        [args.out], started)
+        _write_profile(args, argv, doc, cfg, started)
     return 0
 
 
@@ -161,11 +166,6 @@ def _cmd_de_schedule(args, argv) -> int:
         )
     print(summary)
     if args.out:
-        manifest = args.out + ".manifest.json"
-        doc["manifest"] = manifest
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
         cfg = {
             "ensemble": args.ensemble,
             "m": args.m,
@@ -176,31 +176,20 @@ def _cmd_de_schedule(args, argv) -> int:
             "iters": args.iters,
             "rate": rate,
         }
-        _write_manifest(manifest, "de-schedule", argv, cfg, None,
-                        [args.out], started)
+        _write_profile(args, argv, doc, cfg, started)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # sim
 
+# SimConfig's defaults, None for the required keys; workers=None falls back
+# to $IBDDLAB_WORKERS
 _SIM_DEFAULTS = {
-    "scheme": None,
-    "modes": ("ibdd", "ibdd_sr", "ideal"),
-    "ebn0_grid": None,
-    "schedule_source": "de_at_operating_snr",
-    "fixed_weight": None,
-    "min_error_events": 50,
-    "max_frames": 200_000,
-    "seed": 1,
-    "workers": None,
-    "sr_iters": 10,
-    "plain_iters": 2,
-    "window_blocks": 7,
-    "blocks_per_stream": 20,
-    "random_info": False,
-    "ber_floor": 1e-7,
-}
+    f.name: None if f.default is MISSING else f.default
+    for f in fields(SimConfig)
+    if f.name != "component"
+} | {"workers": None}
 
 
 def _sim_config(args) -> SimConfig:
@@ -215,25 +204,13 @@ def _sim_config(args) -> SimConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    flag_map = {
-        "scheme": "scheme",
-        "modes": "modes",
-        "ebn0": "ebn0_grid",
-        "min_errors": "min_error_events",
-        "max_frames": "max_frames",
-        "seed": "seed",
-        "workers": "workers",
-        "sr_iters": "sr_iters",
-        "plain_iters": "plain_iters",
-        "window_blocks": "window_blocks",
-        "blocks_per_stream": "blocks_per_stream",
-        "random_info": "random_info",
-        "fixed_weight": "fixed_weight",
-        "ber_floor": "ber_floor",
-    }
-    for flag, key in flag_map.items():
-        if hasattr(args, flag):
-            merged[key] = getattr(args, flag)
+    # flags carry SimConfig's key names apart from these two; unset flags
+    # are absent from args
+    renamed = {"ebn0": "ebn0_grid", "min_errors": "min_error_events"}
+    for flag, value in vars(args).items():
+        key = renamed.get(flag, flag)
+        if key in _SIM_DEFAULTS:
+            merged[key] = value
     for part in ("m", "t", "shorten"):
         if hasattr(args, part):
             component[part] = getattr(args, part)
@@ -284,10 +261,7 @@ def _cmd_sim(args, argv) -> int:
                     )
                 else:
                     print(f"{ebn0:6.2f} dB {mode:8s} skipped: {pt.reason}")
-    doc = results_json(cfg, rows, manifest=manifest_path)
-    with open(json_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(json_path, results_json(cfg, rows, manifest=manifest_path))
     _write_manifest(manifest_path, "sim", argv, asdict(cfg), cfg.seed,
                     [csv_path, json_path], started)
     print(f"wrote {csv_path}, {json_path} in {time.perf_counter()-t0:.1f}s")
@@ -421,7 +395,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-errors", dest="min_errors", type=int,
                    default=argparse.SUPPRESS)
     p.add_argument("--max-frames", dest="max_frames", type=int,
-                   default=argparse.SUPPRESS)
+                   default=argparse.SUPPRESS,
+                   help="frame budget per point: product arrays, or counted "
+                        "staircase blocks (not streams)")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--workers", type=int, default=argparse.SUPPRESS,
                    help="worker processes (default $IBDDLAB_WORKERS or 1)")

@@ -13,12 +13,11 @@ probabilities, evaluated at the current message error rate.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .channel import make_params, q_function
 
@@ -33,40 +32,6 @@ def _logcomb(a: int, b: int) -> float:
     if b < 0 or a < 0 or b > a:
         return -np.inf
     return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
-
-
-def f1(n: int, h: int, j: int, delta: int, i: int) -> float:
-    """Fraction of the C(n-1, i) error placements compatible with a weight
-    transition that flips j bits on a weight-h overlap and delta-j bits off it.
-
-    Zero whenever the binomial factors are out of range.
-    """
-    if h < 0 or h - j < 0 or h - j > h or delta - j < 0 or n - h - 1 < delta - j:
-        return 0.0
-    if i < 0 or i > n - 1:
-        return 0.0
-    if n - 1 <= _EXACT_N_LIMIT:
-        den = math.comb(n - 1, i)
-        if den == 0:
-            return 0.0
-        return math.comb(h, h - j) * math.comb(n - h - 1, delta - j) / den
-    val = _logcomb(h, h - j) + _logcomb(n - h - 1, delta - j) - _logcomb(n - 1, i)
-    return float(np.exp(val))
-
-
-def f2(n: int, h: int, j: int, delta: int, i: int) -> float:
-    """Companion placement fraction with one fewer off-overlap flip than f1."""
-    if h < 0 or h - j < 0 or delta - j - 1 < 0 or n - h - 1 < delta - j - 1:
-        return 0.0
-    if i < 0 or i > n - 1:
-        return 0.0
-    if n - 1 <= _EXACT_N_LIMIT:
-        den = math.comb(n - 1, i)
-        if den == 0:
-            return 0.0
-        return math.comb(h, h - j) * math.comb(n - h - 1, delta - j - 1) / den
-    val = _logcomb(h, h - j) + _logcomb(n - h - 1, delta - j - 1) - _logcomb(n - 1, i)
-    return float(np.exp(val))
 
 
 @dataclass(frozen=True)
@@ -90,61 +55,55 @@ class ComponentProfile:
     log_weights: np.ndarray
 
 
-def _middle_sums_exact(n, t, counts, i):
-    """(pe, qc, pc, qe) sums for one i with exact integer arithmetic."""
-    pe_num = 0
-    qc_num = 0
-    pc_num = 0
-    qe_num = 0
-    # delta is the decoding distance; delta = 0 covers inputs that already
-    # form a codeword (the decoder returns them unchanged)
+def _middle_sums(n, t, i, placements, term):
+    """(pe, qc, pc, qe) sums for one i.
+
+    Enumerates the decoding distance delta (delta = 0 covers inputs that
+    already form a codeword, which the decoder returns unchanged) and the
+    overlap j between the error pattern and a weight-h codeword.
+    ``placements(h, j, rest)`` counts the compatible error placements and
+    ``term(w, mult, f)`` turns weight w's codewords, the multiplicity and
+    that count into one summand.
+    """
+    pe = qc = pc = qe = 0
     for delta in range(0, t + 1):
+        # first j loop: bit 0 off the overlap; second: bit 0 itself in error
         for j in range(0, delta + 1):
-            h = i - delta + 2 * j
-            if 0 <= h <= n - 1 and h - j >= 0 and 0 <= delta - j <= n - h - 1:
-                c1 = math.comb(h, h - j) * math.comb(n - h - 1, delta - j)
-                if h + 1 <= n:
-                    pe_num += counts[h + 1] * (h + 1) * c1
-                qc_num += counts[h] * (n - h) * c1
+            h, rest = i - delta + 2 * j, delta - j
+            if 0 <= h <= n - 1 and h - j >= 0 and rest <= n - h - 1:
+                f = placements(h, j, rest)
+                pe += term(h + 1, h + 1, f)
+                qc += term(h, n - h, f)
         for j in range(0, delta):
-            h = i - delta + 2 * j + 1
-            if 0 <= h <= n - 1 and h - j >= 0 and 0 <= delta - j - 1 <= n - h - 1:
-                c2 = math.comb(h, h - j) * math.comb(n - h - 1, delta - j - 1)
-                pc_num += counts[h] * (n - h) * c2
-                if h + 1 <= n:
-                    qe_num += counts[h + 1] * (h + 1) * c2
+            h, rest = i - delta + 2 * j + 1, delta - j - 1
+            if 0 <= h <= n - 1 and h - j >= 0 and rest <= n - h - 1:
+                f = placements(h, j, rest)
+                pc += term(h, n - h, f)
+                qe += term(h + 1, h + 1, f)
+    return pe, qc, pc, qe
+
+
+def _middle_sums_exact(n, t, counts, i):
+    """Integer arithmetic, exact for integer codeword counts."""
     den = n * math.comb(n - 1, i)
-    return pe_num / den, qc_num / den, pc_num / den, qe_num / den
+    sums = _middle_sums(
+        n, t, i,
+        lambda h, j, rest: math.comb(h, h - j) * math.comb(n - h - 1, rest),
+        lambda w, mult, f: counts[w] * mult * f,
+    )
+    return tuple(s / den for s in sums)
 
 
 def _middle_sums_log(n, t, log_w, i):
-    """Same sums evaluated term-by-term in log space (long codes)."""
+    """Term-by-term in log space (long codes)."""
     log_den = math.log(n) + _logcomb(n - 1, i)
-    pe = qc = pc = qe = 0.0
-    for delta in range(0, t + 1):
-        for j in range(0, delta + 1):
-            h = i - delta + 2 * j
-            if not (0 <= h <= n - 1):
-                continue
-            lf = _logcomb(h, h - j) + _logcomb(n - h - 1, delta - j)
-            if lf == -np.inf:
-                continue
-            if h + 1 <= n and log_w[h + 1] > -np.inf:
-                pe += math.exp(log_w[h + 1] + math.log(h + 1) + lf - log_den)
-            if log_w[h] > -np.inf and n - h > 0:
-                qc += math.exp(log_w[h] + math.log(n - h) + lf - log_den)
-        for j in range(0, delta):
-            h = i - delta + 2 * j + 1
-            if not (0 <= h <= n - 1):
-                continue
-            lf = _logcomb(h, h - j) + _logcomb(n - h - 1, delta - j - 1)
-            if lf == -np.inf:
-                continue
-            if log_w[h] > -np.inf and n - h > 0:
-                pc += math.exp(log_w[h] + math.log(n - h) + lf - log_den)
-            if h + 1 <= n and log_w[h + 1] > -np.inf:
-                qe += math.exp(log_w[h + 1] + math.log(h + 1) + lf - log_den)
-    return pe, qc, pc, qe
+    return _middle_sums(
+        n, t, i,
+        lambda h, j, rest: _logcomb(h, h - j) + _logcomb(n - h - 1, rest),
+        lambda w, mult, f: (
+            math.exp(log_w[w] + math.log(mult) + f - log_den) if log_w[w] > -np.inf else 0.0
+        ),
+    )
 
 
 def component_profile(
@@ -205,23 +164,14 @@ def component_profile(
     )
 
 
-def auto_profile(code, enumerator: str = "auto") -> ComponentProfile:
-    """Profile for a component code, choosing the weight-distribution source.
+def auto_profile(code) -> ComponentProfile:
+    """Profile for a component code: its exact weight distribution whenever
+    enumeration is feasible (k <= EXACT_MAX_K), the binomial model otherwise."""
+    from .bch import EXACT_MAX_K, weight_enumerator_approx, weight_enumerator_exact
 
-    "exact" enumerates all codewords (short test codes), "approx" uses the
-    binomial model (long codes), "auto" picks exact whenever enumeration is
-    feasible (k <= 24).
-    """
-    from .bch import weight_enumerator_approx, weight_enumerator_exact
-
-    if enumerator == "auto":
-        enumerator = "exact" if code.k <= 24 else "approx"
-    if enumerator == "exact":
+    if code.k <= EXACT_MAX_K:
         return component_profile(code.n, code.t, weights=weight_enumerator_exact(code))
-    if enumerator == "approx":
-        approx = weight_enumerator_approx(code)
-        return component_profile(code.n, code.t, log_weights=approx.log_table())
-    raise ValueError(f"unknown enumerator choice {enumerator!r}")
+    return component_profile(code.n, code.t, log_weights=weight_enumerator_approx(code))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +181,6 @@ def auto_profile(code, enumerator: str = "auto") -> ComponentProfile:
 class TransitionValues(NamedTuple):
     fe: float
     fc: float
-    feps: float
     fqe: float
     fpc: float
 
@@ -239,123 +188,45 @@ class TransitionValues(NamedTuple):
 class TransitionKernels:
     """Binomially averaged transition functions for a fixed channel error rate.
 
-    Precomputes the outcome kernels so that evaluating all five functions at a
-    message error rate x costs a single binomial pmf plus dot products.
+    Precomputes the outcome kernels so that evaluating all four functions at a
+    message error rate x costs one binomial pmf and one matrix product.
     """
 
     def __init__(self, profile: ComponentProfile, p_ch: float):
-        self.profile = profile
-        self.p_ch = float(p_ch)
-        self.n = profile.n
-        self._ke = p_ch * profile.pe + (1.0 - p_ch) * profile.qe
-        self._kc = p_ch * profile.pc + (1.0 - p_ch) * profile.qc
-        self._keps = p_ch * profile.peps + (1.0 - p_ch) * profile.qeps
-        trials = self.n - 1
-        i = np.arange(self.n, dtype=np.float64)
-        self._i = i
-        self._trials = trials
-        self._logbin = gammaln(trials + 1) - gammaln(i + 1) - gammaln(trials - i + 1)
-
-    def pmf(self, x: float) -> np.ndarray:
-        """Binomial(n-1, x) pmf over i = 0..n-1."""
-        x = min(max(float(x), 0.0), 1.0)
-        out = np.zeros(self.n)
-        if x == 0.0:
-            out[0] = 1.0
-            return out
-        if x == 1.0:
-            out[-1] = 1.0
-            return out
-        logp = self._logbin + self._i * math.log(x) + (self._trials - self._i) * math.log1p(-x)
-        return np.exp(logp)
-
-    def pmf_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, 1.0)
-        out = np.zeros((len(xs), self.n))
-        interior = (xs > 0.0) & (xs < 1.0)
-        if np.any(interior):
-            xi = xs[interior][:, None]
-            logp = self._logbin[None, :] + self._i[None, :] * np.log(xi)
-            logp += (self._trials - self._i)[None, :] * np.log1p(-xi)
-            out[interior] = np.exp(logp)
-        out[xs == 0.0, 0] = 1.0
-        out[xs == 1.0, -1] = 1.0
-        return out
-
-    def eval(self, x: float) -> TransitionValues:
-        w = self.pmf(x)
-        return TransitionValues(
-            fe=float(w @ self._ke),
-            fc=float(w @ self._kc),
-            feps=float(w @ self._keps),
-            fqe=float(w @ self.profile.qe),
-            fpc=float(w @ self.profile.pc),
+        self._kernels = np.stack(
+            [
+                p_ch * profile.pe + (1.0 - p_ch) * profile.qe,
+                p_ch * profile.pc + (1.0 - p_ch) * profile.qc,
+                profile.qe,
+                profile.pc,
+            ],
+            axis=1,
         )
+        self._i = np.arange(profile.n, dtype=np.float64)
+        self._rest = (profile.n - 1) - self._i
+        self._logbin = gammaln(profile.n) - gammaln(self._i + 1) - gammaln(self._rest + 1)
 
-    def eval_many(self, xs: np.ndarray) -> TransitionValues:
-        w = self.pmf_many(xs)
-        return TransitionValues(
-            fe=w @ self._ke,
-            fc=w @ self._kc,
-            feps=w @ self._keps,
-            fqe=w @ self.profile.qe,
-            fpc=w @ self.profile.pc,
-        )
+    def eval(self, x) -> TransitionValues:
+        """The transition functions at message error rate(s) x in [0, 1].
 
-
-def transition_fns(profile: ComponentProfile, x: float, p_ch: float) -> TransitionValues:
-    """All five transition functions evaluated at message error rate x."""
-    return TransitionKernels(profile, p_ch).eval(x)
-
-
-def _weight_scalar(fc: float, fe: float, cap: float) -> float:
-    if fc <= 0.0:
-        warnings.warn(
-            "degenerate transition state: correct-decode probability is zero",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return 0.0
-    if fe <= 0.0:
-        return cap
-    w = math.log(fc) - math.log(fe)
-    return min(max(w, 0.0), cap)
+        A scalar x gives scalar fields, an array of rates gives arrays of the
+        same shape; the Binomial(n-1, x) weights are exact at x = 0 and 1.
+        """
+        x = np.asarray(x, dtype=np.float64)[..., None]
+        pmf = np.exp(self._logbin + xlogy(self._i, x) + xlog1py(self._rest, -x))
+        values = pmf @ self._kernels  # one column per transition function
+        return TransitionValues(*values.transpose(-1, *range(values.ndim - 1)))
 
 
-def _weights_vector(fc: np.ndarray, fe: np.ndarray, cap: float) -> np.ndarray:
-    out = np.full(len(fc), cap)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pos = fe > 0.0
-        out[pos] = np.log(fc[pos]) - np.log(fe[pos])
-    out[fc <= 0.0] = 0.0
-    return np.clip(out, 0.0, cap)
+def _weights(fc, fe, cap: float):
+    """Reliability weight log(f_c / f_e) clamped to [0, cap].
 
-
-def scaling_factors(
-    profile: ComponentProfile, x_in: float, p_ch: float, cap: float = DEFAULT_WEIGHT_CAP
-) -> float:
-    """Reliability weight log(f_c / f_e) at message error rate x_in, clamped to [0, cap]."""
-    v = transition_fns(profile, x_in, p_ch)
-    return _weight_scalar(v.fc, v.fe, cap)
-
-
-def scaling_factor_numeric(
-    profile: ComponentProfile,
-    x_in: float,
-    p_ch: float,
-    sigma: float,
-    cap: float = DEFAULT_WEIGHT_CAP,
-    grid_points: int = 641,
-) -> float:
-    """Weight chosen by minimizing the one-step updated error rate on a grid.
-
-    Cross-check for the closed-form rule; the two agree to grid resolution.
+    Saturates at the cap where the error transition vanishes and drops to
+    zero where the correct transition does.
     """
-    kern = TransitionKernels(profile, p_ch)
-    v = kern.eval(x_in)
-    ws = np.linspace(0.0, cap, grid_points)
-    xs = _vn_update_values(v, ws, p_ch, sigma)
-    return float(ws[np.argmin(xs)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.minimum(np.maximum(np.log(fc) - np.log(fe), 0.0), cap)
+    return np.where(fc > 0.0, w, 0.0)
 
 
 def _vn_update_values(v: TransitionValues, w, p_ch: float, sigma: float):
@@ -366,33 +237,6 @@ def _vn_update_values(v: TransitionValues, w, p_ch: float, sigma: float):
 
 # ---------------------------------------------------------------------------
 # uncoupled (product-code) recursion
-
-
-@dataclass(frozen=True)
-class DeState:
-    x_row: float
-    x_col: float
-    p_ch: float
-    sigma: float
-
-
-def de_step_gldpc(
-    state: DeState,
-    profile: ComponentProfile | TransitionKernels,
-    w_row: float,
-    w_col: float,
-    sigma: float | None = None,
-) -> DeState:
-    """One full iteration (row then column half) of the uncoupled recursion."""
-    kern = (
-        profile
-        if isinstance(profile, TransitionKernels)
-        else TransitionKernels(profile, state.p_ch)
-    )
-    sigma = state.sigma if sigma is None else sigma
-    x_row = float(_vn_update_values(kern.eval(state.x_col), w_row, state.p_ch, sigma))
-    x_col = float(_vn_update_values(kern.eval(x_row), w_col, state.p_ch, sigma))
-    return DeState(x_row=x_row, x_col=x_col, p_ch=state.p_ch, sigma=sigma)
 
 
 @dataclass
@@ -418,56 +262,41 @@ def run_gldpc(
     *,
     cap: float = DEFAULT_WEIGHT_CAP,
     target: float = DEFAULT_TARGET,
-    weight_rule: str = "formula",
     stop_early: bool = True,
 ) -> GldpcDeResult:
     """Run the uncoupled recursion from the channel state.
 
-    Weights are recomputed before each half-iteration from the incoming
-    message error rate ("formula": closed-form log-ratio; "numeric": grid
-    minimization of the one-step update).
+    Before each half-iteration the weight is the closed-form log-ratio of
+    the transition functions at the incoming message error rate.
     """
     params = make_params(ebn0_db, rate)
     p_ch, sigma = params.p_ch, params.sigma
     kern = TransitionKernels(profile, p_ch)
 
-    def weight(x_in: float) -> float:
-        if weight_rule == "formula":
-            v = kern.eval(x_in)
-            return _weight_scalar(v.fc, v.fe, cap)
-        if weight_rule == "numeric":
-            return scaling_factor_numeric(profile, x_in, p_ch, sigma, cap)
-        raise ValueError(f"unknown weight rule {weight_rule!r}")
-
-    x_col = p_ch
-    w_rows: list[float] = []
-    w_cols: list[float] = []
+    x = p_ch
+    weights: list[float] = []
     traj: list[float] = []
     it = 0
     for it in range(1, iterations + 1):
-        wr = weight(x_col)
-        v = kern.eval(x_col)
-        x_row = float(_vn_update_values(v, wr, p_ch, sigma))
-        wc = weight(x_row)
-        v = kern.eval(x_row)
-        x_col = float(_vn_update_values(v, wc, p_ch, sigma))
-        w_rows.append(wr)
-        w_cols.append(wc)
-        traj.extend([x_row, x_col])
-        if stop_early and x_col < target * 1e-3:
+        for _ in ("row", "col"):
+            v = kern.eval(x)
+            w = float(_weights(v.fc, v.fe, cap))
+            x = float(_vn_update_values(v, w, p_ch, sigma))
+            weights.append(w)
+            traj.append(x)
+        if stop_early and x < target * 1e-3:
             break
-    final = x_col
     return GldpcDeResult(
         ebn0_db=ebn0_db,
         rate=rate,
         p_ch=p_ch,
         sigma=sigma,
-        w_row=np.array(w_rows),
-        w_col=np.array(w_cols),
+        w_row=np.array(weights[0::2]),
+        w_col=np.array(weights[1::2]),
         trajectory=np.array(traj),
-        final_x=final,
-        converged=bool(final < target),
-        improving=bool(final < p_ch * (1.0 - 1e-9)),
+        final_x=x,
+        converged=bool(x < target),
+        improving=bool(x < p_ch * (1.0 - 1e-9)),
         iterations_run=it,
     )
 
@@ -485,30 +314,6 @@ def sc_cn_averages(x: np.ndarray, window_start: int, window_size: int) -> np.nda
     s, w = window_start, window_size
     padded = np.concatenate([[0.0], x[s : s + w], [0.0]])
     return 0.5 * (padded[:-1] + padded[1:])
-
-
-def de_step_sc(
-    x: np.ndarray,
-    window_start: int,
-    window_size: int,
-    kernels: TransitionKernels,
-    w_cn: np.ndarray,
-    sigma: float,
-) -> np.ndarray:
-    """One parallel update of the in-window bit positions (coupling width 2).
-
-    ``w_cn`` holds one weight per constraint position [s, s+W]; each bit
-    position averages the contributions of its two constraint neighbors.
-    """
-    s, w = window_start, window_size
-    if len(w_cn) != w + 1:
-        raise ValueError(f"need {w + 1} constraint weights, got {len(w_cn)}")
-    bavg = sc_cn_averages(x, s, w)
-    v = kernels.eval_many(bavg)
-    contrib = _vn_update_values(v, w_cn, kernels.p_ch, sigma)
-    out = x.copy()
-    out[s : s + w] = 0.5 * (contrib[:-1] + contrib[1:])
-    return out
 
 
 @dataclass
@@ -566,8 +371,8 @@ def run_sc_window(
         sched = np.zeros((window + 1, iters_per_slide))
         for it in range(iters_per_slide):
             bavg = sc_cn_averages(x, s, window)
-            v = kern.eval_many(bavg)
-            w_cn = _weights_vector(v.fc, v.fe, cap)
+            v = kern.eval(bavg)
+            w_cn = _weights(v.fc, v.fe, cap)
             sched[:, it] = w_cn
             contrib = _vn_update_values(v, w_cn, p_ch, sigma)
             new = 0.5 * (contrib[:-1] + contrib[1:])

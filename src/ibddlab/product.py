@@ -2,16 +2,18 @@
 
 A product code squares one systematic component code: information bits fill a
 k-by-k array, every row is encoded, then every column of the intermediate
-array.  Decoding alternates bounded-distance decoding (BDD) of all rows and
-all columns.  Three decoders share that serial row-then-column schedule:
+array.  Decoding is one loop: bounded-distance decoding (BDD) of all rows,
+then of all columns, until the array is a product codeword or the iterations
+run out.  The three decoders differ only in the verdict rule that turns a
+component word into the next binary message (``component_step``):
 
-* ``ibdd_decode``       -- plain iterative BDD on hard decisions; failed
-                           component words pass through unchanged.
+* ``ibdd_decode``       -- the BDD word itself; failed component words pass
+                           through unchanged.
 * ``ibdd_sr_decode``    -- scaled reliability: each BDD verdict is weighed
-                           against the channel LLR before re-hardening, via
-                           the comparison kernel ``combine_decision``.
-* ``ideal_ibdd_decode`` -- genie-aided BDD that corrects up to t errors and
-                           never miscorrects (analysis benchmark).
+                           against the channel LLR via ``combine_decision``,
+                           followed by a tail of plain iterations.
+* ``ideal_ibdd_decode`` -- a genie that corrects up to t errors and never
+                           miscorrects (analysis benchmark).
 """
 
 from __future__ import annotations
@@ -115,6 +117,46 @@ class ScalingSchedule:
         return cls(result.w_row, result.w_col)
 
 
+def component_step(comp: BchCode, words, weight=None, llr=None, genie=None) -> np.ndarray:
+    """The next binary message for each row of ``words``.
+
+    The genie's verdict when ``genie`` (the transmitted rows) is given, else
+    the BDD verdict weighed against ``llr`` by ``combine_decision`` when a
+    ``weight`` is given, else the BDD word itself.
+    """
+    if genie is not None:
+        return ideal_decode_matrix(comp, words, genie)[1]
+    ternary, decoded, _ = bdd_decode_matrix(comp, words)
+    if weight is None:
+        return decoded
+    return combine_decision(ternary, weight, llr)
+
+
+def _iterate(code, psi, iters, observer=None, weights=None, llr=None, genie=None):
+    """The shared loop: rows, then columns, through ``component_step``.
+
+    ``weights`` (the row and column weight sequences) with ``llr``, or
+    ``genie`` (the transmitted array and its transpose), select the verdict.
+    """
+    comp = code.component
+    for ell in range(iters):
+        if code.is_codeword(psi):
+            break
+        for axis, stage in enumerate(("row", "col")):
+            words = psi if axis == 0 else np.ascontiguousarray(psi.T)
+            new = component_step(
+                comp,
+                words,
+                weight=None if weights is None else weights[axis][ell],
+                llr=None if llr is None else (llr if axis == 0 else llr.T),
+                genie=None if genie is None else genie[axis],
+            )
+            psi = new if axis == 0 else np.ascontiguousarray(new.T)
+            if observer is not None:
+                observer(stage, ell + 1, psi)
+    return psi
+
+
 def ibdd_sr_decode(
     code: ProductCode,
     llr: np.ndarray,
@@ -137,23 +179,12 @@ def ibdd_sr_decode(
         raise ValueError(
             f"schedule covers {schedule.iterations} iterations, need {sr_iters}"
         )
-    comp = code.component
     llr = np.asarray(llr, dtype=float)
-    psi = harden(llr)
-    for ell in range(sr_iters):
-        if code.is_codeword(psi):
-            break
-        mu, _, _ = bdd_decode_matrix(comp, psi)
-        psi = combine_decision(mu, schedule.w_row[ell], llr)
-        if observer is not None:
-            observer("row", ell + 1, psi)
-        mu_t, _, _ = bdd_decode_matrix(comp, np.ascontiguousarray(psi.T))
-        psi = np.ascontiguousarray(combine_decision(mu_t, schedule.w_col[ell], llr.T).T)
-        if observer is not None:
-            observer("col", ell + 1, psi)
-    if plain_iters > 0:
-        psi = ibdd_decode(code, psi, plain_iters, observer=observer)
-    return psi
+    psi = _iterate(
+        code, harden(llr), sr_iters, observer,
+        weights=(schedule.w_row, schedule.w_col), llr=llr,
+    )
+    return _iterate(code, psi, plain_iters, observer)
 
 
 def ibdd_decode(
@@ -164,19 +195,7 @@ def ibdd_decode(
     Rows then columns per iteration; decoded component words replace their
     input, failures leave it untouched.  Early exit on a valid codeword.
     """
-    comp = code.component
-    psi = np.array(r, dtype=np.uint8, copy=True)
-    for ell in range(iters):
-        if code.is_codeword(psi):
-            break
-        _, psi, _ = bdd_decode_matrix(comp, psi)
-        if observer is not None:
-            observer("row", ell + 1, psi)
-        _, dec_t, _ = bdd_decode_matrix(comp, np.ascontiguousarray(psi.T))
-        psi = np.ascontiguousarray(dec_t.T)
-        if observer is not None:
-            observer("col", ell + 1, psi)
-    return psi
+    return _iterate(code, np.array(r, dtype=np.uint8, copy=True), iters, observer)
 
 
 def ideal_ibdd_decode(
@@ -190,15 +209,6 @@ def ideal_ibdd_decode(
     The transmitted array is side information for the genie only; the
     schedule and stopping rule match ``ibdd_decode``.
     """
-    comp = code.component
-    psi = np.array(r, dtype=np.uint8, copy=True)
-    transmitted = np.asarray(transmitted, dtype=np.uint8)
-    for _ in range(iters):
-        if code.is_codeword(psi):
-            break
-        _, psi, _ = ideal_decode_matrix(comp, psi, transmitted)
-        _, dec_t, _ = ideal_decode_matrix(
-            comp, np.ascontiguousarray(psi.T), np.ascontiguousarray(transmitted.T)
-        )
-        psi = np.ascontiguousarray(dec_t.T)
-    return psi
+    tx = np.asarray(transmitted, dtype=np.uint8)
+    genie = (tx, np.ascontiguousarray(tx.T))
+    return _iterate(code, np.array(r, dtype=np.uint8, copy=True), iters, genie=genie)

@@ -24,7 +24,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -61,10 +61,13 @@ class ComponentSpec:
     t: int
     shorten: int = 0
 
+    @cache
     def build(self) -> BchCode:
+        """The code, built once per process and shared (with its cached
+        weight enumeration) by every engine of the same spec."""
         return build_bch(self.m, self.t, shorten=self.shorten)
 
-    @cached_property
+    @property
     def label(self) -> str:
         code = self.build()
         return f"n{code.n}k{code.k}t{code.t}"
@@ -81,7 +84,7 @@ class SimConfig:
     schedule_source: str = "de_at_operating_snr"
     fixed_weight: float | None = None
     min_error_events: int = 50
-    max_frames: int = 200_000
+    max_frames: int = 200_000  # frame units: product arrays, or counted staircase blocks
     seed: int = 1
     workers: int = 1
     sr_iters: int = 10
@@ -179,6 +182,27 @@ def wilson_ci95(successes: int, trials: int) -> tuple:
     return (max(0.0, centre - half), min(1.0, centre + half))
 
 
+# resampled frame indices drawn at once, bounding the bootstrap's memory
+_BOOT_CHUNK = 1 << 20
+
+
+def _resampled_sums(rng, columns, n_boot: int) -> list:
+    """Totals of each per-frame count array over ``n_boot`` frame resamples.
+
+    Every replicate draws one set of frame indices and applies it to all
+    ``columns``.  Indices are drawn in row chunks of about ``_BOOT_CHUNK``
+    elements, which continue the same random stream as one (n_boot, n) draw.
+    """
+    n = len(columns[0])
+    rows = max(1, _BOOT_CHUNK // n)
+    sums = [np.empty(n_boot, dtype=np.int64) for _ in columns]
+    for lo in range(0, n_boot, rows):
+        idx = rng.integers(0, n, size=(min(rows, n_boot - lo), n))
+        for out, col in zip(sums, columns):
+            out[lo : lo + len(idx)] = col[idx].sum(axis=1)
+    return sums
+
+
 def bootstrap_ber_ci(
     frame_bit_errors, bits_per_frame: int, seed: int, n_boot: int = 1000
 ) -> tuple:
@@ -188,9 +212,8 @@ def bootstrap_ber_ci(
     if n == 0 or counts.sum() == 0:
         return (0.0, 0.0)
     rng = np.random.default_rng([seed, 0xB0075])
-    idx = rng.integers(0, n, size=(n_boot, n))
-    bers = counts[idx].sum(axis=1) / (n * bits_per_frame)
-    lo, hi = np.percentile(bers, [2.5, 97.5])
+    (sums,) = _resampled_sums(rng, [counts], n_boot)
+    lo, hi = np.percentile(sums / (n * bits_per_frame), [2.5, 97.5])
     return (float(lo), float(hi))
 
 
@@ -215,9 +238,8 @@ def paired_gap_bootstrap(
     if n == 0:
         return (0.0, 0.0)
     rng = np.random.default_rng([seed, 0xD1FF])
-    idx = rng.integers(0, n, size=(n_boot, n))
-    gaps = (a[idx].sum(axis=1) - b[idx].sum(axis=1)) / (n * bits_per_frame)
-    lo, hi = np.percentile(gaps, [2.5, 97.5])
+    sums_a, sums_b = _resampled_sums(rng, [a, b], n_boot)
+    lo, hi = np.percentile((sums_a - sums_b) / (n * bits_per_frame), [2.5, 97.5])
     return (float(lo), float(hi))
 
 
@@ -227,31 +249,40 @@ def paired_gap_bootstrap(
 class _PcEngine:
     def __init__(self, cfg: SimConfig, ebn0_db: float, modes: tuple):
         self.cfg = cfg
-        self.modes = modes
-        self.code = ProductCode(cfg.component.build())
-        self.params = make_params(ebn0_db, self.code.rate)
-        self.bits_per_unit = self.code.n * self.code.n
+        self.code = code = ProductCode(cfg.component.build())
+        self.params = make_params(ebn0_db, code.rate)
+        self.bits_per_unit = code.n * code.n
         self.units_per_frame = 1
-        self.schedule = None
         self.skip_reason = None
+        total = cfg.sr_iters + cfg.plain_iters
+        decoders = {
+            "ibdd": lambda llr, tx: ibdd_decode(code, harden(llr), total),
+            "ideal": lambda llr, tx: ideal_ibdd_decode(code, harden(llr), tx, total),
+        }
         if "ibdd_sr" in modes:
+            schedule = None
             if cfg.schedule_source == "fixed":
-                self.schedule = ScalingSchedule.constant(cfg.fixed_weight, cfg.sr_iters)
+                schedule = ScalingSchedule.constant(cfg.fixed_weight, cfg.sr_iters)
             else:
                 res = run_gldpc(
-                    auto_profile(self.code.component),
+                    auto_profile(code.component),
                     ebn0_db,
-                    self.code.rate,
+                    code.rate,
                     iterations=cfg.sr_iters,
                     stop_early=False,
                 )
                 if res.improving:
-                    self.schedule = ScalingSchedule.from_gldpc_result(res)
+                    schedule = ScalingSchedule.from_gldpc_result(res)
                 else:
                     self.skip_reason = (
                         f"recursion not improving at {ebn0_db} dB "
-                        f"(rate {self.code.rate:.4f}): no weight schedule"
+                        f"(rate {code.rate:.4f}): no weight schedule"
                     )
+            if schedule is not None:
+                decoders["ibdd_sr"] = lambda llr, tx: ibdd_sr_decode(
+                    code, llr, schedule, cfg.sr_iters, cfg.plain_iters
+                )
+        self.decoders = {m: decoders[m] for m in modes if m in decoders}
 
     def run_frame(self, index: int) -> dict:
         cfg = self.cfg
@@ -262,27 +293,15 @@ class _PcEngine:
         else:
             tx = np.zeros((n, n), dtype=np.uint8)
         llr = transmit(tx, self.params, rng)
-        total = cfg.sr_iters + cfg.plain_iters
-        out = {}
-        for mode in self.modes:
-            if mode == "ibdd":
-                dec = ibdd_decode(self.code, harden(llr), total)
-            elif mode == "ideal":
-                dec = ideal_ibdd_decode(self.code, harden(llr), tx, total)
-            elif self.schedule is not None:
-                dec = ibdd_sr_decode(
-                    self.code, llr, self.schedule, cfg.sr_iters, cfg.plain_iters
-                )
-            else:
-                continue
-            out[mode] = np.array([np.sum(dec != tx)], dtype=np.int64)
-        return out
+        return {
+            mode: np.array([np.sum(decode(llr, tx) != tx)], dtype=np.int64)
+            for mode, decode in self.decoders.items()
+        }
 
 
 class _StaircaseEngine:
     def __init__(self, cfg: SimConfig, ebn0_db: float, modes: tuple):
         self.cfg = cfg
-        self.modes = modes
         self.code = StaircaseCode(cfg.component.build())
         self.params = make_params(ebn0_db, self.code.rate)
         half = self.code.block_size
@@ -291,8 +310,10 @@ class _StaircaseEngine:
         self.counted = slice(skirt, cfg.blocks_per_stream - skirt)
         self.units_per_frame = cfg.blocks_per_stream - 2 * skirt
         self.skip_reason = None
-        schedule = None
+        plain = WindowConfig(cfg.window_blocks, cfg.sr_iters, cfg.plain_iters)
+        window_cfgs = {"ibdd": plain, "ideal": plain}
         if "ibdd_sr" in modes:
+            schedule = None
             if cfg.schedule_source == "fixed":
                 schedule = WindowSchedule(
                     early=(),
@@ -314,12 +335,11 @@ class _StaircaseEngine:
                     )
                 except ScheduleUnavailable as exc:
                     self.skip_reason = str(exc)
-        self.cfg_sr = (
-            WindowConfig(cfg.window_blocks, cfg.sr_iters, cfg.plain_iters, schedule)
-            if schedule is not None
-            else None
-        )
-        self.cfg_plain = WindowConfig(cfg.window_blocks, cfg.sr_iters, cfg.plain_iters)
+            if schedule is not None:
+                window_cfgs["ibdd_sr"] = WindowConfig(
+                    cfg.window_blocks, cfg.sr_iters, cfg.plain_iters, schedule
+                )
+        self.window_cfgs = {m: window_cfgs[m] for m in modes if m in window_cfgs}
 
     def run_frame(self, index: int) -> dict:
         cfg = self.cfg
@@ -338,22 +358,12 @@ class _StaircaseEngine:
             ]
         llr = [transmit(b, self.params, rng) for b in tx]
         out = {}
-        for mode in self.modes:
-            if mode == "ibdd":
-                dec = window_decode(code, llr, self.cfg_plain, mode="ibdd")
-            elif mode == "ideal":
-                dec = window_decode(
-                    code, llr, self.cfg_plain, mode="ideal", transmitted=tx
-                )
-            elif self.cfg_sr is not None:
-                dec = window_decode(code, llr, self.cfg_sr, mode="ibdd_sr")
-            else:
-                continue
-            errs = [
-                np.sum(d != t)
-                for d, t in zip(dec[self.counted], tx[self.counted])
-            ]
-            out[mode] = np.array(errs, dtype=np.int64)
+        for mode, window_cfg in self.window_cfgs.items():
+            dec = window_decode(code, llr, window_cfg, mode, transmitted=tx)
+            out[mode] = np.array(
+                [np.sum(d != t) for d, t in zip(dec[self.counted], tx[self.counted])],
+                dtype=np.int64,
+            )
         return out
 
 
@@ -551,73 +561,6 @@ def paired_gain_estimate(points_a, points_b, target_ber: float) -> float | None:
     return ea - eb
 
 
-def paired_gain_bootstrap_ci(
-    points_a,
-    points_b,
-    target_ber: float,
-    seed: int,
-    n_boot: int = 1000,
-) -> tuple | None:
-    """Bootstrap 95% interval for the interpolated gain of curve b over a.
-
-    Per replicate, each grid point's frames are resampled once and applied
-    to both modes (the curves share noise), both curves are re-interpolated
-    at the target, and the gain recomputed.  Replicates whose resampled
-    curves no longer bracket the target are dropped; returns None when more
-    than 20% drop or the point estimate itself is unavailable.
-    """
-    if paired_gain_estimate(points_a, points_b, target_ber) is None:
-        return None
-    by_snr_a = {p.ebn0_db: p for p in points_a if isinstance(p, BerPoint)}
-    by_snr_b = {p.ebn0_db: p for p in points_b if isinstance(p, BerPoint)}
-    snrs = sorted(set(by_snr_a) & set(by_snr_b))
-    rng = np.random.default_rng([seed, 0x6A17])
-    # replicate BER tables, shape (n_boot, n_points), paired resampling
-    bers_a = np.empty((n_boot, len(snrs)))
-    bers_b = np.empty((n_boot, len(snrs)))
-    for col, snr in enumerate(snrs):
-        pa, pb = by_snr_a[snr], by_snr_b[snr]
-        if pa.frames != pb.frames:
-            raise ValueError("paired curves must share frame counts per point")
-        ca = np.asarray(pa.frame_bit_errors, dtype=np.int64)
-        cb = np.asarray(pb.frame_bit_errors, dtype=np.int64)
-        n = pa.frames
-        bits = pa.bits_simulated
-        done = 0
-        while done < n_boot:  # chunked to bound index-matrix memory
-            m = min(200, n_boot - done)
-            idx = rng.integers(0, n, size=(m, n))
-            bers_a[done : done + m, col] = ca[idx].sum(axis=1) / bits
-            bers_b[done : done + m, col] = cb[idx].sum(axis=1) / bits
-            done += m
-
-    def _interp(row_bers):
-        e = None
-        for i in range(len(snrs) - 1):
-            b0, b1 = row_bers[i], row_bers[i + 1]
-            if b0 <= 0 or b1 <= 0:
-                continue
-            lo, hi = min(b0, b1), max(b0, b1)
-            if lo <= target_ber <= hi:
-                l0, l1 = math.log10(b0), math.log10(b1)
-                lt = math.log10(target_ber)
-                e = snrs[i] if l0 == l1 else snrs[i] + (
-                    (snrs[i + 1] - snrs[i]) * (lt - l0) / (l1 - l0)
-                )
-                break
-        return e
-
-    gains = []
-    for r in range(n_boot):
-        ea, eb = _interp(bers_a[r]), _interp(bers_b[r])
-        if ea is not None and eb is not None:
-            gains.append(ea - eb)
-    if len(gains) < 0.8 * n_boot:
-        return None
-    lo, hi = np.percentile(gains, [2.5, 97.5])
-    return (float(lo), float(hi))
-
-
 # ---------------------------------------------------------------------------
 # result serialization
 
@@ -640,13 +583,6 @@ def csv_row(pt) -> str:
         f"{pt.ber_ci95[0]:.10e},{pt.ber_ci95[1]:.10e},"
         f"{pt.seed},{pt.wall_seconds:.3f}"
     )
-
-
-def write_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_COLUMNS + "\n")
-        for pt in rows:
-            fh.write(csv_row(pt) + "\n")
 
 
 def point_dict(pt) -> dict:

@@ -21,17 +21,14 @@ produces for a chain window of U-1 positions.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode, bdd_decode_matrix, ideal_decode_matrix
+from .bch import BchCode
 from .channel import harden
 from .de import ComponentProfile, run_sc_window
-from .product import combine_decision
-
-STREAM_MAGIC = b"SCBK"
+from .product import component_step
 
 
 class ScheduleUnavailable(RuntimeError):
@@ -63,10 +60,6 @@ class StaircaseCode:
     def rate(self) -> float:
         n, k = self.component.n, self.component.k
         return 1.0 - 2.0 * (n - k) / n
-
-    @property
-    def info_bits_per_block(self) -> int:
-        return self.block_size * self.info_cols
 
     def __repr__(self):
         return (
@@ -145,9 +138,6 @@ def schedule_for_window(
     rate: float,
     window_blocks: int,
     sr_iters: int,
-    *,
-    max_slides: int = 60,
-    steady_tol: float = 1e-6,
 ) -> WindowSchedule:
     """Derive per-pair weights by running the windowed recursion at the
     operating point.
@@ -168,8 +158,7 @@ def schedule_for_window(
         iters_per_slide=sr_iters,
         full_iterations=True,
         fail_fast=False,
-        steady_tol=steady_tol,
-        max_slides=max_slides,
+        max_slides=60,
     )
     if not res.improving:
         raise ScheduleUnavailable(
@@ -209,6 +198,11 @@ class WindowConfig:
                     f"schedule shape {got} does not match (window_blocks, "
                     f"sr_iters) = {want}"
                 )
+
+
+def _pair(blocks, i):
+    """The component words [B_i^T, B_{i+1}] joining blocks i and i+1, as rows."""
+    return np.ascontiguousarray(np.concatenate([blocks[i].T, blocks[i + 1]], axis=1))
 
 
 def window_decode(
@@ -255,81 +249,27 @@ def window_decode(
     emitted: list[np.ndarray] = []
 
     for b in range(1, n_blocks + 1):
-        # pairs (b-1+j, b+j): slot 0 joins the frozen block b-1 to the window
-        n_pairs = min(cfg.window_blocks, n_blocks - b + 1)
+        # pair j joins blocks (b-1+j, b+j); slot 0 joins the frozen block b-1
+        pairs = range(b - 1, b - 1 + min(cfg.window_blocks, n_blocks - b + 1))
         weights = cfg.schedule.weights_for_slide(b) if mode == "ibdd_sr" else None
 
         for ell in range(total_rounds):
-            clean = True
-            for j in range(n_pairs):
-                li, ri = b - 1 + j, b + j
-                words = np.ascontiguousarray(
-                    np.concatenate([hard[li].T, hard[ri]], axis=1)
-                )
-                if not np.all(comp.is_codeword(words)):
-                    clean = False
-                    break
-            if clean:
+            if all(np.all(comp.is_codeword(_pair(hard, i))) for i in pairs):
                 break
-            for j in range(n_pairs):
-                li, ri = b - 1 + j, b + j
-                words = np.ascontiguousarray(
-                    np.concatenate([hard[li].T, hard[ri]], axis=1)
+            scaled = ell < sr_rounds
+            for j, i in enumerate(pairs):
+                new = component_step(
+                    comp,
+                    _pair(hard, i),
+                    weight=weights[j, ell] if scaled else None,
+                    llr=_pair(llrs, i) if scaled else None,
+                    genie=_pair(genie, i) if mode == "ideal" else None,
                 )
-                if mode == "ideal":
-                    ref = np.ascontiguousarray(
-                        np.concatenate([genie[li].T, genie[ri]], axis=1)
-                    )
-                    _, new, _ = ideal_decode_matrix(comp, words, ref)
-                else:
-                    tern, dec, _ = bdd_decode_matrix(comp, words)
-                    if ell < sr_rounds:
-                        pair_llr = np.concatenate([llrs[li].T, llrs[ri]], axis=1)
-                        new = combine_decision(tern, weights[j, ell], pair_llr)
-                    else:
-                        new = dec
                 if j > 0:  # slot 0's left half is the frozen emitted block
-                    hard[li] = np.ascontiguousarray(new[:, :half].T)
-                hard[ri] = np.ascontiguousarray(new[:, half:])
+                    hard[i] = np.ascontiguousarray(new[:, :half].T)
+                hard[i + 1] = np.ascontiguousarray(new[:, half:])
 
         emitted.append(hard[b].copy())
         if observer is not None:
             observer(b, hard)
     return emitted
-
-
-# ---------------------------------------------------------------------------
-# stream framing: 16-byte header (magic, block side length, block index),
-# then the block bits packed row-major.
-
-def pack_block(block: np.ndarray, index: int) -> bytes:
-    block = np.asarray(block, dtype=np.uint8)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError("blocks are square bit matrices")
-    header = STREAM_MAGIC + struct.pack("<IQ", block.shape[0], index)
-    return header + np.packbits(block, axis=None).tobytes()
-
-
-def pack_stream(blocks, start_index: int = 0) -> bytes:
-    return b"".join(
-        pack_block(blk, start_index + i) for i, blk in enumerate(blocks)
-    )
-
-
-def unpack_stream(data: bytes) -> list[tuple[int, np.ndarray]]:
-    """Parse framed blocks back into (index, block) pairs."""
-    out = []
-    off = 0
-    view = memoryview(data)
-    while off < len(view):
-        if bytes(view[off : off + 4]) != STREAM_MAGIC:
-            raise ValueError(f"bad frame magic at byte {off}")
-        side, index = struct.unpack_from("<IQ", view, off + 4)
-        off += 16
-        n_bytes = (side * side + 7) // 8
-        if off + n_bytes > len(view):
-            raise ValueError("truncated frame payload")
-        bits = np.unpackbits(np.frombuffer(view[off : off + n_bytes], np.uint8))
-        out.append((index, bits[: side * side].reshape(side, side)))
-        off += n_bytes
-    return out

@@ -5,7 +5,11 @@ quantity under test (nearest-codeword search, exhaustive error-pattern
 enumeration) rather than sharing any code path with the package.
 """
 
+import math
+
 import numpy as np
+
+from ibddlab.channel import q_function
 
 
 def codebook(code) -> np.ndarray:
@@ -89,3 +93,66 @@ def empirical_transition_tables(code, decode_matrix):
         eps = np.bincount(counts_i, weights=fail.astype(float), minlength=n) / denom
         out.extend([e, c, eps])
     return tuple(out)
+
+
+def transition_values(profile, x: float, p_ch: float) -> tuple:
+    """(fe, fc, fqe, fpc) at message error rate x by a direct binomial sum.
+
+    Each is a table of ``profile`` averaged over Binomial(n-1, x) error
+    counts; fe and fc mix the in-error and correct conditionings at p_ch.
+    """
+    n = profile.n
+    pmf = np.array(
+        [math.comb(n - 1, i) * x**i * (1 - x) ** (n - 1 - i) for i in range(n)]
+    )
+    ke = p_ch * profile.pe + (1 - p_ch) * profile.qe
+    kc = p_ch * profile.pc + (1 - p_ch) * profile.qc
+    return (
+        float(pmf @ ke), float(pmf @ kc), float(pmf @ profile.qe), float(pmf @ profile.pc)
+    )
+
+
+def vn_update(values, w, p_ch: float, sigma: float):
+    """Message error rate after one half-iteration with combining weight w:
+
+    fqe (Q(1/sigma - sigma w/2) - p_ch) + fpc Q(1/sigma + sigma w/2) + (1 - fpc) p_ch
+    """
+    _, _, fqe, fpc = values
+    qm = q_function(1.0 / sigma - sigma * np.asarray(w) / 2.0)
+    qp = q_function(1.0 / sigma + sigma * np.asarray(w) / 2.0)
+    return fqe * (qm - p_ch) + fpc * qp + (1.0 - fpc) * p_ch
+
+
+def scaling_factor_numeric(
+    values, p_ch: float, sigma: float, cap: float = 64.0, grid_points: int = 641
+) -> float:
+    """Weight chosen by minimizing the one-step updated error rate on a grid.
+
+    Reference for the closed-form log-ratio rule; the two agree to grid
+    resolution.
+    """
+    ws = np.linspace(0.0, cap, grid_points)
+    return float(ws[np.argmin(vn_update(values, ws, p_ch, sigma))])
+
+
+def bootstrap_ber_ci_oneshot(counts, bits_per_frame: int, seed: int, n_boot: int = 1000):
+    """The BER bootstrap drawing its whole (n_boot, n) index matrix at once."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n = len(counts)
+    rng = np.random.default_rng([seed, 0xB0075])
+    idx = rng.integers(0, n, size=(n_boot, n))
+    bers = counts[idx].sum(axis=1) / (n * bits_per_frame)
+    lo, hi = np.percentile(bers, [2.5, 97.5])
+    return (float(lo), float(hi))
+
+
+def paired_gap_bootstrap_oneshot(a, b, bits_per_frame: int, seed: int, n_boot: int = 1000):
+    """The paired BER-gap bootstrap drawing its whole index matrix at once."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    n = len(a)
+    rng = np.random.default_rng([seed, 0xD1FF])
+    idx = rng.integers(0, n, size=(n_boot, n))
+    gaps = (a[idx].sum(axis=1) - b[idx].sum(axis=1)) / (n * bits_per_frame)
+    lo, hi = np.percentile(gaps, [2.5, 97.5])
+    return (float(lo), float(hi))

@@ -56,3 +56,10 @@ def test_harden_conventions():
     llr = np.array([-2.5, -1e-300, 0.0, 1e-300, 3.0])
     np.testing.assert_array_equal(harden(llr), [1, 1, 0, 0, 0])
     assert harden(llr).dtype == np.uint8
+
+
+def test_harden_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        harden(np.array([np.nan, -1.0]))
+    # infinities are known bits, not errors
+    np.testing.assert_array_equal(harden(np.array([np.inf, -np.inf])), [0, 1])

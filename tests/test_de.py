@@ -1,6 +1,6 @@
-"""Density-evolution machinery: placement fractions, transition tables
-(checked against exhaustive decoder enumeration), weight rules, recursions,
-and threshold bisection."""
+"""Density-evolution machinery: transition tables (checked against
+exhaustive decoder enumeration), the transition kernel, the weight rule,
+recursions, and threshold bisection."""
 
 import math
 
@@ -9,59 +9,21 @@ import pytest
 
 import oracles
 from ibddlab.bch import bdd_decode_matrix
-from ibddlab.channel import make_params, q_function
+from ibddlab.channel import make_params
 from ibddlab.de import (
     DEFAULT_WEIGHT_CAP,
     BracketError,
-    DeState,
+    ComponentProfile,
     TransitionKernels,
     auto_profile,
     component_profile,
-    de_step_gldpc,
-    de_step_sc,
-    f1,
-    f2,
     gldpc_profile_json,
     run_gldpc,
     run_sc_window,
     sc_cn_averages,
     sc_profile_json,
-    scaling_factor_numeric,
-    scaling_factors,
     threshold_search,
-    transition_fns,
 )
-
-# ---------------------------------------------------------------------------
-# placement fractions
-
-
-def test_f1_hand_values():
-    # f1 = C(h, h-j) C(n-h-1, delta-j) / C(n-1, i): overlap j between a
-    # weight-h codeword (bit 0 in its support) and delta of the i errors.
-    assert f1(6, 2, 1, 2, 2) == pytest.approx(
-        math.comb(2, 1) * math.comb(3, 1) / math.comb(5, 2), abs=1e-15
-    )
-    assert f1(6, 3, 3, 3, 3) == pytest.approx(
-        math.comb(3, 0) * math.comb(2, 0) / math.comb(5, 3), abs=1e-15
-    )
-    assert f1(6, 2, 1, 2, 2) == pytest.approx(0.6, abs=1e-15)
-
-
-def test_f2_hand_values():
-    # f2 differs by one fewer error off the overlap (bit 0 itself in error)
-    assert f2(6, 2, 1, 2, 2) == pytest.approx(
-        math.comb(2, 1) * math.comb(3, 0) / math.comb(5, 2), abs=1e-15
-    )
-    assert f2(6, 2, 1, 2, 2) == pytest.approx(0.2, abs=1e-15)
-    # delta - j - 1 < 0 makes the pattern impossible
-    assert f2(6, 2, 2, 2, 2) == 0.0
-
-
-def test_placement_fractions_vanish_out_of_range():
-    assert f1(15, 5, 6, 6, 6) == 0.0  # overlap larger than the support
-    assert f1(15, 5, 2, 1, 1) == 0.0  # overlap larger than the error count
-
 
 # ---------------------------------------------------------------------------
 # transition tables
@@ -117,29 +79,37 @@ def test_component_profile_input_forms(code_15_7, prof_15_7):
 
 
 def test_kernels_match_transition_fns(prof_15_7):
+    """One evaluator serves scalar and array rates, both matching the
+    direct binomial sum."""
     p_ch = 0.03
     kern = TransitionKernels(prof_15_7, p_ch)
-    for x in (0.0, 0.004, 0.03, 0.2, 1.0):
-        a = kern.eval(x)
-        b = transition_fns(prof_15_7, x, p_ch)
-        np.testing.assert_allclose(a, b, atol=1e-15)
     xs = np.array([0.0, 0.004, 0.03, 0.2, 1.0])
-    many = kern.eval_many(xs)
+    many = kern.eval(xs)
     for j, x in enumerate(xs):
         one = kern.eval(float(x))
-        np.testing.assert_allclose(
-            [many.fe[j], many.fc[j], many.feps[j], many.fqe[j], many.fpc[j]],
-            list(one),
-            atol=1e-15,
-        )
+        assert np.ndim(one.fe) == 0
+        np.testing.assert_allclose(list(one), oracles.transition_values(prof_15_7, x, p_ch), atol=1e-14)
+        np.testing.assert_allclose([f[j] for f in many], list(one), atol=1e-15)
+    grid = kern.eval(np.full((2, 3), 0.01))
+    assert grid.fc.shape == (2, 3)
 
 
 def test_pmf_normalization(prof_15_7):
-    kern = TransitionKernels(prof_15_7, 0.02)
+    """The binomial weights sum to one, and x = 0 / x = 1 put all mass on
+    the first / last table entry."""
+    n = prof_15_7.n
+    zeros, ones = np.zeros(n), np.ones(n)
+    flat = ComponentProfile(
+        n=n, t=prof_15_7.t, pe=zeros, pc=ones, peps=zeros,
+        qe=zeros, qc=ones, qeps=zeros, log_weights=zeros,
+    )
+    kern = TransitionKernels(flat, 0.02)
     for x in (0.0, 1e-6, 0.1, 0.9, 1.0):
-        assert kern.pmf(x).sum() == pytest.approx(1.0, abs=1e-12)
-    assert kern.pmf(0.0)[0] == 1.0
-    assert kern.pmf(1.0)[-1] == 1.0
+        assert kern.eval(x).fpc == pytest.approx(1.0, abs=1e-12)
+    kern = TransitionKernels(prof_15_7, 0.02)
+    assert kern.eval(0.0).fqe == prof_15_7.qe[0]
+    assert kern.eval(0.0).fe == 0.0  # nothing left to miscorrect
+    assert kern.eval(1.0).fpc == prof_15_7.pc[-1]
 
 
 def test_transition_fns_against_direct_binomial_sum(prof_15_7):
@@ -149,30 +119,32 @@ def test_transition_fns_against_direct_binomial_sum(prof_15_7):
     pmf = np.array(
         [math.comb(n - 1, i) * x**i * (1 - x) ** (n - 1 - i) for i in range(n)]
     )
-    v = transition_fns(prof_15_7, x, p_ch)
+    v = TransitionKernels(prof_15_7, p_ch).eval(x)
     ke = p_ch * prof_15_7.pe + (1 - p_ch) * prof_15_7.qe
     kc = p_ch * prof_15_7.pc + (1 - p_ch) * prof_15_7.qc
     assert v.fe == pytest.approx(float(pmf @ ke), abs=1e-12)
     assert v.fc == pytest.approx(float(pmf @ kc), abs=1e-12)
-    assert v.feps == pytest.approx(1.0 - v.fe - v.fc, abs=1e-12)
     assert v.fqe == pytest.approx(float(pmf @ prof_15_7.qe), abs=1e-12)
     assert v.fpc == pytest.approx(float(pmf @ prof_15_7.pc), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# weight rules
+# weight rule
+
+
+RATE_BIG = 1 - 2 * 24 / 255
 
 
 def test_weight_formula_basics(prof_255_231):
-    p_ch = make_params(4.2, 1 - 2 * 24 / 255).p_ch
-    # at x = 0 the error transition vanishes: clamped to the cap
-    assert scaling_factors(prof_255_231, 0.0, p_ch) == DEFAULT_WEIGHT_CAP
-    w = scaling_factors(prof_255_231, p_ch, p_ch)
+    params = make_params(4.2, RATE_BIG)
+    res = run_gldpc(prof_255_231, 4.2, RATE_BIG, iterations=1, stop_early=False)
+    fe, fc, _, _ = oracles.transition_values(prof_255_231, params.p_ch, params.p_ch)
+    w = res.w_row[0]  # the weight at the channel error rate
     assert 0.0 < w < DEFAULT_WEIGHT_CAP
-    v = transition_fns(prof_255_231, p_ch, p_ch)
-    assert w == pytest.approx(math.log(v.fc / v.fe), abs=1e-12)
+    assert w == pytest.approx(math.log(fc / fe), abs=1e-9)
     # custom cap clamps
-    assert scaling_factors(prof_255_231, 0.0, p_ch, cap=5.0) == 5.0
+    capped = run_gldpc(prof_255_231, 4.2, RATE_BIG, iterations=1, cap=1.0, stop_early=False)
+    assert capped.w_row[0] == 1.0
 
 
 def test_weight_formula_agrees_with_numeric(prof_255_231):
@@ -182,36 +154,36 @@ def test_weight_formula_agrees_with_numeric(prof_255_231):
     step or two apart; what matters is that the formula weight achieves
     (essentially) the minimal updated error rate.
     """
-    rate = 1 - 2 * 24 / 255
-    params = make_params(4.2, rate)
-
-    def half_step(x, w):
-        state = DeState(x_row=x, x_col=x, p_ch=params.p_ch, sigma=params.sigma)
-        return de_step_gldpc(state, prof_255_231, w, 0.0).x_row
-
-    for x in (params.p_ch, params.p_ch / 2, params.p_ch / 5):
-        wf = scaling_factors(prof_255_231, x, params.p_ch)
-        wn = scaling_factor_numeric(prof_255_231, x, params.p_ch, params.sigma)
+    params = make_params(4.2, RATE_BIG)
+    res = run_gldpc(prof_255_231, 4.2, RATE_BIG, iterations=3, stop_early=False)
+    weights = np.column_stack([res.w_row, res.w_col]).ravel()
+    x_in = [params.p_ch, *res.trajectory[:-1]]
+    for x, wf, x_out in zip(x_in, weights, res.trajectory):
+        v = oracles.transition_values(prof_255_231, x, params.p_ch)
+        wn = oracles.scaling_factor_numeric(v, params.p_ch, params.sigma)
         assert abs(wf - wn) <= 2.0, (x, wf, wn)
-        assert half_step(x, wf) <= half_step(x, wn) * 1.02 + 1e-15
+        assert x_out <= oracles.vn_update(v, wn, params.p_ch, params.sigma) * 1.02 + 1e-15
 
 
 def test_zero_weight_returns_channel_error_rate(prof_15_7):
     params = make_params(3.0, 7 / 15)
-    state = DeState(x_row=params.p_ch, x_col=params.p_ch, p_ch=params.p_ch, sigma=params.sigma)
-    out = de_step_gldpc(state, prof_15_7, 0.0, 0.0)
-    assert out.x_row == pytest.approx(params.p_ch, rel=1e-13)
-    assert out.x_col == pytest.approx(params.p_ch, rel=1e-13)
+    res = run_gldpc(prof_15_7, 3.0, 7 / 15, iterations=2, cap=0.0, stop_early=False)
+    assert np.all(res.w_row == 0.0) and np.all(res.w_col == 0.0)
+    np.testing.assert_allclose(res.trajectory, params.p_ch, rtol=1e-13)
 
 
 def test_de_step_accepts_prebuilt_kernels(prof_15_7):
+    """run_gldpc's trajectory is the bit-node update of one prebuilt kernel
+    at the recursion's own weights."""
     params = make_params(4.0, 7 / 15)
     kern = TransitionKernels(prof_15_7, params.p_ch)
-    state = DeState(params.p_ch, params.p_ch, params.p_ch, params.sigma)
-    a = de_step_gldpc(state, prof_15_7, 3.0, 3.5)
-    b = de_step_gldpc(state, kern, 3.0, 3.5)
-    assert (a.x_row, a.x_col) == (b.x_row, b.x_col)
-    assert a.x_row < params.p_ch  # one weighted iteration already helps here
+    res = run_gldpc(prof_15_7, 4.0, 7 / 15, iterations=2, stop_early=False)
+    weights = np.column_stack([res.w_row, res.w_col]).ravel()
+    x = params.p_ch
+    for w, x_out in zip(weights, res.trajectory):
+        x = float(oracles.vn_update(kern.eval(x), w, params.p_ch, params.sigma))
+        assert x == pytest.approx(x_out, rel=1e-12)
+    assert res.trajectory[0] < params.p_ch  # one weighted half-iteration already helps
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +248,6 @@ def test_sc_cn_averages_hand_case():
     x = np.array([0.1, 0.2, 0.3, 0.4])
     out = sc_cn_averages(x, 1, 2)
     np.testing.assert_allclose(out, [0.1, 0.25, 0.15], atol=1e-15)
-
-
-def test_de_step_sc_validates_weight_count(prof_15_7):
-    kern = TransitionKernels(prof_15_7, 0.03)
-    with pytest.raises(ValueError):
-        de_step_sc(np.full(10, 0.03), 0, 4, kern, np.zeros(3), 0.5)
 
 
 def test_run_sc_window_threshold_mode(prof_15_11):

@@ -242,6 +242,14 @@ def test_sr_decoder_clean_input_is_fixed_point(pc_15_11):
     assert not out.any()
 
 
+def test_sr_decoder_rejects_nan_llrs(pc_15_11):
+    """A NaN LLR has no sign: decoding refuses it instead of reading bit 0."""
+    llr = np.full((15, 15), 7.5)
+    llr[6, :] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        ibdd_sr_decode(pc_15_11, llr, ScalingSchedule.constant(2.0, 10))
+
+
 def test_sr_decoder_rejects_short_schedule(pc_15_11):
     llr = np.full((15, 15), 7.5)
     with pytest.raises(ValueError):
