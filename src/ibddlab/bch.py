@@ -5,8 +5,8 @@ removing leading information positions.  Decoding is syndrome-based
 (Berlekamp-Massey plus Chien search) and has exactly three outcomes: the
 decoder returns the unique codeword within Hamming distance t of the input
 when one exists (which may be a miscorrection), and reports a failure
-otherwise.  The decoders work row-wise on bit matrices so the iterative
-array decoders can stay vectorised.
+otherwise.  The decoders take a bit matrix and decode all of its rows in one
+array computation, so the iterative array decoders stay vectorised.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ DEFAULT_PRIMITIVE_POLY = {
 
 
 class FieldConstructionError(ValueError):
-    """Raised when a field table cannot be built from the given polynomial."""
+    """Raised for a field degree outside the supported range."""
 
 
 class CodeConstructionError(ValueError):
@@ -45,43 +45,25 @@ class GaloisField:
 
     Elements are ints in [0, 2^m).  ``antilog_table[i]`` holds alpha^i for
     i in [0, 2^m - 1) and ``log_table[x]`` inverts that map (log of zero is
-    the sentinel -1).
+    the sentinel -1).  The field is generated by ``DEFAULT_PRIMITIVE_POLY[m]``.
     """
 
-    def __init__(self, m: int, primitive_poly: int | None = None):
+    def __init__(self, m: int):
         if not 2 <= m <= 16:
             raise FieldConstructionError(f"field degree must be in [2, 16], got {m}")
-        if primitive_poly is None:
-            primitive_poly = DEFAULT_PRIMITIVE_POLY[m]
-        if primitive_poly.bit_length() != m + 1:
-            raise FieldConstructionError(
-                f"polynomial 0x{primitive_poly:x} does not have degree {m}"
-            )
-        if primitive_poly & 1 == 0:
-            raise FieldConstructionError("polynomial must have a nonzero constant term")
-
         self.m = m
         self.order = (1 << m) - 1  # size of the multiplicative group
-        self.primitive_poly = primitive_poly
+        self.primitive_poly = DEFAULT_PRIMITIVE_POLY[m]
 
         log = np.full(1 << m, -1, dtype=np.int32)
         antilog = np.zeros(self.order, dtype=np.int32)
         x = 1
         for i in range(self.order):
-            if log[x] != -1:
-                # the powers of alpha repeated early: not a primitive polynomial
-                raise FieldConstructionError(
-                    f"0x{primitive_poly:x} is not primitive over GF(2^{m})"
-                )
             antilog[i] = x
             log[x] = i
             x <<= 1
             if x & (1 << m):
-                x ^= primitive_poly
-        if x != 1:
-            raise FieldConstructionError(
-                f"0x{primitive_poly:x} is not primitive over GF(2^{m})"
-            )
+                x ^= self.primitive_poly
         self.log_table = log
         self.antilog_table = antilog
 
@@ -189,7 +171,6 @@ class BchCode:
 
         self._build_encoder()
         self._build_decoder_tables()
-        self._exact_enum: np.ndarray | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -214,18 +195,20 @@ class BchCode:
         n, t = self.n, self.t
         order = self.field.order
         alog = self.field.antilog_table
-        # syndrome powers: position p carries exponent n-1-p, syndrome j uses alpha^(j*(n-1-p))
+        # position p carries exponent n-1-p: syndrome j sums alpha^(j*(n-1-p)),
+        # and the Chien search evaluates locator degree d at alpha^(-d*(n-1-p))
         exps = np.arange(n - 1, -1, -1, dtype=np.int64)
-        synd = np.empty((2 * t, n), dtype=np.int32)
-        for j in range(1, 2 * t + 1):
-            synd[j - 1] = alog[((j * exps) % order).astype(np.int64)]
-        self._synd_pow = synd
-        # Chien exponents: value exponent of alpha^(-e*d) for locator degree d
-        e = np.arange(order, dtype=np.int64)
-        chien = np.empty((t, order), dtype=np.int64)
-        for d in range(1, t + 1):
-            chien[d - 1] = (-(e * d)) % order
-        self._chien_exp = chien
+        self._synd_pow = alog[(np.arange(1, 2 * t + 1)[:, None] * exps) % order]
+        self._chien = (-np.arange(1, t + 1)[:, None] * exps) % order
+        # Zero-safe tables for the array decoder: the log of 0 is a sentinel
+        # whose sum with any log indexes a 0 in the antilog table, so products
+        # need no zero masks.  Genuine logs, one of them offset by up to one
+        # ``order``, sum to less than the sentinel.
+        zero_log = 3 * order
+        self._log = self.field.log_table.astype(np.intp)
+        self._log[0] = zero_log
+        self._alog = np.zeros(2 * zero_log + order + 1, dtype=np.intp)
+        self._alog[:zero_log] = np.resize(alog, zero_log)
 
     # -- public interface ----------------------------------------------------
 
@@ -240,17 +223,11 @@ class BchCode:
     def syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndromes S_1..S_2t for each row; all zero iff the row is a codeword."""
         words = np.asarray(words, dtype=np.uint8)
-        flat = np.atleast_2d(words)
-        contrib = np.where(flat[:, None, :].astype(bool), self._synd_pow[None, :, :], 0)
-        synd = np.bitwise_xor.reduce(contrib, axis=2)
-        if words.ndim == 1:
-            return synd[0]
-        return synd
+        contrib = np.where(words[..., None, :] != 0, self._synd_pow, 0)
+        return np.bitwise_xor.reduce(contrib, axis=-1)
 
     def is_codeword(self, words: np.ndarray) -> np.ndarray | bool:
-        synd = self.syndromes(words)
-        ok = ~np.any(synd != 0, axis=-1)
-        return ok
+        return ~self.syndromes(words).any(axis=-1)
 
     def __repr__(self):
         return (
@@ -267,76 +244,46 @@ def build_bch(m: int, t: int, shorten: int = 0) -> BchCode:
 # bounded-distance decoding
 
 
-def _berlekamp_massey(field: GaloisField, synd: list[int]) -> tuple[list[int], int]:
-    """Minimal LFSR (error locator) generating the syndrome sequence."""
-    log = field.log_table
-    alog = field.antilog_table
-    order = field.order
+def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error positions of every row of ``synd`` at once: (flip mask, ok).
 
-    c = [1]
-    b = [1]
-    lfsr_len = 0
-    gap = 1
-    b_disc = 1
-    for i, s in enumerate(synd):
-        d = s
-        for j in range(1, lfsr_len + 1):
-            if j < len(c) and c[j] and synd[i - j]:
-                d ^= int(alog[(log[c[j]] + log[synd[i - j]]) % order])
-        if d == 0:
-            gap += 1
-            continue
-        coef_log = (log[d] - log[b_disc]) % order
-        if 2 * lfsr_len <= i:
-            prev = c[:]
-            need = len(b) + gap
-            if len(c) < need:
-                c = c + [0] * (need - len(c))
-            for j, bj in enumerate(b):
-                if bj:
-                    c[j + gap] ^= int(alog[(coef_log + log[bj]) % order])
-            lfsr_len = i + 1 - lfsr_len
-            b = prev
-            b_disc = d
-            gap = 1
-        else:
-            need = len(b) + gap
-            if len(c) < need:
-                c = c + [0] * (need - len(c))
-            for j, bj in enumerate(b):
-                if bj:
-                    c[j + gap] ^= int(alog[(coef_log + log[bj]) % order])
-            gap += 1
-    return c, lfsr_len
-
-
-def _error_positions(code: BchCode, synd_row: np.ndarray) -> np.ndarray | None:
-    """Locate errors for a nonzero syndrome, or None when out of decoding range."""
-    field = code.field
-    locator, lfsr_len = _berlekamp_massey(field, [int(s) for s in synd_row])
-    if lfsr_len > code.t:
-        return None
-    log = field.log_table
-    alog = field.antilog_table
-    order = field.order
-    # evaluate the locator at alpha^(-e) for every field exponent e
-    acc = np.ones(order, dtype=np.int32)
-    for d in range(1, len(locator)):
-        cd = locator[d]
-        if cd == 0:
-            continue
-        if d > code.t:
-            return None
-        acc ^= alog[(int(log[cd]) + code._chien_exp[d - 1]) % order]
-    roots = np.flatnonzero(acc == 0)
-    # every root must be distinct (guaranteed by exponent enumeration), account
-    # for the full LFSR length, and land inside the shortened word
-    if len(roots) != lfsr_len:
-        return None
-    positions = code.n - 1 - roots
-    if np.any(positions < 0):
-        return None
-    return positions
+    Berlekamp-Massey runs its 2t steps on all rows together (Lin & Costello,
+    ch. 6).  ``c`` is the error locator, ``b`` the locator before the last
+    length change times x^(steps since), ``b_log`` that change's discrepancy
+    as a log.  The Chien search then evaluates the locator at the n in-range
+    positions only, so its roots are the flip mask.  A row is decodable when
+    the LFSR length L is at most t, L roots lie in range, and no locator
+    coefficient lies above degree t.
+    """
+    t, order = code.t, code.field.order
+    log, alog = code._log, code._alog
+    rows, two_t = synd.shape
+    # syndrome logs reversed, then 2t zero logs: step r reads the logs of
+    # synd[:, r - j] for j = 1..2t (zero where r - j < 0) as one slice
+    s_rev = np.full((rows, 2 * two_t), log[0])
+    s_rev[:, :two_t] = log[synd[:, ::-1]]
+    c = np.zeros((rows, two_t + 1), dtype=np.intp)
+    c[:, 0] = 1
+    b = np.zeros_like(c)
+    b[:, 1] = 1
+    b_log = np.zeros(rows, dtype=np.intp)
+    length = np.zeros(rows, dtype=np.intp)
+    for r in range(two_t):
+        terms = alog[log[c[:, 1:]] + s_rev[:, two_t - r : 2 * two_t - r]]
+        d = synd[:, r] ^ np.bitwise_xor.reduce(terms, axis=1)
+        d_log = log[d]
+        grow = (d != 0) & (2 * length <= r)
+        # c - (d / d_b) b; the log of a zero d zeroes every product
+        update = alog[(d_log - b_log + order)[:, None] + log[b]]
+        b[:, 1:] = np.where(grow[:, None], c, b)[:, :-1]
+        b[:, 0] = 0
+        c ^= update
+        b_log = np.where(grow, d_log, b_log)
+        length = np.where(grow, r + 1 - length, length)
+    values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
+    roots = values == 1  # the locator, 1 + sum of these terms, vanishes
+    ok = (length <= t) & (roots.sum(axis=1) == length) & ~c[:, t + 1 :].any(axis=1)
+    return roots & ok[:, None], ok
 
 
 def bdd_decode_matrix(
@@ -353,15 +300,12 @@ def bdd_decode_matrix(
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ValueError(f"expected shape (rows, {code.n})")
     synd = code.syndromes(words)
-    dirty = np.any(synd != 0, axis=1)
+    dirty = np.flatnonzero(synd.any(axis=1))
     decoded = words.copy()
     ok = np.ones(len(words), dtype=bool)
-    for r in np.flatnonzero(dirty):
-        pos = _error_positions(code, synd[r])
-        if pos is None:
-            ok[r] = False
-        else:
-            decoded[r, pos] ^= 1
+    if len(dirty):
+        flips, ok[dirty] = _locate_errors(code, synd[dirty])
+        decoded[dirty] ^= flips
     ternary = np.where(ok[:, None], 1 - 2 * decoded.astype(np.int8), 0).astype(np.int8)
     return ternary, decoded, ok
 
@@ -397,8 +341,6 @@ def weight_enumerator_exact(code: BchCode) -> np.ndarray:
             f"exact enumeration needs k <= {EXACT_MAX_K}, got k={code.k}; "
             "use weight_enumerator_approx for long codes"
         )
-    if code._exact_enum is not None:
-        return code._exact_enum.copy()
     counts = np.zeros(code.n + 1, dtype=np.int64)
     total = 1 << code.k
     chunk = 1 << 14
@@ -410,8 +352,7 @@ def weight_enumerator_exact(code: BchCode) -> np.ndarray:
         words = code.encode(info)
         weights = np.count_nonzero(words, axis=1)
         counts += np.bincount(weights, minlength=code.n + 1)
-    code._exact_enum = counts
-    return counts.copy()
+    return counts
 
 
 def weight_enumerator_approx(code: BchCode) -> np.ndarray:

@@ -20,8 +20,10 @@ from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 
 from . import __version__
-from .bch import build_bch
+from .bch import CodeConstructionError, FieldConstructionError, build_bch
 from .de import (
+    SC_ITERS_PER_SLIDE,
+    SC_MAX_SLIDES,
     BracketError,
     auto_profile,
     gldpc_profile_json,
@@ -88,6 +90,15 @@ def _write_profile(args, argv, doc: dict, config: dict, started: str) -> None:
     _write_manifest(manifest, args.command, argv, config, None, [args.out], started)
 
 
+def _component(args):
+    """The code of --m/--t/--shorten, or None once a one-line error is printed."""
+    try:
+        return build_bch(args.m, args.t, shorten=args.shorten)
+    except (FieldConstructionError, CodeConstructionError) as exc:
+        print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
+        return None
+
+
 def _add_component_args(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True, help="GF(2^m) field degree")
     p.add_argument("--t", type=int, required=True, help="error-correction radius")
@@ -100,7 +111,9 @@ def _add_component_args(p: _Parser) -> None:
 
 def _cmd_de_threshold(args, argv) -> int:
     started = _utc_now()
-    code = build_bch(args.m, args.t, shorten=args.shorten)
+    code = _component(args)
+    if code is None:
+        return 1
     profile = auto_profile(code)
     rate = _design_rate(code.n, code.k)
     try:
@@ -123,7 +136,8 @@ def _cmd_de_threshold(args, argv) -> int:
             res = run_gldpc(profile, thr, rate)
             doc = gldpc_profile_json(res, code.n, code.t, threshold=thr)
         else:
-            res = run_sc_window(profile, thr, rate, args.window, 24, max_slides=400)
+            res = run_sc_window(profile, thr, rate, args.window, SC_ITERS_PER_SLIDE,
+                                max_slides=SC_MAX_SLIDES)
             doc = sc_profile_json(res, code.n, code.t, threshold=thr)
         cfg = {
             "ensemble": args.ensemble,
@@ -143,7 +157,9 @@ def _cmd_de_threshold(args, argv) -> int:
 
 def _cmd_de_schedule(args, argv) -> int:
     started = _utc_now()
-    code = build_bch(args.m, args.t, shorten=args.shorten)
+    code = _component(args)
+    if code is None:
+        return 1
     profile = auto_profile(code)
     rate = args.rate if args.rate is not None else _design_rate(code.n, code.k)
     if args.ensemble == "gldpc":
@@ -222,8 +238,6 @@ def _sim_config(args) -> SimConfig:
         raise ValueError("component --m and --t are required")
     if merged["workers"] is None:
         merged["workers"] = int(os.environ.get("IBDDLAB_WORKERS", "1"))
-    if merged["fixed_weight"] is not None:
-        merged["schedule_source"] = "fixed"
     spec = ComponentSpec(m=int(component["m"]), t=int(component["t"]),
                          shorten=int(component.get("shorten", 0)))
     merged["ebn0_grid"] = tuple(float(e) for e in merged["ebn0_grid"])

@@ -14,6 +14,7 @@ probabilities, evaluated at the current message error rate.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,11 @@ class ComponentProfile:
     qc: np.ndarray
     qeps: np.ndarray
     log_weights: np.ndarray
+
+    def __post_init__(self):
+        # profiles are cached and shared (``auto_profile``): no caller may edit one
+        for table in (self.pe, self.pc, self.peps, self.qe, self.qc, self.qeps, self.log_weights):
+            table.flags.writeable = False
 
 
 def _middle_sums(n, t, i, placements, term):
@@ -129,7 +135,7 @@ def component_profile(
         with np.errstate(divide="ignore"):
             log_weights = np.where(weights > 0, np.log(weights.astype(np.float64)), -np.inf)
     else:
-        log_weights = np.asarray(log_weights, dtype=np.float64)
+        log_weights = np.array(log_weights, dtype=np.float64)
         if log_weights.shape != (n + 1,):
             raise ValueError(f"log_weights must have length {n + 1}")
 
@@ -164,9 +170,13 @@ def component_profile(
     )
 
 
+@cache
 def auto_profile(code) -> ComponentProfile:
     """Profile for a component code: its exact weight distribution whenever
-    enumeration is feasible (k <= EXACT_MAX_K), the binomial model otherwise."""
+    enumeration is feasible (k <= EXACT_MAX_K), the binomial model otherwise.
+
+    Built once per code object and shared by every caller, read-only.
+    """
     from .bch import EXACT_MAX_K, weight_enumerator_approx, weight_enumerator_exact
 
     if code.k <= EXACT_MAX_K:
@@ -431,6 +441,16 @@ class BracketError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+# The windowed threshold depends on how long each window may work on its
+# positions before sliding, so this budget is part of the sc ensemble's
+# definition: 24 update rounds per slide mirror a practical decoder budget of
+# 12 iterations, each touching a bit through both of its component codes.
+# Letting every window run to its fixed point would instead recover the
+# unwindowed coupled-chain threshold.
+SC_ITERS_PER_SLIDE = 24
+SC_MAX_SLIDES = 400
+
+
 def threshold_search(
     ensemble: str,
     profile: ComponentProfile,
@@ -439,25 +459,14 @@ def threshold_search(
     tol_db: float = 0.01,
     bracket: tuple[float, float] | None = None,
     window: int | None = None,
-    gldpc_iterations: int = 1000,
-    sc_iters_per_slide: int = 24,
-    cap: float = DEFAULT_WEIGHT_CAP,
-    target: float = DEFAULT_TARGET,
-    max_slides: int = 400,
 ) -> float:
     """Bisect Eb/N0 for the smallest value where the recursion decodes.
 
     ``ensemble`` is "gldpc" (uncoupled) or "sc" (window-decoded coupled chain,
-    requires ``window``).  Success means the message error rate falls below
-    ``target`` within the iteration budget.  Raises BracketError when the
-    bracket endpoints do not straddle the threshold.
-
-    The iteration budgets are part of the ensemble definition: the windowed
-    threshold depends on how long each window may work on its positions
-    before sliding.  The default of 24 update rounds per slide mirrors a
-    practical decoder budget of 12 iterations, each touching a bit through
-    both of its component codes; letting every window run to its fixed point
-    would instead recover the unwindowed coupled-chain threshold.
+    requires ``window``; ``SC_ITERS_PER_SLIDE`` rounds per slide, at most
+    ``SC_MAX_SLIDES`` slides).  Success means the message error rate falls
+    below ``DEFAULT_TARGET`` within the iteration budget.  Raises BracketError
+    when the bracket endpoints do not straddle the threshold.
     """
     if ensemble not in ("gldpc", "sc"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
@@ -466,21 +475,10 @@ def threshold_search(
 
     def success(ebn0: float) -> bool:
         if ensemble == "gldpc":
-            res = run_gldpc(
-                profile, ebn0, rate, gldpc_iterations, cap=cap, target=target
-            )
-            return res.converged
-        res = run_sc_window(
-            profile,
-            ebn0,
-            rate,
-            window,
-            sc_iters_per_slide,
-            cap=cap,
-            target=target,
-            max_slides=max_slides,
-        )
-        return res.converged
+            return run_gldpc(profile, ebn0, rate).converged
+        return run_sc_window(
+            profile, ebn0, rate, window, SC_ITERS_PER_SLIDE, max_slides=SC_MAX_SLIDES
+        ).converged
 
     if bracket is None:
         lo, hi = None, None

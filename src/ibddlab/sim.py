@@ -63,8 +63,8 @@ class ComponentSpec:
 
     @cache
     def build(self) -> BchCode:
-        """The code, built once per process and shared (with its cached
-        weight enumeration) by every engine of the same spec."""
+        """The code, built once per process and shared (with the DE profile
+        ``auto_profile`` caches for it) by every engine of the same spec."""
         return build_bch(self.m, self.t, shorten=self.shorten)
 
     @property
@@ -81,8 +81,7 @@ class SimConfig:
     component: ComponentSpec
     ebn0_grid: tuple
     modes: tuple = MODES
-    schedule_source: str = "de_at_operating_snr"
-    fixed_weight: float | None = None
+    fixed_weight: float | None = None  # a constant ibdd_sr weight; None derives weights by DE
     min_error_events: int = 50
     max_frames: int = 200_000  # frame units: product arrays, or counted staircase blocks
     seed: int = 1
@@ -107,11 +106,9 @@ class SimConfig:
             raise ValueError("min_error_events below 50 gives junk intervals")
         if self.max_frames < 1 or self.workers < 1:
             raise ValueError("max_frames and workers must be positive")
-        if self.schedule_source not in ("de_at_operating_snr", "fixed"):
-            raise ValueError(f"unknown schedule source {self.schedule_source!r}")
-        if self.schedule_source == "fixed" and self.fixed_weight is None:
-            raise ValueError("fixed schedule source needs fixed_weight")
+        code = self.component.build()  # raises on parameters that give no code
         if self.scheme == "staircase":
+            StaircaseCode(code)  # raises on an odd length or k <= n/2
             if self.window_blocks < 2:
                 raise ValueError("window must span at least two blocks")
             if self.blocks_per_stream < 2 * self.window_blocks - 1:
@@ -261,7 +258,7 @@ class _PcEngine:
         }
         if "ibdd_sr" in modes:
             schedule = None
-            if cfg.schedule_source == "fixed":
+            if cfg.fixed_weight is not None:
                 schedule = ScalingSchedule.constant(cfg.fixed_weight, cfg.sr_iters)
             else:
                 res = run_gldpc(
@@ -314,7 +311,7 @@ class _StaircaseEngine:
         window_cfgs = {"ibdd": plain, "ideal": plain}
         if "ibdd_sr" in modes:
             schedule = None
-            if cfg.schedule_source == "fixed":
+            if cfg.fixed_weight is not None:
                 schedule = WindowSchedule(
                     early=(),
                     steady=np.full(

@@ -56,6 +56,105 @@ def brute_force_bdd(code, words: np.ndarray, book=None, pop=None):
     return decoded, ok
 
 
+def _berlekamp_massey(field, synd: list[int]) -> tuple[list[int], int]:
+    """Minimal LFSR (error locator) generating the syndrome sequence."""
+    log = field.log_table
+    alog = field.antilog_table
+    order = field.order
+
+    c = [1]
+    b = [1]
+    lfsr_len = 0
+    gap = 1
+    b_disc = 1
+    for i, s in enumerate(synd):
+        d = s
+        for j in range(1, lfsr_len + 1):
+            if j < len(c) and c[j] and synd[i - j]:
+                d ^= int(alog[(log[c[j]] + log[synd[i - j]]) % order])
+        if d == 0:
+            gap += 1
+            continue
+        coef_log = (log[d] - log[b_disc]) % order
+        if 2 * lfsr_len <= i:
+            prev = c[:]
+            need = len(b) + gap
+            if len(c) < need:
+                c = c + [0] * (need - len(c))
+            for j, bj in enumerate(b):
+                if bj:
+                    c[j + gap] ^= int(alog[(coef_log + log[bj]) % order])
+            lfsr_len = i + 1 - lfsr_len
+            b = prev
+            b_disc = d
+            gap = 1
+        else:
+            need = len(b) + gap
+            if len(c) < need:
+                c = c + [0] * (need - len(c))
+            for j, bj in enumerate(b):
+                if bj:
+                    c[j + gap] ^= int(alog[(coef_log + log[bj]) % order])
+            gap += 1
+    return c, lfsr_len
+
+
+def _error_positions(code, synd_row) -> np.ndarray | None:
+    """Locate errors for a nonzero syndrome, or None when out of decoding range."""
+    field = code.field
+    locator, lfsr_len = _berlekamp_massey(field, [int(s) for s in synd_row])
+    if lfsr_len > code.t:
+        return None
+    log = field.log_table
+    alog = field.antilog_table
+    order = field.order
+    # evaluate the locator at alpha^(-e) for every field exponent e
+    e = np.arange(order, dtype=np.int64)
+    acc = np.ones(order, dtype=np.int32)
+    for d in range(1, len(locator)):
+        cd = locator[d]
+        if cd == 0:
+            continue
+        if d > code.t:
+            return None
+        acc ^= alog[(int(log[cd]) - e * d) % order]
+    roots = np.flatnonzero(acc == 0)
+    # every root must be distinct (guaranteed by exponent enumeration), account
+    # for the full LFSR length, and land inside the shortened word
+    if len(roots) != lfsr_len:
+        return None
+    positions = code.n - 1 - roots
+    if np.any(positions < 0):
+        return None
+    return positions
+
+
+def bdd_decode_rows(code, words: np.ndarray):
+    """Bounded-distance decoding one row at a time: syndromes from their
+    definition, list-based Berlekamp-Massey and a Chien search over every
+    field element.  Returns (ternary, decoded, ok) like
+    ``bch.bdd_decode_matrix``, the array kernel it is the reference for.
+    """
+    words = np.ascontiguousarray(words, dtype=np.uint8)
+    field = code.field
+    # S_j sums alpha^(j * (n-1-p)) over the set positions p
+    exps = code.n - 1 - np.arange(code.n)
+    powers = field.antilog_table[(np.arange(1, 2 * code.t + 1)[:, None] * exps) % field.order]
+    decoded = words.copy()
+    ok = np.ones(len(words), dtype=bool)
+    for r, word in enumerate(words):
+        synd = np.bitwise_xor.reduce(powers[:, word == 1], axis=1)
+        if not synd.any():
+            continue
+        pos = _error_positions(code, synd)
+        if pos is None:
+            ok[r] = False
+        else:
+            decoded[r, pos] ^= 1
+    ternary = np.where(ok[:, None], 1 - 2 * decoded.astype(np.int8), 0).astype(np.int8)
+    return ternary, decoded, ok
+
+
 def all_words(n: int) -> np.ndarray:
     """Every binary word of length n (n <= 16), one per row."""
     total = 1 << n

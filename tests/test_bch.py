@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from ibddlab.bch import (
+    DEFAULT_PRIMITIVE_POLY,
     CodeConstructionError,
     FieldConstructionError,
     GaloisField,
@@ -51,8 +52,15 @@ def test_bad_construction_raises():
         build_bch(4, 0)
     with pytest.raises(CodeConstructionError):
         build_bch(4, 1, shorten=11)  # would leave k <= 0
-    with pytest.raises(FieldConstructionError):
-        GaloisField(4, primitive_poly=0b10101)  # reducible: (x^2+x+1)^2
+    for m in (1, 17):
+        with pytest.raises(FieldConstructionError):
+            GaloisField(m)
+
+
+@pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLY))
+def test_default_polynomials_are_primitive(m):
+    """alpha's powers run through all 2^m - 1 nonzero elements before repeating."""
+    assert sorted(GaloisField(m).antilog_table.tolist()) == list(range(1, 1 << m))
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +126,68 @@ def test_bdd_matches_oracle_sampled(fixture, request, rng):
     assert set(np.unique(tern)) <= {-1, 0, 1}
     np.testing.assert_array_equal(tern[~want_ok], 0)
     np.testing.assert_array_equal(tern[want_ok], 1 - 2 * got_dec[want_ok].astype(np.int8))
+
+
+# (m, t, shorten) of the codes the array kernel is checked on against the
+# row-by-row oracle
+KERNEL_CODES = [(4, 1, 0), (4, 2, 0), (5, 2, 1), (8, 3, 0), (8, 3, 1), (8, 4, 0), (10, 3, 0)]
+
+
+@pytest.mark.parametrize("m,t,shorten", KERNEL_CODES)
+def test_bdd_kernel_matches_row_oracle(m, t, shorten):
+    """Random rows up to p = 1/2, and codewords with t+1..t+3 errors (the
+    miscorrection and failure cases), decode exactly as the scalar
+    Berlekamp-Massey and Chien search do one row at a time."""
+    code = build_bch(m, t, shorten=shorten)
+    rng = np.random.default_rng([m, t, shorten])
+    noisy = [(rng.random((300, code.n)) < p).astype(np.uint8) for p in (0.02, 0.05, 0.2, 0.5)]
+    sent = code.encode(rng.integers(0, 2, size=(300, code.k), dtype=np.uint8))
+    for errors in range(t + 1, t + 4):
+        words = sent.copy()
+        for row in words:
+            row[rng.choice(code.n, errors, replace=False)] ^= 1
+        noisy.append(words)
+    words = np.concatenate(noisy)
+    for got, want in zip(bdd_decode_matrix(code, words), oracles.bdd_decode_rows(code, words)):
+        np.testing.assert_array_equal(got, want)
+
+
+def _decodes_to_sent(code, positions):
+    """Each row of ``positions`` (error positions; -1 for none) added to one
+    codeword decodes back to it."""
+    rng = np.random.default_rng(code.n)
+    sent = code.encode(rng.integers(0, 2, size=code.k, dtype=np.uint8))
+    for lo in range(0, len(positions), 4096):
+        pos = positions[lo : lo + 4096]
+        words = np.zeros((len(pos), code.n + 1), dtype=np.uint8)  # column n absorbs -1
+        for col in pos.T:
+            words[np.arange(len(pos)), col] ^= 1
+        words = words[:, : code.n] ^ sent
+        _, dec, ok = bdd_decode_matrix(code, words)
+        assert ok.all()
+        assert (dec == sent).all()
+
+
+@pytest.mark.parametrize("fixture", ["code_255_231", "code_254_230"])
+def test_bdd_kernel_corrects_every_double_error(fixture, request):
+    code = request.getfixturevalue(fixture)
+    i, j = np.triu_indices(code.n + 1, k=1)  # j = n stands for no second error
+    positions = np.stack([i, np.where(j == code.n, -1, j)], axis=1)
+    positions = np.concatenate([[[-1, -1]], positions])  # and the error-free word
+    _decodes_to_sent(code, positions)
+
+
+@pytest.mark.parametrize("fixture", ["code_255_231", "code_254_230"])
+def test_bdd_kernel_corrects_triple_errors(fixture, request):
+    code = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(3)
+    draws = rng.integers(0, code.n, size=(210_000, 3))
+    distinct = (draws[:, 0] != draws[:, 1]) & (draws[:, 0] != draws[:, 2]) & (
+        draws[:, 1] != draws[:, 2]
+    )
+    positions = draws[distinct][:200_000]
+    assert len(positions) == 200_000
+    _decodes_to_sent(code, positions)
 
 
 def test_perfect_code_never_fails(code_15_11, rng):

@@ -185,6 +185,25 @@ def test_sim_missing_required_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["de-threshold", "--ensemble", "gldpc", "--m", "20", "--t", "3"],
+        ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "9", "--ebn0-db", "4"],
+        ["sim", "--scheme", "pc", "--m", "4", "--t", "9", "--ebn0", "4"],
+        ["sim", "--scheme", "staircase", "--m", "4", "--t", "1", "--ebn0", "4"],
+    ],
+    ids=["de-threshold", "de-schedule", "sim", "sim-staircase"],
+)
+def test_bad_component_exits_one(argv, tmp_path, capsys):
+    """Parameters that give no (staircase) component code end in one error
+    line and exit 1, before any output file is opened."""
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "error" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sim_writes_skip_row_when_schedule_unavailable(tmp_path, capsys):
     """The long shortened code at 1.0 dB has no usable window schedule:
     the point is reported, not simulated, and the CSV carries a nan row."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ibddlab import bch
+from ibddlab import bch, de, sim
 from ibddlab.sim import (
     CSV_COLUMNS,
     BerPoint,
@@ -59,9 +59,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         toy_cfg(min_error_events=10)
     with pytest.raises(ValueError):
-        toy_cfg(schedule_source="fixed")  # missing the weight
-    with pytest.raises(ValueError):
         toy_cfg(scheme="staircase", window_blocks=4, blocks_per_stream=5)
+    with pytest.raises(ValueError):
+        toy_cfg(component=ComponentSpec(m=4, t=9))  # no information positions
+    with pytest.raises(ValueError):
+        toy_cfg(scheme="staircase")  # odd component length 15
 
 
 def test_component_spec_label():
@@ -88,6 +90,42 @@ def test_component_enumerated_once(monkeypatch):
     run_point(cfg, 4.0)
     run_point(cfg, 4.0)
     assert sum(encoded) == 2**20
+
+
+def test_profile_built_once_per_spec(monkeypatch):
+    """Two points on one (255,231) spec share one DE profile."""
+    built = []
+    build = de.component_profile
+
+    def counting_build(*args, **kwargs):
+        built.append(args[:2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(de, "component_profile", counting_build)
+    ComponentSpec.build.cache_clear()
+    cfg = SimConfig(
+        scheme="pc", component=ComponentSpec(m=8, t=3), ebn0_grid=(4.5,),
+        modes=("ibdd_sr",), max_frames=1,
+    )
+    run_point(cfg, 4.5)
+    run_point(cfg, 4.5)
+    assert built == [(255, 3)]
+
+
+@pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
+def test_fixed_weight_skips_density_evolution(monkeypatch, scheme, spec):
+    """A library SimConfig with a fixed weight decodes with it and derives no schedule."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fixed weight needs no DE schedule")
+
+    monkeypatch.setattr(sim, "run_gldpc", refuse)
+    monkeypatch.setattr(sim, "schedule_for_window", refuse)
+    cfg = SimConfig(
+        scheme=scheme, component=spec, ebn0_grid=(4.0,), modes=("ibdd_sr",),
+        fixed_weight=2.0, max_frames=1, window_blocks=4,
+    )
+    assert isinstance(run_point(cfg, 4.0)["ibdd_sr"], BerPoint)
 
 
 # ---------------------------------------------------------------------------
