@@ -9,6 +9,9 @@ otherwise.  The decoders take a bit matrix and decode all of its rows in one
 array computation, so the iterative array decoders stay vectorised.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 # Primitive polynomials by field degree, stored as bit masks (bit i = coefficient
@@ -355,22 +358,15 @@ def weight_enumerator_exact(code: BchCode) -> np.ndarray:
     return counts
 
 
-def weight_enumerator_approx(code: BchCode) -> np.ndarray:
-    """Binomial-with-rate-penalty model of a BCH weight distribution, as logs.
+def weight_enumerator_approx(code: BchCode) -> list[Fraction]:
+    """Binomial-with-rate-penalty model of a BCH weight distribution.
 
-    log A_h for A_h = 2^(-m*t) * C(n, h) on 2t+1 <= h <= n-2t-1, A_0 = A_n = 1,
-    and -inf elsewhere (the true spectrum vanishes below the design distance).
+    A_h = C(n, h) / 2^(m*t) on 2t+1 <= h <= n-2t-1, A_0 = A_n = 1, and 0
+    elsewhere (the true spectrum vanishes below the design distance), each as
+    an exact ``Fraction``.
     """
-    from scipy.special import gammaln
-
     n, t, m = code.n, code.t, code.field.m
-    h = np.arange(n + 1, dtype=np.float64)
-    logc = gammaln(n + 1) - gammaln(h + 1) - gammaln(n - h + 1)
-    out = np.full(n + 1, -np.inf)
-    lo, hi = 2 * t + 1, n - 2 * t - 1
-    if lo <= hi:
-        sel = slice(lo, hi + 1)
-        out[sel] = -m * t * np.log(2.0) + logc[sel]
-    out[0] = 0.0
-    out[n] = 0.0
+    out = [Fraction(math.comb(n, h), 1 << (m * t)) if 2 * t < h < n - 2 * t else Fraction(0)
+           for h in range(n + 1)]
+    out[0] = out[n] = Fraction(1)
     return out

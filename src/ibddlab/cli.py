@@ -6,7 +6,9 @@ timestamps, output paths) and each output file points back at it, so any
 result can be regenerated from the manifest alone.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (threshold bracket
-not found).
+not found), 3 a ``sim`` grid point failed (the finished points are still
+written to the CSV, results JSON and manifest; the failed E_b/N_0 and the
+error go to stderr on one line).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .bch import CodeConstructionError, FieldConstructionError, build_bch
 from .de import (
     SC_ITERS_PER_SLIDE,
     SC_MAX_SLIDES,
+    SC_SCHEDULE_MAX_SLIDES,
     BracketError,
     auto_profile,
     gldpc_profile_json,
@@ -173,7 +176,8 @@ def _cmd_de_schedule(args, argv) -> int:
         )
     else:
         res = run_sc_window(profile, args.ebn0_db, rate, args.window, args.iters,
-                            full_iterations=True, fail_fast=False, max_slides=60)
+                            full_iterations=True, fail_fast=False,
+                            max_slides=SC_SCHEDULE_MAX_SLIDES)
         doc = sc_profile_json(res, code.n, code.t)
         summary = (
             f"sc schedule at {args.ebn0_db} dB: window {args.window}, "
@@ -255,29 +259,39 @@ def _cmd_sim(args, argv) -> int:
     csv_path, json_path = out + ".csv", out + ".json"
     manifest_path = out + ".manifest.json"
     rows = []
+    done = 0  # grid points finished; run_curve visits the grid in order
+    failure = None
     t0 = time.perf_counter()
     with open(csv_path, "w") as fh:
         fh.write(f"# manifest: {manifest_path}\n")
         fh.write(CSV_COLUMNS + "\n")
-        for ebn0, points in run_curve(cfg):
-            for mode in cfg.modes:
-                pt = points.get(mode)
-                if pt is None:
-                    continue
-                rows.append(pt)
-                fh.write(csv_row(pt) + "\n")
-                fh.flush()
-                if isinstance(pt, BerPoint):
-                    print(
-                        f"{ebn0:6.2f} dB {mode:8s} ber={pt.ber:.3e} "
-                        f"fer={pt.fer:.3e} ({pt.frames} frames, "
-                        f"{pt.frame_errors} errors)"
-                    )
-                else:
-                    print(f"{ebn0:6.2f} dB {mode:8s} skipped: {pt.reason}")
+        try:
+            for ebn0, points in run_curve(cfg):
+                for mode in cfg.modes:
+                    pt = points.get(mode)
+                    if pt is None:
+                        continue
+                    rows.append(pt)
+                    fh.write(csv_row(pt) + "\n")
+                    fh.flush()
+                    if isinstance(pt, BerPoint):
+                        print(
+                            f"{ebn0:6.2f} dB {mode:8s} ber={pt.ber:.3e} "
+                            f"fer={pt.fer:.3e} ({pt.frames} frames, "
+                            f"{pt.frame_errors} errors)"
+                        )
+                    else:
+                        print(f"{ebn0:6.2f} dB {mode:8s} skipped: {pt.reason}")
+                done += 1
+        except Exception as exc:  # keep the finished points usable
+            failure = f"{cfg.ebn0_grid[done]} dB: {type(exc).__name__}: {exc}"
     _write_json(json_path, results_json(cfg, rows, manifest=manifest_path))
     _write_manifest(manifest_path, "sim", argv, asdict(cfg), cfg.seed,
                     [csv_path, json_path], started)
+    if failure is not None:
+        print(f"ibddlab sim: point failed at {failure}".replace("\n", " "),
+              file=sys.stderr)
+        return 3
     print(f"wrote {csv_path}, {json_path} in {time.perf_counter()-t0:.1f}s")
     return 0
 

@@ -5,7 +5,9 @@ component-word constraints per bit) and its spatially-coupled analog for
 staircase codes.  Component decoders are bounded-distance decoders, so the
 analysis tracks three message types: decoded-in-error, decoded-correct, and
 failure.  Miscorrections are accounted for through combinatorial transition
-tables derived from the component code's weight enumerator.
+tables derived from the component code's weight enumerator, enumerated or
+modeled; the tables are computed in exact rational arithmetic and rounded
+once to float.
 
 The per-iteration reliability weights used by the scaled-reliability decoders
 fall out of the same recursion as log-ratios of the correct/error transition
@@ -14,6 +16,7 @@ probabilities, evaluated at the current message error rate.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
@@ -22,17 +25,8 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 from .channel import make_params, q_function
 
-# exact integer combinatorics below this block length; log-gamma above
-_EXACT_N_LIMIT = 300
-
 DEFAULT_WEIGHT_CAP = 64.0
 DEFAULT_TARGET = 1e-9
-
-
-def _logcomb(a: int, b: int) -> float:
-    if b < 0 or a < 0 or b > a:
-        return -np.inf
-    return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
 
 
 @dataclass(frozen=True)
@@ -53,104 +47,56 @@ class ComponentProfile:
     qe: np.ndarray
     qc: np.ndarray
     qeps: np.ndarray
-    log_weights: np.ndarray
 
     def __post_init__(self):
         # profiles are cached and shared (``auto_profile``): no caller may edit one
-        for table in (self.pe, self.pc, self.peps, self.qe, self.qc, self.qeps, self.log_weights):
+        for table in (self.pe, self.pc, self.peps, self.qe, self.qc, self.qeps):
             table.flags.writeable = False
 
 
-def _middle_sums(n, t, i, placements, term):
-    """(pe, qc, pc, qe) sums for one i.
+def _middle_sums(n, t, counts, i):
+    """(pe, qc, pc, qe) numerators for one i, each over n * C(n-1, i).
 
     Enumerates the decoding distance delta (delta = 0 covers inputs that
-    already form a codeword, which the decoder returns unchanged) and the
-    overlap j between the error pattern and a weight-h codeword.
-    ``placements(h, j, rest)`` counts the compatible error placements and
-    ``term(w, mult, f)`` turns weight w's codewords, the multiplicity and
-    that count into one summand.
+    already form a codeword, which the decoder returns unchanged), the
+    overlap j between the error pattern and a weight-h codeword, and whether
+    bit 0 itself is in error (``own``); ``f`` counts the compatible error
+    placements.
     """
-    pe = qc = pc = qe = 0
-    for delta in range(0, t + 1):
-        # first j loop: bit 0 off the overlap; second: bit 0 itself in error
-        for j in range(0, delta + 1):
-            h, rest = i - delta + 2 * j, delta - j
-            if 0 <= h <= n - 1 and h - j >= 0 and rest <= n - h - 1:
-                f = placements(h, j, rest)
-                pe += term(h + 1, h + 1, f)
-                qc += term(h, n - h, f)
-        for j in range(0, delta):
-            h, rest = i - delta + 2 * j + 1, delta - j - 1
-            if 0 <= h <= n - 1 and h - j >= 0 and rest <= n - h - 1:
-                f = placements(h, j, rest)
-                pc += term(h, n - h, f)
-                qe += term(h + 1, h + 1, f)
-    return pe, qc, pc, qe
+    err, cor = [0, 0], [0, 0]  # indexed by own
+    for delta in range(t + 1):
+        for j in range(delta + 1):
+            for own in (0, 1):
+                h, rest = i - delta + 2 * j + own, delta - j - own
+                if j <= h <= n - 1 and 0 <= rest <= n - h - 1:
+                    f = math.comb(h, j) * math.comb(n - h - 1, rest)
+                    err[own] += counts[h + 1] * (h + 1) * f
+                    cor[own] += counts[h] * (n - h) * f
+    return err[0], cor[0], cor[1], err[1]
 
 
-def _middle_sums_exact(n, t, counts, i):
-    """Integer arithmetic, exact for integer codeword counts."""
-    den = n * math.comb(n - 1, i)
-    sums = _middle_sums(
-        n, t, i,
-        lambda h, j, rest: math.comb(h, h - j) * math.comb(n - h - 1, rest),
-        lambda w, mult, f: counts[w] * mult * f,
-    )
-    return tuple(s / den for s in sums)
-
-
-def _middle_sums_log(n, t, log_w, i):
-    """Term-by-term in log space (long codes)."""
-    log_den = math.log(n) + _logcomb(n - 1, i)
-    return _middle_sums(
-        n, t, i,
-        lambda h, j, rest: _logcomb(h, h - j) + _logcomb(n - h - 1, rest),
-        lambda w, mult, f: (
-            math.exp(log_w[w] + math.log(mult) + f - log_den) if log_w[w] > -np.inf else 0.0
-        ),
-    )
-
-
-def component_profile(
-    n: int,
-    t: int,
-    weights: np.ndarray | None = None,
-    log_weights: np.ndarray | None = None,
-) -> ComponentProfile:
+def component_profile(n: int, t: int, weights) -> ComponentProfile:
     """Build the six outcome tables from a weight distribution.
 
-    Pass either ``weights`` (length n+1 codeword counts, exact or modeled) or
-    ``log_weights`` (their logs, -inf marking empty weights).
+    ``weights`` holds the n+1 codeword counts by weight, as integers
+    (enumerated) or ``Fraction``s (modeled).  They are scaled to integers over
+    one common denominator, so every table entry is one exact rational,
+    rounded once to float.
     """
-    if (weights is None) == (log_weights is None):
-        raise ValueError("pass exactly one of weights / log_weights")
-    exact_counts = None
-    if weights is not None:
-        weights = np.asarray(weights)
-        if weights.shape != (n + 1,):
-            raise ValueError(f"weights must have length {n + 1}")
-        if n <= _EXACT_N_LIMIT and np.issubdtype(weights.dtype, np.integer):
-            exact_counts = [int(w) for w in weights]
-        with np.errstate(divide="ignore"):
-            log_weights = np.where(weights > 0, np.log(weights.astype(np.float64)), -np.inf)
-    else:
-        log_weights = np.array(log_weights, dtype=np.float64)
-        if log_weights.shape != (n + 1,):
-            raise ValueError(f"log_weights must have length {n + 1}")
+    weights = np.asarray(weights, dtype=object)
+    if weights.shape != (n + 1,):
+        raise ValueError(f"weights must have length {n + 1}")
+    fractions = [Fraction(w) for w in weights]
+    scale = math.lcm(*(f.denominator for f in fractions))
+    counts = [f.numerator * (scale // f.denominator) for f in fractions]
 
-    pe = np.zeros(n)
-    pc = np.zeros(n)
-    qe = np.zeros(n)
-    qc = np.zeros(n)
+    pe, pc, qe, qc = (np.zeros(n) for _ in range(4))
     for i in range(n):
         need_p = t <= i <= n - t - 2
         need_q = t + 1 <= i <= n - t - 1
         if need_p or need_q:
-            if exact_counts is not None:
-                s_pe, s_qc, s_pc, s_qe = _middle_sums_exact(n, t, exact_counts, i)
-            else:
-                s_pe, s_qc, s_pc, s_qe = _middle_sums_log(n, t, log_weights, i)
+            den = n * math.comb(n - 1, i) * scale
+            s_pe, s_qc, s_pc, s_qe = (s / den for s in _middle_sums(n, t, counts, i))
         if i <= t - 1:
             pe[i], pc[i] = 0.0, 1.0
         elif need_p:
@@ -165,9 +111,7 @@ def component_profile(
             qe[i], qc[i] = 1.0, 0.0
     peps = np.maximum(0.0, 1.0 - pe - pc)
     qeps = np.maximum(0.0, 1.0 - qe - qc)
-    return ComponentProfile(
-        n=n, t=t, pe=pe, pc=pc, peps=peps, qe=qe, qc=qc, qeps=qeps, log_weights=log_weights
-    )
+    return ComponentProfile(n=n, t=t, pe=pe, pc=pc, peps=peps, qe=qe, qc=qc, qeps=qeps)
 
 
 @cache
@@ -180,8 +124,8 @@ def auto_profile(code) -> ComponentProfile:
     from .bch import EXACT_MAX_K, weight_enumerator_approx, weight_enumerator_exact
 
     if code.k <= EXACT_MAX_K:
-        return component_profile(code.n, code.t, weights=weight_enumerator_exact(code))
-    return component_profile(code.n, code.t, log_weights=weight_enumerator_approx(code))
+        return component_profile(code.n, code.t, weight_enumerator_exact(code))
+    return component_profile(code.n, code.t, weight_enumerator_approx(code))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +214,6 @@ def run_gldpc(
     rate: float,
     iterations: int = 1000,
     *,
-    cap: float = DEFAULT_WEIGHT_CAP,
-    target: float = DEFAULT_TARGET,
     stop_early: bool = True,
 ) -> GldpcDeResult:
     """Run the uncoupled recursion from the channel state.
@@ -290,11 +232,11 @@ def run_gldpc(
     for it in range(1, iterations + 1):
         for _ in ("row", "col"):
             v = kern.eval(x)
-            w = float(_weights(v.fc, v.fe, cap))
+            w = float(_weights(v.fc, v.fe, DEFAULT_WEIGHT_CAP))
             x = float(_vn_update_values(v, w, p_ch, sigma))
             weights.append(w)
             traj.append(x)
-        if stop_early and x < target * 1e-3:
+        if stop_early and x < DEFAULT_TARGET * 1e-3:
             break
     return GldpcDeResult(
         ebn0_db=ebn0_db,
@@ -305,7 +247,7 @@ def run_gldpc(
         w_col=np.array(weights[1::2]),
         trajectory=np.array(traj),
         final_x=x,
-        converged=bool(x < target),
+        converged=bool(x < DEFAULT_TARGET),
         improving=bool(x < p_ch * (1.0 - 1e-9)),
         iterations_run=it,
     )
@@ -349,8 +291,6 @@ def run_sc_window(
     window: int,
     iters_per_slide: int,
     *,
-    cap: float = DEFAULT_WEIGHT_CAP,
-    target: float = DEFAULT_TARGET,
     steady_tol: float = 1e-6,
     max_slides: int = 80,
     full_iterations: bool = False,
@@ -374,45 +314,37 @@ def run_sc_window(
     schedules: list[np.ndarray] = []
     steady_slide: int | None = None
     converged = False
-    prev_sched: np.ndarray | None = None
-    prev_profile: np.ndarray | None = None
+    prev: np.ndarray | None = None
     s = 0
     for s in range(1, max_slides + 1):
         sched = np.zeros((window + 1, iters_per_slide))
         for it in range(iters_per_slide):
             bavg = sc_cn_averages(x, s, window)
             v = kern.eval(bavg)
-            w_cn = _weights(v.fc, v.fe, cap)
+            w_cn = _weights(v.fc, v.fe, DEFAULT_WEIGHT_CAP)
             sched[:, it] = w_cn
             contrib = _vn_update_values(v, w_cn, p_ch, sigma)
             new = 0.5 * (contrib[:-1] + contrib[1:])
             delta = float(np.max(np.abs(new - x[s : s + window])))
             x[s : s + window] = new
-            if not full_iterations and (delta < 1e-17 or float(np.max(new)) < target * 1e-6):
+            if not full_iterations and (delta < 1e-17 or new.max() < DEFAULT_TARGET * 1e-6):
                 sched = sched[:, : it + 1]
                 break
         schedules.append(sched)
         emitted.append(float(x[s]))
 
-        if fail_fast and emitted[-1] >= target:
-            converged = False
+        if fail_fast and emitted[-1] >= DEFAULT_TARGET:
             break
 
-        if full_iterations:
-            if prev_sched is not None and sched.shape == prev_sched.shape:
-                if float(np.max(np.abs(sched - prev_sched))) < steady_tol:
-                    steady_slide = s
-                    converged = bool(max(emitted) < target)
-                    break
-            prev_sched = sched
-        else:
-            prof = x[s : s + window].copy()
-            if prev_profile is not None:
-                if float(np.max(np.abs(prof - prev_profile))) < max(steady_tol, 1e-12):
-                    steady_slide = s
-                    converged = bool(max(emitted) < target)
-                    break
-            prev_profile = prof
+        # steady once the weight schedule (full iterations) or else the
+        # window's error-rate profile stops changing from slide to slide
+        probe = sched if full_iterations else x[s : s + window].copy()
+        tol = steady_tol if full_iterations else max(steady_tol, 1e-12)
+        if prev is not None and probe.shape == prev.shape and np.max(np.abs(probe - prev)) < tol:
+            steady_slide = s
+            converged = bool(max(emitted) < DEFAULT_TARGET)
+            break
+        prev = probe
 
     improving = bool(emitted and emitted[-1] < p_ch * (1.0 - 1e-9))
     return ScDeResult(
@@ -449,6 +381,9 @@ class BracketError(RuntimeError):
 # unwindowed coupled-chain threshold.
 SC_ITERS_PER_SLIDE = 24
 SC_MAX_SLIDES = 400
+# slide budget for deriving a decoder's weight schedule (full-iteration mode,
+# run until the per-slide schedules stop changing)
+SC_SCHEDULE_MAX_SLIDES = 60
 
 
 def threshold_search(

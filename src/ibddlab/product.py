@@ -84,6 +84,14 @@ def combine_decision(mu_bar, w, llr) -> np.ndarray:
     return np.where(bdd_wins, mu < 0, llr < 0).astype(np.uint8)
 
 
+def check_weights(*arrays) -> None:
+    """Raise ValueError unless every combining weight is finite and nonnegative."""
+    for w in arrays:
+        w = np.asarray(w, dtype=float)
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("combining weights must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class ScalingSchedule:
     """Per-iteration combining weights for the two component phases.
@@ -98,10 +106,7 @@ class ScalingSchedule:
     def __post_init__(self):
         object.__setattr__(self, "w_row", np.asarray(self.w_row, dtype=float))
         object.__setattr__(self, "w_col", np.asarray(self.w_col, dtype=float))
-        if np.any(self.w_row < 0) or np.any(self.w_col < 0):
-            raise ValueError("combining weights must be nonnegative")
-        if not (np.all(np.isfinite(self.w_row)) and np.all(np.isfinite(self.w_col))):
-            raise ValueError("combining weights must be finite")
+        check_weights(self.w_row, self.w_col)
 
     @property
     def iterations(self) -> int:

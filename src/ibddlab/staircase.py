@@ -27,8 +27,8 @@ import numpy as np
 
 from .bch import BchCode
 from .channel import harden
-from .de import ComponentProfile, run_sc_window
-from .product import component_step
+from .de import SC_SCHEDULE_MAX_SLIDES, ComponentProfile, run_sc_window
+from .product import check_weights, component_step
 
 
 class ScheduleUnavailable(RuntimeError):
@@ -115,6 +115,9 @@ class WindowSchedule:
     ebn0_db: float
     rate: float
 
+    def __post_init__(self):
+        check_weights(self.steady, *self.early)
+
     def weights_for_slide(self, slide: int) -> np.ndarray:
         """Weights for the window whose oldest block is ``slide`` (1-based)."""
         if slide < 1:
@@ -158,7 +161,7 @@ def schedule_for_window(
         iters_per_slide=sr_iters,
         full_iterations=True,
         fail_fast=False,
-        max_slides=60,
+        max_slides=SC_SCHEDULE_MAX_SLIDES,
     )
     if not res.improving:
         raise ScheduleUnavailable(

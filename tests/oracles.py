@@ -8,6 +8,7 @@ enumeration) rather than sharing any code path with the package.
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from ibddlab.channel import q_function
 
@@ -192,6 +193,65 @@ def empirical_transition_tables(code, decode_matrix):
         eps = np.bincount(counts_i, weights=fail.astype(float), minlength=n) / denom
         out.extend([e, c, eps])
     return tuple(out)
+
+
+def _logcomb(a: int, b: int) -> float:
+    if b < 0 or a < 0 or b > a:
+        return -np.inf
+    return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
+
+
+def log_space_model_tables(code) -> tuple:
+    """(pe, pc, peps, qe, qc, qeps) of the binomial weight model, in floats.
+
+    The model A_h = C(n, h) / 2^(m t) on 2t+1 <= h <= n-2t-1 (A_0 = A_n = 1)
+    is kept as logs, and every summand of the outcome sums is formed in log
+    space and exponentiated on its own, so nothing is shared with the exact
+    rational arithmetic of ``de.component_profile``; the boundary rows follow
+    its conventions.
+    """
+    n, t, m = code.n, code.t, code.field.m
+    log_w = np.full(n + 1, -np.inf)
+    for h in range(2 * t + 1, n - 2 * t):
+        log_w[h] = -m * t * math.log(2.0) + _logcomb(n, h)
+    log_w[0] = log_w[n] = 0.0
+    pe, pc, qe, qc = (np.zeros(n) for _ in range(4))
+    for i in range(n):
+        log_den = math.log(n) + _logcomb(n - 1, i)
+
+        def term(w, mult, f):
+            return math.exp(log_w[w] + math.log(mult) + f - log_den) if log_w[w] > -np.inf else 0.0
+
+        s_pe = s_qc = s_pc = s_qe = 0.0
+        for delta in range(t + 1):
+            # first j loop: bit 0 off the overlap; second: bit 0 itself in error
+            for j in range(delta + 1):
+                h, rest = i - delta + 2 * j, delta - j
+                if 0 <= h <= n - 1 and h - j >= 0 and rest <= n - h - 1:
+                    f = _logcomb(h, h - j) + _logcomb(n - h - 1, rest)
+                    s_pe += term(h + 1, h + 1, f)
+                    s_qc += term(h, n - h, f)
+            for j in range(delta):
+                h, rest = i - delta + 2 * j + 1, delta - j - 1
+                if 0 <= h <= n - 1 and h - j >= 0 and rest <= n - h - 1:
+                    f = _logcomb(h, h - j) + _logcomb(n - h - 1, rest)
+                    s_pc += term(h, n - h, f)
+                    s_qe += term(h + 1, h + 1, f)
+        if i <= t - 1:
+            pe[i], pc[i] = 0.0, 1.0
+        elif i <= n - t - 2:
+            pe[i], pc[i] = s_pe, s_pc
+        else:
+            pe[i], pc[i] = 1.0, 0.0
+        if i <= t:
+            qe[i], qc[i] = 0.0, 1.0
+        elif i <= n - t - 1:
+            qe[i], qc[i] = s_qe, s_qc
+        else:
+            qe[i], qc[i] = 1.0, 0.0
+    peps = np.maximum(0.0, 1.0 - pe - pc)
+    qeps = np.maximum(0.0, 1.0 - qe - qc)
+    return pe, pc, peps, qe, qc, qeps
 
 
 def transition_values(profile, x: float, p_ch: float) -> tuple:

@@ -261,12 +261,12 @@ def test_exact_enumerator_refuses_long(code_255_231):
 
 
 def test_approx_enumerator(code_255_231):
-    log_a = weight_enumerator_approx(code_255_231)
-    assert log_a.shape == (256,)
-    assert log_a[0] == 0.0 and log_a[255] == 0.0  # A_0 = A_n = 1
-    assert log_a[code_255_231.t * 2] == -np.inf  # below design distance
-    h = 100
     import math
+    from fractions import Fraction
 
-    want = 2.0 ** (-8 * 3) * math.comb(255, h)
-    assert np.exp(log_a[h]) == pytest.approx(want, rel=1e-9)
+    a = weight_enumerator_approx(code_255_231)
+    assert len(a) == 256 and all(isinstance(v, Fraction) for v in a)
+    assert a[0] == 1 and a[255] == 1  # A_0 = A_n = 1
+    assert a[code_255_231.t * 2] == 0 and a[255 - 2 * 3] == 0  # below design distance
+    assert a[7] == Fraction(math.comb(255, 7), 2**24)  # first modeled weight
+    assert a[100] == Fraction(math.comb(255, 100), 2**24)

@@ -225,6 +225,39 @@ def test_sim_writes_skip_row_when_schedule_unavailable(tmp_path, capsys):
     assert "schedule" in blob["points"][0]["reason"]
 
 
+def test_sim_failed_point_keeps_finished_points(tmp_path, capsys, monkeypatch):
+    """A point that raises ends the run with status 3 and one stderr line
+    naming it; the points before it still reach the CSV, results JSON and
+    manifest."""
+    from ibddlab import sim
+
+    real_run_point = sim.run_point
+
+    def failing_after_first(cfg, ebn0_db, modes=None):
+        if ebn0_db > 4.0:
+            raise RuntimeError("worker lost\nmid-batch")
+        return real_run_point(cfg, ebn0_db, modes=modes)
+
+    monkeypatch.setattr(sim, "run_point", failing_after_first)
+    prefix = tmp_path / "part"
+    rc = main([
+        "sim", "--scheme", "pc", "--m", "4", "--t", "1", "--modes", "ibdd,ideal",
+        "--ebn0", "4.0", "4.5", "5.0", "--max-frames", "100", "--out", str(prefix),
+    ])
+    assert rc == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert "4.5 dB" in err[0] and "RuntimeError: worker lost mid-batch" in err[0]
+    assert "4.00 dB" in captured.out
+    rows = (tmp_path / "part.csv").read_text().strip().splitlines()[2:]
+    assert [r.split(",")[2] for r in rows] == ["ibdd", "ideal"]
+    blob = json.loads((tmp_path / "part.json").read_text())
+    assert [(p["mode"], p["ebn0_db"]) for p in blob["points"]] == [("ibdd", 4.0), ("ideal", 4.0)]
+    manifest = json.loads((tmp_path / "part.manifest.json").read_text())
+    assert f"{prefix}.json" in manifest["outputs"]
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 

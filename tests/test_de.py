@@ -3,11 +3,13 @@ exhaustive decoder enumeration), the transition kernel, the weight rule,
 recursions, and threshold bisection."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
+from ibddlab import de
 from ibddlab.bch import bdd_decode_matrix
 from ibddlab.channel import make_params
 from ibddlab.de import (
@@ -73,9 +75,31 @@ def test_component_profile_input_forms(code_15_7, prof_15_7):
     np.testing.assert_allclose(direct.pe, prof_15_7.pe, atol=1e-13)
     np.testing.assert_allclose(direct.qeps, prof_15_7.qeps, atol=1e-13)
     with pytest.raises(ValueError):
-        component_profile(code_15_7.n, code_15_7.t)  # needs one weight argument
-    with pytest.raises(ValueError):
         component_profile(code_15_7.n, code_15_7.t, weights=counts[:-1])
+
+
+def test_fraction_counts_give_identical_tables(code_15_7):
+    """Integer counts and the same counts as Fractions are one rational
+    input: the tables agree bit for bit."""
+    from ibddlab.bch import weight_enumerator_exact
+
+    counts = weight_enumerator_exact(code_15_7)
+    n, t = code_15_7.n, code_15_7.t
+    by_int = component_profile(n, t, counts)
+    by_fraction = component_profile(n, t, [Fraction(int(c)) for c in counts])
+    for name in ("pe", "pc", "peps", "qe", "qc", "qeps"):
+        np.testing.assert_array_equal(getattr(by_fraction, name), getattr(by_int, name))
+
+
+@pytest.mark.parametrize("fixture", ["prof_255_231", "prof_254_230"])
+def test_model_tables_match_log_space_oracle(fixture, request):
+    """The binomial model's exact tables against a term-by-term log-space
+    evaluation of the same sums."""
+    prof = request.getfixturevalue(fixture)
+    code = request.getfixturevalue(fixture.replace("prof", "code"))
+    ref = oracles.log_space_model_tables(code)
+    for name, table in zip(("pe", "pc", "peps", "qe", "qc", "qeps"), ref):
+        np.testing.assert_allclose(getattr(prof, name), table, rtol=1e-12, atol=0, err_msg=name)
 
 
 def test_kernels_match_transition_fns(prof_15_7):
@@ -101,7 +125,7 @@ def test_pmf_normalization(prof_15_7):
     zeros, ones = np.zeros(n), np.ones(n)
     flat = ComponentProfile(
         n=n, t=prof_15_7.t, pe=zeros, pc=ones, peps=zeros,
-        qe=zeros, qc=ones, qeps=zeros, log_weights=zeros,
+        qe=zeros, qc=ones, qeps=zeros,
     )
     kern = TransitionKernels(flat, 0.02)
     for x in (0.0, 1e-6, 0.1, 0.9, 1.0):
@@ -142,9 +166,8 @@ def test_weight_formula_basics(prof_255_231):
     w = res.w_row[0]  # the weight at the channel error rate
     assert 0.0 < w < DEFAULT_WEIGHT_CAP
     assert w == pytest.approx(math.log(fc / fe), abs=1e-9)
-    # custom cap clamps
-    capped = run_gldpc(prof_255_231, 4.2, RATE_BIG, iterations=1, cap=1.0, stop_early=False)
-    assert capped.w_row[0] == 1.0
+    # a lower cap clamps
+    assert de._weights(fc, fe, 1.0) == 1.0
 
 
 def test_weight_formula_agrees_with_numeric(prof_255_231):
@@ -167,9 +190,12 @@ def test_weight_formula_agrees_with_numeric(prof_255_231):
 
 def test_zero_weight_returns_channel_error_rate(prof_15_7):
     params = make_params(3.0, 7 / 15)
-    res = run_gldpc(prof_15_7, 3.0, 7 / 15, iterations=2, cap=0.0, stop_early=False)
-    assert np.all(res.w_row == 0.0) and np.all(res.w_col == 0.0)
-    np.testing.assert_allclose(res.trajectory, params.p_ch, rtol=1e-13)
+    kern = TransitionKernels(prof_15_7, params.p_ch)
+    for x in (params.p_ch, 0.01, 1e-4):
+        v = kern.eval(x)
+        assert de._weights(v.fc, v.fe, 0.0) == 0.0  # a zero cap forces weight 0
+        x_out = oracles.vn_update(v, 0.0, params.p_ch, params.sigma)
+        assert x_out == pytest.approx(params.p_ch, rel=1e-13)
 
 
 def test_de_step_accepts_prebuilt_kernels(prof_15_7):
@@ -211,10 +237,10 @@ def test_run_gldpc_below_threshold_plateaus(prof_15_11):
     assert res.final_x < res.p_ch
 
 
-def test_gldpc_weights_respect_cap(prof_15_11):
-    res = run_gldpc(prof_15_11, 4.5, 1 - 2 * 4 / 15, iterations=200, cap=6.0)
-    assert np.all(res.w_row <= 6.0) and np.all(res.w_col <= 6.0)
-    assert res.w_row.max() == 6.0  # late iterations saturate
+def test_gldpc_weights_respect_cap(prof_255_231):
+    res = run_gldpc(prof_255_231, 4.5, RATE_BIG, iterations=30, stop_early=False)
+    assert np.all(res.w_row <= DEFAULT_WEIGHT_CAP) and np.all(res.w_col <= DEFAULT_WEIGHT_CAP)
+    assert res.w_row.max() == DEFAULT_WEIGHT_CAP  # late iterations saturate
 
 
 def test_threshold_search_gldpc_toy(prof_15_11):

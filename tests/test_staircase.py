@@ -243,6 +243,21 @@ def test_emitted_blocks_are_final(sc_30_20, toy_schedule, rng):
         np.testing.assert_array_equal(out[b - 1], snap)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("where", ["steady", "early"])
+def test_window_schedule_rejects_bad_weights(bad, where):
+    """Negative and non-finite weights are refused, in the steady array and
+    in every early one, like a product-code ScalingSchedule's."""
+    good = np.ones((4, 10))
+    steady = np.full((4, 10), bad) if where == "steady" else good
+    early = (good, np.full((4, 10), bad)) if where == "early" else ()
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        WindowSchedule(early=early, steady=steady, steady_slide=len(early) + 1,
+                       ebn0_db=4.0, rate=0.5)
+    WindowSchedule(early=(), steady=np.zeros((4, 10)), steady_slide=1,
+                   ebn0_db=4.0, rate=0.5)  # all-zero weights stay valid
+
+
 def test_zero_weight_window_equals_hardening(sc_30_20, rng):
     """All-zero weights with no plain rounds reproduce the channel decision."""
     sched = WindowSchedule(
