@@ -3,7 +3,10 @@ and plot-ready data emission.
 
 Every run writes a manifest JSON (command line, full configuration, seed,
 timestamps, output paths) and each output file points back at it, so any
-result can be regenerated from the manifest alone.
+result can be regenerated from the manifest alone.  ``de-threshold --out``
+and ``de-schedule --out`` write the fields of the DE result dataclass
+(``GldpcDeResult`` or ``ScDeResult``); ``sim`` writes ``<out>.csv`` and the
+results JSON ``<out>.json``, which ``plotdata`` reads back.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (threshold bracket
 not found), 3 a ``sim`` grid point failed (the finished points are still
@@ -29,10 +32,8 @@ from .de import (
     SC_SCHEDULE_MAX_SLIDES,
     BracketError,
     auto_profile,
-    gldpc_profile_json,
     run_gldpc,
     run_sc_window,
-    sc_profile_json,
     threshold_search,
 )
 from .sim import (
@@ -81,16 +82,22 @@ def _write_manifest(path: str, command: str, argv, config: dict, seed, outputs,
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as indented JSON; numpy arrays become lists."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, default=lambda a: a.tolist())
         fh.write("\n")
 
 
-def _write_profile(args, argv, doc: dict, config: dict, started: str) -> None:
-    """Write a DE profile to ``args.out``, pointing at the manifest beside it."""
+def _write_profile(args, argv, code, result, threshold, rate: float, started: str) -> None:
+    """Write a DE result's fields to ``args.out``, pointing at the manifest
+    beside it; the manifest's config is the command's arguments and the
+    effective rate."""
     manifest = args.out + ".manifest.json"
-    _write_json(args.out, {**doc, "manifest": manifest})
-    _write_manifest(manifest, args.command, argv, config, None, [args.out], started)
+    doc = {"ensemble": args.ensemble, "n": code.n, "t": code.t, "threshold": threshold}
+    _write_json(args.out, {**doc, **asdict(result), "manifest": manifest})
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    _write_manifest(manifest, args.command, argv, config | {"rate": rate}, None,
+                    [args.out], started)
 
 
 def _component(args):
@@ -121,10 +128,7 @@ def _cmd_de_threshold(args, argv) -> int:
     rate = _design_rate(code.n, code.k)
     try:
         thr = threshold_search(
-            args.ensemble,
-            profile,
-            rate,
-            tol_db=args.tol_db,
+            args.ensemble, profile, rate, tol_db=args.tol_db,
             bracket=tuple(args.bracket) if args.bracket else None,
             window=args.window if args.ensemble == "sc" else None,
         )
@@ -137,21 +141,10 @@ def _cmd_de_threshold(args, argv) -> int:
     if args.out:
         if args.ensemble == "gldpc":
             res = run_gldpc(profile, thr, rate)
-            doc = gldpc_profile_json(res, code.n, code.t, threshold=thr)
         else:
             res = run_sc_window(profile, thr, rate, args.window, SC_ITERS_PER_SLIDE,
                                 max_slides=SC_MAX_SLIDES)
-            doc = sc_profile_json(res, code.n, code.t, threshold=thr)
-        cfg = {
-            "ensemble": args.ensemble,
-            "m": args.m,
-            "t": args.t,
-            "shorten": args.shorten,
-            "window": args.window,
-            "tol_db": args.tol_db,
-            "rate": rate,
-        }
-        _write_profile(args, argv, doc, cfg, started)
+        _write_profile(args, argv, code, res, thr, rate, started)
     return 0
 
 
@@ -168,8 +161,7 @@ def _cmd_de_schedule(args, argv) -> int:
     if args.ensemble == "gldpc":
         res = run_gldpc(profile, args.ebn0_db, rate, iterations=args.iters,
                         stop_early=False)
-        doc = gldpc_profile_json(res, code.n, code.t)
-        summary = (
+        print(
             f"gldpc schedule at {args.ebn0_db} dB: {len(res.w_row)} iterations, "
             f"w_row[0]={res.w_row[0]:.3f} .. w_row[-1]={res.w_row[-1]:.3f}, "
             f"converged={res.converged}"
@@ -178,25 +170,13 @@ def _cmd_de_schedule(args, argv) -> int:
         res = run_sc_window(profile, args.ebn0_db, rate, args.window, args.iters,
                             full_iterations=True, fail_fast=False,
                             max_slides=SC_SCHEDULE_MAX_SLIDES)
-        doc = sc_profile_json(res, code.n, code.t)
-        summary = (
+        print(
             f"sc schedule at {args.ebn0_db} dB: window {args.window}, "
             f"{args.iters} iterations/slide, steady at slide "
             f"{res.steady_slide}, converged={res.converged}"
         )
-    print(summary)
     if args.out:
-        cfg = {
-            "ensemble": args.ensemble,
-            "m": args.m,
-            "t": args.t,
-            "shorten": args.shorten,
-            "window": args.window,
-            "ebn0_db": args.ebn0_db,
-            "iters": args.iters,
-            "rate": rate,
-        }
-        _write_profile(args, argv, doc, cfg, started)
+        _write_profile(args, argv, code, res, None, rate, started)
     return 0
 
 
@@ -299,40 +279,20 @@ def _cmd_sim(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # plotdata
 
-def _read_csv_points(path: str) -> list:
-    points = []
+def _read_points(path: str) -> list:
+    """The measured points of a ``sim`` results JSON; skipped points are dropped."""
     with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if header != CSV_COLUMNS:
-                    raise ValueError(f"unexpected CSV columns: {header}")
-                continue
-            f = line.split(",")
-            if f[8] == "nan":  # skipped-point warning row
-                continue
-            points.append(
-                BerPoint(
-                    scheme=f[0], component=f[1], mode=f[2],
-                    ebn0_db=float(f[3]), frames=int(f[4]),
-                    frame_errors=int(f[5]), bits_simulated=int(f[6]),
-                    bit_errors=int(f[7]), ber=float(f[8]), fer=float(f[9]),
-                    wilson_ci95=(float("nan"), float("nan")),
-                    ber_ci95=(float(f[10]), float(f[11])),
-                    seed=int(f[12]), wall_seconds=float(f[13]),
-                )
-            )
-    return points
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or "points" not in doc:
+        raise ValueError(f"{path} is not a sim results JSON: no 'points'")
+    return [BerPoint(**{k: v for k, v in p.items() if k != "skipped"})
+            for p in doc["points"] if not p["skipped"]]
 
 
 def _cmd_plotdata(args, argv) -> int:
     try:
-        points = _read_csv_points(args.infile)
-    except (OSError, ValueError, IndexError) as exc:
+        points = _read_points(args.infile)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"ibddlab plotdata: error: {exc}", file=sys.stderr)
         return 1
     by_mode: dict = {}
@@ -447,8 +407,9 @@ def _build_parser() -> _Parser:
                    help="output prefix: <out>.csv/.json/.manifest.json")
 
     p = sub.add_parser("plotdata",
-                       help="emit gnuplot-ready columns from a results CSV")
-    p.add_argument("--in", dest="infile", required=True)
+                       help="emit gnuplot-ready columns from a sim results JSON")
+    p.add_argument("--in", dest="infile", required=True,
+                   help="the <out>.json that sim writes")
     p.add_argument("--target-ber", dest="target_ber", type=float, default=None,
                    help="also emit interpolated crossings and pairwise gains")
     p.add_argument("--out", help="write here instead of stdout")

@@ -90,25 +90,14 @@ def component_profile(n: int, t: int, weights) -> ComponentProfile:
     scale = math.lcm(*(f.denominator for f in fractions))
     counts = [f.numerator * (scale // f.denominator) for f in fractions]
 
-    pe, pc, qe, qc = (np.zeros(n) for _ in range(4))
-    for i in range(n):
-        need_p = t <= i <= n - t - 2
-        need_q = t + 1 <= i <= n - t - 1
-        if need_p or need_q:
-            den = n * math.comb(n - 1, i) * scale
-            s_pe, s_qc, s_pc, s_qe = (s / den for s in _middle_sums(n, t, counts, i))
-        if i <= t - 1:
-            pe[i], pc[i] = 0.0, 1.0
-        elif need_p:
-            pe[i], pc[i] = s_pe, s_pc
-        else:
-            pe[i], pc[i] = 1.0, 0.0
-        if i <= t:
-            qe[i], qc[i] = 0.0, 1.0
-        elif need_q:
-            qe[i], qc[i] = s_qe, s_qc
-        else:
-            qe[i], qc[i] = 1.0, 0.0
+    # fewer than t (bit in error) or at most t (bit correct) errors are
+    # always corrected; every other row is summed from the spectrum
+    pe, pc, qe, qc = np.zeros(n), np.ones(n), np.zeros(n), np.ones(n)
+    for i in range(t, n):
+        den = n * math.comb(n - 1, i) * scale
+        pe[i], qc_i, pc[i], qe_i = (s / den for s in _middle_sums(n, t, counts, i))
+        if i > t:
+            qe[i], qc[i] = qe_i, qc_i
     peps = np.maximum(0.0, 1.0 - pe - pc)
     qeps = np.maximum(0.0, 1.0 - qe - qc)
     return ComponentProfile(n=n, t=t, pe=pe, pc=pc, peps=peps, qe=qe, qc=qc, qeps=qeps)
@@ -191,6 +180,11 @@ def _vn_update_values(v: TransitionValues, w, p_ch: float, sigma: float):
 
 # ---------------------------------------------------------------------------
 # uncoupled (product-code) recursion
+
+
+class ScheduleUnavailable(RuntimeError):
+    """The recursion does not improve at the requested operating point, so it
+    gives no useful weight schedule."""
 
 
 @dataclass
@@ -447,46 +441,3 @@ def threshold_search(
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def gldpc_profile_json(
-    result: GldpcDeResult, n: int, t: int, threshold: float | None = None
-) -> dict:
-    return {
-        "ensemble": "gldpc",
-        "n": n,
-        "t": t,
-        "ebn0_db": result.ebn0_db,
-        "rate": result.rate,
-        "weights_row": [float(w) for w in result.w_row],
-        "weights_col": [float(w) for w in result.w_col],
-        "trajectory": [float(v) for v in result.trajectory],
-        "converged": bool(result.converged),
-        "improving": bool(result.improving),
-        "threshold": threshold,
-    }
-
-
-def sc_profile_json(
-    result: ScDeResult, n: int, t: int, threshold: float | None = None
-) -> dict:
-    steady = result.schedules[-1] if result.schedules else np.zeros((result.window + 1, 0))
-    return {
-        "ensemble": "sc_gldpc",
-        "n": n,
-        "t": t,
-        "ebn0_db": result.ebn0_db,
-        "rate": result.rate,
-        "window": result.window,
-        "weights_row": [[float(v) for v in row] for row in steady],
-        "weights_col": [],
-        "trajectory": [float(v) for v in result.emitted],
-        "steady_slide": result.steady_slide,
-        "converged": bool(result.converged),
-        "improving": bool(result.improving),
-        "threshold": threshold,
-    }

@@ -6,15 +6,17 @@ and all modes decode that same realization, so mode comparisons are paired
 and the whole run is reproducible for any worker count (workers only split
 the frame index range; they never own RNG state).
 
-Stopping is frame-error driven: a point runs until every active mode has
-accumulated ``min_error_events`` frame errors, or the frame budget is
-exhausted.  Frames fail in bursts, so the frame event -- a product array,
-or one counted staircase block -- is the independent statistical unit:
-FER gets a Wilson 95% interval and BER a per-frame bootstrap interval.
+One engine serves both schemes.  A frame is a list of transmitted units --
+one product array, or the blocks of one staircase stream -- and the units
+whose errors count are the statistical events: FER gets a Wilson 95%
+interval and BER a per-unit bootstrap interval.  A staircase stream carries
+``blocks_per_stream`` encoded blocks after the all-zero terminator; its
+first and last window_blocks-1 blocks (warm-up and flush) are not counted.
 
-Staircase counting: streams carry ``blocks_per_stream`` encoded blocks; the
-all-zero terminator, the first window_blocks-1 warm-up blocks, and the last
-window_blocks-1 flush blocks are excluded from all counts.
+Stopping is frame-error driven: a point runs until every active mode has
+accumulated ``min_error_events`` unit errors, or the budget of
+``max_frames`` counted units is exhausted.  ``results_json`` is the result
+record that ``ibddlab plotdata`` reads back.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bch import BchCode, build_bch
 from .channel import harden, make_params, transmit
-from .de import auto_profile, run_gldpc
+from .de import ScheduleUnavailable, auto_profile, run_gldpc
 from .product import (
     ProductCode,
     ScalingSchedule,
@@ -40,7 +43,6 @@ from .product import (
     pc_encode,
 )
 from .staircase import (
-    ScheduleUnavailable,
     StaircaseCode,
     WindowConfig,
     WindowSchedule,
@@ -96,7 +98,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "ebn0_grid", tuple(float(e) for e in self.ebn0_grid))
         object.__setattr__(self, "modes", tuple(self.modes))
-        if self.scheme not in ("pc", "staircase"):
+        if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.modes or any(m not in MODES for m in self.modes):
             raise ValueError(f"modes must be a nonempty subset of {MODES}")
@@ -106,16 +108,7 @@ class SimConfig:
             raise ValueError("min_error_events below 50 gives junk intervals")
         if self.max_frames < 1 or self.workers < 1:
             raise ValueError("max_frames and workers must be positive")
-        code = self.component.build()  # raises on parameters that give no code
-        if self.scheme == "staircase":
-            StaircaseCode(code)  # raises on an odd length or k <= n/2
-            if self.window_blocks < 2:
-                raise ValueError("window must span at least two blocks")
-            if self.blocks_per_stream < 2 * self.window_blocks - 1:
-                raise ValueError(
-                    "streams must outlast warm-up plus flush: need "
-                    f"blocks_per_stream >= {2 * self.window_blocks - 1}"
-                )
+        _SCHEMES[self.scheme](self)  # raises on parameters that give no code
 
 
 @dataclass(frozen=True)
@@ -241,133 +234,131 @@ def paired_gap_bootstrap(
 
 
 # ---------------------------------------------------------------------------
-# per-scheme frame engines: built once per process, run many frames
+# the frame engine: built once per process, runs many frames
 
-class _PcEngine:
-    def __init__(self, cfg: SimConfig, ebn0_db: float, modes: tuple):
-        self.cfg = cfg
-        self.code = code = ProductCode(cfg.component.build())
-        self.params = make_params(ebn0_db, code.rate)
-        self.bits_per_unit = code.n * code.n
-        self.units_per_frame = 1
-        self.skip_reason = None
-        total = cfg.sr_iters + cfg.plain_iters
-        decoders = {
-            "ibdd": lambda llr, tx: ibdd_decode(code, harden(llr), total),
-            "ideal": lambda llr, tx: ideal_ibdd_decode(code, harden(llr), tx, total),
+
+class _Scheme(NamedTuple):
+    """What one scheme supplies to the engine; ``counted`` picks the units of
+    a frame whose errors count."""
+
+    code: object  # ProductCode or StaircaseCode: the rate is what matters here
+    bits_per_unit: int
+    counted: slice
+    frame: Callable  # rng -> transmitted units
+    schedule: Callable  # ebn0_db -> ibdd_sr weights; raises ScheduleUnavailable
+    decoders: Callable  # weights or None -> {mode: (llr units, tx units) -> units}
+
+
+def _product(cfg: SimConfig) -> _Scheme:
+    code = ProductCode(cfg.component.build())
+    total = cfg.sr_iters + cfg.plain_iters
+
+    def frame(rng):
+        if cfg.random_info:
+            return [pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))]
+        return [np.zeros((code.n, code.n), dtype=np.uint8)]
+
+    def schedule(ebn0_db):
+        if cfg.fixed_weight is not None:
+            return ScalingSchedule.constant(cfg.fixed_weight, cfg.sr_iters)
+        res = run_gldpc(auto_profile(code.component), ebn0_db, code.rate,
+                        iterations=cfg.sr_iters, stop_early=False)
+        if not res.improving:
+            raise ScheduleUnavailable(
+                f"recursion not improving at {ebn0_db} dB "
+                f"(rate {code.rate:.4f}): no weight schedule"
+            )
+        return ScalingSchedule.from_gldpc_result(res)
+
+    def decoders(weights):
+        out = {
+            "ibdd": lambda llr, tx: [ibdd_decode(code, harden(llr[0]), total)],
+            "ideal": lambda llr, tx: [ideal_ibdd_decode(code, harden(llr[0]), tx[0], total)],
         }
+        if weights is not None:
+            out["ibdd_sr"] = lambda llr, tx: [
+                ibdd_sr_decode(code, llr[0], weights, cfg.sr_iters, cfg.plain_iters)
+            ]
+        return out
+
+    return _Scheme(code, code.n * code.n, slice(0, 1), frame, schedule, decoders)
+
+
+def _staircase(cfg: SimConfig) -> _Scheme:
+    code = StaircaseCode(cfg.component.build())  # raises on an odd length or k <= n/2
+    if cfg.window_blocks < 2:
+        raise ValueError("window must span at least two blocks")
+    if cfg.blocks_per_stream < 2 * cfg.window_blocks - 1:
+        raise ValueError(
+            "streams must outlast warm-up plus flush: need "
+            f"blocks_per_stream >= {2 * cfg.window_blocks - 1}"
+        )
+    half, skirt = code.block_size, cfg.window_blocks - 1  # skirt: warm-up and flush
+
+    def frame(rng):
+        if cfg.random_info:
+            infos = [rng.integers(0, 2, (half, code.info_cols), dtype=np.uint8)
+                     for _ in range(cfg.blocks_per_stream)]
+            return encode_stream(code, infos)[1:]
+        return [np.zeros((half, half), dtype=np.uint8) for _ in range(cfg.blocks_per_stream)]
+
+    def schedule(ebn0_db):
+        if cfg.fixed_weight is None:
+            return schedule_for_window(auto_profile(code.component), ebn0_db, code.rate,
+                                       cfg.window_blocks, cfg.sr_iters)
+        steady = np.full((cfg.window_blocks, cfg.sr_iters), float(cfg.fixed_weight))
+        return WindowSchedule(early=(), steady=steady, steady_slide=1,
+                              ebn0_db=ebn0_db, rate=code.rate)
+
+    def decoders(weights):
+        plain = WindowConfig(cfg.window_blocks, cfg.sr_iters, cfg.plain_iters)
+        configs = {"ibdd": plain, "ideal": plain}
+        if weights is not None:
+            configs["ibdd_sr"] = WindowConfig(cfg.window_blocks, cfg.sr_iters,
+                                              cfg.plain_iters, weights)
+        return {
+            mode: lambda llr, tx, mode=mode, wc=wc: window_decode(code, llr, wc, mode, tx)
+            for mode, wc in configs.items()
+        }
+
+    counted = slice(skirt, cfg.blocks_per_stream - skirt)
+    return _Scheme(code, half * half, counted, frame, schedule, decoders)
+
+
+_SCHEMES = {"pc": _product, "staircase": _staircase}
+
+
+class _Engine:
+    """One scheme at one operating point: paired noise, decoding, error counts."""
+
+    def __init__(self, cfg: SimConfig, ebn0_db: float, modes: tuple):
+        scheme = _SCHEMES[cfg.scheme](cfg)
+        self.seed, self.frame, self.counted = cfg.seed, scheme.frame, scheme.counted
+        self.params = make_params(ebn0_db, scheme.code.rate)
+        self.bits_per_unit = scheme.bits_per_unit
+        self.units_per_frame = scheme.counted.stop - scheme.counted.start
+        self.skip_reason = weights = None
         if "ibdd_sr" in modes:
-            schedule = None
-            if cfg.fixed_weight is not None:
-                schedule = ScalingSchedule.constant(cfg.fixed_weight, cfg.sr_iters)
-            else:
-                res = run_gldpc(
-                    auto_profile(code.component),
-                    ebn0_db,
-                    code.rate,
-                    iterations=cfg.sr_iters,
-                    stop_early=False,
-                )
-                if res.improving:
-                    schedule = ScalingSchedule.from_gldpc_result(res)
-                else:
-                    self.skip_reason = (
-                        f"recursion not improving at {ebn0_db} dB "
-                        f"(rate {code.rate:.4f}): no weight schedule"
-                    )
-            if schedule is not None:
-                decoders["ibdd_sr"] = lambda llr, tx: ibdd_sr_decode(
-                    code, llr, schedule, cfg.sr_iters, cfg.plain_iters
-                )
+            try:
+                weights = scheme.schedule(ebn0_db)
+            except ScheduleUnavailable as exc:
+                self.skip_reason = str(exc)
+        decoders = scheme.decoders(weights)
         self.decoders = {m: decoders[m] for m in modes if m in decoders}
 
     def run_frame(self, index: int) -> dict:
-        cfg = self.cfg
-        rng = np.random.default_rng([cfg.seed, index])
-        n, k = self.code.n, self.code.k
-        if cfg.random_info:
-            tx = pc_encode(self.code, rng.integers(0, 2, (k, k), dtype=np.uint8))
-        else:
-            tx = np.zeros((n, n), dtype=np.uint8)
-        llr = transmit(tx, self.params, rng)
-        return {
-            mode: np.array([np.sum(decode(llr, tx) != tx)], dtype=np.int64)
-            for mode, decode in self.decoders.items()
-        }
+        """Per-mode bit errors of each counted unit of frame ``index``."""
+        rng = np.random.default_rng([self.seed, index])
+        tx = self.frame(rng)
+        llr = [transmit(unit, self.params, rng) for unit in tx]
+        c = self.counted
+        return {mode: (np.array(decode(llr, tx)[c]) != tx[c]).sum(axis=(1, 2))
+                for mode, decode in self.decoders.items()}
 
 
-class _StaircaseEngine:
-    def __init__(self, cfg: SimConfig, ebn0_db: float, modes: tuple):
-        self.cfg = cfg
-        self.code = StaircaseCode(cfg.component.build())
-        self.params = make_params(ebn0_db, self.code.rate)
-        half = self.code.block_size
-        self.bits_per_unit = half * half
-        skirt = cfg.window_blocks - 1  # warm-up and flush exclusion, each end
-        self.counted = slice(skirt, cfg.blocks_per_stream - skirt)
-        self.units_per_frame = cfg.blocks_per_stream - 2 * skirt
-        self.skip_reason = None
-        plain = WindowConfig(cfg.window_blocks, cfg.sr_iters, cfg.plain_iters)
-        window_cfgs = {"ibdd": plain, "ideal": plain}
-        if "ibdd_sr" in modes:
-            schedule = None
-            if cfg.fixed_weight is not None:
-                schedule = WindowSchedule(
-                    early=(),
-                    steady=np.full(
-                        (cfg.window_blocks, cfg.sr_iters), float(cfg.fixed_weight)
-                    ),
-                    steady_slide=1,
-                    ebn0_db=ebn0_db,
-                    rate=self.code.rate,
-                )
-            else:
-                try:
-                    schedule = schedule_for_window(
-                        auto_profile(self.code.component),
-                        ebn0_db,
-                        self.code.rate,
-                        cfg.window_blocks,
-                        cfg.sr_iters,
-                    )
-                except ScheduleUnavailable as exc:
-                    self.skip_reason = str(exc)
-            if schedule is not None:
-                window_cfgs["ibdd_sr"] = WindowConfig(
-                    cfg.window_blocks, cfg.sr_iters, cfg.plain_iters, schedule
-                )
-        self.window_cfgs = {m: window_cfgs[m] for m in modes if m in window_cfgs}
-
-    def run_frame(self, index: int) -> dict:
-        cfg = self.cfg
-        rng = np.random.default_rng([cfg.seed, index])
-        half, code = self.code.block_size, self.code
-        if cfg.random_info:
-            infos = [
-                rng.integers(0, 2, (half, code.info_cols), dtype=np.uint8)
-                for _ in range(cfg.blocks_per_stream)
-            ]
-            tx = encode_stream(code, infos)[1:]
-        else:
-            tx = [
-                np.zeros((half, half), dtype=np.uint8)
-                for _ in range(cfg.blocks_per_stream)
-            ]
-        llr = [transmit(b, self.params, rng) for b in tx]
-        out = {}
-        for mode, window_cfg in self.window_cfgs.items():
-            dec = window_decode(code, llr, window_cfg, mode, transmitted=tx)
-            out[mode] = np.array(
-                [np.sum(d != t) for d, t in zip(dec[self.counted], tx[self.counted])],
-                dtype=np.int64,
-            )
-        return out
-
-
-def _build_engine(cfg: SimConfig, ebn0_db: float, modes: tuple):
-    if cfg.scheme == "pc":
-        return _PcEngine(cfg, ebn0_db, modes)
-    return _StaircaseEngine(cfg, ebn0_db, modes)
+def _build_engine(cfg: SimConfig, ebn0_db: float, modes: tuple) -> _Engine:
+    """All set-up of a point: the code, its DE profile and the weight schedule."""
+    return _Engine(cfg, ebn0_db, modes)
 
 
 _ENGINE = None
@@ -378,8 +369,8 @@ def _init_worker(cfg: SimConfig, ebn0_db: float, modes: tuple):
     _ENGINE = _build_engine(cfg, ebn0_db, modes)
 
 
-def _worker_batch(indices) -> list:
-    return [_ENGINE.run_frame(i) for i in indices]
+def _worker_frame(index: int) -> dict:
+    return _ENGINE.run_frame(index)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +399,8 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
     active = list(modes)
     if engine.skip_reason is not None:
         warnings.warn(f"ibdd_sr skipped at {ebn0_db} dB: {engine.skip_reason}")
-        result["ibdd_sr"] = SkippedPoint(
-            scheme=cfg.scheme,
-            component=cfg.component.label,
-            mode="ibdd_sr",
-            ebn0_db=ebn0_db,
-            seed=cfg.seed,
-            reason=engine.skip_reason,
-        )
+        result["ibdd_sr"] = SkippedPoint(cfg.scheme, cfg.component.label, "ibdd_sr",
+                                         ebn0_db, cfg.seed, engine.skip_reason)
         active = [m for m in modes if m != "ibdd_sr"]
 
     counts = {m: [] for m in active}
@@ -432,28 +417,19 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
                 initargs=(cfg, ebn0_db, modes),
             )
         while active:
-            if all(events[m] >= cfg.min_error_events for m in active):
+            if units_done >= cfg.max_frames or all(
+                events[m] >= cfg.min_error_events for m in active
+            ):
                 break
-            if units_done >= cfg.max_frames:
-                break
-            units_left = cfg.max_frames - units_done
-            frames_left = math.ceil(units_left / engine.units_per_frame)
+            frames_left = math.ceil((cfg.max_frames - units_done) / engine.units_per_frame)
             n_frames = min(next(plan), frames_left)
             indices = range(next_index, next_index + n_frames)
             next_index += n_frames
             if executor is not None:
-                chunk = math.ceil(n_frames / cfg.workers)
-                chunks = [
-                    list(indices)[i : i + chunk]
-                    for i in range(0, n_frames, chunk)
-                ]
-                frame_results = [
-                    res
-                    for batch in executor.map(_worker_batch, chunks)
-                    for res in batch
-                ]
+                chunksize = math.ceil(n_frames / cfg.workers)
+                frame_results = executor.map(_worker_frame, indices, chunksize=chunksize)
             else:
-                frame_results = [engine.run_frame(i) for i in indices]
+                frame_results = map(engine.run_frame, indices)
             for fr in frame_results:
                 for m in active:
                     counts[m].append(fr[m])

@@ -27,12 +27,8 @@ import numpy as np
 
 from .bch import BchCode
 from .channel import harden
-from .de import SC_SCHEDULE_MAX_SLIDES, ComponentProfile, run_sc_window
+from .de import SC_SCHEDULE_MAX_SLIDES, ComponentProfile, ScheduleUnavailable, run_sc_window
 from .product import check_weights, component_step
-
-
-class ScheduleUnavailable(RuntimeError):
-    """The coupled recursion does not improve at the requested operating point."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,6 @@ def window_decode(
     cfg: WindowConfig,
     mode: str = "ibdd_sr",
     transmitted=None,
-    observer=None,
 ) -> list[np.ndarray]:
     """Sliding-window decode; returns the emitted hard-decision blocks.
 
@@ -223,9 +218,6 @@ def window_decode(
     reliability, requires ``cfg.schedule``), "ideal" (genie-aided; requires
     the ``transmitted`` blocks).  Emitted blocks are final -- later windows
     treat them as frozen hard values and never write them back.
-
-    ``observer(slide, hard_blocks)`` is called after each emission with the
-    internal (read-only) block list, for instrumentation.
     """
     if mode not in ("ibdd", "ibdd_sr", "ideal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -273,6 +265,4 @@ def window_decode(
                 hard[i + 1] = np.ascontiguousarray(new[:, half:])
 
         emitted.append(hard[b].copy())
-        if observer is not None:
-            observer(b, hard)
     return emitted

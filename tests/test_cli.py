@@ -8,7 +8,7 @@ import pytest
 
 from ibddlab import __version__
 from ibddlab.cli import main
-from ibddlab.sim import CSV_COLUMNS, BerPoint, csv_row
+from ibddlab.sim import CSV_COLUMNS, BerPoint, ComponentSpec, SimConfig, SkippedPoint, results_json
 
 
 def test_help_exits_zero(capsys):
@@ -97,7 +97,7 @@ def test_de_schedule_gldpc(tmp_path, capsys):
     assert "converged=False" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["converged"] is False
-    assert len(doc["weights_row"]) == 10
+    assert len(doc["w_row"]) == 10
     assert doc["ebn0_db"] == 3.5
     manifest = json.loads((tmp_path / "sched.json.manifest.json").read_text())
     assert manifest["command"] == "de-schedule"
@@ -272,16 +272,17 @@ def _mk_point(mode, ebn0, ber):
     )
 
 
+def _write_results(path, rows):
+    cfg = SimConfig(scheme="pc", component=ComponentSpec(m=4, t=1), ebn0_grid=(4.0,))
+    path.write_text(json.dumps(results_json(cfg, rows, manifest=None)))
+
+
 def test_plotdata_gains_and_crossings(tmp_path, capsys):
-    src = tmp_path / "in.csv"
-    rows = [
+    src = tmp_path / "in.json"
+    _write_results(src, [
         _mk_point("ibdd", 4.0, 1e-2), _mk_point("ibdd", 5.0, 1e-4),
         _mk_point("ibdd_sr", 3.8, 1e-2), _mk_point("ibdd_sr", 4.8, 1e-4),
-    ]
-    src.write_text(
-        "# manifest: none\n" + CSV_COLUMNS + "\n"
-        + "\n".join(csv_row(p) for p in rows) + "\n"
-    )
+    ])
     out = tmp_path / "plot.dat"
     rc = main(["plotdata", "--in", str(src), "--target-ber", "1e-3",
                "--out", str(out)])
@@ -298,30 +299,57 @@ def test_plotdata_gains_and_crossings(tmp_path, capsys):
 
 
 def test_plotdata_skips_nan_rows(tmp_path, capsys):
-    src = tmp_path / "in.csv"
-    src.write_text(
-        CSV_COLUMNS + "\n"
-        + csv_row(_mk_point("ibdd", 4.0, 1e-3)) + "\n"
-        + "staircase,n254k230t3,ibdd_sr,1,0,0,0,0,nan,nan,nan,nan,1,0.000\n"
-    )
+    """A skipped point (``"skipped": true``) contributes nothing."""
+    src = tmp_path / "in.json"
+    _write_results(src, [
+        _mk_point("ibdd", 4.0, 1e-3),
+        SkippedPoint(scheme="staircase", component="n254k230t3", mode="ibdd_sr",
+                     ebn0_db=1.0, seed=1, reason="no usable schedule"),
+    ])
     rc = main(["plotdata", "--in", str(src)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "ibdd_sr" not in out  # the skipped row contributes nothing
+    assert "# mode=ibdd\n" in out
+    assert "ibdd_sr" not in out
 
 
 def test_plotdata_missing_file_exits_one(tmp_path, capsys):
-    rc = main(["plotdata", "--in", str(tmp_path / "nope.csv")])
+    rc = main(["plotdata", "--in", str(tmp_path / "nope.json")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
 
 
 def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
-    src = tmp_path / "in.csv"
-    src.write_text("a,b,c\n1,2,3\n")
-    rc = main(["plotdata", "--in", str(src)])
-    assert rc == 1
-    assert "unexpected CSV columns" in capsys.readouterr().err
+    """A file that is no sim results JSON -- a CSV, or JSON without
+    ``points`` -- ends in one error line and exit 1."""
+    for name, text in (("in.csv", "a,b,c\n1,2,3\n"), ("in.json", '{"config": {}}')):
+        src = tmp_path / name
+        src.write_text(text)
+        rc = main(["plotdata", "--in", str(src)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in err[0]
+    assert "not a sim results JSON" in err[0]
+
+
+def test_sim_results_round_trip_through_plotdata(tmp_path, capsys):
+    """``sim --out x`` then ``plotdata --in x.json``: every measured point
+    comes back with the statistics sim printed."""
+    prefix = tmp_path / "toy"
+    assert main([
+        "sim", "--scheme", "pc", "--m", "4", "--t", "1", "--modes", "ibdd,ideal",
+        "--ebn0", "4.0", "4.5", "--max-frames", "200", "--seed", "3",
+        "--out", str(prefix),
+    ]) == 0
+    points = json.loads((tmp_path / "toy.json").read_text())["points"]
+    capsys.readouterr()
+    assert main(["plotdata", "--in", f"{prefix}.json", "--target-ber", "1e-3"]) == 0
+    text = capsys.readouterr().out
+    for p in points:
+        assert (f"{p['ebn0_db']:g} {p['ber']:.6e} {p['fer']:.6e} "
+                f"{p['ber_ci95'][0]:.6e} {p['ber_ci95'][1]:.6e} "
+                f"{p['frames']} {p['frame_errors']}") in text
+    assert "# gain_db[ideal over ibdd]@0.001 = " in text
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 exhaustive decoder enumeration), the transition kernel, the weight rule,
 recursions, and threshold bisection."""
 
+import itertools
+import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -12,18 +15,20 @@ import oracles
 from ibddlab import de
 from ibddlab.bch import bdd_decode_matrix
 from ibddlab.channel import make_params
+from ibddlab.cli import main
 from ibddlab.de import (
     DEFAULT_WEIGHT_CAP,
+    SC_SCHEDULE_MAX_SLIDES,
     BracketError,
     ComponentProfile,
+    GldpcDeResult,
+    ScDeResult,
     TransitionKernels,
     auto_profile,
     component_profile,
-    gldpc_profile_json,
     run_gldpc,
     run_sc_window,
     sc_cn_averages,
-    sc_profile_json,
     threshold_search,
 )
 
@@ -58,6 +63,29 @@ def test_tables_match_exhaustive_enumeration(code_fixture, prof_fixture, request
     np.testing.assert_allclose(prof.qe, qe, atol=1e-12)
     np.testing.assert_allclose(prof.qc, qc, atol=1e-12)
     np.testing.assert_allclose(prof.qeps, qeps, atol=1e-12)
+
+
+def test_shortened_code_top_rows_match_exhaustive_count(code_30_20, prof_30_20):
+    """The top rows of the (30,20) tables against the decoder run on every
+    error pattern of weight 26..30, averaged over the bit positions.  The
+    all-ones word is no codeword of the shortened code, so these rows are
+    not certain miscorrections: BDD fails on the all-ones word."""
+    n, low = code_30_20.n, 26
+    words = np.ones((sum(math.comb(n, w) for w in range(low, n + 1)), n), dtype=np.uint8)
+    zeros = (c for w in range(n - low, -1, -1) for c in itertools.combinations(range(n), w))
+    for word, where in zip(words, zeros):
+        word[list(where)] = 0
+    _, dec, ok = bdd_decode_matrix(code_30_20, words)
+    # per position against the sent all-zero word: 1 error, 0 correct, 2 failure
+    decided = np.where(ok[:, None], dec, 2)
+    weight = words.sum(axis=1)
+    for table, sent_wrong in (("p", 1), ("q", 0)):
+        for w in range(low, n + sent_wrong):
+            i = w - sent_wrong  # errors among the other n-1 positions
+            at = decided[weight == w][words[weight == w] == sent_wrong]
+            for name, value in (("e", 1), ("c", 0), ("eps", 2)):
+                got = getattr(prof_30_20, table + name)[i]
+                assert got == pytest.approx(np.mean(at == value), abs=1e-12), (table + name, i)
 
 
 def test_perfect_code_has_no_failures(prof_15_11):
@@ -319,22 +347,35 @@ def test_sc_coupling_gain_over_uncoupled(prof_15_11):
 # profile serialization
 
 
-def test_profile_json_payloads(prof_15_11):
+def test_profile_json_payloads(prof_15_11, tmp_path, capsys):
+    """``de-schedule --out`` writes every field of the DE result dataclass,
+    beside the ensemble, the code and the threshold (None here)."""
     rate = 1 - 2 * 4 / 15
-    g = run_gldpc(prof_15_11, 4.2, rate, iterations=200)
-    doc = gldpc_profile_json(g, 15, 1, threshold=3.88)
-    assert doc["ensemble"] == "gldpc"
-    assert doc["converged"] is True and doc["improving"] is True
-    assert doc["threshold"] == 3.88
-    assert len(doc["weights_row"]) == g.iterations_run
-
-    s = run_sc_window(prof_15_11, 4.0, rate, window=4, iters_per_slide=10)
-    sdoc = sc_profile_json(s, 15, 1)
-    assert sdoc["ensemble"] == "sc_gldpc"
-    assert sdoc["window"] == 4
-    assert isinstance(sdoc["converged"], bool) and isinstance(sdoc["improving"], bool)
-    assert len(sdoc["weights_row"]) == 5
-    assert sdoc["steady_slide"] == s.steady_slide
+    g_path, s_path = tmp_path / "g.json", tmp_path / "s.json"
+    base = ["de-schedule", "--m", "4", "--t", "1", "--iters", "10"]
+    assert main(base + ["--ensemble", "gldpc", "--ebn0-db", "4.2", "--out", str(g_path)]) == 0
+    assert main(base + ["--ensemble", "sc", "--window", "4", "--ebn0-db", "4.0",
+                        "--out", str(s_path)]) == 0
+    capsys.readouterr()
+    g = run_gldpc(prof_15_11, 4.2, rate, iterations=10, stop_early=False)
+    s = run_sc_window(prof_15_11, 4.0, rate, 4, 10, full_iterations=True, fail_fast=False,
+                      max_slides=SC_SCHEDULE_MAX_SLIDES)
+    for path, res, cls, ensemble in ((g_path, g, GldpcDeResult, "gldpc"),
+                                     (s_path, s, ScDeResult, "sc")):
+        doc = json.loads(path.read_text())
+        names = {f.name for f in fields(cls)}
+        assert set(doc) == names | {"ensemble", "n", "t", "threshold", "manifest"}
+        assert (doc["ensemble"], doc["n"], doc["t"], doc["threshold"]) == (ensemble, 15, 1, None)
+        assert doc["manifest"] == f"{path}.manifest.json"
+        for name in names:
+            want = getattr(res, name)
+            if name == "schedules":
+                want = [a.tolist() for a in want]
+            elif isinstance(want, np.ndarray):
+                want = want.tolist()
+            assert doc[name] == want, name
+    assert len(json.loads(g_path.read_text())["w_row"]) == 10
+    assert len(json.loads(s_path.read_text())["schedules"][0]) == 5  # window + 1 slots
 
 
 def test_auto_profile_switches_enumerator(code_15_11, code_255_231):

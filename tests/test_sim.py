@@ -128,6 +128,27 @@ def test_fixed_weight_skips_density_evolution(monkeypatch, scheme, spec):
     assert isinstance(run_point(cfg, 4.0)["ibdd_sr"], BerPoint)
 
 
+@pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
+def test_build_engine_sets_up_without_decoding(monkeypatch, scheme, spec):
+    """``sim._build_engine(cfg, ebn0_db, modes)`` does all of a point's set-up
+    (code, DE profile, weight schedule) and decodes no frame: the benchmark's
+    set-up probe times exactly this call."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("set-up must not transmit or decode")
+
+    for name in ("transmit", "ibdd_decode", "ibdd_sr_decode", "ideal_ibdd_decode",
+                 "window_decode"):
+        monkeypatch.setattr(sim, name, refuse)
+    cfg = SimConfig(scheme=scheme, component=spec, ebn0_grid=(4.0,), window_blocks=4)
+    engine = sim._build_engine(cfg, 4.0, sim.MODES)
+    assert engine.skip_reason is None
+    assert tuple(engine.decoders) == sim.MODES
+    monkeypatch.undo()
+    counts = engine.run_frame(0)
+    assert all(len(counts[m]) == engine.units_per_frame for m in sim.MODES)
+
+
 # ---------------------------------------------------------------------------
 # interval estimators
 

@@ -228,19 +228,21 @@ def test_short_stream_below_window(sc_30_20, toy_schedule, rng):
 
 
 def test_emitted_blocks_are_final(sc_30_20, toy_schedule, rng):
-    """Once a block leaves the window it is never touched again."""
-    blocks, llrs = _noisy_stream(sc_30_20, rng, 10, 5.0)
-    snapshots = {}
-
-    def observer(b, hard):
-        snapshots[b] = hard[b].copy()
-
-    out = window_decode(
-        sc_30_20, llrs, _default_cfg(toy_schedule), mode="ibdd_sr", observer=observer
-    )
-    assert sorted(snapshots) == list(range(1, 11))
-    for b, snap in snapshots.items():
-        np.testing.assert_array_equal(out[b - 1], snap)
+    """Decoding is causal: block b is emitted by the window over blocks
+    b..b+W-1, so cutting the stream after block b+W-1 leaves the first b
+    emitted blocks unchanged -- nothing later writes them back."""
+    n_blocks, window = 10, 4
+    blocks, llrs = _noisy_stream(sc_30_20, rng, n_blocks, 4.0)
+    cfg = _default_cfg(toy_schedule, window_blocks=window)
+    for mode in ("ibdd", "ibdd_sr", "ideal"):
+        full = window_decode(sc_30_20, llrs, cfg, mode=mode, transmitted=blocks[1:])
+        assert any(np.any(got != harden(llr)) for got, llr in zip(full, llrs))  # it decoded
+        for b in range(1, n_blocks - window + 2):
+            cut = b + window - 1
+            head = window_decode(sc_30_20, llrs[:cut], cfg, mode=mode,
+                                 transmitted=blocks[1 : cut + 1])
+            for got, want in zip(head[:b], full[:b]):
+                np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
