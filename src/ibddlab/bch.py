@@ -6,7 +6,7 @@ removing leading information positions.  Decoding is syndrome-based
 decoder returns the unique codeword within Hamming distance t of the input
 when one exists (which may be a miscorrection), and reports a failure
 otherwise.  The decoders take a bit matrix and decode all of its rows in one
-array computation, so the iterative array decoders stay vectorised.
+array computation; ``bdd_decode_syndromes`` takes the rows' syndromes in.
 """
 
 import math
@@ -302,7 +302,17 @@ def bdd_decode_matrix(
     words = np.ascontiguousarray(words, dtype=np.uint8)
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ValueError(f"expected shape (rows, {code.n})")
-    synd = code.syndromes(words)
+    return bdd_decode_syndromes(code, words, code.syndromes(words))
+
+
+def bdd_decode_syndromes(
+    code: BchCode, words: np.ndarray, synd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``bdd_decode_matrix`` for rows whose syndromes ``synd`` the caller holds.
+
+    ``synd[i]`` must be ``code.syndromes(words[i])``; only the rows with a
+    nonzero syndrome reach the error locator.
+    """
     dirty = np.flatnonzero(synd.any(axis=1))
     decoded = words.copy()
     ok = np.ones(len(words), dtype=bool)

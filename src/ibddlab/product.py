@@ -2,10 +2,12 @@
 
 A product code squares one systematic component code: information bits fill a
 k-by-k array, every row is encoded, then every column of the intermediate
-array.  Decoding is one loop: bounded-distance decoding (BDD) of all rows,
-then of all columns, until the array is a product codeword or the iterations
-run out.  The three decoders differ only in the verdict rule that turns a
-component word into the next binary message (``component_step``):
+array.  Decoding is one loop over a (B, n, n) stack of frames: bounded-
+distance decoding (BDD) of all rows, then of all columns, until each frame is
+a product codeword or the iterations run out.  Row and column syndromes are
+kept up to date from the bits that change, so only lines with a nonzero
+syndrome are decoded.  The three decoders differ only in the verdict rule
+that makes a component word the next binary message (``component_step``):
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode, bdd_decode_matrix, ideal_decode_matrix
+from .bch import BchCode, bdd_decode_matrix, bdd_decode_syndromes, ideal_decode_matrix
 from .channel import harden
 
 
@@ -137,29 +139,70 @@ def component_step(comp: BchCode, words, weight=None, llr=None, genie=None) -> n
     return combine_decision(ternary, weight, llr)
 
 
-def _iterate(code, psi, iters, observer=None, weights=None, llr=None, genie=None):
-    """The shared loop: rows, then columns, through ``component_step``.
+def _half(comp, words, llr, genie, s_this, s_other, act, weight):
+    """One half-iteration over the lines (rows of ``words``, the stack or its
+    transposed view, with ``llr`` and ``genie`` alike) of frames ``act``.
 
-    ``weights`` (the row and column weight sequences) with ``llr``, or
-    ``genie`` (the transmitted array and its transpose), select the verdict.
+    Only lines whose syndrome in ``s_this`` is nonzero reach BDD or the genie:
+    a clean line is its own BDD word, and the genie, whose transmitted lines
+    are codewords, never moves it.  Each changed bit is written back and
+    XORed into ``s_this`` and the other orientation's ``s_other``.
     """
+    f, i = np.nonzero(s_this[act].any(axis=2))
+    if llr is None:  # ibdd or genie: the verdict is the next message
+        if not len(f):
+            return
+        f = act[f]
+        old = words[f, i]
+        if genie is None:
+            new = bdd_decode_syndromes(comp, old, s_this[f, i])[1]
+        else:
+            new = ideal_decode_matrix(comp, old, genie[f, i])[1]
+        k, j = np.nonzero(new != old)
+        f, i = f[k], i[k]
+    else:  # scaled reliability: every line, clean ones with ternary 1 - 2*bit
+        old = words[act]
+        ternary = 1 - 2 * old.view(np.int8)
+        if len(f):
+            ternary[f, i] = bdd_decode_syndromes(comp, old[f, i], s_this[act[f], i])[0]
+        f, i, j = np.nonzero(combine_decision(ternary, weight, llr[act]) != old)
+        f = act[f]
+    words[f, i, j] ^= 1
+    pow_t = comp._synd_pow.T
+    np.bitwise_xor.at(s_this, (f, i), pow_t[j])
+    np.bitwise_xor.at(s_other, (f, j), pow_t[i])
+
+
+def _decode(code, hard, observer, *runs):
+    """The shared loop: rows, then columns, of one (n, n) array or a (B, n, n)
+    stack; the result and the observer's arrays have the shape given.
+
+    Each run ``(iterations, weights, llr, genie)`` is one loop; the row and
+    column weights with the stacked ``llr``, or the transmitted stack
+    ``genie``, select the verdict.  The row and column syndromes (B, n, 2t)
+    follow every changed bit.  A frame whose syndromes are all zero at the
+    top of an iteration is done for the run: never decoded or written again.
+    """
+    psi = np.array(hard, dtype=np.uint8, ndmin=3)
+    if psi.ndim != 3 or psi.shape[1:] != (code.n, code.n):
+        raise ValueError(f"expected an ({code.n}, {code.n}) array or a stack of them")
+    single = np.ndim(hard) == 2
     comp = code.component
-    for ell in range(iters):
-        if code.is_codeword(psi):
-            break
-        for axis, stage in enumerate(("row", "col")):
-            words = psi if axis == 0 else np.ascontiguousarray(psi.T)
-            new = component_step(
-                comp,
-                words,
-                weight=None if weights is None else weights[axis][ell],
-                llr=None if llr is None else (llr if axis == 0 else llr.T),
-                genie=None if genie is None else genie[axis],
-            )
-            psi = new if axis == 0 else np.ascontiguousarray(new.T)
-            if observer is not None:
-                observer(stage, ell + 1, psi)
-    return psi
+    synd = (comp.syndromes(psi), comp.syndromes(psi.transpose(0, 2, 1)))
+    for iters, weights, llr, genie in runs:
+        rows = (psi, llr, genie)
+        oriented = (rows, tuple(None if a is None else a.transpose(0, 2, 1) for a in rows))
+        act = np.arange(len(psi))
+        for ell in range(iters):
+            act = act[synd[0][act].any(axis=(1, 2)) | synd[1][act].any(axis=(1, 2))]
+            if not len(act):
+                break
+            for axis, stage in enumerate(("row", "col")):
+                weight = None if weights is None else weights[axis][ell]
+                _half(comp, *oriented[axis], synd[axis], synd[1 - axis], act, weight)
+                if observer is not None:
+                    observer(stage, ell + 1, psi[0] if single else psi)
+    return psi[0] if single else psi
 
 
 def ibdd_sr_decode(
@@ -176,31 +219,29 @@ def ibdd_sr_decode(
     ``combine_decision`` with the iteration's row weight, then repeats for
     columns.  After ``sr_iters`` such iterations, ``plain_iters`` rounds of
     conventional decoding (which ignore the channel, flipping the error-floor
-    mechanism off) finish the job.  Exits early once the array is a product
-    codeword.  ``observer(stage, iteration, psi)`` is called after every
-    half-iteration when given.
+    mechanism off) finish the job.  A frame stops once it is a product
+    codeword.  ``llr`` is one (n, n) frame or a (B, n, n) stack.
+    ``observer(stage, iteration, psi)`` is called after every half-iteration
+    that decodes any frame, when given.
     """
     if schedule.iterations < sr_iters:
         raise ValueError(
             f"schedule covers {schedule.iterations} iterations, need {sr_iters}"
         )
     llr = np.asarray(llr, dtype=float)
-    psi = _iterate(
-        code, harden(llr), sr_iters, observer,
-        weights=(schedule.w_row, schedule.w_col), llr=llr,
-    )
-    return _iterate(code, psi, plain_iters, observer)
+    scaled = (sr_iters, (schedule.w_row, schedule.w_col), llr.reshape(-1, *llr.shape[-2:]), None)
+    return _decode(code, harden(llr), observer, scaled, (plain_iters, None, None, None))
 
 
 def ibdd_decode(
     code: ProductCode, r: np.ndarray, iters: int = 12, observer=None
 ) -> np.ndarray:
-    """Conventional iterative BDD on a hard-decision array.
+    """Conventional iterative BDD on a hard-decision array or (B, n, n) stack.
 
     Rows then columns per iteration; decoded component words replace their
-    input, failures leave it untouched.  Early exit on a valid codeword.
+    input, failures leave it untouched.  A frame stops once it is a codeword.
     """
-    return _iterate(code, np.array(r, dtype=np.uint8, copy=True), iters, observer)
+    return _decode(code, r, observer, (iters, None, None, None))
 
 
 def ideal_ibdd_decode(
@@ -211,9 +252,9 @@ def ideal_ibdd_decode(
 ) -> np.ndarray:
     """Iterative genie decoding: components correct within t, never miscorrect.
 
-    The transmitted array is side information for the genie only; the
-    schedule and stopping rule match ``ibdd_decode``.
+    The transmitted product codeword(s), shaped like ``r``, are side
+    information for the genie only; the schedule and stopping rule match
+    ``ibdd_decode``.
     """
-    tx = np.asarray(transmitted, dtype=np.uint8)
-    genie = (tx, np.ascontiguousarray(tx.T))
-    return _iterate(code, np.array(r, dtype=np.uint8, copy=True), iters, genie=genie)
+    tx = np.array(transmitted, dtype=np.uint8, ndmin=3)
+    return _decode(code, r, None, (iters, None, None, tx))

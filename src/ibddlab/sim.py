@@ -12,6 +12,9 @@ whose errors count are the statistical events: FER gets a Wilson 95%
 interval and BER a per-unit bootstrap interval.  A staircase stream carries
 ``blocks_per_stream`` encoded blocks after the all-zero terminator; its
 first and last window_blocks-1 blocks (warm-up and flush) are not counted.
+The engine decodes a batch of frames in calls of at most ``DECODE_CALL_BITS``
+transmitted bits: a product mode decodes a call's frames as one (B, n, n)
+stack, a staircase mode its streams one after another.
 
 Stopping is frame-error driven: a point runs until every active mode has
 accumulated ``min_error_events`` unit errors, or the budget of
@@ -53,6 +56,8 @@ from .staircase import (
 
 MODES = ("ibdd", "ibdd_sr", "ideal")
 _Z95 = 1.959963984540054
+# a batch is decoded in calls of at most this many bits (or one frame): bounded memory
+DECODE_CALL_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -243,10 +248,11 @@ class _Scheme(NamedTuple):
 
     code: object  # ProductCode or StaircaseCode: the rate is what matters here
     bits_per_unit: int
+    units: int  # transmitted units per frame
     counted: slice
     frame: Callable  # rng -> transmitted units
     schedule: Callable  # ebn0_db -> ibdd_sr weights; raises ScheduleUnavailable
-    decoders: Callable  # weights or None -> {mode: (llr units, tx units) -> units}
+    decoders: Callable  # weights or None -> {mode: (llr, tx) -> decoded}, each (frames, units, h, w)
 
 
 def _product(cfg: SimConfig) -> _Scheme:
@@ -270,18 +276,18 @@ def _product(cfg: SimConfig) -> _Scheme:
             )
         return ScalingSchedule.from_gldpc_result(res)
 
-    def decoders(weights):
+    def decoders(weights):  # one call decodes the whole stack of frames
         out = {
-            "ibdd": lambda llr, tx: [ibdd_decode(code, harden(llr[0]), total)],
-            "ideal": lambda llr, tx: [ideal_ibdd_decode(code, harden(llr[0]), tx[0], total)],
+            "ibdd": lambda llr, tx: ibdd_decode(code, harden(llr[:, 0]), total)[:, None],
+            "ideal": lambda llr, tx: ideal_ibdd_decode(
+                code, harden(llr[:, 0]), tx[:, 0], total)[:, None],
         }
         if weights is not None:
-            out["ibdd_sr"] = lambda llr, tx: [
-                ibdd_sr_decode(code, llr[0], weights, cfg.sr_iters, cfg.plain_iters)
-            ]
+            out["ibdd_sr"] = lambda llr, tx: ibdd_sr_decode(
+                code, llr[:, 0], weights, cfg.sr_iters, cfg.plain_iters)[:, None]
         return out
 
-    return _Scheme(code, code.n * code.n, slice(0, 1), frame, schedule, decoders)
+    return _Scheme(code, code.n * code.n, 1, slice(0, 1), frame, schedule, decoders)
 
 
 def _staircase(cfg: SimConfig) -> _Scheme:
@@ -316,13 +322,14 @@ def _staircase(cfg: SimConfig) -> _Scheme:
         if weights is not None:
             configs["ibdd_sr"] = WindowConfig(cfg.window_blocks, cfg.sr_iters,
                                               cfg.plain_iters, weights)
-        return {
-            mode: lambda llr, tx, mode=mode, wc=wc: window_decode(code, llr, wc, mode, tx)
+        return {  # one window_decode call per stream
+            mode: lambda llr, tx, mode=mode, wc=wc: np.array(
+                [window_decode(code, lf, wc, mode, tf) for lf, tf in zip(llr, tx)])
             for mode, wc in configs.items()
         }
 
     counted = slice(skirt, cfg.blocks_per_stream - skirt)
-    return _Scheme(code, half * half, counted, frame, schedule, decoders)
+    return _Scheme(code, half * half, cfg.blocks_per_stream, counted, frame, schedule, decoders)
 
 
 _SCHEMES = {"pc": _product, "staircase": _staircase}
@@ -336,6 +343,7 @@ class _Engine:
         self.seed, self.frame, self.counted = cfg.seed, scheme.frame, scheme.counted
         self.params = make_params(ebn0_db, scheme.code.rate)
         self.bits_per_unit = scheme.bits_per_unit
+        self.frames_per_call = max(1, DECODE_CALL_BITS // (scheme.units * scheme.bits_per_unit))
         self.units_per_frame = scheme.counted.stop - scheme.counted.start
         self.skip_reason = weights = None
         if "ibdd_sr" in modes:
@@ -346,13 +354,18 @@ class _Engine:
         decoders = scheme.decoders(weights)
         self.decoders = {m: decoders[m] for m in modes if m in decoders}
 
-    def run_frame(self, index: int) -> dict:
-        """Per-mode bit errors of each counted unit of frame ``index``."""
-        rng = np.random.default_rng([self.seed, index])
-        tx = self.frame(rng)
-        llr = [transmit(unit, self.params, rng) for unit in tx]
+    def run_frames(self, indices) -> dict:
+        """Per-mode bit errors of each counted unit of frames ``indices``,
+        as {mode: (frames, counted units)}; each mode decodes them in one call."""
+        tx, llr = [], []
+        for index in indices:
+            rng = np.random.default_rng([self.seed, index])
+            units = self.frame(rng)
+            tx.append(units)
+            llr.append([transmit(unit, self.params, rng) for unit in units])
+        tx, llr = np.array(tx), np.array(llr)
         c = self.counted
-        return {mode: (np.array(decode(llr, tx)[c]) != tx[c]).sum(axis=(1, 2))
+        return {mode: (decode(llr, tx)[:, c] != tx[:, c]).sum(axis=(2, 3))
                 for mode, decode in self.decoders.items()}
 
 
@@ -369,8 +382,8 @@ def _init_worker(cfg: SimConfig, ebn0_db: float, modes: tuple):
     _ENGINE = _build_engine(cfg, ebn0_db, modes)
 
 
-def _worker_frame(index: int) -> dict:
-    return _ENGINE.run_frame(index)
+def _worker_frames(indices) -> dict:
+    return _ENGINE.run_frames(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +436,14 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
                 break
             frames_left = math.ceil((cfg.max_frames - units_done) / engine.units_per_frame)
             n_frames = min(next(plan), frames_left)
-            indices = range(next_index, next_index + n_frames)
-            next_index += n_frames
-            if executor is not None:
-                chunksize = math.ceil(n_frames / cfg.workers)
-                frame_results = executor.map(_worker_frame, indices, chunksize=chunksize)
-            else:
-                frame_results = map(engine.run_frame, indices)
-            for fr in frame_results:
+            stop = next_index + n_frames
+            size = min(engine.frames_per_call, math.ceil(n_frames / cfg.workers))
+            calls = [range(lo, min(lo + size, stop)) for lo in range(next_index, stop, size)]
+            next_index = stop
+            for fr in (map(engine.run_frames, calls) if executor is None
+                       else executor.map(_worker_frames, calls)):
                 for m in active:
-                    counts[m].append(fr[m])
+                    counts[m].append(fr[m].ravel())
                     events[m] += int(np.count_nonzero(fr[m]))
             units_done += n_frames * engine.units_per_frame
     finally:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written against the *definition* of the
 quantity under test (nearest-codeword search, exhaustive error-pattern
-enumeration) rather than sharing any code path with the package.
+enumeration) rather than sharing any code path with the package.  The one
+exception is the per-frame product loop: it is the decoder loop the batched
+decoders replaced, kept as their reference, and it still decodes each
+component matrix through the package's ``component_step``.
 """
 
 import math
@@ -10,7 +13,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ibddlab.channel import q_function
+from ibddlab.channel import harden, q_function
+from ibddlab.product import component_step
 
 
 def codebook(code) -> np.ndarray:
@@ -154,6 +158,57 @@ def bdd_decode_rows(code, words: np.ndarray):
             decoded[r, pos] ^= 1
     ternary = np.where(ok[:, None], 1 - 2 * decoded.astype(np.int8), 0).astype(np.int8)
     return ternary, decoded, ok
+
+
+# ---------------------------------------------------------------------------
+# per-frame product decoding: the loop the batched decoders replaced
+
+
+def _frame_iterate(code, psi, iters, observer=None, weights=None, llr=None, genie=None):
+    """The shared loop: rows, then columns, through ``component_step``.
+
+    ``weights`` (the row and column weight sequences) with ``llr``, or
+    ``genie`` (the transmitted array and its transpose), select the verdict.
+    """
+    comp = code.component
+    for ell in range(iters):
+        if code.is_codeword(psi):
+            break
+        for axis, stage in enumerate(("row", "col")):
+            words = psi if axis == 0 else np.ascontiguousarray(psi.T)
+            new = component_step(
+                comp,
+                words,
+                weight=None if weights is None else weights[axis][ell],
+                llr=None if llr is None else (llr if axis == 0 else llr.T),
+                genie=None if genie is None else genie[axis],
+            )
+            psi = new if axis == 0 else np.ascontiguousarray(new.T)
+            if observer is not None:
+                observer(stage, ell + 1, psi)
+    return psi
+
+
+def frame_ibdd_sr(code, llr, schedule, sr_iters=10, plain_iters=2, observer=None):
+    """One (n, n) frame through ``product.ibdd_sr_decode``'s per-frame loop."""
+    llr = np.asarray(llr, dtype=float)
+    psi = _frame_iterate(
+        code, harden(llr), sr_iters, observer,
+        weights=(schedule.w_row, schedule.w_col), llr=llr,
+    )
+    return _frame_iterate(code, psi, plain_iters, observer)
+
+
+def frame_ibdd(code, r, iters=12, observer=None):
+    """One (n, n) frame through ``product.ibdd_decode``'s per-frame loop."""
+    return _frame_iterate(code, np.array(r, dtype=np.uint8, copy=True), iters, observer)
+
+
+def frame_ideal(code, r, transmitted, iters=12):
+    """One (n, n) frame through ``product.ideal_ibdd_decode``'s per-frame loop."""
+    tx = np.asarray(transmitted, dtype=np.uint8)
+    genie = (tx, np.ascontiguousarray(tx.T))
+    return _frame_iterate(code, np.array(r, dtype=np.uint8, copy=True), iters, genie=genie)
 
 
 def all_words(n: int) -> np.ndarray:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibddlab.bch import bdd_decode_matrix
+import oracles
+from ibddlab import product
+from ibddlab.bch import bdd_decode_matrix, build_bch
 from ibddlab.channel import harden, make_params, transmit
 from ibddlab.product import (
     ProductCode,
@@ -270,3 +272,127 @@ def test_observer_counts_follow_early_exit(pc_15_11):
         observer=lambda st, it, psi: calls.append((st, it)),
     )
     assert calls == [("row", 1), ("col", 1)]
+
+
+# ---------------------------------------------------------------------------
+# stacks of frames against the per-frame oracle
+
+
+def _channel_stack(pc, ebn0_db, frames, seed):
+    """Random product codewords and their channel LLRs, as (frames, n, n) stacks."""
+    rng = np.random.default_rng(seed)
+    params = make_params(ebn0_db, pc.rate)
+    tx = np.stack([
+        pc_encode(pc, rng.integers(0, 2, (pc.k, pc.k), dtype=np.uint8)) for _ in range(frames)
+    ])
+    return tx, np.stack([transmit(x, params, rng) for x in tx])
+
+
+# a different weight for every pass: a pass that read another pass's weight would show
+_SCHED = ScalingSchedule([3.0, 1.5, 3.5, 1.0, 2.5, 4.0, 1.2, 3.0, 2.0, 2.8],
+                         [2.0, 3.2, 1.4, 3.8, 1.1, 2.6, 3.4, 1.8, 2.9, 2.2])
+
+# (mode, batched decoder, per-frame oracle), each given (code, llr, tx)
+_DECODERS = (
+    ("ibdd", lambda pc, llr, tx, **kw: ibdd_decode(pc, harden(llr), **kw),
+     lambda pc, llr, tx, **kw: oracles.frame_ibdd(pc, harden(llr), **kw)),
+    ("ibdd_sr", lambda pc, llr, tx, **kw: ibdd_sr_decode(pc, llr, _SCHED, **kw),
+     lambda pc, llr, tx, **kw: oracles.frame_ibdd_sr(pc, llr, _SCHED, **kw)),
+    ("ideal", lambda pc, llr, tx: ideal_ibdd_decode(pc, harden(llr), tx),
+     lambda pc, llr, tx: oracles.frame_ideal(pc, harden(llr), tx)),
+)
+
+
+@pytest.mark.parametrize("mode,batched,oracle", _DECODERS, ids=[d[0] for d in _DECODERS])
+@pytest.mark.parametrize("m,t,snrs,frames", [
+    (4, 1, (2.5, 3.5, 4.5), 40),
+    (4, 2, (2.0, 3.0, 4.0), 40),
+    (8, 3, (4.0, 4.3, 4.6), 2),
+], ids=["15_11", "15_7", "255_231"])
+def test_stack_matches_frame_oracle(mode, batched, oracle, m, t, snrs, frames):
+    """Decoding a stack equals decoding each frame alone with the per-frame
+    loop, on stacks whose frames stop at different iterations, never
+    converge, or settle on a wrong codeword."""
+    pc = ProductCode(build_bch(m, t))
+    stacks = [_channel_stack(pc, snr, frames, seed=10 * m + i) for i, snr in enumerate(snrs)]
+    tx = np.concatenate([s[0] for s in stacks])
+    llr = np.concatenate([s[1] for s in stacks])
+    got = batched(pc, llr, tx)
+    assert got.shape == tx.shape
+    stops, want = [], []
+    for frame_llr, frame_tx in zip(llr, tx):
+        halves = []
+        kw = {} if mode == "ideal" else {"observer": lambda s, i, p: halves.append(s)}
+        want.append(oracle(pc, frame_llr, frame_tx, **kw))
+        stops.append(len(halves))
+    np.testing.assert_array_equal(got, np.stack(want))
+    if mode == "ideal":
+        return
+    codeword = np.array([pc.is_codeword(w) for w in want])
+    wrong = (np.stack(want) != tx).any(axis=(1, 2))
+    assert len({s for s, done in zip(stops, codeword) if done}) > 1  # different stop iterations
+    assert np.any(~codeword)  # frames that never converge
+    if m == 4:
+        assert np.any(codeword & wrong)  # frames that settle on a wrong codeword
+
+
+@pytest.mark.parametrize("m,t,snr,frames", [(4, 2, 2.5, 60), (8, 3, 4.2, 3)])
+def test_kept_syndromes_are_exact(monkeypatch, m, t, snr, frames):
+    """Every BDD call receives the true syndromes of the words it is given,
+    so the syndromes the decoders keep up to date from flipped bits never
+    drift from the stack."""
+    pc = ProductCode(build_bch(m, t))
+    tx, llr = _channel_stack(pc, snr, frames, seed=m)
+    kernel = product.bdd_decode_syndromes
+    rows = []
+
+    def checked(comp, words, synd):
+        np.testing.assert_array_equal(synd, comp.syndromes(words))
+        rows.append(len(words))
+        return kernel(comp, words, synd)
+
+    monkeypatch.setattr(product, "bdd_decode_syndromes", checked)
+    ibdd_decode(pc, harden(llr))
+    ibdd_sr_decode(pc, llr, _SCHED)
+    assert len(rows) > 4 and sum(rows) > 0
+
+
+def test_frame_observer_trace_matches_oracle(pc_15_7):
+    """For one (n, n) frame the observer sees the same (stage, iteration,
+    array) calls as the per-frame loop, arrays in the caller's shape."""
+    _, llr = _channel_stack(pc_15_7, 3.0, 20, seed=3)
+    for frame in llr:
+        for name, batched, oracle in _DECODERS[:2]:
+            got, want = [], []
+            batched(pc_15_7, frame, None, observer=lambda s, i, p: got.append((s, i, p.copy())))
+            oracle(pc_15_7, frame, None, observer=lambda s, i, p: want.append((s, i, p.copy())))
+            assert [g[:2] for g in got] == [w[:2] for w in want], name
+            for (_, _, a), (_, _, b) in zip(got, want):
+                assert a.shape == (15, 15)
+                np.testing.assert_array_equal(a, b)
+
+
+def test_sr_trace_crosses_into_plain_tail(pc_15_7):
+    """A frame that never converges is seen after every scaled and then every
+    plain half-iteration, the plain tail numbering its iterations from 1."""
+    rx = np.zeros((15, 15), dtype=np.uint8)
+    rx[np.ix_([0, 1, 2], [0, 1, 2])] = 1  # a 3x3 grid: every affected word has t+1 errors
+    llr = 7.5 * (1.0 - 2.0 * rx)  # the channel outvotes weight 0.5 everywhere
+    calls, want = [], []
+    ibdd_sr_decode(pc_15_7, llr, ScalingSchedule.constant(0.5, 2), sr_iters=2, plain_iters=1,
+                   observer=lambda s, i, p: calls.append((s, i)))
+    oracles.frame_ibdd_sr(pc_15_7, llr, ScalingSchedule.constant(0.5, 2), sr_iters=2,
+                          plain_iters=1, observer=lambda s, i, p: want.append((s, i)))
+    assert calls == want == [("row", 1), ("col", 1), ("row", 2), ("col", 2),
+                             ("row", 1), ("col", 1)]
+
+
+def test_stack_shapes(pc_15_11):
+    """A (B, n, n) stack comes back as a stack, the observer sees the stack,
+    and an array of the wrong size is refused."""
+    _, llr = _channel_stack(pc_15_11, 3.0, 5, seed=4)
+    shapes = []
+    out = ibdd_decode(pc_15_11, harden(llr), observer=lambda s, i, p: shapes.append(p.shape))
+    assert out.shape == (5, 15, 15) and set(shapes) == {(5, 15, 15)}
+    with pytest.raises(ValueError, match="15, 15"):
+        ibdd_decode(pc_15_11, np.zeros((14, 14), dtype=np.uint8))

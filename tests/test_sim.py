@@ -145,8 +145,8 @@ def test_build_engine_sets_up_without_decoding(monkeypatch, scheme, spec):
     assert engine.skip_reason is None
     assert tuple(engine.decoders) == sim.MODES
     monkeypatch.undo()
-    counts = engine.run_frame(0)
-    assert all(len(counts[m]) == engine.units_per_frame for m in sim.MODES)
+    counts = engine.run_frames(range(2))
+    assert all(counts[m].shape == (2, engine.units_per_frame) for m in sim.MODES)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,47 @@ def test_bootstrap_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+# tracemalloc peaks in bytes of one warm run_point, measured with the
+# one-frame-at-a-time engine that batched decoding replaced
+_PEAK_PER_FRAME_ENGINE = {"pc255": 4_026_887, "pc15": 17_615_135}
+_PEAK_POINTS = {
+    # the pc255 benchmark point: 10 frames of (255,231)^2 at 4.5 dB
+    "pc255": (SimConfig(scheme="pc", component=ComponentSpec(8, 3), ebn0_grid=(4.5,),
+                        min_error_events=10**9, max_frames=10, seed=21000), 4.5),
+    # the pc15 benchmark point: (15,11)^2 at 4.0 dB to 100 frame errors per mode
+    "pc15": (SimConfig(scheme="pc", component=TOY, ebn0_grid=(4.0,),
+                       min_error_events=100, seed=11000), 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PEAK_POINTS))
+def test_batched_decoding_memory_bounded(name):
+    """Decoding many frames per call stays within 10 % of the per-frame
+    engine's allocation peak: calls are capped at DECODE_CALL_BITS."""
+    cfg, ebn0_db = _PEAK_POINTS[name]
+    run_point(cfg, ebn0_db)  # fills the code and profile caches
+    tracemalloc.start()
+    try:
+        run_point(cfg, ebn0_db)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * _PEAK_PER_FRAME_ENGINE[name], peak
+
+
+def test_library_writes_nothing_to_stdout(capfd, prof_255_231):
+    """The benchmark reads its result from the last line of standard output,
+    so simulation and threshold search print nothing there."""
+    staircase = SimConfig(scheme="staircase", component=ComponentSpec(5, 2, 1),
+                          ebn0_grid=(4.0,), max_frames=28, window_blocks=4)
+    for cfg in (toy_cfg(max_frames=300), staircase):
+        assert set(run_point(cfg, 4.0)) == set(sim.MODES)
+    rate = 1.0 - 2.0 * 24 / 255
+    de.threshold_search("gldpc", prof_255_231, rate, bracket=(3.5, 4.5))
+    de.threshold_search("sc", prof_255_231, rate, bracket=(3.5, 4.5), window=6)
+    assert capfd.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
