@@ -250,13 +250,16 @@ def build_bch(m: int, t: int, shorten: int = 0) -> BchCode:
 def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Error positions of every row of ``synd`` at once: (flip mask, ok).
 
-    Berlekamp-Massey runs its 2t steps on all rows together (Lin & Costello,
-    ch. 6).  ``c`` is the error locator, ``b`` the locator before the last
-    length change times x^(steps since), ``b_log`` that change's discrepancy
-    as a log.  The Chien search then evaluates the locator at the n in-range
-    positions only, so its roots are the flip mask.  A row is decodable when
-    the LFSR length L is at most t, L roots lie in range, and no locator
-    coefficient lies above degree t.
+    Berlekamp-Massey runs on all rows together (Lin & Costello, ch. 6).  The
+    syndromes of a binary word satisfy S_2i = S_i^2, so the discrepancy of
+    every odd step is zero (Lin & Costello, sec. 6.2): only the t even steps
+    run, each shifting ``b`` by x^2 for itself and the skipped step.  ``c``
+    is the error locator, ``b`` the locator before the last length change
+    times x^(steps since), ``b_log`` that change's discrepancy as a log.  The
+    Chien search then evaluates the locator at the n in-range positions
+    only, so its roots are the flip mask.  A row is decodable when the LFSR
+    length L is at most t, L roots lie in range, and no locator coefficient
+    lies above degree t.
     """
     t, order = code.t, code.field.order
     log, alog = code._log, code._alog
@@ -271,15 +274,15 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     b[:, 1] = 1
     b_log = np.zeros(rows, dtype=np.intp)
     length = np.zeros(rows, dtype=np.intp)
-    for r in range(two_t):
+    for r in range(0, two_t, 2):
         terms = alog[log[c[:, 1:]] + s_rev[:, two_t - r : 2 * two_t - r]]
         d = synd[:, r] ^ np.bitwise_xor.reduce(terms, axis=1)
         d_log = log[d]
         grow = (d != 0) & (2 * length <= r)
         # c - (d / d_b) b; the log of a zero d zeroes every product
         update = alog[(d_log - b_log + order)[:, None] + log[b]]
-        b[:, 1:] = np.where(grow[:, None], c, b)[:, :-1]
-        b[:, 0] = 0
+        b[:, 2:] = np.where(grow[:, None], c, b)[:, :-2]
+        b[:, :2] = 0
         c ^= update
         b_log = np.where(grow, d_log, b_log)
         length = np.where(grow, r + 1 - length, length)

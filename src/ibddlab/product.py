@@ -5,9 +5,10 @@ k-by-k array, every row is encoded, then every column of the intermediate
 array.  Decoding is one loop over a (B, n, n) stack of frames: bounded-
 distance decoding (BDD) of all rows, then of all columns, until each frame is
 a product codeword or the iterations run out.  Row and column syndromes are
-kept up to date from the bits that change, so only lines with a nonzero
-syndrome are decoded.  The three decoders differ only in the verdict rule
-that makes a component word the next binary message (``component_step``):
+kept up to date from the bits that change (``xor_flips``), so only lines with
+a nonzero syndrome are decoded.  The three decoders differ only in the
+verdict rule that makes a component word the next binary message
+(``line_flips``, which the staircase window decoder shares):
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode, bdd_decode_matrix, bdd_decode_syndromes, ideal_decode_matrix
+from .bch import BchCode, bdd_decode_syndromes, ideal_decode_matrix
 from .channel import harden
 
 
@@ -118,59 +119,42 @@ class ScalingSchedule:
     def constant(cls, w: float, iterations: int) -> "ScalingSchedule":
         return cls(np.full(iterations, float(w)), np.full(iterations, float(w)))
 
-    @classmethod
-    def from_gldpc_result(cls, result) -> "ScalingSchedule":
-        """Adopt the weight trajectory of a GLDPC recursion run."""
-        return cls(result.w_row, result.w_col)
 
+def line_flips(comp, words, synd, act, weight=None, llr=None, genie=None):
+    """The verdict rule on lines ``words[f, i]`` of items ``act``, whose
+    syndromes are ``synd[f, i]``: the (f, i, j) of every bit it flips.
 
-def component_step(comp: BchCode, words, weight=None, llr=None, genie=None) -> np.ndarray:
-    """The next binary message for each row of ``words``.
-
-    The genie's verdict when ``genie`` (the transmitted rows) is given, else
-    the BDD verdict weighed against ``llr`` by ``combine_decision`` when a
-    ``weight`` is given, else the BDD word itself.
+    The genie's verdict when ``genie`` (indexed like ``words``) is given, else
+    the BDD verdict weighed against ``llr`` by ``combine_decision`` when
+    ``llr`` is given, else the BDD word.  Only lines with a nonzero syndrome
+    reach BDD or the genie: a clean line is its own BDD word, and the genie
+    never moves a codeword, since its transmitted lines are codewords too.
     """
-    if genie is not None:
-        return ideal_decode_matrix(comp, words, genie)[1]
-    ternary, decoded, _ = bdd_decode_matrix(comp, words)
-    if weight is None:
-        return decoded
-    return combine_decision(ternary, weight, llr)
-
-
-def _half(comp, words, llr, genie, s_this, s_other, act, weight):
-    """One half-iteration over the lines (rows of ``words``, the stack or its
-    transposed view, with ``llr`` and ``genie`` alike) of frames ``act``.
-
-    Only lines whose syndrome in ``s_this`` is nonzero reach BDD or the genie:
-    a clean line is its own BDD word, and the genie, whose transmitted lines
-    are codewords, never moves it.  Each changed bit is written back and
-    XORed into ``s_this`` and the other orientation's ``s_other``.
-    """
-    f, i = np.nonzero(s_this[act].any(axis=2))
+    f, i = np.nonzero(synd[act].any(axis=2))
     if llr is None:  # ibdd or genie: the verdict is the next message
         if not len(f):
-            return
+            return f, i, i
         f = act[f]
         old = words[f, i]
         if genie is None:
-            new = bdd_decode_syndromes(comp, old, s_this[f, i])[1]
+            new = bdd_decode_syndromes(comp, old, synd[f, i])[1]
         else:
             new = ideal_decode_matrix(comp, old, genie[f, i])[1]
         k, j = np.nonzero(new != old)
-        f, i = f[k], i[k]
-    else:  # scaled reliability: every line, clean ones with ternary 1 - 2*bit
-        old = words[act]
-        ternary = 1 - 2 * old.view(np.int8)
-        if len(f):
-            ternary[f, i] = bdd_decode_syndromes(comp, old[f, i], s_this[act[f], i])[0]
-        f, i, j = np.nonzero(combine_decision(ternary, weight, llr[act]) != old)
-        f = act[f]
-    words[f, i, j] ^= 1
-    pow_t = comp._synd_pow.T
-    np.bitwise_xor.at(s_this, (f, i), pow_t[j])
-    np.bitwise_xor.at(s_other, (f, j), pow_t[i])
+        return f[k], i[k], j
+    # scaled reliability: every line, clean ones with ternary 1 - 2*bit
+    old = words[act]
+    ternary = 1 - 2 * old.view(np.int8)
+    if len(f):
+        ternary[f, i] = bdd_decode_syndromes(comp, old[f, i], synd[act[f], i])[0]
+    f, i, j = np.nonzero(combine_decision(ternary, weight, llr[act]) != old)
+    return act[f], i, j
+
+
+def xor_flips(comp, synd, line, pos):
+    """Keep syndromes exact: XOR bit ``pos[k]``'s column of the parity check
+    into ``synd[line][k]`` for every flipped bit k (repeated lines allowed)."""
+    np.bitwise_xor.at(synd, line, comp._synd_pow.T[pos])
 
 
 def _decode(code, hard, observer, *runs):
@@ -198,8 +182,12 @@ def _decode(code, hard, observer, *runs):
             if not len(act):
                 break
             for axis, stage in enumerate(("row", "col")):
+                words, line_llr, line_genie = oriented[axis]
                 weight = None if weights is None else weights[axis][ell]
-                _half(comp, *oriented[axis], synd[axis], synd[1 - axis], act, weight)
+                f, i, j = line_flips(comp, words, synd[axis], act, weight, line_llr, line_genie)
+                words[f, i, j] ^= 1
+                xor_flips(comp, synd[axis], (f, i), j)
+                xor_flips(comp, synd[1 - axis], (f, j), i)
                 if observer is not None:
                     observer(stage, ell + 1, psi[0] if single else psi)
     return psi[0] if single else psi

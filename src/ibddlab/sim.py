@@ -14,7 +14,7 @@ interval and BER a per-unit bootstrap interval.  A staircase stream carries
 first and last window_blocks-1 blocks (warm-up and flush) are not counted.
 The engine decodes a batch of frames in calls of at most ``DECODE_CALL_BITS``
 transmitted bits: a product mode decodes a call's frames as one (B, n, n)
-stack, a staircase mode its streams one after another.
+stack, a staircase mode its streams as one (S, N, h, h) stack.
 
 Stopping is frame-error driven: a point runs until every active mode has
 accumulated ``min_error_events`` unit errors, or the budget of
@@ -274,7 +274,7 @@ def _product(cfg: SimConfig) -> _Scheme:
                 f"recursion not improving at {ebn0_db} dB "
                 f"(rate {code.rate:.4f}): no weight schedule"
             )
-        return ScalingSchedule.from_gldpc_result(res)
+        return ScalingSchedule(res.w_row, res.w_col)
 
     def decoders(weights):  # one call decodes the whole stack of frames
         out = {
@@ -322,9 +322,8 @@ def _staircase(cfg: SimConfig) -> _Scheme:
         if weights is not None:
             configs["ibdd_sr"] = WindowConfig(cfg.window_blocks, cfg.sr_iters,
                                               cfg.plain_iters, weights)
-        return {  # one window_decode call per stream
-            mode: lambda llr, tx, mode=mode, wc=wc: np.array(
-                [window_decode(code, lf, wc, mode, tf) for lf, tf in zip(llr, tx)])
+        return {  # one call decodes the whole stack of streams
+            mode: lambda llr, tx, mode=mode, wc=wc: window_decode(code, llr, wc, mode, tx)
             for mode, wc in configs.items()
         }
 

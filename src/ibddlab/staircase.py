@@ -11,6 +11,14 @@ pair joining the window to the last emitted block (whose bits are frozen)
 plus every pair of consecutive in-window blocks -- oldest to newest, then
 emits the oldest block as final and advances by one block.
 
+``window_decode`` decodes one stream or a stack of streams.  Every bit lies
+in two component words: bit (r, c) of block i >= 1 is position h+c of row r
+of pair i-1 and position r of row c of pair i.  The pairs' syndromes are
+computed once and kept exact by XORing each flipped bit into both its lines,
+so only rows with a nonzero syndrome reach BDD or the genie.  A round decodes
+each pair of every active stream in one call; a stream whose window pairs are
+all codewords at the top of a round is done for that window position.
+
 Scaled-reliability decoding consumes a per-pair, per-iteration weight
 schedule derived from the coupled-chain recursion in :mod:`ibddlab.de`:
 pair j of a window maps onto constraint slot j of the windowed recursion
@@ -28,7 +36,7 @@ import numpy as np
 from .bch import BchCode
 from .channel import harden
 from .de import SC_SCHEDULE_MAX_SLIDES, ComponentProfile, ScheduleUnavailable, run_sc_window
-from .product import check_weights, component_step
+from .product import check_weights, line_flips, xor_flips
 
 
 @dataclass(frozen=True)
@@ -199,9 +207,25 @@ class WindowConfig:
                 )
 
 
-def _pair(blocks, i):
-    """The component words [B_i^T, B_{i+1}] joining blocks i and i+1, as rows."""
-    return np.ascontiguousarray(np.concatenate([blocks[i].T, blocks[i + 1]], axis=1))
+def _pairs(blocks, first):
+    """The component words [B_i^T, B_{i+1}] of pairs i = 0..N-1, as rows:
+    (S, N, h, 2h) from the stacked blocks B_1..B_N and B_0 = ``first``."""
+    left = np.concatenate([first[:, None], blocks[:, :-1]], axis=1).swapaxes(2, 3)
+    return np.concatenate([left, blocks], axis=3)
+
+
+def _flip(comp, pairs, synd, s, p, r, c):
+    """Flip bit c of row r of pair p in streams s and its copy in pair p-1
+    (a left-half bit, c < h) or pair p+1 (none for block N), and XOR both
+    into their lines' syndromes."""
+    half = pairs.shape[2]
+    left = c < half
+    q = np.where(left, p - 1, p + 1)
+    keep = q < synd.shape[1]
+    copy = (s, q, np.where(left, c, c - half), np.where(left, r + half, r))
+    for *line, pos in ((s, p, r, c), tuple(a[keep] for a in copy)):
+        pairs[(*line, pos)] ^= 1
+        xor_flips(comp, synd, tuple(line), pos)
 
 
 def window_decode(
@@ -210,14 +234,16 @@ def window_decode(
     cfg: WindowConfig,
     mode: str = "ibdd_sr",
     transmitted=None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Sliding-window decode; returns the emitted hard-decision blocks.
 
-    ``llr_blocks`` are the channel LLRs of blocks 1..N (block 0 is the known
-    all-zero terminator).  Modes: "ibdd" (plain), "ibdd_sr" (scaled
-    reliability, requires ``cfg.schedule``), "ideal" (genie-aided; requires
-    the ``transmitted`` blocks).  Emitted blocks are final -- later windows
-    treat them as frozen hard values and never write them back.
+    ``llr_blocks`` are the channel LLRs of blocks 1..N of one stream, (N, h, h),
+    or of a stack of S streams, (S, N, h, h); the result has the shape given.
+    Block 0 is the known all-zero terminator.  Modes: "ibdd" (plain),
+    "ibdd_sr" (scaled reliability, requires ``cfg.schedule``), "ideal"
+    (genie-aided; requires the ``transmitted`` blocks, shaped like the LLRs).
+    Emitted blocks are final -- later windows treat them as frozen hard
+    values and never write them back.
     """
     if mode not in ("ibdd", "ibdd_sr", "ideal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -228,41 +254,45 @@ def window_decode(
 
     comp = code.component
     half = code.block_size
-    llrs = [np.full((half, half), np.inf)]  # terminator: perfectly known zeros
-    llrs += [np.asarray(b, dtype=float) for b in llr_blocks]
-    n_blocks = len(llrs) - 1
-    hard = [np.zeros((half, half), dtype=np.uint8)]
-    hard += [harden(b) for b in llrs[1:]]
-    if transmitted is not None:
-        genie = [np.zeros((half, half), dtype=np.uint8)]
-        genie += [np.asarray(b, dtype=np.uint8) for b in transmitted]
-        if len(genie) != len(hard):
-            raise ValueError("transmitted blocks must align with llr blocks")
+    llr = np.asarray(llr_blocks, dtype=float)
+    if llr.ndim not in (3, 4) or llr.shape[-2:] != (half, half):
+        raise ValueError(f"expected ({half}, {half}) blocks: (N, h, h) or (S, N, h, h)")
+    shape = llr.shape
+    if transmitted is not None and np.shape(transmitted) != shape:
+        raise ValueError("transmitted blocks must align with llr blocks")
+    llr = llr.reshape(-1, *shape[-3:])
+    n_streams, n_blocks = llr.shape[:2]
+    zeros = np.zeros((n_streams, half, half), dtype=np.uint8)
+    pairs = _pairs(harden(llr), zeros)
+    synd = comp.syndromes(pairs)  # (S, N, h, 2t), kept exact from here on
+    llr_pairs = genie = None
+    if mode == "ibdd_sr":  # block 0's LLRs: perfectly known zeros
+        llr_pairs = _pairs(llr, np.full(zeros.shape, np.inf))
+    if mode == "ideal":
+        genie = _pairs(np.asarray(transmitted, dtype=np.uint8).reshape(llr.shape), zeros)
 
     sr_rounds = cfg.sr_iters if mode == "ibdd_sr" else 0
     total_rounds = cfg.sr_iters + cfg.plain_iters
-    emitted: list[np.ndarray] = []
 
     for b in range(1, n_blocks + 1):
-        # pair j joins blocks (b-1+j, b+j); slot 0 joins the frozen block b-1
-        pairs = range(b - 1, b - 1 + min(cfg.window_blocks, n_blocks - b + 1))
-        weights = cfg.schedule.weights_for_slide(b) if mode == "ibdd_sr" else None
-
+        # pair p joins blocks p and p+1; slot 0 (pair b-1) joins the frozen block b-1
+        lo, hi = b - 1, min(b - 1 + cfg.window_blocks, n_blocks)
+        weights = cfg.schedule.weights_for_slide(b) if sr_rounds else None
+        act = np.arange(n_streams)
         for ell in range(total_rounds):
-            if all(np.all(comp.is_codeword(_pair(hard, i))) for i in pairs):
+            # a stream whose window pairs are all codewords is done for the slide
+            act = act[synd[act, lo:hi].any(axis=(1, 2, 3))]
+            if not len(act):
                 break
             scaled = ell < sr_rounds
-            for j, i in enumerate(pairs):
-                new = component_step(
-                    comp,
-                    _pair(hard, i),
-                    weight=weights[j, ell] if scaled else None,
-                    llr=_pair(llrs, i) if scaled else None,
-                    genie=_pair(genie, i) if mode == "ideal" else None,
-                )
-                if j > 0:  # slot 0's left half is the frozen emitted block
-                    hard[i] = np.ascontiguousarray(new[:, :half].T)
-                hard[i + 1] = np.ascontiguousarray(new[:, half:])
-
-        emitted.append(hard[b].copy())
-    return emitted
+            for p in range(lo, hi):
+                s, r, c = line_flips(comp, pairs[:, p], synd[:, p], act,
+                                     weights[p - lo, ell] if scaled else None,
+                                     llr_pairs[:, p] if scaled else None,
+                                     None if genie is None else genie[:, p])
+                if p == lo:  # slot 0's left half is the frozen emitted block
+                    keep = c >= half
+                    s, r, c = s[keep], r[keep], c[keep]
+                _flip(comp, pairs, synd, s, p, r, c)
+    # block b is emitted after slide b: no later flip reaches it
+    return np.ascontiguousarray(pairs[..., half:]).reshape(shape)

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written against the *definition* of the
 quantity under test (nearest-codeword search, exhaustive error-pattern
-enumeration) rather than sharing any code path with the package.  The one
-exception is the per-frame product loop: it is the decoder loop the batched
-decoders replaced, kept as their reference, and it still decodes each
-component matrix through the package's ``component_step``.
+enumeration) rather than sharing any code path with the package.  The
+exceptions are the per-frame product loop and the per-stream staircase
+window loop: they are the decoder loops the stacked decoders replaced, kept
+as their references, and they decode each component matrix through
+``component_step`` with the package's BCH kernels and ``combine_decision``.
 """
 
 import math
@@ -13,8 +14,10 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from ibddlab.bch import BchCode, bdd_decode_matrix, ideal_decode_matrix
 from ibddlab.channel import harden, q_function
-from ibddlab.product import component_step
+from ibddlab.product import combine_decision
+from ibddlab.staircase import StaircaseCode, WindowConfig
 
 
 def codebook(code) -> np.ndarray:
@@ -160,6 +163,21 @@ def bdd_decode_rows(code, words: np.ndarray):
     return ternary, decoded, ok
 
 
+def component_step(comp: BchCode, words, weight=None, llr=None, genie=None) -> np.ndarray:
+    """The next binary message for each row of ``words``.
+
+    The genie's verdict when ``genie`` (the transmitted rows) is given, else
+    the BDD verdict weighed against ``llr`` by ``combine_decision`` when a
+    ``weight`` is given, else the BDD word itself.
+    """
+    if genie is not None:
+        return ideal_decode_matrix(comp, words, genie)[1]
+    ternary, decoded, _ = bdd_decode_matrix(comp, words)
+    if weight is None:
+        return decoded
+    return combine_decision(ternary, weight, llr)
+
+
 # ---------------------------------------------------------------------------
 # per-frame product decoding: the loop the batched decoders replaced
 
@@ -209,6 +227,79 @@ def frame_ideal(code, r, transmitted, iters=12):
     tx = np.asarray(transmitted, dtype=np.uint8)
     genie = (tx, np.ascontiguousarray(tx.T))
     return _frame_iterate(code, np.array(r, dtype=np.uint8, copy=True), iters, genie=genie)
+
+
+# ---------------------------------------------------------------------------
+# per-stream staircase window decoding: the loop the stacked decoder replaced
+
+
+def _pair(blocks, i):
+    """The component words [B_i^T, B_{i+1}] joining blocks i and i+1, as rows."""
+    return np.ascontiguousarray(np.concatenate([blocks[i].T, blocks[i + 1]], axis=1))
+
+
+def window_decode(
+    code: StaircaseCode,
+    llr_blocks,
+    cfg: WindowConfig,
+    mode: str = "ibdd_sr",
+    transmitted=None,
+) -> list[np.ndarray]:
+    """Sliding-window decode; returns the emitted hard-decision blocks.
+
+    ``llr_blocks`` are the channel LLRs of blocks 1..N (block 0 is the known
+    all-zero terminator).  Modes: "ibdd" (plain), "ibdd_sr" (scaled
+    reliability, requires ``cfg.schedule``), "ideal" (genie-aided; requires
+    the ``transmitted`` blocks).  Emitted blocks are final -- later windows
+    treat them as frozen hard values and never write them back.
+    """
+    if mode not in ("ibdd", "ibdd_sr", "ideal"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "ibdd_sr" and cfg.schedule is None:
+        raise ValueError("ibdd_sr needs a weight schedule")
+    if mode == "ideal" and transmitted is None:
+        raise ValueError("ideal mode needs the transmitted blocks")
+
+    comp = code.component
+    half = code.block_size
+    llrs = [np.full((half, half), np.inf)]  # terminator: perfectly known zeros
+    llrs += [np.asarray(b, dtype=float) for b in llr_blocks]
+    n_blocks = len(llrs) - 1
+    hard = [np.zeros((half, half), dtype=np.uint8)]
+    hard += [harden(b) for b in llrs[1:]]
+    if transmitted is not None:
+        genie = [np.zeros((half, half), dtype=np.uint8)]
+        genie += [np.asarray(b, dtype=np.uint8) for b in transmitted]
+        if len(genie) != len(hard):
+            raise ValueError("transmitted blocks must align with llr blocks")
+
+    sr_rounds = cfg.sr_iters if mode == "ibdd_sr" else 0
+    total_rounds = cfg.sr_iters + cfg.plain_iters
+    emitted: list[np.ndarray] = []
+
+    for b in range(1, n_blocks + 1):
+        # pair j joins blocks (b-1+j, b+j); slot 0 joins the frozen block b-1
+        pairs = range(b - 1, b - 1 + min(cfg.window_blocks, n_blocks - b + 1))
+        weights = cfg.schedule.weights_for_slide(b) if mode == "ibdd_sr" else None
+
+        for ell in range(total_rounds):
+            if all(np.all(comp.is_codeword(_pair(hard, i))) for i in pairs):
+                break
+            scaled = ell < sr_rounds
+            for j, i in enumerate(pairs):
+                new = component_step(
+                    comp,
+                    _pair(hard, i),
+                    weight=weights[j, ell] if scaled else None,
+                    llr=_pair(llrs, i) if scaled else None,
+                    genie=_pair(genie, i) if mode == "ideal" else None,
+                )
+                if j > 0:  # slot 0's left half is the frozen emitted block
+                    hard[i] = np.ascontiguousarray(new[:, :half].T)
+                hard[i + 1] = np.ascontiguousarray(new[:, half:])
+
+        emitted.append(hard[b].copy())
+    return emitted
 
 
 def all_words(n: int) -> np.ndarray:

@@ -220,8 +220,9 @@ def test_bootstrap_memory_bounded():
 
 
 # tracemalloc peaks in bytes of one warm run_point, measured with the
-# one-frame-at-a-time engine that batched decoding replaced
-_PEAK_PER_FRAME_ENGINE = {"pc255": 4_026_887, "pc15": 17_615_135}
+# engines that stacked decoding replaced: one product frame, or one staircase
+# stream, per decoder call
+_PEAK_PER_FRAME_ENGINE = {"pc255": 4_026_887, "pc15": 17_615_135, "sc30": 1_374_427}
 _PEAK_POINTS = {
     # the pc255 benchmark point: 10 frames of (255,231)^2 at 4.5 dB
     "pc255": (SimConfig(scheme="pc", component=ComponentSpec(8, 3), ebn0_grid=(4.5,),
@@ -229,13 +230,17 @@ _PEAK_POINTS = {
     # the pc15 benchmark point: (15,11)^2 at 4.0 dB to 100 frame errors per mode
     "pc15": (SimConfig(scheme="pc", component=TOY, ebn0_grid=(4.0,),
                        min_error_events=100, seed=11000), 4.0),
+    # the sc30 benchmark point: 6 streams (84 counted blocks) of (30,20), W=4, at 4.0 dB
+    "sc30": (SimConfig(scheme="staircase", component=ComponentSpec(5, 2, 1),
+                       ebn0_grid=(4.0,), min_error_events=10**9, max_frames=84,
+                       seed=12000, window_blocks=4), 4.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PEAK_POINTS))
 def test_batched_decoding_memory_bounded(name):
-    """Decoding many frames per call stays within 10 % of the per-frame
-    engine's allocation peak: calls are capped at DECODE_CALL_BITS."""
+    """Decoding many frames or streams per call stays within 10 % of the
+    one-per-call engine's allocation peak: calls are capped at DECODE_CALL_BITS."""
     cfg, ebn0_db = _PEAK_POINTS[name]
     run_point(cfg, ebn0_db)  # fills the code and profile caches
     tracemalloc.start()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from ibddlab.bch import build_bch
+import oracles
+from ibddlab import product, staircase
+from ibddlab.bch import bdd_decode_syndromes, build_bch
 from ibddlab.channel import harden, make_params, transmit
 from ibddlab.staircase import (
     ScheduleUnavailable,
@@ -310,3 +312,52 @@ def test_window_decode_rejects_nan_llrs(sc_30_20, toy_schedule):
     for mode in ("ibdd", "ibdd_sr"):
         with pytest.raises(ValueError, match="NaN"):
             window_decode(sc_30_20, llrs, _default_cfg(toy_schedule), mode=mode)
+
+
+@pytest.mark.parametrize("random_info", [False, True])
+@pytest.mark.parametrize("window", [2, 4, 7])
+def test_stack_matches_stream_oracle(sc_30_20, prof_30_20, rng, monkeypatch, window, random_info):
+    """A stack of streams decodes each stream bit for bit as the per-stream
+    loop does, in every mode, while its streams leave a slide's round loop
+    at different rounds."""
+    sched = schedule_for_window(prof_30_20, 4.0, sc_30_20.rate, window, sr_iters=10)
+    cfg = _default_cfg(sched, window_blocks=window)
+    snrs = np.linspace(4.0, 5.5, 6)  # from rarely to mostly converging windows
+    if random_info:
+        streams = [_noisy_stream(sc_30_20, rng, 10, e) for e in snrs]
+    else:
+        zero = np.zeros((15, 15), dtype=np.uint8)
+        streams = [([zero] * 11, [transmit(zero, make_params(e, sc_30_20.rate), rng)
+                                  for _ in range(10)]) for e in snrs]
+    tx = np.array([blocks[1:] for blocks, _ in streams])
+    llr = np.array([llrs for _, llrs in streams])
+    for mode in ("ibdd", "ibdd_sr", "ideal"):
+        active = []
+
+        def spy(comp, words, synd, act, *args):
+            active.append(len(act))
+            return product.line_flips(comp, words, synd, act, *args)
+
+        monkeypatch.setattr(staircase, "line_flips", spy)
+        got = window_decode(sc_30_20, llr, cfg, mode=mode, transmitted=tx)
+        monkeypatch.undo()
+        want = [oracles.window_decode(sc_30_20, lf, cfg, mode, tf) for lf, tf in zip(llr, tx)]
+        np.testing.assert_array_equal(got, np.array(want))
+        assert any(0 < n < len(llr) for n in active)  # streams finish a slide apart
+
+
+def test_kept_pair_syndromes_are_exact(sc_30_20, toy_schedule, rng, monkeypatch):
+    """Every row that reaches BDD carries the syndromes of its current bits."""
+    rows = []
+
+    def checked(code, words, synd):
+        np.testing.assert_array_equal(synd, code.syndromes(words))
+        rows.append(len(words))
+        return bdd_decode_syndromes(code, words, synd)
+
+    monkeypatch.setattr(product, "bdd_decode_syndromes", checked)
+    llr = np.array([_noisy_stream(sc_30_20, rng, 12, 4.0)[1] for _ in range(4)])
+    for mode in ("ibdd", "ibdd_sr"):
+        rows.clear()
+        window_decode(sc_30_20, llr, _default_cfg(toy_schedule), mode=mode)
+        assert sum(rows) > 100
