@@ -1,12 +1,15 @@
 """Binary BCH component codes over GF(2^m) with bounded-distance decoding.
 
 Narrow-sense primitive BCH codes of length 2^m - 1, optionally shortened by
-removing leading information positions.  Decoding is syndrome-based
-(Berlekamp-Massey plus Chien search) and has exactly three outcomes: the
-decoder returns the unique codeword within Hamming distance t of the input
-when one exists (which may be a miscorrection), and reports a failure
-otherwise.  The decoders take a bit matrix and decode all of its rows in one
-array computation; ``bdd_decode_syndromes`` takes the rows' syndromes in.
+removing leading information positions.  Decoding is syndrome-based:
+Berlekamp-Massey gives the error locator, whose roots come from 2^m-entry
+tables when t <= 3 (closed forms after Chen, IEEE T-IT 1982, and Okano &
+Imai, IEEE T-C 1987) and from a Chien search when t >= 4.  It has exactly
+three outcomes: the decoder returns the unique codeword within Hamming
+distance t of the input when one exists (which may be a miscorrection), and
+reports a failure otherwise.  The decoders take a bit matrix and decode all
+of its rows in one array computation; ``bdd_decode_syndromes`` takes the
+rows' syndromes in.
 """
 
 import math
@@ -202,16 +205,27 @@ class BchCode:
         # and the Chien search evaluates locator degree d at alpha^(-d*(n-1-p))
         exps = np.arange(n - 1, -1, -1, dtype=np.int64)
         self._synd_pow = alog[(np.arange(1, 2 * t + 1)[:, None] * exps) % order]
-        self._chien = (-np.arange(1, t + 1)[:, None] * exps) % order
         # Zero-safe tables for the array decoder: the log of 0 is a sentinel
         # whose sum with any log indexes a 0 in the antilog table, so products
         # need no zero masks.  Genuine logs, one of them offset by up to one
-        # ``order``, sum to less than the sentinel.
+        # ``order``, sum to less than the sentinel.  ``_log[-1]`` is the
+        # sentinel too, so the -1 that pads the root tables multiplies to 0.
         zero_log = 3 * order
-        self._log = self.field.log_table.astype(np.intp)
+        self._log = np.append(self.field.log_table, zero_log).astype(np.intp)
         self._log[0] = zero_log
         self._alog = np.zeros(2 * zero_log + order + 1, dtype=np.intp)
         self._alog[:zero_log] = np.resize(alog, zero_log)
+        self._square = _field_power(self.field, 2)
+        if t > 3:
+            self._chien = (-np.arange(1, t + 1)[:, None] * exps) % order
+        elif t == 2:
+            self._quad_roots = _quadratic_roots(self.field)
+        elif t == 3:
+            self._cubic_roots = _cubic_roots(self.field)
+            # log sqrt(a) and log sqrt(a)^-3 for a != 0; both 0 at a = 0
+            self._half_log = self._log[_field_power(self.field, (order + 1) // 2)]
+            self._half_log[0] = 0
+            self._cubic_key_log = -3 * self._half_log % order
 
     # -- public interface ----------------------------------------------------
 
@@ -224,10 +238,18 @@ class BchCode:
         return np.concatenate([info, parity.astype(np.uint8)], axis=-1)
 
     def syndromes(self, words: np.ndarray) -> np.ndarray:
-        """Syndromes S_1..S_2t for each row; all zero iff the row is a codeword."""
+        """Syndromes S_1..S_2t for each row; all zero iff the row is a codeword.
+
+        Only the odd ones are summed: a binary word has S_2i = S_i^2.
+        """
         words = np.asarray(words, dtype=np.uint8)
-        contrib = np.where(words[..., None, :] != 0, self._synd_pow, 0)
-        return np.bitwise_xor.reduce(contrib, axis=-1)
+        contrib = np.where(words[..., None, :] != 0, self._synd_pow[::2], 0)
+        odd = np.bitwise_xor.reduce(contrib, axis=-1)
+        synd = np.empty(odd.shape[:-1] + (2 * self.t,), dtype=odd.dtype)
+        synd[..., ::2] = odd
+        for i in range(1, self.t + 1):
+            synd[..., 2 * i - 1] = self._square[synd[..., i - 1]]
+        return synd
 
     def is_codeword(self, words: np.ndarray) -> np.ndarray | bool:
         return ~self.syndromes(words).any(axis=-1)
@@ -243,6 +265,38 @@ def build_bch(m: int, t: int, shorten: int = 0) -> BchCode:
     return BchCode(GaloisField(m), t, shorten)
 
 
+def _field_power(field: GaloisField, e: int) -> np.ndarray:
+    """x^e for every field element x, indexed by x (e >= 1)."""
+    out = field.antilog_table[e * field.log_table.astype(np.int64) % field.order]
+    out[0] = 0
+    return out
+
+
+def _root_table(keys: np.ndarray, elems: np.ndarray, width: int) -> np.ndarray:
+    """Row k lists, in increasing order, the ``elems[i]`` with ``keys[i] == k``
+    (at most ``width`` of them); -1 pads the rest."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    rank = np.arange(len(keys)) - np.searchsorted(keys, keys)
+    table = np.full((len(keys), width), -1, dtype=np.intp)
+    table[keys, rank] = elems[order]
+    return table
+
+
+def _quadratic_roots(field: GaloisField) -> np.ndarray:
+    """Row k lists the roots y of y^2 + y = k; -1 pads."""
+    x = np.arange(field.order + 1)
+    return _root_table(_field_power(field, 2) ^ x, x, 2)
+
+
+def _cubic_roots(field: GaloisField) -> np.ndarray:
+    """Row k lists the roots w of w^3 + w = k, and row 2^m + k those of
+    w^3 = k; -1 pads."""
+    x = np.arange(field.order + 1)
+    cube = _field_power(field, 3)
+    return _root_table(np.concatenate([cube ^ x, cube + len(x)]), np.tile(x, 2), 3)
+
+
 # ---------------------------------------------------------------------------
 # bounded-distance decoding
 
@@ -255,41 +309,88 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     every odd step is zero (Lin & Costello, sec. 6.2): only the t even steps
     run, each shifting ``b`` by x^2 for itself and the skipped step.  ``c``
     is the error locator, ``b`` the locator before the last length change
-    times x^(steps since), ``b_log`` that change's discrepancy as a log.  The
-    Chien search then evaluates the locator at the n in-range positions
-    only, so its roots are the flip mask.  A row is decodable when the LFSR
-    length L is at most t, L roots lie in range, and no locator coefficient
-    lies above degree t.
+    times x^(steps since), ``b_log`` that change's discrepancy as a log.
+    Step 0 always leaves c = 1 + S_1 x, so it is taken in closed form, and
+    t = 1 runs no loop.
+
+    For t <= 3 the roots come from closed forms, one per t, read from
+    2^m-entry tables (``_root_exponents``; Chen, "Formulas for the solutions
+    of quadratic equations over GF(2^m)", IEEE T-IT 1982; Okano & Imai, "A
+    construction method of high-speed decoders using ROM's for BCH and RS
+    codes", IEEE T-C 1987).  For t >= 4 the Chien search evaluates the
+    locator at the n in-range positions.  A row is decodable when the LFSR
+    length L is at most t, L distinct roots lie in range, and no locator
+    coefficient lies above degree t.
     """
-    t, order = code.t, code.field.order
+    t, n, order = code.t, code.n, code.field.order
     log, alog = code._log, code._alog
     rows, two_t = synd.shape
-    # syndrome logs reversed, then 2t zero logs: step r reads the logs of
-    # synd[:, r - j] for j = 1..2t (zero where r - j < 0) as one slice
-    s_rev = np.full((rows, 2 * two_t), log[0])
-    s_rev[:, :two_t] = log[synd[:, ::-1]]
     c = np.zeros((rows, two_t + 1), dtype=np.intp)
     c[:, 0] = 1
-    b = np.zeros_like(c)
-    b[:, 1] = 1
-    b_log = np.zeros(rows, dtype=np.intp)
-    length = np.zeros(rows, dtype=np.intp)
-    for r in range(0, two_t, 2):
-        terms = alog[log[c[:, 1:]] + s_rev[:, two_t - r : 2 * two_t - r]]
-        d = synd[:, r] ^ np.bitwise_xor.reduce(terms, axis=1)
-        d_log = log[d]
-        grow = (d != 0) & (2 * length <= r)
-        # c - (d / d_b) b; the log of a zero d zeroes every product
-        update = alog[(d_log - b_log + order)[:, None] + log[b]]
-        b[:, 2:] = np.where(grow[:, None], c, b)[:, :-2]
-        b[:, :2] = 0
-        c ^= update
-        b_log = np.where(grow, d_log, b_log)
-        length = np.where(grow, r + 1 - length, length)
-    values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
-    roots = values == 1  # the locator, 1 + sum of these terms, vanishes
-    ok = (length <= t) & (roots.sum(axis=1) == length) & ~c[:, t + 1 :].any(axis=1)
+    c[:, 1] = synd[:, 0]
+    length = (synd[:, 0] != 0).astype(np.intp)
+    if t > 1:
+        # syndrome logs reversed, then 2t zero logs: step r reads the logs of
+        # synd[:, r - j] for j = 1..2t (zero where r - j < 0) as one slice
+        s_rev = np.full((rows, 2 * two_t), log[0])
+        s_rev[:, :two_t] = log[synd[:, ::-1]]
+        # step 0 left b = x^2 after a length change to 1, else b = x^3
+        b = np.zeros_like(c)
+        b[:, 2] = length
+        b[:, 3] = 1 - length
+        b_log = np.where(length, log[synd[:, 0]], 0)
+        for r in range(2, two_t, 2):
+            terms = alog[log[c[:, 1:]] + s_rev[:, two_t - r : 2 * two_t - r]]
+            d = synd[:, r] ^ np.bitwise_xor.reduce(terms, axis=1)
+            d_log = log[d]
+            grow = (d != 0) & (2 * length <= r)
+            # c - (d / d_b) b; the log of a zero d zeroes every product
+            update = alog[(d_log - b_log + order)[:, None] + log[b]]
+            b[:, 2:] = np.where(grow[:, None], c, b)[:, :-2]
+            b[:, :2] = 0
+            c ^= update
+            b_log = np.where(grow, d_log, b_log)
+            length = np.where(grow, r + 1 - length, length)
+    if t > 3:
+        values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
+        roots = values == 1  # the locator, 1 + sum of these terms, vanishes
+        count = roots.sum(axis=1)
+    else:
+        exps = _root_exponents(code, c)
+        found = exps < n
+        count = found.sum(axis=1)
+        roots = np.zeros((rows, n + 1), dtype=bool)  # column n takes the misses
+        roots[np.arange(rows)[:, None], np.where(found, n - 1 - exps, n)] = True
+        roots = roots[:, :n]
+    ok = (length <= t) & (count == length) & ~c[:, t + 1 :].any(axis=1)
     return roots & ok[:, None], ok
+
+
+def _root_exponents(code: BchCode, c: np.ndarray) -> np.ndarray:
+    """The exponents e of the distinct roots alpha^e of the reversed locator
+    z^t c(1/z), t <= 3, one column per root; a missing root, or the root
+    z = 0, reads the log of zero, which is at least n."""
+    log, alog = code._log, code._alog
+    c1 = c[:, 1]
+    if code.t == 1:  # z + c1
+        return log[c1][:, None]
+    lc1 = log[c1]
+    if code.t == 2:
+        # z = c1 y turns z^2 + c1 z + c2 into y^2 + y = c2 / c1^2.  Here
+        # c1 = S_1, and a row with S_1 = 0 has L = 0 or L = 3 > t: no root is
+        # needed, z = c1 y = 0 gives none, and c1's log is clamped only to
+        # keep the key in range.
+        order = code.field.order
+        key = alog[log[c[:, 2]] + 2 * (order - np.minimum(lc1, order))]
+        return log[alog[lc1[:, None] + log[code._quad_roots[key]]]]
+    # z = u + c1 turns z^3 + c1 z^2 + c2 z + c3 into u^3 + a u + b, and then
+    # u = sqrt(a) w into w^3 + w = b / sqrt(a)^3 when a != 0, else w^3 = b
+    a = code._square[c1] ^ c[:, 2]
+    b = alog[lc1 + log[c[:, 2]]] ^ c[:, 3]
+    key = alog[log[b] + code._cubic_key_log[a]] + ((a == 0) << code.field.m)
+    w = code._cubic_roots[key]
+    u = alog[code._half_log[a][:, None] + log[w]]
+    return np.where(w < 0, log[0], log[u ^ c1[:, None]])
 
 
 def bdd_decode_matrix(

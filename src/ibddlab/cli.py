@@ -5,12 +5,12 @@ Every run writes a manifest JSON (command line, full configuration, seed,
 timestamps, output paths) and each output file points back at it, so any
 result can be regenerated from the manifest alone.  ``de-threshold --out``
 and ``de-schedule --out`` write the fields of the DE result dataclass
-(``GldpcDeResult`` or ``ScDeResult``); ``sim`` writes ``<out>.csv`` and the
-results JSON ``<out>.json``, which ``plotdata`` reads back.
+(``GldpcDeResult`` or ``ScDeResult``); ``sim`` writes the results JSON
+``<out>.json``, which ``plotdata`` reads back.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (threshold bracket
 not found), 3 a ``sim`` grid point failed (the finished points are still
-written to the CSV, results JSON and manifest; the failed E_b/N_0 and the
+written to the results JSON and manifest; the failed E_b/N_0 and the
 error go to stderr on one line).
 """
 
@@ -37,11 +37,9 @@ from .de import (
     threshold_search,
 )
 from .sim import (
-    CSV_COLUMNS,
     BerPoint,
     ComponentSpec,
     SimConfig,
-    csv_row,
     interpolate_ebn0_at_ber,
     paired_gain_estimate,
     results_json,
@@ -236,43 +234,37 @@ def _cmd_sim(args, argv) -> int:
         print(f"ibddlab sim: error: {exc}", file=sys.stderr)
         return 1
     out = args.out
-    csv_path, json_path = out + ".csv", out + ".json"
-    manifest_path = out + ".manifest.json"
+    json_path, manifest_path = out + ".json", out + ".manifest.json"
     rows = []
     done = 0  # grid points finished; run_curve visits the grid in order
     failure = None
     t0 = time.perf_counter()
-    with open(csv_path, "w") as fh:
-        fh.write(f"# manifest: {manifest_path}\n")
-        fh.write(CSV_COLUMNS + "\n")
-        try:
-            for ebn0, points in run_curve(cfg):
-                for mode in cfg.modes:
-                    pt = points.get(mode)
-                    if pt is None:
-                        continue
-                    rows.append(pt)
-                    fh.write(csv_row(pt) + "\n")
-                    fh.flush()
-                    if isinstance(pt, BerPoint):
-                        print(
-                            f"{ebn0:6.2f} dB {mode:8s} ber={pt.ber:.3e} "
-                            f"fer={pt.fer:.3e} ({pt.frames} frames, "
-                            f"{pt.frame_errors} errors)"
-                        )
-                    else:
-                        print(f"{ebn0:6.2f} dB {mode:8s} skipped: {pt.reason}")
-                done += 1
-        except Exception as exc:  # keep the finished points usable
-            failure = f"{cfg.ebn0_grid[done]} dB: {type(exc).__name__}: {exc}"
+    try:
+        for ebn0, points in run_curve(cfg):
+            for mode in cfg.modes:
+                pt = points.get(mode)
+                if pt is None:
+                    continue
+                rows.append(pt)
+                if isinstance(pt, BerPoint):
+                    print(
+                        f"{ebn0:6.2f} dB {mode:8s} ber={pt.ber:.3e} "
+                        f"fer={pt.fer:.3e} ({pt.frames} frames, "
+                        f"{pt.frame_errors} errors)"
+                    )
+                else:
+                    print(f"{ebn0:6.2f} dB {mode:8s} skipped: {pt.reason}")
+            done += 1
+    except Exception as exc:  # keep the finished points usable
+        failure = f"{cfg.ebn0_grid[done]} dB: {type(exc).__name__}: {exc}"
     _write_json(json_path, results_json(cfg, rows, manifest=manifest_path))
     _write_manifest(manifest_path, "sim", argv, asdict(cfg), cfg.seed,
-                    [csv_path, json_path], started)
+                    [json_path], started)
     if failure is not None:
         print(f"ibddlab sim: point failed at {failure}".replace("\n", " "),
               file=sys.stderr)
         return 3
-    print(f"wrote {csv_path}, {json_path} in {time.perf_counter()-t0:.1f}s")
+    print(f"wrote {json_path} in {time.perf_counter()-t0:.1f}s")
     return 0
 
 
@@ -404,7 +396,7 @@ def _build_parser() -> _Parser:
                    default=argparse.SUPPRESS,
                    help="constant combining weight instead of derived schedule")
     p.add_argument("--out", required=True,
-                   help="output prefix: <out>.csv/.json/.manifest.json")
+                   help="output prefix: <out>.json/.manifest.json")
 
     p = sub.add_parser("plotdata",
                        help="emit gnuplot-ready columns from a sim results JSON")

@@ -547,27 +547,6 @@ def paired_gain_estimate(points_a, points_b, target_ber: float) -> float | None:
 # ---------------------------------------------------------------------------
 # result serialization
 
-CSV_COLUMNS = (
-    "scheme,component,mode,ebn0_db,frames,frame_errors,bits,bit_errors,"
-    "ber,fer,ci_lo,ci_hi,seed,wall_s"
-)
-
-
-def csv_row(pt) -> str:
-    if isinstance(pt, SkippedPoint):
-        return (
-            f"{pt.scheme},{pt.component},{pt.mode},{pt.ebn0_db:g},"
-            f"0,0,0,0,nan,nan,nan,nan,{pt.seed},0.000"
-        )
-    return (
-        f"{pt.scheme},{pt.component},{pt.mode},{pt.ebn0_db:g},"
-        f"{pt.frames},{pt.frame_errors},{pt.bits_simulated},{pt.bit_errors},"
-        f"{pt.ber:.10e},{pt.fer:.10e},"
-        f"{pt.ber_ci95[0]:.10e},{pt.ber_ci95[1]:.10e},"
-        f"{pt.seed},{pt.wall_seconds:.3f}"
-    )
-
-
 def point_dict(pt) -> dict:
     if isinstance(pt, SkippedPoint):
         return {**asdict(pt), "skipped": True}

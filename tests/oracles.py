@@ -7,6 +7,8 @@ exceptions are the per-frame product loop and the per-stream staircase
 window loop: they are the decoder loops the stacked decoders replaced, kept
 as their references, and they decode each component matrix through
 ``component_step`` with the package's BCH kernels and ``combine_decision``.
+Likewise ``locate_errors_chien`` is the array error locator that the
+table-root kernel replaced, and reads the code's log tables.
 """
 
 import math
@@ -161,6 +163,58 @@ def bdd_decode_rows(code, words: np.ndarray):
             decoded[r, pos] ^= 1
     ternary = np.where(ok[:, None], 1 - 2 * decoded.astype(np.int8), 0).astype(np.int8)
     return ternary, decoded, ok
+
+
+def locate_errors_chien(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error positions of every row of ``synd`` at once: (flip mask, ok).
+
+    The array kernel ``bch._locate_errors`` replaced for t <= 3, kept as its
+    reference: Berlekamp-Massey from step 0, then a Chien search over the n
+    in-range positions for every t.  It computes its own Chien exponents and
+    otherwise reads only the code's zero-safe log tables.
+
+    Berlekamp-Massey runs on all rows together (Lin & Costello, ch. 6).  The
+    syndromes of a binary word satisfy S_2i = S_i^2, so the discrepancy of
+    every odd step is zero (Lin & Costello, sec. 6.2): only the t even steps
+    run, each shifting ``b`` by x^2 for itself and the skipped step.  ``c``
+    is the error locator, ``b`` the locator before the last length change
+    times x^(steps since), ``b_log`` that change's discrepancy as a log.  The
+    Chien search then evaluates the locator at the n in-range positions
+    only, so its roots are the flip mask.  A row is decodable when the LFSR
+    length L is at most t, L roots lie in range, and no locator coefficient
+    lies above degree t.
+    """
+    t, order = code.t, code.field.order
+    log, alog = code._log, code._alog
+    # locator degree d at position p is evaluated at alpha^(-d*(n-1-p))
+    chien = (-np.arange(1, t + 1)[:, None] * np.arange(code.n - 1, -1, -1)) % order
+    rows, two_t = synd.shape
+    # syndrome logs reversed, then 2t zero logs: step r reads the logs of
+    # synd[:, r - j] for j = 1..2t (zero where r - j < 0) as one slice
+    s_rev = np.full((rows, 2 * two_t), log[0])
+    s_rev[:, :two_t] = log[synd[:, ::-1]]
+    c = np.zeros((rows, two_t + 1), dtype=np.intp)
+    c[:, 0] = 1
+    b = np.zeros_like(c)
+    b[:, 1] = 1
+    b_log = np.zeros(rows, dtype=np.intp)
+    length = np.zeros(rows, dtype=np.intp)
+    for r in range(0, two_t, 2):
+        terms = alog[log[c[:, 1:]] + s_rev[:, two_t - r : 2 * two_t - r]]
+        d = synd[:, r] ^ np.bitwise_xor.reduce(terms, axis=1)
+        d_log = log[d]
+        grow = (d != 0) & (2 * length <= r)
+        # c - (d / d_b) b; the log of a zero d zeroes every product
+        update = alog[(d_log - b_log + order)[:, None] + log[b]]
+        b[:, 2:] = np.where(grow[:, None], c, b)[:, :-2]
+        b[:, :2] = 0
+        c ^= update
+        b_log = np.where(grow, d_log, b_log)
+        length = np.where(grow, r + 1 - length, length)
+    values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + chien], axis=1)
+    roots = values == 1  # the locator, 1 + sum of these terms, vanishes
+    ok = (length <= t) & (roots.sum(axis=1) == length) & ~c[:, t + 1 :].any(axis=1)
+    return roots & ok[:, None], ok
 
 
 def component_step(comp: BchCode, words, weight=None, llr=None, genie=None) -> np.ndarray:

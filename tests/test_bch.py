@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ibddlab import bch
 from ibddlab.bch import (
     DEFAULT_PRIMITIVE_POLY,
     CodeConstructionError,
@@ -150,6 +151,61 @@ def test_bdd_kernel_matches_row_oracle(m, t, shorten):
     words = np.concatenate(noisy)
     for got, want in zip(bdd_decode_matrix(code, words), oracles.bdd_decode_rows(code, words)):
         np.testing.assert_array_equal(got, want)
+
+
+# KERNEL_CODES and two shortened t = 3 codes whose parent field holds far
+# more roots than positions: (223,193) from length 1023, (300,252) from 65535
+LOCATOR_CODES = [*KERNEL_CODES, (10, 3, 800), (16, 3, 65235)]
+
+
+@pytest.mark.parametrize("m,t,shorten", LOCATOR_CODES)
+def test_locate_errors_matches_chien_oracle(m, t, shorten):
+    """The table roots (t <= 3) give the flip masks and verdicts of
+    Berlekamp-Massey with a Chien search on every dirty row: random rows up
+    to p = 1/2, and codewords with 1..t+2 errors."""
+    code = build_bch(m, t, shorten=shorten)
+    rng = np.random.default_rng([m, t, shorten, 1])
+    noisy = [(rng.random((500, code.n)) < p).astype(np.uint8) for p in (0.005, 0.02, 0.1, 0.5)]
+    sent = code.encode(rng.integers(0, 2, size=(300, code.k), dtype=np.uint8))
+    for errors in range(1, t + 3):
+        words = sent.copy()
+        for row in words:
+            row[rng.choice(code.n, errors, replace=False)] ^= 1
+        noisy.append(words)
+    synd = code.syndromes(np.concatenate(noisy))
+    synd = synd[synd.any(axis=1)]
+    for got, want in zip(bch._locate_errors(code, synd), oracles.locate_errors_chien(code, synd)):
+        np.testing.assert_array_equal(got, want)
+
+
+def _field_mul(field, a, b):
+    """Elementwise product of arrays of field elements."""
+    log = field.log_table.astype(np.int64)
+    prod = field.antilog_table[(log[a] + log[b]) % field.order]
+    return np.where((a == 0) | (b == 0), 0, prod)
+
+
+@pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLY))
+def test_root_tables_exhaustive(m):
+    """Every root listed under a key solves that key's equation, and every
+    field element is listed under the key its own value gives; the listed
+    roots rise within a row and precede the -1 padding."""
+    field = GaloisField(m)
+    x = np.arange(1 << m)
+    square = _field_mul(field, x, x)
+    cube = _field_mul(field, square, x)
+    quad, cubic = bch._quadratic_roots(field), bch._cubic_roots(field)
+    assert quad.shape == (1 << m, 2) and cubic.shape == (2 << m, 3)
+    for table, value, own_key in (
+        (quad, lambda y: _field_mul(field, y, y) ^ y, square ^ x),
+        (cubic[: 1 << m], lambda w: _field_mul(field, _field_mul(field, w, w), w) ^ w, cube ^ x),
+        (cubic[1 << m :], lambda w: _field_mul(field, _field_mul(field, w, w), w), cube),
+    ):
+        listed = table >= 0
+        assert (value(np.where(listed, table, 0)) == x[:, None])[listed].all()
+        assert (table[own_key] == x[:, None]).any(axis=1).all()
+        assert ((table[:, 1:] > table[:, :-1]) | ~listed[:, 1:]).all()
+        assert (listed[:, :-1] | ~listed[:, 1:]).all()
 
 
 def _decodes_to_sent(code, positions):

@@ -8,7 +8,7 @@ import pytest
 
 from ibddlab import __version__
 from ibddlab.cli import main
-from ibddlab.sim import CSV_COLUMNS, BerPoint, ComponentSpec, SimConfig, SkippedPoint, results_json
+from ibddlab.sim import BerPoint, ComponentSpec, SimConfig, SkippedPoint, results_json
 
 
 def test_help_exits_zero(capsys):
@@ -126,24 +126,19 @@ def test_sim_end_to_end(tmp_path, capsys):
         "--out", str(prefix),
     ])
     assert rc == 0
-    csv_path = tmp_path / "toy.csv"
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == f"# manifest: {prefix}.manifest.json"
-    assert lines[1] == CSV_COLUMNS
-    rows = [ln.split(",") for ln in lines[2:]]
-    assert len(rows) == 3  # three modes, one grid point
-    assert {r[2] for r in rows} == {"ibdd", "ibdd_sr", "ideal"}
-    assert all(r[0] == "pc" and r[1] == "n15k11t1" for r in rows)
-    assert all(int(r[4]) == 300 for r in rows)
-
-    blob = json.loads((tmp_path / "toy.json").read_text())
+    json_path = tmp_path / "toy.json"
+    blob = json.loads(json_path.read_text())
     assert blob["manifest"] == f"{prefix}.manifest.json"
-    assert len(blob["points"]) == 3
+    rows = blob["points"]
+    assert len(rows) == 3  # three modes, one grid point
+    assert {r["mode"] for r in rows} == {"ibdd", "ibdd_sr", "ideal"}
+    assert all(r["scheme"] == "pc" and r["component"] == "n15k11t1" for r in rows)
+    assert all(r["frames"] == 300 and r["skipped"] is False for r in rows)
 
     manifest = json.loads((tmp_path / "toy.manifest.json").read_text())
     assert manifest["command"] == "sim"
     assert manifest["seed"] == 5
-    assert str(csv_path) in manifest["outputs"]
+    assert manifest["outputs"] == [str(json_path)]
     out = capsys.readouterr().out
     assert "4.00 dB" in out
 
@@ -206,7 +201,8 @@ def test_bad_component_exits_one(argv, tmp_path, capsys):
 
 def test_sim_writes_skip_row_when_schedule_unavailable(tmp_path, capsys):
     """The long shortened code at 1.0 dB has no usable window schedule:
-    the point is reported, not simulated, and the CSV carries a nan row."""
+    the point is reported, not simulated, and the results JSON carries it
+    as a skipped point without statistics."""
     prefix = tmp_path / "skip"
     with pytest.warns(UserWarning, match="skipped at 1.0 dB"):
         rc = main([
@@ -217,17 +213,16 @@ def test_sim_writes_skip_row_when_schedule_unavailable(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "skipped" in out
-    lines = (tmp_path / "skip.csv").read_text().strip().splitlines()
-    row = lines[2].split(",")
-    assert row[2] == "ibdd_sr" and row[8] == "nan"
     blob = json.loads((tmp_path / "skip.json").read_text())
-    assert blob["points"][0]["skipped"] is True
-    assert "schedule" in blob["points"][0]["reason"]
+    [point] = blob["points"]
+    assert point["mode"] == "ibdd_sr" and point["skipped"] is True
+    assert "ber" not in point and "frames" not in point
+    assert "schedule" in point["reason"]
 
 
 def test_sim_failed_point_keeps_finished_points(tmp_path, capsys, monkeypatch):
     """A point that raises ends the run with status 3 and one stderr line
-    naming it; the points before it still reach the CSV, results JSON and
+    naming it; the points before it still reach the results JSON and
     manifest."""
     from ibddlab import sim
 
@@ -250,8 +245,6 @@ def test_sim_failed_point_keeps_finished_points(tmp_path, capsys, monkeypatch):
     assert len(err) == 1
     assert "4.5 dB" in err[0] and "RuntimeError: worker lost mid-batch" in err[0]
     assert "4.00 dB" in captured.out
-    rows = (tmp_path / "part.csv").read_text().strip().splitlines()[2:]
-    assert [r.split(",")[2] for r in rows] == ["ibdd", "ideal"]
     blob = json.loads((tmp_path / "part.json").read_text())
     assert [(p["mode"], p["ebn0_db"]) for p in blob["points"]] == [("ibdd", 4.0), ("ideal", 4.0)]
     manifest = json.loads((tmp_path / "part.manifest.json").read_text())

@@ -1,6 +1,7 @@
 """Monte-Carlo harness: statistics, reproducibility, stopping rules, and
 result serialization."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -12,13 +13,11 @@ from hypothesis import strategies as st
 import oracles
 from ibddlab import bch, de, sim
 from ibddlab.sim import (
-    CSV_COLUMNS,
     BerPoint,
     ComponentSpec,
     SimConfig,
     SkippedPoint,
     bootstrap_ber_ci,
-    csv_row,
     interpolate_ebn0_at_ber,
     paired_gain_estimate,
     paired_gap_bootstrap,
@@ -414,31 +413,29 @@ def test_real_gain_on_toy_product_code():
 # serialization
 
 
-def test_csv_row_schema(toy_point):
-    _, pts = toy_point
-    n_cols = len(CSV_COLUMNS.split(","))
-    assert CSV_COLUMNS.startswith("scheme,component,mode,ebn0_db")
-    assert n_cols == 14
-    row = csv_row(pts["ibdd"])
-    assert len(row.split(",")) == n_cols
+def test_results_json_schema(toy_point):
+    """A point of the results JSON holds the ``BerPoint`` fields but the
+    per-frame counts, then ``skipped``; a skipped point holds its reason and
+    no statistics."""
+    cfg, pts = toy_point
     skip = SkippedPoint(
         scheme="staircase", component="n254k230t3", mode="ibdd_sr",
         ebn0_db=1.0, seed=1, reason="no usable schedule",
     )
-    srow = csv_row(skip)
-    assert len(srow.split(",")) == n_cols
-    assert "nan" in srow
+    ran, skipped = results_json(cfg, [pts["ibdd"], skip])["points"]
+    assert list(ran)[:4] == ["scheme", "component", "mode", "ebn0_db"]
+    assert list(ran) == [
+        *(f.name for f in dataclasses.fields(BerPoint) if f.name != "frame_bit_errors"),
+        "skipped",
+    ]
+    assert ran["skipped"] is False and ran["frames"] == pts["ibdd"].frames
+    assert list(skipped) == [*(f.name for f in dataclasses.fields(SkippedPoint)), "skipped"]
+    assert skipped["skipped"] is True and "ber" not in skipped
 
 
-def test_write_csv_and_results_json(tmp_path, toy_point):
+def test_results_json_round_trip(toy_point):
     cfg, pts = toy_point
     rows = list(pts.values())
-    out = tmp_path / "r.csv"
-    out.write_text("\n".join([CSV_COLUMNS, *map(csv_row, rows)]) + "\n")
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == CSV_COLUMNS
-    assert len(lines) == 1 + len(rows)
-
     doc = results_json(cfg, rows, manifest="m.json")
     blob = json.loads(json.dumps(doc))
     assert blob["manifest"] == "m.json"
