@@ -7,9 +7,10 @@ tables when t <= 3 (closed forms after Chen, IEEE T-IT 1982, and Okano &
 Imai, IEEE T-C 1987) and from a Chien search when t >= 4.  It has exactly
 three outcomes: the decoder returns the unique codeword within Hamming
 distance t of the input when one exists (which may be a miscorrection), and
-reports a failure otherwise.  The decoders take a bit matrix and decode all
-of its rows in one array computation; ``bdd_decode_syndromes`` takes the
-rows' syndromes in.
+reports a failure otherwise.  The kernel ``_locate_errors`` takes the
+syndromes of many rows and returns only the (row, position) pairs of the
+bits to flip, so its cost follows the dirty rows and their errors, never
+the row length; ``bdd_decode_matrix`` builds dense decoded words from them.
 """
 
 import math
@@ -301,8 +302,11 @@ def _cubic_roots(field: GaloisField) -> np.ndarray:
 # bounded-distance decoding
 
 
-def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Error positions of every row of ``synd`` at once: (flip mask, ok).
+def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Error positions of every row of ``synd`` at once: (row, position, ok).
+
+    ``row`` and ``position`` list the bits to flip, only in decodable rows
+    and each bit once; ``ok`` holds the per-row verdict.
 
     Berlekamp-Massey runs on all rows together (Lin & Costello, ch. 6).  The
     syndromes of a binary word satisfy S_2i = S_i^2, so the discrepancy of
@@ -317,10 +321,11 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     2^m-entry tables (``_root_exponents``; Chen, "Formulas for the solutions
     of quadratic equations over GF(2^m)", IEEE T-IT 1982; Okano & Imai, "A
     construction method of high-speed decoders using ROM's for BCH and RS
-    codes", IEEE T-C 1987).  For t >= 4 the Chien search evaluates the
-    locator at the n in-range positions.  A row is decodable when the LFSR
-    length L is at most t, L distinct roots lie in range, and no locator
-    coefficient lies above degree t.
+    codes", IEEE T-C 1987): exponent e is position n-1-e when e < n.  For
+    t >= 4 the Chien search evaluates the locator at the n in-range
+    positions.  A row is decodable when the LFSR length L is at most t, L
+    distinct roots lie in range, and no locator coefficient lies above
+    degree t.
     """
     t, n, order = code.t, code.n, code.field.order
     log, alog = code._log, code._alog
@@ -353,17 +358,15 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
             length = np.where(grow, r + 1 - length, length)
     if t > 3:
         values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
-        roots = values == 1  # the locator, 1 + sum of these terms, vanishes
-        count = roots.sum(axis=1)
+        row, pos = np.nonzero(values == 1)  # the locator, 1 + sum of these terms, vanishes
     else:
         exps = _root_exponents(code, c)
-        found = exps < n
-        count = found.sum(axis=1)
-        roots = np.zeros((rows, n + 1), dtype=bool)  # column n takes the misses
-        roots[np.arange(rows)[:, None], np.where(found, n - 1 - exps, n)] = True
-        roots = roots[:, :n]
+        row, k = np.nonzero(exps < n)
+        pos = n - 1 - exps[row, k]
+    count = np.bincount(row, minlength=rows)
     ok = (length <= t) & (count == length) & ~c[:, t + 1 :].any(axis=1)
-    return roots & ok[:, None], ok
+    keep = ok[row]
+    return row[keep], pos[keep], ok
 
 
 def _root_exponents(code: BchCode, c: np.ndarray) -> np.ndarray:
@@ -401,28 +404,18 @@ def bdd_decode_matrix(
     Returns (ternary, decoded, ok): ``ternary`` holds the {+1, 0, -1} decoder
     messages (all-zero rows mark failures), ``decoded`` the updated words
     (failed rows are passed through unchanged), ``ok`` the per-row success
-    flags.
+    flags.  Only rows with a nonzero syndrome reach the error locator.
     """
     words = np.ascontiguousarray(words, dtype=np.uint8)
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ValueError(f"expected shape (rows, {code.n})")
-    return bdd_decode_syndromes(code, words, code.syndromes(words))
-
-
-def bdd_decode_syndromes(
-    code: BchCode, words: np.ndarray, synd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``bdd_decode_matrix`` for rows whose syndromes ``synd`` the caller holds.
-
-    ``synd[i]`` must be ``code.syndromes(words[i])``; only the rows with a
-    nonzero syndrome reach the error locator.
-    """
+    synd = code.syndromes(words)
     dirty = np.flatnonzero(synd.any(axis=1))
     decoded = words.copy()
     ok = np.ones(len(words), dtype=bool)
     if len(dirty):
-        flips, ok[dirty] = _locate_errors(code, synd[dirty])
-        decoded[dirty] ^= flips
+        row, pos, ok[dirty] = _locate_errors(code, synd[dirty])
+        decoded[dirty[row], pos] ^= 1
     ternary = np.where(ok[:, None], 1 - 2 * decoded.astype(np.int8), 0).astype(np.int8)
     return ternary, decoded, ok
 
@@ -444,31 +437,57 @@ def ideal_decode_matrix(
 # weight enumerators
 
 
-# enumerating 2^k codewords stays affordable up to this dimension
+# the exact enumerator serves codes up to this dimension
 EXACT_MAX_K = 24
 
 
 def weight_enumerator_exact(code: BchCode) -> np.ndarray:
-    """Exact weight distribution by enumerating all 2^k codewords.
+    """Exact weight distribution, from the smaller of the code's 2^k words
+    and its dual's 2^(n-k) words.
 
-    Refuses k beyond ``EXACT_MAX_K`` (the full enumeration is exponential in k).
+    The span of the generator matrix [I | P] or of the parity-check matrix
+    [P^T | I] is enumerated as bit-packed words; the dual's distribution
+    gives the code's by the MacWilliams identity (MacWilliams & Sloane,
+    ch. 5), summed in Python ints.  Refuses k beyond ``EXACT_MAX_K``.
     """
-    if code.k > EXACT_MAX_K:
+    n, k = code.n, code.k
+    if k > EXACT_MAX_K:
         raise ValueError(
-            f"exact enumeration needs k <= {EXACT_MAX_K}, got k={code.k}; "
+            f"exact enumeration needs k <= {EXACT_MAX_K}, got k={k}; "
             "use weight_enumerator_approx for long codes"
         )
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    total = 1 << code.k
-    chunk = 1 << 14
-    bit_idx = np.arange(code.k, dtype=np.uint32)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        ints = np.arange(lo, hi, dtype=np.uint32)
-        info = ((ints[:, None] >> bit_idx[None, :]) & 1).astype(np.uint8)
-        words = code.encode(info)
-        weights = np.count_nonzero(words, axis=1)
-        counts += np.bincount(weights, minlength=code.n + 1)
+    eye = np.eye(min(k, n - k), dtype=np.uint8)
+    if k <= n - k:
+        return _span_weights(np.concatenate([eye, code._parity], axis=1))
+    dual = [int(b) for b in _span_weights(np.concatenate([code._parity.T, eye], axis=1))]
+    # A_j = 2^-(n-k) sum_i B_i K_j(i), K_j(i) = sum_s (-1)^s C(i, s) C(n-i, j-s)
+    counts = []
+    for j in range(n + 1):
+        total = sum(b * sum((-1) ** s * math.comb(i, s) * math.comb(n - i, j - s)
+                            for s in range(min(i, j) + 1))
+                    for i, b in enumerate(dual) if b)
+        counts.append(total >> (n - k))
+    return np.array(counts, dtype=np.int64)
+
+
+def _span_weights(gen: np.ndarray) -> np.ndarray:
+    """Weight distribution of the 2^d words spanned by the d rows of ``gen``:
+    two half spans of bit-packed uint64 words, XORed in chunks."""
+    n = gen.shape[1]
+    packed = np.packbits(gen, axis=1, bitorder="little")
+    packed = np.pad(packed, ((0, 0), (0, -n // 8 % 8))).view("<u8")
+    halves = []
+    for rows in np.array_split(packed, 2):
+        span = np.zeros((1, packed.shape[1]), dtype=np.uint64)
+        for g in rows:
+            span = np.concatenate([span, span ^ g])
+        halves.append(span)
+    low, high = halves
+    counts = np.zeros(n + 1, dtype=np.int64)
+    chunk = max(1, (1 << 18) // len(low))
+    for lo in range(0, len(high), chunk):
+        words = high[lo : lo + chunk, None] ^ low[None]
+        counts += np.bincount(np.bitwise_count(words).sum(axis=-1).ravel(), minlength=n + 1)
     return counts
 
 

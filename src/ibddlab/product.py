@@ -6,15 +6,17 @@ array.  Decoding is one loop over a (B, n, n) stack of frames: bounded-
 distance decoding (BDD) of all rows, then of all columns, until each frame is
 a product codeword or the iterations run out.  Row and column syndromes are
 kept up to date from the bits that change (``xor_flips``), so only lines with
-a nonzero syndrome are decoded.  The three decoders differ only in the
+a nonzero syndrome are decoded, BDD returns only the bits it flips, and the
+scaled-reliability rule visits only those and the bits whose message differs
+from the channel's hard decision.  The three decoders differ only in the
 verdict rule that makes a component word the next binary message
 (``line_flips``, which the staircase window decoder shares):
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
 * ``ibdd_sr_decode``    -- scaled reliability: each BDD verdict is weighed
-                           against the channel LLR via ``combine_decision``,
-                           followed by a tail of plain iterations.
+                           against the channel LLR by ``combine_decision``'s
+                           rule, followed by a tail of plain iterations.
 * ``ideal_ibdd_decode`` -- a genie that corrects up to t errors and never
                            miscorrects (analysis benchmark).
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode, bdd_decode_syndromes, ideal_decode_matrix
+from .bch import BchCode, _locate_errors, ideal_decode_matrix
 from .channel import harden
 
 
@@ -120,35 +122,49 @@ class ScalingSchedule:
         return cls(np.full(iterations, float(w)), np.full(iterations, float(w)))
 
 
-def line_flips(comp, words, synd, act, weight=None, llr=None, genie=None):
+def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=None):
     """The verdict rule on lines ``words[f, i]`` of items ``act``, whose
-    syndromes are ``synd[f, i]``: the (f, i, j) of every bit it flips.
+    syndromes are ``synd[f, i]``: the (f, i, j) of every bit it flips, each
+    once.
 
     The genie's verdict when ``genie`` (indexed like ``words``) is given, else
-    the BDD verdict weighed against ``llr`` by ``combine_decision`` when
-    ``llr`` is given, else the BDD word.  Only lines with a nonzero syndrome
-    reach BDD or the genie: a clean line is its own BDD word, and the genie
-    never moves a codeword, since its transmitted lines are codewords too.
+    the BDD verdict weighed against ``llr`` as ``combine_decision`` does when
+    ``llr`` and its hard decision ``hard`` are given, else the BDD word.
+    Only lines with a nonzero syndrome reach BDD or the genie: a clean line
+    is its own BDD word, and the genie never moves a codeword, since its
+    transmitted lines are codewords too.
+
+    Scaled reliability visits two sets of bits only, since elsewhere the BDD
+    bit, the channel bit ``hard`` and the message agree: the bits B that BDD
+    flips, and the bits D whose message differs from ``hard``.  With
+    s = weight > |llr| (a tie keeps the channel), ``combine_decision`` flips
+    a bit of B outside D iff s, a bit of B inside D always (its BDD bit is its
+    channel bit), and a bit of D outside B iff not (its line decoded and s),
+    clean lines counting as decoded.  So a bit of B flips iff s, and a bit of
+    D iff not (decoded and s): on a bit in both, whose line decoded, exactly
+    one of the two holds.
     """
     f, i = np.nonzero(synd[act].any(axis=2))
-    if llr is None:  # ibdd or genie: the verdict is the next message
-        if not len(f):
-            return f, i, i
-        f = act[f]
+    f, j = act[f], i
+    if len(f) and genie is not None:
         old = words[f, i]
-        if genie is None:
-            new = bdd_decode_syndromes(comp, old, synd[f, i])[1]
-        else:
-            new = ideal_decode_matrix(comp, old, genie[f, i])[1]
-        k, j = np.nonzero(new != old)
+        k, j = np.nonzero(ideal_decode_matrix(comp, old, genie[f, i])[1] != old)
         return f[k], i[k], j
-    # scaled reliability: every line, clean ones with ternary 1 - 2*bit
-    old = words[act]
-    ternary = 1 - 2 * old.view(np.int8)
+    failed = f, i
     if len(f):
-        ternary[f, i] = bdd_decode_syndromes(comp, old[f, i], synd[act[f], i])[0]
-    f, i, j = np.nonzero(combine_decision(ternary, weight, llr[act]) != old)
-    return act[f], i, j
+        row, j, ok = _locate_errors(comp, synd[f, i])
+        failed = f[~ok], i[~ok]
+        f, i = f[row], i[row]
+    if llr is None:  # ibdd (or a genie with no dirty line): the verdict is the message
+        return f, i, j
+    keep = weight > np.abs(llr[f, i, j])
+    differ = words[act] != hard[act]
+    df, di, dj = np.unravel_index(np.flatnonzero(differ), differ.shape)
+    df = act[df]
+    line_failed = np.zeros(synd.shape[:2], dtype=bool)
+    line_failed[failed] = True
+    flip = line_failed[df, di] | ~(weight > np.abs(llr[df, di, dj]))
+    return tuple(np.concatenate([a[keep], b[flip]]) for a, b in ((f, df), (i, di), (j, dj)))
 
 
 def xor_flips(comp, synd, line, pos):
@@ -162,10 +178,11 @@ def _decode(code, hard, observer, *runs):
     stack; the result and the observer's arrays have the shape given.
 
     Each run ``(iterations, weights, llr, genie)`` is one loop; the row and
-    column weights with the stacked ``llr``, or the transmitted stack
-    ``genie``, select the verdict.  The row and column syndromes (B, n, 2t)
-    follow every changed bit.  A frame whose syndromes are all zero at the
-    top of an iteration is done for the run: never decoded or written again.
+    column weights with the stacked ``llr`` (and its hard decision, taken
+    once per run), or the transmitted stack ``genie``, select the verdict.
+    The row and column syndromes (B, n, 2t) follow every changed bit.  A
+    frame whose syndromes are all zero at the top of an iteration is done for
+    the run: never decoded or written again.
     """
     psi = np.array(hard, dtype=np.uint8, ndmin=3)
     if psi.ndim != 3 or psi.shape[1:] != (code.n, code.n):
@@ -174,7 +191,7 @@ def _decode(code, hard, observer, *runs):
     comp = code.component
     synd = (comp.syndromes(psi), comp.syndromes(psi.transpose(0, 2, 1)))
     for iters, weights, llr, genie in runs:
-        rows = (psi, llr, genie)
+        rows = (psi, llr, None if llr is None else harden(llr), genie)
         oriented = (rows, tuple(None if a is None else a.transpose(0, 2, 1) for a in rows))
         act = np.arange(len(psi))
         for ell in range(iters):
@@ -182,9 +199,10 @@ def _decode(code, hard, observer, *runs):
             if not len(act):
                 break
             for axis, stage in enumerate(("row", "col")):
-                words, line_llr, line_genie = oriented[axis]
+                words, line_llr, line_hard, line_genie = oriented[axis]
                 weight = None if weights is None else weights[axis][ell]
-                f, i, j = line_flips(comp, words, synd[axis], act, weight, line_llr, line_genie)
+                f, i, j = line_flips(comp, words, synd[axis], act, weight,
+                                     line_llr, line_hard, line_genie)
                 words[f, i, j] ^= 1
                 xor_flips(comp, synd[axis], (f, i), j)
                 xor_flips(comp, synd[1 - axis], (f, j), i)
@@ -203,9 +221,9 @@ def ibdd_sr_decode(
 ) -> np.ndarray:
     """Iterative BDD with scaled-reliability combining against channel LLRs.
 
-    Each scaled iteration BDD-decodes all rows, re-decides every bit through
-    ``combine_decision`` with the iteration's row weight, then repeats for
-    columns.  After ``sr_iters`` such iterations, ``plain_iters`` rounds of
+    Each scaled iteration BDD-decodes all rows, re-decides every bit by
+    ``combine_decision``'s rule with the iteration's row weight, then
+    repeats for columns.  After ``sr_iters`` such iterations, ``plain_iters`` rounds of
     conventional decoding (which ignore the channel, flipping the error-floor
     mechanism off) finish the job.  A frame stops once it is a product
     codeword.  ``llr`` is one (n, n) frame or a (B, n, n) stack.

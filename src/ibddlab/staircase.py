@@ -15,7 +15,8 @@ emits the oldest block as final and advances by one block.
 in two component words: bit (r, c) of block i >= 1 is position h+c of row r
 of pair i-1 and position r of row c of pair i.  The pairs' syndromes are
 computed once and kept exact by XORing each flipped bit into both its lines,
-so only rows with a nonzero syndrome reach BDD or the genie.  A round decodes
+both copies in one write and one syndrome update, so only rows with a
+nonzero syndrome reach BDD or the genie.  A round decodes
 each pair of every active stream in one call; a stream whose window pairs are
 all codewords at the top of a round is done for that window position.
 
@@ -217,15 +218,17 @@ def _pairs(blocks, first):
 def _flip(comp, pairs, synd, s, p, r, c):
     """Flip bit c of row r of pair p in streams s and its copy in pair p-1
     (a left-half bit, c < h) or pair p+1 (none for block N), and XOR both
-    into their lines' syndromes."""
+    into their lines' syndromes, with one write and one syndrome update."""
     half = pairs.shape[2]
     left = c < half
     q = np.where(left, p - 1, p + 1)
     keep = q < synd.shape[1]
-    copy = (s, q, np.where(left, c, c - half), np.where(left, r + half, r))
-    for *line, pos in ((s, p, r, c), tuple(a[keep] for a in copy)):
-        pairs[(*line, pos)] ^= 1
-        xor_flips(comp, synd, tuple(line), pos)
+    line = (np.concatenate([s, s[keep]]),
+            np.concatenate([np.full(len(s), p), q[keep]]),
+            np.concatenate([r, np.where(left, c, c - half)[keep]]))
+    pos = np.concatenate([c, np.where(left, r + half, r)[keep]])
+    pairs[(*line, pos)] ^= 1
+    xor_flips(comp, synd, line, pos)
 
 
 def window_decode(
@@ -265,9 +268,10 @@ def window_decode(
     zeros = np.zeros((n_streams, half, half), dtype=np.uint8)
     pairs = _pairs(harden(llr), zeros)
     synd = comp.syndromes(pairs)  # (S, N, h, 2t), kept exact from here on
-    llr_pairs = genie = None
+    llr_pairs = hard_pairs = genie = None
     if mode == "ibdd_sr":  # block 0's LLRs: perfectly known zeros
         llr_pairs = _pairs(llr, np.full(zeros.shape, np.inf))
+        hard_pairs = pairs.copy()  # the channel's hard decision, for the verdict rule
     if mode == "ideal":
         genie = _pairs(np.asarray(transmitted, dtype=np.uint8).reshape(llr.shape), zeros)
 
@@ -289,6 +293,7 @@ def window_decode(
                 s, r, c = line_flips(comp, pairs[:, p], synd[:, p], act,
                                      weights[p - lo, ell] if scaled else None,
                                      llr_pairs[:, p] if scaled else None,
+                                     hard_pairs[:, p] if scaled else None,
                                      None if genie is None else genie[:, p])
                 if p == lo:  # slot 0's left half is the frozen emitted block
                     keep = c >= half

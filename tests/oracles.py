@@ -8,7 +8,9 @@ window loop: they are the decoder loops the stacked decoders replaced, kept
 as their references, and they decode each component matrix through
 ``component_step`` with the package's BCH kernels and ``combine_decision``.
 Likewise ``locate_errors_chien`` is the array error locator that the
-table-root kernel replaced, and reads the code's log tables.
+table-root kernel replaced, and reads the code's log tables, and
+``weight_enumerator_encode`` is the codeword enumerator that the span and
+MacWilliams enumerator replaced.
 """
 
 import math
@@ -28,6 +30,22 @@ def codebook(code) -> np.ndarray:
     ints = np.arange(total, dtype=np.uint32)
     info = ((ints[:, None] >> np.arange(code.k, dtype=np.uint32)) & 1).astype(np.uint8)
     return code.encode(info)
+
+
+def weight_enumerator_encode(code) -> np.ndarray:
+    """Weight distribution by encoding all 2^k information words in chunks:
+    the enumerator ``bch.weight_enumerator_exact`` replaced."""
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    total = 1 << code.k
+    chunk = 1 << 14
+    bit_idx = np.arange(code.k, dtype=np.uint32)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        ints = np.arange(lo, hi, dtype=np.uint32)
+        info = ((ints[:, None] >> bit_idx[None, :]) & 1).astype(np.uint8)
+        weights = np.count_nonzero(code.encode(info), axis=1)
+        counts += np.bincount(weights, minlength=code.n + 1)
+    return counts
 
 
 def popcount_table() -> np.ndarray:
@@ -354,6 +372,17 @@ def window_decode(
 
         emitted.append(hard[b].copy())
     return emitted
+
+
+def tie_grid_llrs(llr, rng, special=0.05) -> np.ndarray:
+    """Channel LLRs rounded to the 0.5 grid, with a ``special`` share each of
+    +0.0, -0.0, +inf and -inf: with combining weights on the same grid, the
+    tie w == |llr|, a zero LLR and a certain channel bit all occur often."""
+    llr = np.round(np.asarray(llr, dtype=float) * 2) / 2
+    pick = rng.random(llr.shape)
+    for q, value in enumerate((0.0, -0.0, np.inf, -np.inf)):
+        llr[(pick >= q * special) & (pick < (q + 1) * special)] = value
+    return llr
 
 
 def all_words(n: int) -> np.ndarray:

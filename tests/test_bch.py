@@ -160,9 +160,9 @@ LOCATOR_CODES = [*KERNEL_CODES, (10, 3, 800), (16, 3, 65235)]
 
 @pytest.mark.parametrize("m,t,shorten", LOCATOR_CODES)
 def test_locate_errors_matches_chien_oracle(m, t, shorten):
-    """The table roots (t <= 3) give the flip masks and verdicts of
-    Berlekamp-Massey with a Chien search on every dirty row: random rows up
-    to p = 1/2, and codewords with 1..t+2 errors."""
+    """The table roots (t <= 3) give the flipped bits and verdicts of
+    Berlekamp-Massey with a Chien search on every dirty row, each bit listed
+    once: random rows up to p = 1/2, and codewords with 1..t+2 errors."""
     code = build_bch(m, t, shorten=shorten)
     rng = np.random.default_rng([m, t, shorten, 1])
     noisy = [(rng.random((500, code.n)) < p).astype(np.uint8) for p in (0.005, 0.02, 0.1, 0.5)]
@@ -174,8 +174,13 @@ def test_locate_errors_matches_chien_oracle(m, t, shorten):
         noisy.append(words)
     synd = code.syndromes(np.concatenate(noisy))
     synd = synd[synd.any(axis=1)]
-    for got, want in zip(bch._locate_errors(code, synd), oracles.locate_errors_chien(code, synd)):
-        np.testing.assert_array_equal(got, want)
+    row, pos, ok = bch._locate_errors(code, synd)
+    flips, want_ok = oracles.locate_errors_chien(code, synd)
+    assert len(set(zip(row.tolist(), pos.tolist()))) == len(row)  # each bit once
+    got = np.zeros_like(flips)
+    got[row, pos] = True
+    np.testing.assert_array_equal(got, flips)
+    np.testing.assert_array_equal(ok, want_ok)
 
 
 def _field_mul(field, a, b):
@@ -309,6 +314,19 @@ def test_exact_enumerator_bch_15_7(code_15_7):
     assert counts[1:5].sum() == 0  # nothing below the design distance
     np.testing.assert_array_equal(counts[[5, 6, 7, 8, 9, 10]], [18, 30, 15, 15, 30, 18])
     assert counts.sum() == 2**7
+
+
+@pytest.mark.parametrize("m,t,shorten", [
+    (4, 1, 0), (4, 2, 0), (4, 3, 0), (5, 2, 1), (5, 3, 0), (5, 2, 5), (6, 1, 40),
+    (6, 10, 0), (7, 27, 0), (7, 31, 0), (8, 3, 230),
+])
+def test_exact_enumerator_matches_codeword_enumeration(m, t, shorten):
+    """Both branches, the code's own span (k <= n - k, here up to n = 127,
+    two packed words) and the dual's span with the MacWilliams transform
+    (k > n - k), count what encoding every information word counts."""
+    code = build_bch(m, t, shorten=shorten)
+    want = oracles.weight_enumerator_encode(code)
+    np.testing.assert_array_equal(weight_enumerator_exact(code), want)
 
 
 def test_exact_enumerator_refuses_long(code_255_231):

@@ -336,25 +336,42 @@ def test_stack_matches_frame_oracle(mode, batched, oracle, m, t, snrs, frames):
         assert np.any(codeword & wrong)  # frames that settle on a wrong codeword
 
 
+@pytest.mark.parametrize("m,t,snr", [(4, 1, 3.0), (4, 2, 2.0), (4, 2, 3.0)])
+def test_sr_ties_zeros_and_infinities_match_frame_oracle(m, t, snr):
+    """With LLRs and weights on one 0.5 grid, and LLRs of +-0 and +-inf, the
+    stacked iBDD-SR decoder equals the per-frame loop, whose verdict is
+    ``combine_decision`` on every bit."""
+    pc = ProductCode(build_bch(m, t))
+    rng = np.random.default_rng([m, t, int(10 * snr)])
+    _, llr = _channel_stack(pc, snr, 60, seed=7 * m + t)
+    llr = oracles.tie_grid_llrs(llr, rng)
+    grid = np.arange(0.0, 6.5, 0.5)
+    sched = ScalingSchedule(rng.choice(grid, 10), rng.choice(grid, 10))
+    got = ibdd_sr_decode(pc, llr, sched)
+    want = np.stack([oracles.frame_ibdd_sr(pc, frame, sched) for frame in llr])
+    np.testing.assert_array_equal(got, want)
+    assert np.any(got != harden(llr))  # it decoded
+
+
 @pytest.mark.parametrize("m,t,snr,frames", [(4, 2, 2.5, 60), (8, 3, 4.2, 3)])
 def test_kept_syndromes_are_exact(monkeypatch, m, t, snr, frames):
-    """Every BDD call receives the true syndromes of the words it is given,
-    so the syndromes the decoders keep up to date from flipped bits never
-    drift from the stack."""
+    """Every line of every frame the verdict rule visits carries the true
+    syndromes of its words, dirty or clean, so the syndromes the decoders
+    keep up to date from flipped bits never drift from the stack."""
     pc = ProductCode(build_bch(m, t))
     tx, llr = _channel_stack(pc, snr, frames, seed=m)
-    kernel = product.bdd_decode_syndromes
-    rows = []
+    rule = product.line_flips
+    lines = []
 
-    def checked(comp, words, synd):
-        np.testing.assert_array_equal(synd, comp.syndromes(words))
-        rows.append(len(words))
-        return kernel(comp, words, synd)
+    def checked(comp, words, synd, act, *args):
+        np.testing.assert_array_equal(synd[act], comp.syndromes(words[act]))
+        lines.append(int(synd[act].any(axis=2).sum()))
+        return rule(comp, words, synd, act, *args)
 
-    monkeypatch.setattr(product, "bdd_decode_syndromes", checked)
+    monkeypatch.setattr(product, "line_flips", checked)
     ibdd_decode(pc, harden(llr))
     ibdd_sr_decode(pc, llr, _SCHED)
-    assert len(rows) > 4 and sum(rows) > 0
+    assert len(lines) > 4 and sum(lines) > 0
 
 
 def test_frame_observer_trace_matches_oracle(pc_15_7):

@@ -73,14 +73,14 @@ def test_component_spec_label():
 def test_component_enumerated_once(monkeypatch):
     """Engines of one spec share one code, so the exact weight enumeration
     behind the (30,20) profile runs once per process, not once per point."""
-    encoded = []
-    encode = bch.BchCode.encode
+    enumerated = []
+    enumerate_exact = bch.weight_enumerator_exact
 
-    def counting_encode(self, info):
-        encoded.append(len(info))
-        return encode(self, info)
+    def counting_enumerate(code):
+        enumerated.append((code.n, code.k))
+        return enumerate_exact(code)
 
-    monkeypatch.setattr(bch.BchCode, "encode", counting_encode)
+    monkeypatch.setattr(bch, "weight_enumerator_exact", counting_enumerate)
     ComponentSpec.build.cache_clear()
     cfg = SimConfig(
         scheme="staircase", component=ComponentSpec(m=5, t=2, shorten=1),
@@ -88,7 +88,7 @@ def test_component_enumerated_once(monkeypatch):
     )
     run_point(cfg, 4.0)
     run_point(cfg, 4.0)
-    assert sum(encoded) == 2**20
+    assert enumerated == [(30, 20)]
 
 
 def test_profile_built_once_per_spec(monkeypatch):

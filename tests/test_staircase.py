@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from ibddlab import product, staircase
-from ibddlab.bch import bdd_decode_syndromes, build_bch
+from ibddlab.bch import build_bch
 from ibddlab.channel import harden, make_params, transmit
 from ibddlab.staircase import (
     ScheduleUnavailable,
@@ -346,18 +346,37 @@ def test_stack_matches_stream_oracle(sc_30_20, prof_30_20, rng, monkeypatch, win
         assert any(0 < n < len(llr) for n in active)  # streams finish a slide apart
 
 
+@pytest.mark.parametrize("ebn0_db", [3.0, 3.5, 4.0])
+def test_sr_ties_zeros_and_infinities_match_stream_oracle(sc_30_20, ebn0_db):
+    """With LLRs and weights on one 0.5 grid, and LLRs of +-0 and +-inf, the
+    stacked window decoder equals the per-stream loop, whose verdict is
+    ``combine_decision`` on every bit."""
+    rng = np.random.default_rng([30, int(10 * ebn0_db)])
+    llr = np.array([oracles.tie_grid_llrs(_noisy_stream(sc_30_20, rng, 10, ebn0_db)[1], rng)
+                    for _ in range(6)])
+    grid = np.arange(0.0, 6.5, 0.5)
+    sched = WindowSchedule(early=(rng.choice(grid, (4, 10)),), steady=rng.choice(grid, (4, 10)),
+                           steady_slide=2, ebn0_db=ebn0_db, rate=sc_30_20.rate)
+    cfg = _default_cfg(sched)
+    got = window_decode(sc_30_20, llr, cfg)
+    want = [oracles.window_decode(sc_30_20, lf, cfg) for lf in llr]
+    np.testing.assert_array_equal(got, np.array(want))
+    assert np.any(got != harden(llr))  # it decoded
+
+
 def test_kept_pair_syndromes_are_exact(sc_30_20, toy_schedule, rng, monkeypatch):
-    """Every row that reaches BDD carries the syndromes of its current bits."""
-    rows = []
+    """Every line of every stream the verdict rule visits carries the
+    syndromes of its current bits, dirty or clean."""
+    lines = []
 
-    def checked(code, words, synd):
-        np.testing.assert_array_equal(synd, code.syndromes(words))
-        rows.append(len(words))
-        return bdd_decode_syndromes(code, words, synd)
+    def checked(comp, words, synd, act, *args):
+        np.testing.assert_array_equal(synd[act], comp.syndromes(words[act]))
+        lines.append(int(synd[act].any(axis=2).sum()))
+        return product.line_flips(comp, words, synd, act, *args)
 
-    monkeypatch.setattr(product, "bdd_decode_syndromes", checked)
+    monkeypatch.setattr(staircase, "line_flips", checked)
     llr = np.array([_noisy_stream(sc_30_20, rng, 12, 4.0)[1] for _ in range(4)])
     for mode in ("ibdd", "ibdd_sr"):
-        rows.clear()
+        lines.clear()
         window_decode(sc_30_20, llr, _default_cfg(toy_schedule), mode=mode)
-        assert sum(rows) > 100
+        assert sum(lines) > 100
