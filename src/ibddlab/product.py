@@ -2,15 +2,15 @@
 
 A product code squares one systematic component code: information bits fill a
 k-by-k array, every row is encoded, then every column of the intermediate
-array.  Decoding is one loop over a (B, n, n) stack of frames: bounded-
-distance decoding (BDD) of all rows, then of all columns, until each frame is
-a product codeword or the iterations run out.  Row and column syndromes are
-kept up to date from the bits that change (``xor_flips``), so only lines with
-a nonzero syndrome are decoded, BDD returns only the bits it flips, and the
-scaled-reliability rule visits only those and the bits whose message differs
-from the channel's hard decision.  The three decoders differ only in the
-verdict rule that makes a component word the next binary message
-(``line_flips``, which the staircase window decoder shares):
+array.
+
+``iterate`` is the round loop of both schemes.  A stack's component words are
+the rows of one (S, G, R, n) array, so each bit is held twice, once in each of
+its two lines, and the loop keeps the lines' syndromes exact from the bits
+that change: only lines with a nonzero syndrome reach BDD, and an item stops
+once all its syndromes are zero.  A product frame has G = 2 groups, its rows
+and then its columns.  The three decoders differ only in the verdict rule
+(``line_flips``) that makes a component word the next binary message:
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
@@ -167,48 +167,61 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
     return tuple(np.concatenate([a[keep], b[flip]]) for a, b in ((f, df), (i, di), (j, dj)))
 
 
-def xor_flips(comp, synd, line, pos):
-    """Keep syndromes exact: XOR bit ``pos[k]``'s column of the parity check
-    into ``synd[line][k]`` for every flipped bit k (repeated lines allowed)."""
-    np.bitwise_xor.at(synd, line, comp._synd_pow.T[pos])
+def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, hard=None,
+            genie=None, observer=None):
+    """The round loop of both schemes: ``iters`` rounds over groups lo..hi-1.
+
+    ``words`` (S, G, R, n) holds S items' component words as rows, each bit
+    in two lines, and ``synd`` (S, G, R, 2t) their syndromes.  A round passes
+    each group g through ``line_flips`` with weight ``weights[g - lo][round]``
+    and its rows ``llr[g]``, ``hard[g]`` or ``genie[g]``.  Each (line, position)
+    index pair that ``copies(lo, g, s, r, c)`` lists for the flipped bits
+    (s, g, r, c) is flipped and XORed into its lines' syndromes.  An item
+    whose groups are all codewords at the top of a round is done for the
+    call.  ``observer(g, round)`` follows every group that decodes any item.
+    """
+    act = np.arange(len(words))
+    for ell in range(iters):
+        act = act[synd[act, lo:hi].any(axis=(1, 2, 3))]
+        if not len(act):
+            return
+        for g in range(lo, hi):
+            s, r, c = line_flips(comp, words[:, g], synd[:, g], act,
+                                 None if weights is None else weights[g - lo][ell],
+                                 *(None if a is None else a[g] for a in (llr, hard, genie)))
+            for line, pos in copies(lo, g, s, r, c):
+                words[(*line, pos)] ^= 1
+                np.bitwise_xor.at(synd, line, comp._synd_pow.T[pos])
+            if observer is not None:
+                observer(g, ell)
+
+
+def _transposed(lo, g, s, r, c):
+    """Bit (g, r, c) of a product frame is also bit (1 - g, c, r)."""
+    return ((s, g, r), c), ((s, 1 - g, c), r)
 
 
 def _decode(code, hard, observer, *runs):
-    """The shared loop: rows, then columns, of one (n, n) array or a (B, n, n)
-    stack; the result and the observer's arrays have the shape given.
-
-    Each run ``(iterations, weights, llr, genie)`` is one loop; the row and
-    column weights with the stacked ``llr`` (and its hard decision, taken
-    once per run), or the transmitted stack ``genie``, select the verdict.
-    The row and column syndromes (B, n, 2t) follow every changed bit.  A
-    frame whose syndromes are all zero at the top of an iteration is done for
-    the run: never decoded or written again.
-    """
+    """Rows, then columns, of one (n, n) array or a (B, n, n) stack, held as
+    the groups of (B, 2, n, n); the result and the observer's arrays have the
+    shape given.  Each run ``(iterations, weights, llr, genie)`` is one
+    ``iterate`` call: the row and column weights with the stacked ``llr``,
+    whose hard decision is ``hard``, or the transmitted stack ``genie``,
+    select the verdict."""
     psi = np.array(hard, dtype=np.uint8, ndmin=3)
     if psi.ndim != 3 or psi.shape[1:] != (code.n, code.n):
         raise ValueError(f"expected an ({code.n}, {code.n}) array or a stack of them")
-    single = np.ndim(hard) == 2
     comp = code.component
-    synd = (comp.syndromes(psi), comp.syndromes(psi.transpose(0, 2, 1)))
+    words = np.stack([psi, psi.transpose(0, 2, 1)], axis=1)
+    synd = comp.syndromes(words)
+    out = words[0, 0] if np.ndim(hard) == 2 else words[:, 0]
+    watch = None if observer is None else (
+        lambda g, ell: observer(("row", "col")[g], ell + 1, out))
     for iters, weights, llr, genie in runs:
-        rows = (psi, llr, None if llr is None else harden(llr), genie)
-        oriented = (rows, tuple(None if a is None else a.transpose(0, 2, 1) for a in rows))
-        act = np.arange(len(psi))
-        for ell in range(iters):
-            act = act[synd[0][act].any(axis=(1, 2)) | synd[1][act].any(axis=(1, 2))]
-            if not len(act):
-                break
-            for axis, stage in enumerate(("row", "col")):
-                words, line_llr, line_hard, line_genie = oriented[axis]
-                weight = None if weights is None else weights[axis][ell]
-                f, i, j = line_flips(comp, words, synd[axis], act, weight,
-                                     line_llr, line_hard, line_genie)
-                words[f, i, j] ^= 1
-                xor_flips(comp, synd[axis], (f, i), j)
-                xor_flips(comp, synd[1 - axis], (f, j), i)
-                if observer is not None:
-                    observer(stage, ell + 1, psi[0] if single else psi)
-    return psi[0] if single else psi
+        rows = (llr, None if llr is None else psi, genie)
+        iterate(comp, words, synd, _transposed, iters, 0, 2, weights,
+                *(None if a is None else (a, a.transpose(0, 2, 1)) for a in rows), watch)
+    return out.copy()
 
 
 def ibdd_sr_decode(

@@ -40,6 +40,7 @@ from .de import ScheduleUnavailable, auto_profile, run_gldpc
 from .product import (
     ProductCode,
     ScalingSchedule,
+    check_weights,
     ibdd_decode,
     ibdd_sr_decode,
     ideal_ibdd_decode,
@@ -113,6 +114,10 @@ class SimConfig:
             raise ValueError("min_error_events below 50 gives junk intervals")
         if self.max_frames < 1 or self.workers < 1:
             raise ValueError("max_frames and workers must be positive")
+        if self.sr_iters < 0 or self.plain_iters < 0:
+            raise ValueError("sr_iters and plain_iters must be nonnegative")
+        if self.fixed_weight is not None:
+            check_weights(self.fixed_weight)
         _SCHEMES[self.scheme](self)  # raises on parameters that give no code
 
 
@@ -292,8 +297,7 @@ def _product(cfg: SimConfig) -> _Scheme:
 
 def _staircase(cfg: SimConfig) -> _Scheme:
     code = StaircaseCode(cfg.component.build())  # raises on an odd length or k <= n/2
-    if cfg.window_blocks < 2:
-        raise ValueError("window must span at least two blocks")
+    plain = WindowConfig(cfg.window_blocks, cfg.sr_iters, cfg.plain_iters)  # raises if < 2 blocks
     if cfg.blocks_per_stream < 2 * cfg.window_blocks - 1:
         raise ValueError(
             "streams must outlast warm-up plus flush: need "
@@ -317,7 +321,6 @@ def _staircase(cfg: SimConfig) -> _Scheme:
                               ebn0_db=ebn0_db, rate=code.rate)
 
     def decoders(weights):
-        plain = WindowConfig(cfg.window_blocks, cfg.sr_iters, cfg.plain_iters)
         configs = {"ibdd": plain, "ideal": plain}
         if weights is not None:
             configs["ibdd_sr"] = WindowConfig(cfg.window_blocks, cfg.sr_iters,

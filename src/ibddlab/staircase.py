@@ -11,14 +11,11 @@ pair joining the window to the last emitted block (whose bits are frozen)
 plus every pair of consecutive in-window blocks -- oldest to newest, then
 emits the oldest block as final and advances by one block.
 
-``window_decode`` decodes one stream or a stack of streams.  Every bit lies
-in two component words: bit (r, c) of block i >= 1 is position h+c of row r
-of pair i-1 and position r of row c of pair i.  The pairs' syndromes are
-computed once and kept exact by XORing each flipped bit into both its lines,
-both copies in one write and one syndrome update, so only rows with a
-nonzero syndrome reach BDD or the genie.  A round decodes
-each pair of every active stream in one call; a stream whose window pairs are
-all codewords at the top of a round is done for that window position.
+``window_decode`` decodes one stream or a stack of streams through
+``product.iterate``: the pairs [B_{i-1}^T, B_i] are its groups, and bit (r, c)
+of block i >= 1 is position h+c of row r of pair i-1 and position r of row c
+of pair i.  Each window position runs the scaled rounds, then the plain ones;
+a stream whose window pairs are all codewords is done for that position.
 
 Scaled-reliability decoding consumes a per-pair, per-iteration weight
 schedule derived from the coupled-chain recursion in :mod:`ibddlab.de`:
@@ -37,7 +34,7 @@ import numpy as np
 from .bch import BchCode
 from .channel import harden
 from .de import SC_SCHEDULE_MAX_SLIDES, ComponentProfile, ScheduleUnavailable, run_sc_window
-from .product import check_weights, line_flips, xor_flips
+from .product import check_weights, iterate
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,11 @@ class WindowSchedule:
     rate: float
 
     def __post_init__(self):
+        object.__setattr__(self, "steady", np.asarray(self.steady, dtype=float))
+        object.__setattr__(self, "early", tuple(np.asarray(e, dtype=float) for e in self.early))
         check_weights(self.steady, *self.early)
+        if self.steady.ndim != 2 or any(e.shape != self.steady.shape for e in self.early):
+            raise ValueError("weights must be (pairs, iterations) arrays of one shape")
 
     def weights_for_slide(self, slide: int) -> np.ndarray:
         """Weights for the window whose oldest block is ``slide`` (1-based)."""
@@ -215,22 +216,6 @@ def _pairs(blocks, first):
     return np.concatenate([left, blocks], axis=3)
 
 
-def _flip(comp, pairs, synd, s, p, r, c):
-    """Flip bit c of row r of pair p in streams s and its copy in pair p-1
-    (a left-half bit, c < h) or pair p+1 (none for block N), and XOR both
-    into their lines' syndromes, with one write and one syndrome update."""
-    half = pairs.shape[2]
-    left = c < half
-    q = np.where(left, p - 1, p + 1)
-    keep = q < synd.shape[1]
-    line = (np.concatenate([s, s[keep]]),
-            np.concatenate([np.full(len(s), p), q[keep]]),
-            np.concatenate([r, np.where(left, c, c - half)[keep]]))
-    pos = np.concatenate([c, np.where(left, r + half, r)[keep]])
-    pairs[(*line, pos)] ^= 1
-    xor_flips(comp, synd, line, pos)
-
-
 def window_decode(
     code: StaircaseCode,
     llr_blocks,
@@ -268,36 +253,34 @@ def window_decode(
     zeros = np.zeros((n_streams, half, half), dtype=np.uint8)
     pairs = _pairs(harden(llr), zeros)
     synd = comp.syndromes(pairs)  # (S, N, h, 2t), kept exact from here on
-    llr_pairs = hard_pairs = genie = None
+    llr_pairs = hard_pairs = genie = None  # indexed by pair: (N, S, h, 2h)
     if mode == "ibdd_sr":  # block 0's LLRs: perfectly known zeros
-        llr_pairs = _pairs(llr, np.full(zeros.shape, np.inf))
-        hard_pairs = pairs.copy()  # the channel's hard decision, for the verdict rule
+        llr_pairs = _pairs(llr, np.full(zeros.shape, np.inf)).swapaxes(0, 1)
+        hard_pairs = pairs.swapaxes(0, 1).copy()  # the channel's hard decision
     if mode == "ideal":
-        genie = _pairs(np.asarray(transmitted, dtype=np.uint8).reshape(llr.shape), zeros)
+        tx = np.asarray(transmitted, dtype=np.uint8).reshape(llr.shape)
+        genie = _pairs(tx, zeros).swapaxes(0, 1)
 
-    sr_rounds = cfg.sr_iters if mode == "ibdd_sr" else 0
-    total_rounds = cfg.sr_iters + cfg.plain_iters
+    def copies(lo, p, s, r, c):
+        """Bit c of row r of pair p is also in pair p-1 (if c < h) or p+1 (none
+        for block N); pair lo's left half, the frozen emitted block, is kept."""
+        if p == lo:
+            keep = c >= half
+            s, r, c = s[keep], r[keep], c[keep]
+        left = c < half
+        q = np.where(left, p - 1, p + 1)
+        keep = q < n_blocks
+        line = (np.concatenate([s, s[keep]]),
+                np.concatenate([np.full(len(s), p), q[keep]]),
+                np.concatenate([r, np.where(left, c, c - half)[keep]]))
+        return [(line, np.concatenate([c, np.where(left, r + half, r)[keep]]))]  # both copies in one write
 
     for b in range(1, n_blocks + 1):
         # pair p joins blocks p and p+1; slot 0 (pair b-1) joins the frozen block b-1
         lo, hi = b - 1, min(b - 1 + cfg.window_blocks, n_blocks)
-        weights = cfg.schedule.weights_for_slide(b) if sr_rounds else None
-        act = np.arange(n_streams)
-        for ell in range(total_rounds):
-            # a stream whose window pairs are all codewords is done for the slide
-            act = act[synd[act, lo:hi].any(axis=(1, 2, 3))]
-            if not len(act):
-                break
-            scaled = ell < sr_rounds
-            for p in range(lo, hi):
-                s, r, c = line_flips(comp, pairs[:, p], synd[:, p], act,
-                                     weights[p - lo, ell] if scaled else None,
-                                     llr_pairs[:, p] if scaled else None,
-                                     hard_pairs[:, p] if scaled else None,
-                                     None if genie is None else genie[:, p])
-                if p == lo:  # slot 0's left half is the frozen emitted block
-                    keep = c >= half
-                    s, r, c = s[keep], r[keep], c[keep]
-                _flip(comp, pairs, synd, s, p, r, c)
+        weights = None if llr_pairs is None else cfg.schedule.weights_for_slide(b)
+        iterate(comp, pairs, synd, copies, cfg.sr_iters, lo, hi, weights, llr_pairs,
+                hard_pairs, genie)
+        iterate(comp, pairs, synd, copies, cfg.plain_iters, lo, hi, genie=genie)
     # block b is emitted after slide b: no later flip reaches it
     return np.ascontiguousarray(pairs[..., half:]).reshape(shape)

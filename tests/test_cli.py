@@ -187,12 +187,13 @@ def test_sim_missing_required_exits_one(tmp_path, capsys):
         ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "9", "--ebn0-db", "4"],
         ["sim", "--scheme", "pc", "--m", "4", "--t", "9", "--ebn0", "4"],
         ["sim", "--scheme", "staircase", "--m", "4", "--t", "1", "--ebn0", "4"],
+        ["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--ebn0", "4", "--fixed-weight", "-1"],
     ],
-    ids=["de-threshold", "de-schedule", "sim", "sim-staircase"],
+    ids=["de-threshold", "de-schedule", "sim", "sim-staircase", "sim-weight"],
 )
 def test_bad_component_exits_one(argv, tmp_path, capsys):
-    """Parameters that give no (staircase) component code end in one error
-    line and exit 1, before any output file is opened."""
+    """Parameters that give no (staircase) component code, or a bad weight,
+    end in one error line and exit 1, before any output file is opened."""
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "error" in err

@@ -63,6 +63,10 @@ def test_config_validation():
         toy_cfg(component=ComponentSpec(m=4, t=9))  # no information positions
     with pytest.raises(ValueError):
         toy_cfg(scheme="staircase")  # odd component length 15
+    for bad in ({"sr_iters": -3}, {"plain_iters": -1}, {"fixed_weight": -1.0},
+                {"fixed_weight": float("nan")}, {"fixed_weight": float("inf")}):
+        with pytest.raises(ValueError):
+            toy_cfg(**bad)
 
 
 def test_component_spec_label():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ibddlab import product, staircase
+from ibddlab import product
 from ibddlab.bch import build_bch
 from ibddlab.channel import harden, make_params, transmit
 from ibddlab.staircase import (
@@ -172,6 +172,13 @@ def test_window_config_validation(toy_schedule):
         WindowConfig(window_blocks=5, sr_iters=10, plain_iters=2, schedule=toy_schedule)
     with pytest.raises(ValueError):
         WindowConfig(window_blocks=4, sr_iters=9, plain_iters=2, schedule=toy_schedule)
+    with pytest.raises(ValueError, match="one shape"):
+        # an early array that would be read through its top-left (4, 10) corner
+        WindowSchedule(early=(np.ones((6, 12)),), steady=np.ones((4, 10)), steady_slide=2,
+                       ebn0_db=4.0, rate=0.5)
+    sched = WindowSchedule(early=([[1] * 10] * 4,), steady=[[2] * 10] * 4, steady_slide=2,
+                           ebn0_db=4.0, rate=0.5)  # lists are taken as float arrays
+    assert sched.weights_for_slide(1).dtype == sched.steady.dtype == float
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +338,15 @@ def test_stack_matches_stream_oracle(sc_30_20, prof_30_20, rng, monkeypatch, win
                                   for _ in range(10)]) for e in snrs]
     tx = np.array([blocks[1:] for blocks, _ in streams])
     llr = np.array([llrs for _, llrs in streams])
+    rule = product.line_flips
     for mode in ("ibdd", "ibdd_sr", "ideal"):
         active = []
 
         def spy(comp, words, synd, act, *args):
             active.append(len(act))
-            return product.line_flips(comp, words, synd, act, *args)
+            return rule(comp, words, synd, act, *args)
 
-        monkeypatch.setattr(staircase, "line_flips", spy)
+        monkeypatch.setattr(product, "line_flips", spy)
         got = window_decode(sc_30_20, llr, cfg, mode=mode, transmitted=tx)
         monkeypatch.undo()
         want = [oracles.window_decode(sc_30_20, lf, cfg, mode, tf) for lf, tf in zip(llr, tx)]
@@ -367,14 +375,15 @@ def test_sr_ties_zeros_and_infinities_match_stream_oracle(sc_30_20, ebn0_db):
 def test_kept_pair_syndromes_are_exact(sc_30_20, toy_schedule, rng, monkeypatch):
     """Every line of every stream the verdict rule visits carries the
     syndromes of its current bits, dirty or clean."""
+    rule = product.line_flips
     lines = []
 
     def checked(comp, words, synd, act, *args):
         np.testing.assert_array_equal(synd[act], comp.syndromes(words[act]))
         lines.append(int(synd[act].any(axis=2).sum()))
-        return product.line_flips(comp, words, synd, act, *args)
+        return rule(comp, words, synd, act, *args)
 
-    monkeypatch.setattr(staircase, "line_flips", checked)
+    monkeypatch.setattr(product, "line_flips", checked)
     llr = np.array([_noisy_stream(sc_30_20, rng, 12, 4.0)[1] for _ in range(4)])
     for mode in ("ibdd", "ibdd_sr"):
         lines.clear()
