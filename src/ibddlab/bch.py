@@ -1,16 +1,21 @@
 """Binary BCH component codes over GF(2^m) with bounded-distance decoding.
 
 Narrow-sense primitive BCH codes of length 2^m - 1, optionally shortened by
-removing leading information positions.  Decoding is syndrome-based:
-Berlekamp-Massey gives the error locator, whose roots come from 2^m-entry
-tables when t <= 3 (closed forms after Chen, IEEE T-IT 1982, and Okano &
-Imai, IEEE T-C 1987) and from a Chien search when t >= 4.  It has exactly
-three outcomes: the decoder returns the unique codeword within Hamming
-distance t of the input when one exists (which may be a miscorrection), and
-reports a failure otherwise.  The kernel ``_locate_errors`` takes the
-syndromes of many rows and returns only the (row, position) pairs of the
-bits to flip, so its cost follows the dirty rows and their errors, never
-the row length; ``bdd_decode_matrix`` builds dense decoded words from them.
+removing leading information positions.  Decoding is syndrome-based.  The
+t odd syndromes are linear over GF(2) in the word's bits, so they come from
+one matrix product with the (n, m*t) bit matrix of the syndrome powers; the
+even ones are their squares.  Codes with m*t <= ``TABLE_MAX_BITS`` decode by
+syndrome table: the packed odd syndromes index a 2^(m*t)-row table of the
+error patterns of weight <= t.  Longer codes run Berlekamp-Massey for the
+error locator, whose roots come from 2^m-entry tables when t <= 3 (closed
+forms after Chen, IEEE T-IT 1982, and Okano & Imai, IEEE T-C 1987) and from
+a Chien search when t >= 4.  Decoding has exactly three outcomes: the
+decoder returns the unique codeword within Hamming distance t of the input
+when one exists (which may be a miscorrection), and reports a failure
+otherwise.  The kernel ``_locate_errors`` takes the syndromes of many rows
+and returns only the (row, position) pairs of the bits to flip, so its cost
+follows the dirty rows and their errors, never the row length;
+``bdd_decode_matrix`` builds dense decoded words from them.
 """
 
 import math
@@ -140,6 +145,12 @@ def _minimal_polynomial(field: GaloisField, exponent: int) -> int:
 # code construction
 
 
+# Codes with m*t up to this many packed odd-syndrome bits decode by syndrome
+# table: at 18 bits no table exceeds 1.25 MB or takes 20 ms to build, while
+# the paper's (255,231,3), at 24 bits, would need 112 MB.
+TABLE_MAX_BITS = 18
+
+
 class BchCode:
     """A (possibly shortened) narrow-sense primitive BCH code.
 
@@ -199,13 +210,23 @@ class BchCode:
         self._parity = parity
 
     def _build_decoder_tables(self):
-        n, t = self.n, self.t
+        n, t, m = self.n, self.t, self.field.m
         order = self.field.order
         alog = self.field.antilog_table
         # position p carries exponent n-1-p: syndrome j sums alpha^(j*(n-1-p)),
         # and the Chien search evaluates locator degree d at alpha^(-d*(n-1-p))
         exps = np.arange(n - 1, -1, -1, dtype=np.int64)
         self._synd_pow = alog[(np.arange(1, 2 * t + 1)[:, None] * exps) % order]
+        # bit b of S_2i+1's term at position p is column m*i + b of row p, and
+        # _synd_pack packs a row of summed bits back into t field elements.
+        # float64, not float32: float32 is faster per call, but its smaller
+        # temporary no longer lifts glibc's dynamic mmap threshold above the
+        # channel's (n, n) float64 arrays, and a (255,231,3)^2 frame then
+        # re-faults its heap pages (about 450 minor faults, 6-9 % of frames/s)
+        bits = self._synd_pow[::2, :, None] >> np.arange(m) & 1
+        self._synd_bits = bits.transpose(1, 0, 2).reshape(n, t * m).astype(np.float64)
+        pack = np.eye(t, dtype=np.int32)[:, None] << np.arange(m)[:, None]
+        self._synd_pack = pack.reshape(t * m, t)
         # Zero-safe tables for the array decoder: the log of 0 is a sentinel
         # whose sum with any log indexes a 0 in the antilog table, so products
         # need no zero masks.  Genuine logs, one of them offset by up to one
@@ -217,16 +238,40 @@ class BchCode:
         self._alog = np.zeros(2 * zero_log + order + 1, dtype=np.intp)
         self._alog[:zero_log] = np.resize(alog, zero_log)
         self._square = _field_power(self.field, 2)
-        if t > 3:
+        self._table = None
+        if m * t <= TABLE_MAX_BITS:
+            self._build_syndrome_table()
+        elif t > 3:
             self._chien = (-np.arange(1, t + 1)[:, None] * exps) % order
         elif t == 2:
             self._quad_roots = _quadratic_roots(self.field)
-        elif t == 3:
+        else:
             self._cubic_roots = _cubic_roots(self.field)
             # log sqrt(a) and log sqrt(a)^-3 for a != 0; both 0 at a = 0
             self._half_log = self._log[_field_power(self.field, (order + 1) // 2)]
             self._half_log[0] = 0
             self._cubic_key_log = -3 * self._half_log % order
+
+    def _build_syndrome_table(self):
+        """Row ``key`` of ``_table`` lists, in increasing order, the positions
+        of the error pattern of weight <= t whose odd syndromes pack to
+        ``key`` (S_2i+1 shifted by m*i), -1 padding; ``_table_ok[key]`` says
+        whether one exists.  Two patterns of weight <= t with one key would
+        differ by a nonzero codeword of weight <= 2t < d, so each key has at
+        most one.  The key is linear in the word: a pattern's key is the XOR
+        of its positions' keys ``kpos``."""
+        n, t, m = self.n, self.t, self.field.m
+        self._key_weights = 1 << m * np.arange(t)
+        kpos = np.append(self._synd_pow[::2].T @ self._key_weights, 0)  # position n: none
+        # every pattern is one t-tuple over 0..n, rising to its last position
+        # and then padded with n; there are (n+1)^t <= 2^(m*t) tuples in all
+        pats = np.indices((n + 1,) * t).reshape(t, -1).T
+        pats = pats[((pats[:, :-1] < pats[:, 1:]) | (pats[:, 1:] == n)).all(axis=1)]
+        keys = np.bitwise_xor.reduce(kpos[pats], axis=1)
+        self._table = np.full((1 << m * t, t), -1, dtype=np.min_scalar_type(-n))
+        self._table[keys] = np.where(pats < n, pats, -1)
+        self._table_ok = np.zeros(1 << m * t, dtype=bool)
+        self._table_ok[keys] = True
 
     # -- public interface ----------------------------------------------------
 
@@ -241,12 +286,14 @@ class BchCode:
     def syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndromes S_1..S_2t for each row; all zero iff the row is a codeword.
 
-        Only the odd ones are summed: a binary word has S_2i = S_i^2.
+        Only the odd ones are summed, as one GF(2) matrix product of the bits
+        with ``_synd_bits``: float64 counts are exact below 2^53 > n, and
+        their low bits are the syndrome bits.  A binary word has S_2i = S_i^2.
         """
         words = np.asarray(words, dtype=np.uint8)
-        contrib = np.where(words[..., None, :] != 0, self._synd_pow[::2], 0)
-        odd = np.bitwise_xor.reduce(contrib, axis=-1)
-        synd = np.empty(odd.shape[:-1] + (2 * self.t,), dtype=odd.dtype)
+        counts = words.astype(np.float64) @ self._synd_bits
+        odd = (counts.astype(np.int32) & 1) @ self._synd_pack
+        synd = np.empty(odd.shape[:-1] + (2 * self.t,), dtype=np.int32)
         synd[..., ::2] = odd
         for i in range(1, self.t + 1):
             synd[..., 2 * i - 1] = self._square[synd[..., i - 1]]
@@ -308,14 +355,21 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``row`` and ``position`` list the bits to flip, only in decodable rows
     and each bit once; ``ok`` holds the per-row verdict.
 
-    Berlekamp-Massey runs on all rows together (Lin & Costello, ch. 6).  The
-    syndromes of a binary word satisfy S_2i = S_i^2, so the discrepancy of
-    every odd step is zero (Lin & Costello, sec. 6.2): only the t even steps
-    run, each shifting ``b`` by x^2 for itself and the skipped step.  ``c``
-    is the error locator, ``b`` the locator before the last length change
-    times x^(steps since), ``b_log`` that change's discrepancy as a log.
-    Step 0 always leaves c = 1 + S_1 x, so it is taken in closed form, and
-    t = 1 runs no loop.
+    A code with m*t <= ``TABLE_MAX_BITS`` reads both from its syndrome table
+    (``BchCode._build_syndrome_table``), keyed by the packed odd syndromes.
+    This is exact BDD: since d >= 2t+1, a key names at most one error pattern
+    of weight <= t, and a key that names none is a failure.  The bound keeps
+    each table at most 1.25 MB; the paper's (255,231,3), at m*t = 24, would
+    need 112 MB.
+
+    Longer codes run Berlekamp-Massey on all rows together (Lin & Costello,
+    ch. 6).  The syndromes of a binary word satisfy S_2i = S_i^2, so the
+    discrepancy of every odd step is zero (Lin & Costello, sec. 6.2): only
+    the t even steps run, each shifting ``b`` by x^2 for itself and the
+    skipped step.  ``c`` is the error locator, ``b`` the locator before the
+    last length change times x^(steps since), ``b_log`` that change's
+    discrepancy as a log.  Step 0 always leaves c = 1 + S_1 x, so it is taken
+    in closed form.
 
     For t <= 3 the roots come from closed forms, one per t, read from
     2^m-entry tables (``_root_exponents``; Chen, "Formulas for the solutions
@@ -327,6 +381,11 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     distinct roots lie in range, and no locator coefficient lies above
     degree t.
     """
+    if code._table is not None:
+        key = synd[:, ::2] @ code._key_weights
+        found = code._table[key]
+        row, k = np.nonzero(found >= 0)
+        return row, found[row, k].astype(np.intp), code._table_ok[key]
     t, n, order = code.t, code.n, code.field.order
     log, alog = code._log, code._alog
     rows, two_t = synd.shape
@@ -334,28 +393,27 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     c[:, 0] = 1
     c[:, 1] = synd[:, 0]
     length = (synd[:, 0] != 0).astype(np.intp)
-    if t > 1:
-        # syndrome logs reversed, then 2t zero logs: step r reads the logs of
-        # synd[:, r - j] for j = 1..2t (zero where r - j < 0) as one slice
-        s_rev = np.full((rows, 2 * two_t), log[0])
-        s_rev[:, :two_t] = log[synd[:, ::-1]]
-        # step 0 left b = x^2 after a length change to 1, else b = x^3
-        b = np.zeros_like(c)
-        b[:, 2] = length
-        b[:, 3] = 1 - length
-        b_log = np.where(length, log[synd[:, 0]], 0)
-        for r in range(2, two_t, 2):
-            terms = alog[log[c[:, 1:]] + s_rev[:, two_t - r : 2 * two_t - r]]
-            d = synd[:, r] ^ np.bitwise_xor.reduce(terms, axis=1)
-            d_log = log[d]
-            grow = (d != 0) & (2 * length <= r)
-            # c - (d / d_b) b; the log of a zero d zeroes every product
-            update = alog[(d_log - b_log + order)[:, None] + log[b]]
-            b[:, 2:] = np.where(grow[:, None], c, b)[:, :-2]
-            b[:, :2] = 0
-            c ^= update
-            b_log = np.where(grow, d_log, b_log)
-            length = np.where(grow, r + 1 - length, length)
+    # syndrome logs reversed, then 2t zero logs: step r reads the logs of
+    # synd[:, r - j] for j = 1..2t (zero where r - j < 0) as one slice
+    s_rev = np.full((rows, 2 * two_t), log[0])
+    s_rev[:, :two_t] = log[synd[:, ::-1]]
+    # step 0 left b = x^2 after a length change to 1, else b = x^3
+    b = np.zeros_like(c)
+    b[:, 2] = length
+    b[:, 3] = 1 - length
+    b_log = np.where(length, log[synd[:, 0]], 0)
+    for r in range(2, two_t, 2):
+        terms = alog[log[c[:, 1:]] + s_rev[:, two_t - r : 2 * two_t - r]]
+        d = synd[:, r] ^ np.bitwise_xor.reduce(terms, axis=1)
+        d_log = log[d]
+        grow = (d != 0) & (2 * length <= r)
+        # c - (d / d_b) b; the log of a zero d zeroes every product
+        update = alog[(d_log - b_log + order)[:, None] + log[b]]
+        b[:, 2:] = np.where(grow[:, None], c, b)[:, :-2]
+        b[:, :2] = 0
+        c ^= update
+        b_log = np.where(grow, d_log, b_log)
+        length = np.where(grow, r + 1 - length, length)
     if t > 3:
         values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
         row, pos = np.nonzero(values == 1)  # the locator, 1 + sum of these terms, vanishes
@@ -371,12 +429,10 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _root_exponents(code: BchCode, c: np.ndarray) -> np.ndarray:
     """The exponents e of the distinct roots alpha^e of the reversed locator
-    z^t c(1/z), t <= 3, one column per root; a missing root, or the root
+    z^t c(1/z), t = 2 or 3, one column per root; a missing root, or the root
     z = 0, reads the log of zero, which is at least n."""
     log, alog = code._log, code._alog
     c1 = c[:, 1]
-    if code.t == 1:  # z + c1
-        return log[c1][:, None]
     lc1 = log[c1]
     if code.t == 2:
         # z = c1 y turns z^2 + c1 z + c2 into y^2 + y = c2 / c1^2.  Here

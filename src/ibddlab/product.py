@@ -180,6 +180,8 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     whose groups are all codewords at the top of a round is done for the
     call.  ``observer(g, round)`` follows every group that decodes any item.
     """
+    if iters < 0:
+        raise ValueError(f"iteration count must be nonnegative, got {iters}")
     act = np.arange(len(words))
     for ell in range(iters):
         act = act[synd[act, lo:hi].any(axis=(1, 2, 3))]

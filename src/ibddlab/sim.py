@@ -116,6 +116,9 @@ class SimConfig:
             raise ValueError("max_frames and workers must be positive")
         if self.sr_iters < 0 or self.plain_iters < 0:
             raise ValueError("sr_iters and plain_iters must be nonnegative")
+        if self.sr_iters + self.plain_iters == 0:
+            raise ValueError("sr_iters + plain_iters must be positive: with none, "
+                             "every mode reports the channel")
         if self.fixed_weight is not None:
             check_weights(self.fixed_weight)
         _SCHEMES[self.scheme](self)  # raises on parameters that give no code

@@ -199,6 +199,8 @@ class WindowConfig:
     def __post_init__(self):
         if self.window_blocks < 2:
             raise ValueError("window must span at least two blocks")
+        if self.sr_iters < 0 or self.plain_iters < 0:
+            raise ValueError("sr_iters and plain_iters must be nonnegative")
         if self.schedule is not None:
             want = (self.window_blocks, self.sr_iters)
             got = (self.schedule.pairs, self.schedule.iterations)

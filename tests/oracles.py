@@ -186,9 +186,10 @@ def bdd_decode_rows(code, words: np.ndarray):
 def locate_errors_chien(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Error positions of every row of ``synd`` at once: (flip mask, ok).
 
-    The array kernel ``bch._locate_errors`` replaced for t <= 3, kept as its
-    reference: Berlekamp-Massey from step 0, then a Chien search over the n
-    in-range positions for every t.  It computes its own Chien exponents and
+    The array kernel ``bch._locate_errors`` replaced by syndrome tables
+    (m*t <= 18) and closed-form roots (t <= 3), kept as its reference:
+    Berlekamp-Massey from step 0, then a Chien search over the n in-range
+    positions for every t.  It computes its own Chien exponents and
     otherwise reads only the code's zero-safe log tables.
 
     Berlekamp-Massey runs on all rows together (Lin & Costello, ch. 6).  The

@@ -2,6 +2,8 @@
 bounded-distance decoder checked against a brute-force nearest-codeword
 oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -153,16 +155,18 @@ def test_bdd_kernel_matches_row_oracle(m, t, shorten):
         np.testing.assert_array_equal(got, want)
 
 
-# KERNEL_CODES and two shortened t = 3 codes whose parent field holds far
-# more roots than positions: (223,193) from length 1023, (300,252) from 65535
-LOCATOR_CODES = [*KERNEL_CODES, (10, 3, 800), (16, 3, 65235)]
+# KERNEL_CODES, two shortened t = 3 codes whose parent field holds far more
+# roots than positions, (223,193) from length 1023 and (300,252) from 65535,
+# and (1023,1003), a t = 2 code too long for a syndrome table
+LOCATOR_CODES = [*KERNEL_CODES, (10, 3, 800), (16, 3, 65235), (10, 2, 0)]
 
 
 @pytest.mark.parametrize("m,t,shorten", LOCATOR_CODES)
 def test_locate_errors_matches_chien_oracle(m, t, shorten):
-    """The table roots (t <= 3) give the flipped bits and verdicts of
-    Berlekamp-Massey with a Chien search on every dirty row, each bit listed
-    once: random rows up to p = 1/2, and codewords with 1..t+2 errors."""
+    """The syndrome table (m*t <= 18) or the table roots (t <= 3) give the
+    flipped bits and verdicts of Berlekamp-Massey with a Chien search on
+    every dirty row, each bit listed once: random rows up to p = 1/2, and
+    codewords with 1..t+2 errors."""
     code = build_bch(m, t, shorten=shorten)
     rng = np.random.default_rng([m, t, shorten, 1])
     noisy = [(rng.random((500, code.n)) < p).astype(np.uint8) for p in (0.005, 0.02, 0.1, 0.5)]
@@ -181,6 +185,38 @@ def test_locate_errors_matches_chien_oracle(m, t, shorten):
     got[row, pos] = True
     np.testing.assert_array_equal(got, flips)
     np.testing.assert_array_equal(ok, want_ok)
+
+
+@pytest.mark.parametrize("m,t,shorten", [(4, 1, 0), (4, 2, 0), (5, 2, 1), (6, 3, 0), (6, 3, 1)])
+def test_syndrome_table_exhaustive(m, t, shorten):
+    """One word per coset, zero outside the parity positions: the syndrome
+    table gives the flipped bits and verdicts of Berlekamp-Massey with a
+    Chien search on every coset, and decodes exactly the cosets of the
+    error patterns of weight <= t."""
+    code = build_bch(m, t, shorten=shorten)
+    assert m * t <= bch.TABLE_MAX_BITS and code._table is not None
+    assert code._table.nbytes + code._table_ok.nbytes <= 4 << 20
+    r = code.n - code.k
+    decoded = 0
+    for lo in range(0, 1 << r, 1 << 14):
+        words = np.zeros((min(1 << 14, (1 << r) - lo), code.n), dtype=np.uint8)
+        words[:, code.k :] = np.arange(lo, lo + len(words))[:, None] >> np.arange(r) & 1
+        synd = code.syndromes(words)
+        row, pos, ok = bch._locate_errors(code, synd)
+        flips, want_ok = oracles.locate_errors_chien(code, synd)
+        got = np.zeros_like(flips)
+        got[row, pos] = True
+        np.testing.assert_array_equal(got, flips)
+        np.testing.assert_array_equal(ok, want_ok)
+        decoded += int(ok.sum())
+    assert decoded == sum(math.comb(code.n, w) for w in range(t + 1))
+
+
+def test_syndrome_table_only_within_bound():
+    """The paper's (255,231,3), at m*t = 24, keeps Berlekamp-Massey."""
+    assert build_bch(8, 3)._table is None
+    assert build_bch(9, 2)._table is not None  # (511,493), at the bound
+    assert build_bch(10, 2)._table is None
 
 
 def _field_mul(field, a, b):
@@ -335,7 +371,6 @@ def test_exact_enumerator_refuses_long(code_255_231):
 
 
 def test_approx_enumerator(code_255_231):
-    import math
     from fractions import Fraction
 
     a = weight_enumerator_approx(code_255_231)

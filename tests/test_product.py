@@ -258,6 +258,20 @@ def test_sr_decoder_rejects_short_schedule(pc_15_11):
         ibdd_sr_decode(pc_15_11, llr, ScalingSchedule.constant(2.0, 3), sr_iters=5)
 
 
+def test_decoders_reject_negative_iterations(pc_15_11):
+    """A negative count would return the input undecoded as if decoded."""
+    r = np.zeros((15, 15), dtype=np.uint8)
+    r[4, 9] = 1
+    llr = np.where(r > 0, -7.5, 7.5)
+    for decode in (
+        lambda: ibdd_decode(pc_15_11, r, iters=-3),
+        lambda: ideal_ibdd_decode(pc_15_11, r, np.zeros_like(r), iters=-1),
+        lambda: ibdd_sr_decode(pc_15_11, llr, ScalingSchedule.constant(2.0, 4), 4, -1),
+    ):
+        with pytest.raises(ValueError, match="nonnegative"):
+            decode()
+
+
 def test_observer_counts_follow_early_exit(pc_15_11):
     """A decodable input exits after the first full iteration."""
     llr = np.full((15, 15), 7.5)

@@ -63,7 +63,8 @@ def test_config_validation():
         toy_cfg(component=ComponentSpec(m=4, t=9))  # no information positions
     with pytest.raises(ValueError):
         toy_cfg(scheme="staircase")  # odd component length 15
-    for bad in ({"sr_iters": -3}, {"plain_iters": -1}, {"fixed_weight": -1.0},
+    for bad in ({"sr_iters": -3}, {"plain_iters": -1}, {"sr_iters": 0, "plain_iters": 0},
+                {"fixed_weight": -1.0},
                 {"fixed_weight": float("nan")}, {"fixed_weight": float("inf")}):
         with pytest.raises(ValueError):
             toy_cfg(**bad)

@@ -172,6 +172,9 @@ def test_window_config_validation(toy_schedule):
         WindowConfig(window_blocks=5, sr_iters=10, plain_iters=2, schedule=toy_schedule)
     with pytest.raises(ValueError):
         WindowConfig(window_blocks=4, sr_iters=9, plain_iters=2, schedule=toy_schedule)
+    for iters in ({"sr_iters": -1}, {"plain_iters": -2}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            WindowConfig(window_blocks=4, **iters)
     with pytest.raises(ValueError, match="one shape"):
         # an early array that would be read through its top-left (4, 10) corner
         WindowSchedule(early=(np.ones((6, 12)),), steady=np.ones((4, 10)), steady_slide=2,
