@@ -2,6 +2,8 @@
 
 Bits map to antipodal symbols (0 -> +1, 1 -> -1); the noise variance follows
 from Eb/N0 and the code rate as sigma^2 = (2 * R * 10^(EbN0_dB/10))^-1.
+``noise_to_llr`` holds the LLR formula; ``transmit`` and the simulation
+engine, which draws a whole stack of frames at once, both go through it.
 """
 
 import math
@@ -35,6 +37,8 @@ class ChannelParams:
 
 
 def make_params(ebn0_db: float, rate: float) -> ChannelParams:
+    if not math.isfinite(ebn0_db):
+        raise ValueError(f"Eb/N0 must be finite, got {ebn0_db}")
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     ebn0 = 10.0 ** (ebn0_db / 10.0)
@@ -42,12 +46,27 @@ def make_params(ebn0_db: float, rate: float) -> ChannelParams:
     return ChannelParams(ebn0_db=ebn0_db, rate=rate, sigma2=sigma2)
 
 
+def noise_to_llr(noise: np.ndarray, bits: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """Overwrite standard normal draws ``noise`` (float64) with the channel
+    LLRs 2y/sigma^2 of ``bits``, where y = s + sigma * z and s = 1 - 2b, and
+    return it.
+
+    Works in place, with no float temporaries.  The operations are those of
+    ``2.0 * (s + rng.normal(0.0, sigma)) / sigma2`` on the same draws, so the
+    LLRs are bit-identical to it.
+    """
+    noise *= params.sigma
+    np.add(noise, 1.0, out=noise, where=bits == 0)
+    np.subtract(noise, 1.0, out=noise, where=bits != 0)
+    noise *= 2.0
+    noise /= params.sigma2
+    return noise
+
+
 def transmit(bits: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """Send bits over the channel and return the per-bit channel LLRs 2y/sigma^2."""
     bits = np.asarray(bits, dtype=np.uint8)
-    symbols = 1.0 - 2.0 * bits.astype(np.float64)
-    y = symbols + rng.normal(0.0, params.sigma, size=bits.shape)
-    return 2.0 * y / params.sigma2
+    return noise_to_llr(rng.standard_normal(bits.shape), bits, params)
 
 
 def harden(llr: np.ndarray) -> np.ndarray:

@@ -4,9 +4,14 @@ Every decoder mode at a given (config, E_b/N_0) point sees bit-identical
 channel LLRs: frame ``i`` draws its noise from ``default_rng([seed, i])``
 and all modes decode that same realization, so mode comparisons are paired
 and the whole run is reproducible for any worker count (workers only split
-the frame index range; they never own RNG state).
+the frame index range; they never own RNG state).  The engine does not build
+those generators one by one: ``frame_states`` computes the PCG64 state of
+every frame of a decoder call in one vectorized pass, one reused generator
+takes each state in turn and draws that frame's noise into its slot of the
+call's LLR stack, and ``channel.noise_to_llr`` turns the stack into LLRs in
+place.
 
-One engine serves both schemes.  A frame is a list of transmitted units --
+One engine serves both schemes.  A frame is a stack of transmitted units --
 one product array, or the blocks of one staircase stream -- and the units
 whose errors count are the statistical events: FER gets a Wilson 95%
 interval and BER a per-unit bootstrap interval.  A staircase stream carries
@@ -35,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bch import BchCode, build_bch
-from .channel import harden, make_params, transmit
+from .channel import harden, make_params, noise_to_llr
 from .de import ScheduleUnavailable, auto_profile, run_gldpc
 from .product import (
     ProductCode,
@@ -108,12 +113,18 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.modes or any(m not in MODES for m in self.modes):
             raise ValueError(f"modes must be a nonempty subset of {MODES}")
+        if not all(math.isfinite(e) for e in self.ebn0_grid):
+            raise ValueError(f"ebn0_grid must be finite, got {self.ebn0_grid}")
         if list(self.ebn0_grid) != sorted(self.ebn0_grid):
             raise ValueError("ebn0_grid must be sorted ascending")
         if self.min_error_events < 50:
             raise ValueError("min_error_events below 50 gives junk intervals")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.max_frames < 1 or self.workers < 1:
             raise ValueError("max_frames and workers must be positive")
+        if self.max_frames >= 1 << 32:  # every frame index is one uint32 word of seed entropy
+            raise ValueError(f"max_frames must be below 2**32, got {self.max_frames}")
         if self.sr_iters < 0 or self.plain_iters < 0:
             raise ValueError("sr_iters and plain_iters must be nonnegative")
         if self.sr_iters + self.plain_iters == 0:
@@ -255,10 +266,10 @@ class _Scheme(NamedTuple):
     a frame whose errors count."""
 
     code: object  # ProductCode or StaircaseCode: the rate is what matters here
-    bits_per_unit: int
+    unit_shape: tuple  # (h, w) bits of one transmitted unit
     units: int  # transmitted units per frame
     counted: slice
-    frame: Callable  # rng -> transmitted units
+    frame: Callable  # rng -> one random-information frame's transmitted units (units, h, w)
     schedule: Callable  # ebn0_db -> ibdd_sr weights; raises ScheduleUnavailable
     decoders: Callable  # weights or None -> {mode: (llr, tx) -> decoded}, each (frames, units, h, w)
 
@@ -268,9 +279,7 @@ def _product(cfg: SimConfig) -> _Scheme:
     total = cfg.sr_iters + cfg.plain_iters
 
     def frame(rng):
-        if cfg.random_info:
-            return [pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))]
-        return [np.zeros((code.n, code.n), dtype=np.uint8)]
+        return pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
 
     def schedule(ebn0_db):
         if cfg.fixed_weight is not None:
@@ -295,7 +304,7 @@ def _product(cfg: SimConfig) -> _Scheme:
                 code, llr[:, 0], weights, cfg.sr_iters, cfg.plain_iters)[:, None]
         return out
 
-    return _Scheme(code, code.n * code.n, 1, slice(0, 1), frame, schedule, decoders)
+    return _Scheme(code, (code.n, code.n), 1, slice(0, 1), frame, schedule, decoders)
 
 
 def _staircase(cfg: SimConfig) -> _Scheme:
@@ -309,11 +318,9 @@ def _staircase(cfg: SimConfig) -> _Scheme:
     half, skirt = code.block_size, cfg.window_blocks - 1  # skirt: warm-up and flush
 
     def frame(rng):
-        if cfg.random_info:
-            infos = [rng.integers(0, 2, (half, code.info_cols), dtype=np.uint8)
-                     for _ in range(cfg.blocks_per_stream)]
-            return encode_stream(code, infos)[1:]
-        return [np.zeros((half, half), dtype=np.uint8) for _ in range(cfg.blocks_per_stream)]
+        infos = [rng.integers(0, 2, (half, code.info_cols), dtype=np.uint8)
+                 for _ in range(cfg.blocks_per_stream)]
+        return encode_stream(code, infos)[1:]
 
     def schedule(ebn0_db):
         if cfg.fixed_weight is None:
@@ -334,10 +341,76 @@ def _staircase(cfg: SimConfig) -> _Scheme:
         }
 
     counted = slice(skirt, cfg.blocks_per_stream - skirt)
-    return _Scheme(code, half * half, cfg.blocks_per_stream, counted, frame, schedule, decoders)
+    return _Scheme(code, (half, half), cfg.blocks_per_stream, counted, frame, schedule, decoders)
 
 
 _SCHEMES = {"pc": _product, "staircase": _staircase}
+
+
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """Hash constants of ``calls`` successive hashmix calls, as a column:
+    call k xors its words with row k and multiplies them by row k + 1."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+_HASH_POOL = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # 4 to fill the pool, 12 to mix it
+_HASH_STATE = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # one per generated uint32 word
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``words`` with its hash constants."""
+    out = words ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> 16
+    return out
+
+
+def frame_states(seed: int, indices) -> list:
+    """The PCG64 state of ``np.random.default_rng([seed, i])`` for each frame
+    index i, as the dict that ``bit_generator.state`` takes.
+
+    One vectorized pass over the indices: numpy's SeedSequence mixes the
+    entropy words [seed words, i] into its pool and generates four uint64
+    words, then PCG64 seeds from them (inc = 2 v23 + 1, state = (inc + v01)
+    M + inc mod 2^128).  Taking the states this way skips building one
+    generator per frame; the draws are those of ``default_rng([seed, i])``.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if not 0 <= seed < 1 << 64 or ((idx < 0) | (idx > _MASK32)).any():
+        raise ValueError("frame seeding takes a seed in [0, 2**64) and indices in [0, 2**32)")
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    pool = np.zeros((4, idx.size), dtype=np.uint32)  # the entropy, zero-padded to the pool
+    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = idx
+    pool = _hashmix(pool, _HASH_POOL[:5])
+    for src in range(4):  # mix word src, hashed once per other word, into each other word
+        dst = [d for d in range(4) if d != src]
+        mixed = _hashmix(pool[src], _HASH_POOL[4 + 3 * src : 8 + 3 * src])
+        mixed *= _MIX_R
+        words = pool[dst]
+        words *= _MIX_L
+        words -= mixed
+        words ^= words >> 16
+        pool[dst] = words
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_STATE)  # low uint32 word first
+    v = (words[1::2].astype(np.uint64) << 32 | words[0::2]).T.tolist()
+    states = []
+    for v0, v1, v2, v3 in v:
+        inc = (v2 << 65 | v3 << 1 | 1) & _MASK128
+        state = (((v0 << 64 | v1) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 class _Engine:
@@ -345,10 +418,12 @@ class _Engine:
 
     def __init__(self, cfg: SimConfig, ebn0_db: float, modes: tuple):
         scheme = _SCHEMES[cfg.scheme](cfg)
-        self.seed, self.frame, self.counted = cfg.seed, scheme.frame, scheme.counted
+        self.seed, self.counted = cfg.seed, scheme.counted
+        self.frame = scheme.frame if cfg.random_info else None  # None: all-zero frames
         self.params = make_params(ebn0_db, scheme.code.rate)
-        self.bits_per_unit = scheme.bits_per_unit
-        self.frames_per_call = max(1, DECODE_CALL_BITS // (scheme.units * scheme.bits_per_unit))
+        self.shape = (scheme.units, *scheme.unit_shape)
+        self.bits_per_unit = math.prod(scheme.unit_shape)
+        self.frames_per_call = max(1, DECODE_CALL_BITS // math.prod(self.shape))
         self.units_per_frame = scheme.counted.stop - scheme.counted.start
         self.skip_reason = weights = None
         if "ibdd_sr" in modes:
@@ -358,17 +433,25 @@ class _Engine:
                 self.skip_reason = str(exc)
         decoders = scheme.decoders(weights)
         self.decoders = {m: decoders[m] for m in modes if m in decoders}
+        self.rng = np.random.Generator(np.random.PCG64(0))  # takes each frame's state in turn
+
+    def draw(self, indices) -> tuple:
+        """Transmitted bits and channel LLRs of frames ``indices``, each
+        (frames, units, h, w).  Frame i draws from ``default_rng([seed, i])``:
+        its information bits (random_info only), then its noise."""
+        tx = np.zeros((len(indices), *self.shape), dtype=np.uint8)
+        llr = np.empty(tx.shape)
+        for f, state in enumerate(frame_states(self.seed, indices)):
+            self.rng.bit_generator.state = state
+            if self.frame is not None:
+                tx[f] = self.frame(self.rng)
+            self.rng.standard_normal(out=llr[f])
+        return tx, noise_to_llr(llr, tx, self.params)
 
     def run_frames(self, indices) -> dict:
         """Per-mode bit errors of each counted unit of frames ``indices``,
         as {mode: (frames, counted units)}; each mode decodes them in one call."""
-        tx, llr = [], []
-        for index in indices:
-            rng = np.random.default_rng([self.seed, index])
-            units = self.frame(rng)
-            tx.append(units)
-            llr.append([transmit(unit, self.params, rng) for unit in units])
-        tx, llr = np.array(tx), np.array(llr)
+        tx, llr = self.draw(indices)
         c = self.counted
         return {mode: (decode(llr, tx)[:, c] != tx[:, c]).sum(axis=(2, 3))
                 for mode, decode in self.decoders.items()}

@@ -8,9 +8,11 @@ window loop: they are the decoder loops the stacked decoders replaced, kept
 as their references, and they decode each component matrix through
 ``component_step`` with the package's BCH kernels and ``combine_decision``.
 Likewise ``locate_errors_chien`` is the array error locator that the
-table-root kernel replaced, and reads the code's log tables, and
+table-root kernel replaced, and reads the code's log tables,
 ``weight_enumerator_encode`` is the codeword enumerator that the span and
-MacWilliams enumerator replaced.
+MacWilliams enumerator replaced, and ``frame_stack_per_frame`` is the
+per-frame generator loop that the stacked noise draw replaced, with the
+package's encoders.
 """
 
 import math
@@ -19,9 +21,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from ibddlab.bch import BchCode, bdd_decode_matrix, ideal_decode_matrix
-from ibddlab.channel import harden, q_function
-from ibddlab.product import combine_decision
-from ibddlab.staircase import StaircaseCode, WindowConfig
+from ibddlab.channel import harden, make_params, q_function
+from ibddlab.product import ProductCode, combine_decision, pc_encode
+from ibddlab.staircase import StaircaseCode, WindowConfig, encode_stream
 
 
 def codebook(code) -> np.ndarray:
@@ -545,3 +547,50 @@ def paired_gap_bootstrap_oneshot(a, b, bits_per_frame: int, seed: int, n_boot: i
     gaps = (a[idx].sum(axis=1) - b[idx].sum(axis=1)) / (n * bits_per_frame)
     lo, hi = np.percentile(gaps, [2.5, 97.5])
     return (float(lo), float(hi))
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo frame generation
+
+
+def transmit_normal(bits, params, rng) -> np.ndarray:
+    """BI-AWGN LLRs 2y/sigma^2 with y = (1 - 2b) + N(0, sigma^2), drawn by
+    ``rng.normal`` and computed out of place."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    symbols = 1.0 - 2.0 * bits.astype(np.float64)
+    y = symbols + rng.normal(0.0, params.sigma, size=bits.shape)
+    return 2.0 * y / params.sigma2
+
+
+def frame_stack_per_frame(cfg, ebn0_db: float, indices) -> tuple:
+    """Transmitted bits and LLRs (frames, units, h, w) of a simulation's
+    frames ``indices``, one generator per frame: frame i builds
+    ``default_rng([cfg.seed, i])``, draws its information bits (random_info
+    only) and then one noise array per transmitted unit."""
+    component = cfg.component.build()
+    if cfg.scheme == "pc":
+        code = ProductCode(component)
+
+        def units(rng):
+            if cfg.random_info:
+                return [pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))]
+            return [np.zeros((code.n, code.n), dtype=np.uint8)]
+    else:
+        code = StaircaseCode(component)
+        half = code.block_size
+
+        def units(rng):
+            if cfg.random_info:
+                infos = [rng.integers(0, 2, (half, code.info_cols), dtype=np.uint8)
+                         for _ in range(cfg.blocks_per_stream)]
+                return encode_stream(code, infos)[1:]
+            return [np.zeros((half, half), dtype=np.uint8)] * cfg.blocks_per_stream
+
+    params = make_params(ebn0_db, code.rate)
+    tx, llr = [], []
+    for index in indices:
+        rng = np.random.default_rng([cfg.seed, index])
+        frame = units(rng)
+        tx.append(frame)
+        llr.append([transmit_normal(unit, params, rng) for unit in frame])
+    return np.array(tx), np.array(llr)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ibddlab.channel import harden, make_params, q_function, transmit
+import oracles
+from ibddlab.channel import harden, make_params, noise_to_llr, q_function, transmit
 
 
 def test_q_function_reference_values():
@@ -17,6 +18,12 @@ def test_params_at_zero_db_rate_half():
     assert p.sigma2 == pytest.approx(1.0, abs=1e-14)
     assert p.sigma == pytest.approx(1.0, abs=1e-14)
     assert p.p_ch == pytest.approx(q_function(1.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("ebn0_db", [float("nan"), float("inf"), -float("inf")])
+def test_params_reject_non_finite_ebn0(ebn0_db):
+    with pytest.raises(ValueError, match="finite"):
+        make_params(ebn0_db, 0.5)
 
 
 def test_p_ch_monotone_in_snr():
@@ -36,6 +43,28 @@ def test_transmit_shape_and_determinism():
     # different seed, different noise
     llr3 = transmit(bits, params, np.random.default_rng(100))
     assert not np.array_equal(llr1, llr3)
+
+
+def test_transmit_matches_normal_draws():
+    """transmit draws sigma * standard normal and applies the LLR formula in
+    place: bit for bit what rng.normal(0, sigma) and the out-of-place
+    formula give on the same stream."""
+    params = make_params(3.7, 0.6)
+    bits = np.random.default_rng(1).integers(0, 2, (40, 50), dtype=np.uint8)
+    got = transmit(bits, params, np.random.default_rng(7))
+    want = oracles.transmit_normal(bits, params, np.random.default_rng(7))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_noise_to_llr_in_place():
+    params = make_params(2.0, 0.5)
+    noise = np.random.default_rng(3).standard_normal((3, 4))
+    bits = np.zeros((3, 4), dtype=np.uint8)
+    bits[1] = 1
+    want = 2.0 * ((1.0 - 2.0 * bits) + params.sigma * noise) / params.sigma2
+    out = noise_to_llr(noise, bits, params)
+    assert out is noise
+    np.testing.assert_array_equal(out, want)
 
 
 def test_transmit_llr_statistics():

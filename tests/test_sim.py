@@ -65,9 +65,16 @@ def test_config_validation():
         toy_cfg(scheme="staircase")  # odd component length 15
     for bad in ({"sr_iters": -3}, {"plain_iters": -1}, {"sr_iters": 0, "plain_iters": 0},
                 {"fixed_weight": -1.0},
-                {"fixed_weight": float("nan")}, {"fixed_weight": float("inf")}):
+                {"fixed_weight": float("nan")}, {"fixed_weight": float("inf")},
+                {"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": 2**64},
+                {"max_frames": 2**32}, {"max_frames": 0},
+                {"ebn0_grid": (4.0, float("nan"))}, {"ebn0_grid": (float("nan"),)},
+                {"ebn0_grid": (4.0, float("inf"))}, {"ebn0_grid": (-float("inf"), 4.0)}):
         with pytest.raises(ValueError):
             toy_cfg(**bad)
+    # the extremes of the seed and frame budget ranges are valid
+    toy_cfg(seed=0)
+    toy_cfg(seed=2**64 - 1, max_frames=2**32 - 1)
 
 
 def test_component_spec_label():
@@ -139,10 +146,10 @@ def test_build_engine_sets_up_without_decoding(monkeypatch, scheme, spec):
     set-up probe times exactly this call."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("set-up must not transmit or decode")
+        raise AssertionError("set-up must not draw noise or decode")
 
-    for name in ("transmit", "ibdd_decode", "ibdd_sr_decode", "ideal_ibdd_decode",
-                 "window_decode"):
+    for name in ("frame_states", "noise_to_llr", "ibdd_decode", "ibdd_sr_decode",
+                 "ideal_ibdd_decode", "window_decode"):
         monkeypatch.setattr(sim, name, refuse)
     cfg = SimConfig(scheme=scheme, component=spec, ebn0_grid=(4.0,), window_blocks=4)
     engine = sim._build_engine(cfg, 4.0, sim.MODES)
@@ -151,6 +158,55 @@ def test_build_engine_sets_up_without_decoding(monkeypatch, scheme, spec):
     monkeypatch.undo()
     counts = engine.run_frames(range(2))
     assert all(counts[m].shape == (2, engine.units_per_frame) for m in sim.MODES)
+
+
+# ---------------------------------------------------------------------------
+# paired-noise frame generation
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**64 - 1])
+def test_frame_states_match_default_rng(seed):
+    """The vectorized seeder reproduces numpy's SeedSequence and PCG64
+    seeding; a numpy release that changes either fails here."""
+    states = sim.frame_states(seed, range(2000))
+    for i, state in enumerate(states):
+        assert state == np.random.default_rng([seed, i]).bit_generator.state, i
+
+
+def test_frame_states_top_index_and_any_order():
+    indices = [2**32 - 1, 17, 0, 17]
+    states = sim.frame_states(9, indices)
+    assert states == [np.random.default_rng([9, i]).bit_generator.state for i in indices]
+    assert sim.frame_states(9, []) == []
+
+
+@pytest.mark.parametrize("seed,indices", [(-1, [0]), (2**64, [0]), (1, [-1]), (1, [2**32])])
+def test_frame_states_reject_out_of_range(seed, indices):
+    with pytest.raises(ValueError):
+        sim.frame_states(seed, indices)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+@pytest.mark.parametrize("random_info", [False, True])
+@pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
+def test_stacked_draw_matches_per_frame_oracle(scheme, spec, random_info, seed):
+    """One decoder call's frames, drawn as a stack, are bit for bit the frames
+    of one default_rng([seed, i]) and one transmit per unit, however the
+    indices are split into calls."""
+    cfg = SimConfig(scheme=scheme, component=spec, ebn0_grid=(4.0,), window_blocks=4,
+                    blocks_per_stream=9, seed=seed, random_info=random_info)
+    engine = sim._build_engine(cfg, 4.0, ("ibdd",))
+    want_tx, want_llr = oracles.frame_stack_per_frame(cfg, 4.0, range(7))
+    tx, llr = engine.draw(range(0, 7))
+    assert tx.dtype == np.uint8 and llr.dtype == np.float64
+    assert tx.shape == llr.shape == want_llr.shape == (7, *engine.shape)
+    np.testing.assert_array_equal(tx, want_tx)
+    np.testing.assert_array_equal(llr.view(np.uint64), want_llr.view(np.uint64))
+    (tx0, llr0), (tx1, llr1) = engine.draw(range(0, 3)), engine.draw(range(3, 7))
+    np.testing.assert_array_equal(np.concatenate([tx0, tx1]), want_tx)
+    np.testing.assert_array_equal(np.concatenate([llr0, llr1]).view(np.uint64),
+                                  want_llr.view(np.uint64))
+    assert random_info == bool(tx.any())
 
 
 # ---------------------------------------------------------------------------
