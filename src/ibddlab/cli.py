@@ -130,6 +130,9 @@ def _cmd_de_threshold(args, argv) -> int:
             bracket=tuple(args.bracket) if args.bracket else None,
             window=args.window if args.ensemble == "sc" else None,
         )
+    except ValueError as exc:
+        print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except BracketError as exc:
         print(f"threshold search failed: {exc}", file=sys.stderr)
         if exc.diagnostics:
@@ -156,23 +159,27 @@ def _cmd_de_schedule(args, argv) -> int:
         return 1
     profile = auto_profile(code)
     rate = args.rate if args.rate is not None else _design_rate(code.n, code.k)
-    if args.ensemble == "gldpc":
-        res = run_gldpc(profile, args.ebn0_db, rate, iterations=args.iters,
-                        stop_early=False)
-        print(
-            f"gldpc schedule at {args.ebn0_db} dB: {len(res.w_row)} iterations, "
-            f"w_row[0]={res.w_row[0]:.3f} .. w_row[-1]={res.w_row[-1]:.3f}, "
-            f"converged={res.converged}"
-        )
-    else:
-        res = run_sc_window(profile, args.ebn0_db, rate, args.window, args.iters,
-                            full_iterations=True, fail_fast=False,
-                            max_slides=SC_SCHEDULE_MAX_SLIDES)
-        print(
-            f"sc schedule at {args.ebn0_db} dB: window {args.window}, "
-            f"{args.iters} iterations/slide, steady at slide "
-            f"{res.steady_slide}, converged={res.converged}"
-        )
+    try:
+        if args.ensemble == "gldpc":
+            res = run_gldpc(profile, args.ebn0_db, rate, iterations=args.iters,
+                            stop_early=False)
+            print(
+                f"gldpc schedule at {args.ebn0_db} dB: {len(res.w_row)} iterations, "
+                f"w_row[0]={res.w_row[0]:.3f} .. w_row[-1]={res.w_row[-1]:.3f}, "
+                f"converged={res.converged}"
+            )
+        else:
+            res = run_sc_window(profile, args.ebn0_db, rate, args.window, args.iters,
+                                full_iterations=True, fail_fast=False,
+                                max_slides=SC_SCHEDULE_MAX_SLIDES)
+            print(
+                f"sc schedule at {args.ebn0_db} dB: window {args.window}, "
+                f"{args.iters} iterations/slide, steady at slide "
+                f"{res.steady_slide}, converged={res.converged}"
+            )
+    except ValueError as exc:
+        print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         _write_profile(args, argv, code, res, None, rate, started)
     return 0

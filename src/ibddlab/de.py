@@ -214,6 +214,15 @@ def run_gldpc(
 
     Before each half-iteration the weight is the closed-form log-ratio of
     the transition functions at the incoming message error rate.
+
+    With ``stop_early`` the loop ends after the first full iteration (row
+    half, then column half) that either converges (the message error rate
+    falls below ``DEFAULT_TARGET * 1e-3``) or leaves the rate exactly
+    unchanged.  A full iteration depends only on the incoming rate, so at
+    such a fixed point every later iteration repeats it: ``final_x``,
+    ``converged`` and ``improving`` are those of the full budget, and the
+    arrays are exact prefixes of the full run's.  Without ``stop_early``
+    all ``iterations`` run.
     """
     params = make_params(ebn0_db, rate)
     p_ch, sigma = params.p_ch, params.sigma
@@ -224,13 +233,14 @@ def run_gldpc(
     traj: list[float] = []
     it = 0
     for it in range(1, iterations + 1):
+        x_in = x
         for _ in ("row", "col"):
             v = kern.eval(x)
             w = float(_weights(v.fc, v.fe, DEFAULT_WEIGHT_CAP))
             x = float(_vn_update_values(v, w, p_ch, sigma))
             weights.append(w)
             traj.append(x)
-        if stop_early and x < DEFAULT_TARGET * 1e-3:
+        if stop_early and (x < DEFAULT_TARGET * 1e-3 or x == x_in):
             break
     return GldpcDeResult(
         ebn0_db=ebn0_db,
@@ -297,6 +307,8 @@ def run_sc_window(
     schedule), then advances by one position, freezing the position it leaves
     behind.  The left end of the chain is terminated by known bits.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1 position, got {window=}")
     params = make_params(ebn0_db, rate)
     p_ch, sigma = params.p_ch, params.sigma
     kern = TransitionKernels(profile, p_ch)
@@ -395,12 +407,16 @@ def threshold_search(
     requires ``window``; ``SC_ITERS_PER_SLIDE`` rounds per slide, at most
     ``SC_MAX_SLIDES`` slides).  Success means the message error rate falls
     below ``DEFAULT_TARGET`` within the iteration budget.  Raises BracketError
-    when the bracket endpoints do not straddle the threshold.
+    when the bracket endpoints do not straddle the threshold, and ValueError,
+    before any recursion runs, on an unknown ensemble, a ``tol_db`` that is
+    not finite and positive, or an sc ``window`` below 1.
     """
     if ensemble not in ("gldpc", "sc"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    if ensemble == "sc" and not window:
-        raise ValueError("sc ensemble needs a window size")
+    if not (math.isfinite(tol_db) and tol_db > 0):
+        raise ValueError(f"tol_db must be finite and positive, got {tol_db!r}")
+    if ensemble == "sc" and (window is None or window < 1):
+        raise ValueError(f"sc ensemble needs a window of at least 1 position, got {window=}")
 
     def success(ebn0: float) -> bool:
         if ensemble == "gldpc":

@@ -180,6 +180,9 @@ def test_sim_missing_required_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_DE_THRESHOLD = ["de-threshold", "--m", "4", "--t", "1", "--bracket", "3", "5"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -188,12 +191,23 @@ def test_sim_missing_required_exits_one(tmp_path, capsys):
         ["sim", "--scheme", "pc", "--m", "4", "--t", "9", "--ebn0", "4"],
         ["sim", "--scheme", "staircase", "--m", "4", "--t", "1", "--ebn0", "4"],
         ["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--ebn0", "4", "--fixed-weight", "-1"],
+        _DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "0"],
+        _DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "-1"],
+        _DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "nan"],
+        _DE_THRESHOLD + ["--ensemble", "sc", "--window", "0"],
+        ["de-schedule", "--ensemble", "sc", "--m", "4", "--t", "1", "--window", "-2",
+         "--ebn0-db", "4"],
+        ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "nan"],
     ],
-    ids=["de-threshold", "de-schedule", "sim", "sim-staircase", "sim-weight"],
+    ids=["de-threshold", "de-schedule", "sim", "sim-staircase", "sim-weight",
+         "tol-zero", "tol-negative", "tol-nan", "threshold-window", "schedule-window",
+         "schedule-ebn0"],
 )
 def test_bad_component_exits_one(argv, tmp_path, capsys):
-    """Parameters that give no (staircase) component code, or a bad weight,
-    end in one error line and exit 1, before any output file is opened."""
+    """Parameters that give no (staircase) component code, a bad weight, a
+    threshold tolerance the bisection cannot reach, a window without
+    positions or a non-finite Eb/N0 end in one error line and exit 1, before
+    any output file is opened."""
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "error" in err

@@ -294,6 +294,66 @@ def test_threshold_search_rejects_unknown_ensemble(prof_15_11):
         threshold_search("turbo", prof_15_11, 0.5)
 
 
+@pytest.mark.parametrize(
+    "ebn0,prof_fixture",
+    [(e, "prof_255_231") for e in (3.5, 4.0, 4.125, 4.15625, 4.1640625)]
+    + [(3.5, "prof_15_11")],
+)
+def test_early_stop_at_fixed_point_is_exact(ebn0, prof_fixture, request):
+    """Below threshold the recursion reaches an exact fixed point; stopping
+    there keeps every scalar result and leaves the arrays exact prefixes."""
+    prof = request.getfixturevalue(prof_fixture)
+    rate = RATE_BIG if prof.n == 255 else 1 - 2 * 4 / 15
+    short = run_gldpc(prof, ebn0, rate)
+    full = run_gldpc(prof, ebn0, rate, stop_early=False)
+    assert (short.final_x, short.converged, short.improving) == (
+        full.final_x, full.converged, full.improving)
+    assert not short.converged and short.iterations_run < full.iterations_run
+    assert len(short.w_row) == len(short.w_col) == short.iterations_run
+    for name in ("trajectory", "w_row", "w_col"):
+        part, whole = getattr(short, name), getattr(full, name)
+        np.testing.assert_array_equal(part, whole[: len(part)])
+    if ebn0 == 4.1640625:
+        assert short.iterations_run <= 257
+
+
+def test_threshold_search_kernel_evals(prof_255_231, monkeypatch):
+    """The (255,231,3) gldpc search stops every stuck bisection point at its
+    fixed point instead of running the full 1,000 iterations."""
+    calls = []
+    eval_ = TransitionKernels.eval
+
+    def spy(self, x):
+        calls.append(x)
+        return eval_(self, x)
+
+    monkeypatch.setattr(TransitionKernels, "eval", spy)
+    thr = threshold_search("gldpc", prof_255_231, RATE_BIG, bracket=(3.5, 4.5), tol_db=0.01)
+    assert thr == 4.16796875
+    assert len(calls) <= 1500
+
+
+@pytest.mark.parametrize("tol_db", [0.0, -1.0, math.nan, math.inf])
+def test_threshold_search_rejects_bad_tolerance(prof_15_11, tol_db, monkeypatch):
+    """A tolerance the bisection cannot reach fails before any recursion runs."""
+    monkeypatch.setattr(de, "run_gldpc", None)
+    with pytest.raises(ValueError, match="tol_db"):
+        threshold_search("gldpc", prof_15_11, 1 - 2 * 4 / 15, tol_db=tol_db, bracket=(3.0, 5.0))
+
+
+@pytest.mark.parametrize("window", [None, 0, -1])
+def test_threshold_search_rejects_bad_window(prof_15_11, window, monkeypatch):
+    monkeypatch.setattr(de, "run_sc_window", None)
+    with pytest.raises(ValueError, match="window"):
+        threshold_search("sc", prof_15_11, 1 - 2 * 4 / 15, bracket=(3.0, 5.0), window=window)
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_run_sc_window_rejects_bad_window(prof_15_11, window):
+    with pytest.raises(ValueError, match="window"):
+        run_sc_window(prof_15_11, 4.0, 1 - 2 * 4 / 15, window, 10)
+
+
 # ---------------------------------------------------------------------------
 # coupled chain
 
