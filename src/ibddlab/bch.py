@@ -1,21 +1,22 @@
 """Binary BCH component codes over GF(2^m) with bounded-distance decoding.
 
 Narrow-sense primitive BCH codes of length 2^m - 1, optionally shortened by
-removing leading information positions.  Decoding is syndrome-based.  The
-t odd syndromes are linear over GF(2) in the word's bits, so they come from
-one matrix product with the (n, m*t) bit matrix of the syndrome powers; the
-even ones are their squares.  Codes with m*t <= ``TABLE_MAX_BITS`` decode by
-syndrome table: the packed odd syndromes index a 2^(m*t)-row table of the
-error patterns of weight <= t.  Longer codes run Berlekamp-Massey for the
-error locator, whose roots come from 2^m-entry tables when t <= 3 (closed
-forms after Chen, IEEE T-IT 1982, and Okano & Imai, IEEE T-C 1987) and from
-a Chien search when t >= 4.  Decoding has exactly three outcomes: the
-decoder returns the unique codeword within Hamming distance t of the input
-when one exists (which may be a miscorrection), and reports a failure
-otherwise.  The kernel ``_locate_errors`` takes the syndromes of many rows
-and returns only the (row, position) pairs of the bits to flip, so its cost
-follows the dirty rows and their errors, never the row length;
-``bdd_decode_matrix`` builds dense decoded words from them.
+removing leading information positions.  Decoding is syndrome-based, and a
+word's syndromes are kept as its t odd ones, S_1, S_3, .., S_2t-1, since a
+binary word has S_2i = S_i^2.  They are linear over GF(2) in the word's
+bits, so they come from one matrix product with the (n, m*t) bit matrix of
+``BchCode.position_syndromes``.  Codes with m*t <= ``TABLE_MAX_BITS``
+decode by syndrome table: the packed odd syndromes index a 2^(m*t)-row
+table of the error patterns of weight <= t.  Longer codes run
+Berlekamp-Massey for the error locator, whose roots come from the 2^m-entry
+tables of one closed form for cubics when t <= 3 (Okano & Imai, IEEE T-C
+1987) and from a Chien search when t >= 4.  Decoding has exactly three
+outcomes: the decoder returns the unique codeword within Hamming distance t
+of the input when one exists (which may be a miscorrection), and reports a
+failure otherwise.  The kernel ``_locate_errors`` takes the odd syndromes
+of many rows and returns only the (row, position) pairs of the bits to
+flip, so its cost follows the dirty rows and their errors, never the row
+length; ``bdd_decode_matrix`` builds dense decoded words from them.
 """
 
 import math
@@ -216,17 +217,20 @@ class BchCode:
         # position p carries exponent n-1-p: syndrome j sums alpha^(j*(n-1-p)),
         # and the Chien search evaluates locator degree d at alpha^(-d*(n-1-p))
         exps = np.arange(n - 1, -1, -1, dtype=np.int64)
-        self._synd_pow = alog[(np.arange(1, 2 * t + 1)[:, None] * exps) % order]
+        # row p: the odd syndromes of a single error at position p, which a
+        # flip of bit p XORs into its word's.  int32, like every kept syndrome
+        # array: an int64 table sends np.bitwise_xor.at down a casting path
+        self.position_syndromes = alog[exps[:, None] * np.arange(1, 2 * t, 2) % order]
         # bit b of S_2i+1's term at position p is column m*i + b of row p, and
         # _synd_pack packs a row of summed bits back into t field elements.
         # float64, not float32: float32 is faster per call, but its smaller
         # temporary no longer lifts glibc's dynamic mmap threshold above the
         # channel's (n, n) float64 arrays, and a (255,231,3)^2 frame then
         # re-faults its heap pages (about 450 minor faults, 6-9 % of frames/s)
-        bits = self._synd_pow[::2, :, None] >> np.arange(m) & 1
-        self._synd_bits = bits.transpose(1, 0, 2).reshape(n, t * m).astype(np.float64)
-        pack = np.eye(t, dtype=np.int32)[:, None] << np.arange(m)[:, None]
-        self._synd_pack = pack.reshape(t * m, t)
+        bits = self.position_syndromes[:, :, None] >> np.arange(m) & 1
+        self._synd_bits = bits.reshape(n, t * m).astype(np.float64)
+        bit_values = 1 << np.arange(m, dtype=np.int32)[:, None]
+        self._synd_pack = np.kron(np.eye(t, dtype=np.int32), bit_values)
         # Zero-safe tables for the array decoder: the log of 0 is a sentinel
         # whose sum with any log indexes a 0 in the antilog table, so products
         # need no zero masks.  Genuine logs, one of them offset by up to one
@@ -243,8 +247,6 @@ class BchCode:
             self._build_syndrome_table()
         elif t > 3:
             self._chien = (-np.arange(1, t + 1)[:, None] * exps) % order
-        elif t == 2:
-            self._quad_roots = _quadratic_roots(self.field)
         else:
             self._cubic_roots = _cubic_roots(self.field)
             # log sqrt(a) and log sqrt(a)^-3 for a != 0; both 0 at a = 0
@@ -262,7 +264,7 @@ class BchCode:
         of its positions' keys ``kpos``."""
         n, t, m = self.n, self.t, self.field.m
         self._key_weights = 1 << m * np.arange(t)
-        kpos = np.append(self._synd_pow[::2].T @ self._key_weights, 0)  # position n: none
+        kpos = np.append(self.position_syndromes @ self._key_weights, 0)  # position n: none
         # every pattern is one t-tuple over 0..n, rising to its last position
         # and then padded with n; there are (n+1)^t <= 2^(m*t) tuples in all
         pats = np.indices((n + 1,) * t).reshape(t, -1).T
@@ -284,20 +286,16 @@ class BchCode:
         return np.concatenate([info, parity.astype(np.uint8)], axis=-1)
 
     def syndromes(self, words: np.ndarray) -> np.ndarray:
-        """Syndromes S_1..S_2t for each row; all zero iff the row is a codeword.
+        """The odd syndromes S_1, S_3, .., S_2t-1 of each row, (..., t) int32,
+        all zero iff the row is a codeword (a binary word has S_2i = S_i^2).
 
-        Only the odd ones are summed, as one GF(2) matrix product of the bits
-        with ``_synd_bits``: float64 counts are exact below 2^53 > n, and
-        their low bits are the syndrome bits.  A binary word has S_2i = S_i^2.
+        They are one GF(2) matrix product of the bits with ``_synd_bits``:
+        float64 counts are exact below 2^53 > n, and their low bits are the
+        syndrome bits.
         """
         words = np.asarray(words, dtype=np.uint8)
         counts = words.astype(np.float64) @ self._synd_bits
-        odd = (counts.astype(np.int32) & 1) @ self._synd_pack
-        synd = np.empty(odd.shape[:-1] + (2 * self.t,), dtype=np.int32)
-        synd[..., ::2] = odd
-        for i in range(1, self.t + 1):
-            synd[..., 2 * i - 1] = self._square[synd[..., i - 1]]
-        return synd
+        return (counts.astype(np.int32) & 1) @ self._synd_pack
 
     def is_codeword(self, words: np.ndarray) -> np.ndarray | bool:
         return ~self.syndromes(words).any(axis=-1)
@@ -320,29 +318,18 @@ def _field_power(field: GaloisField, e: int) -> np.ndarray:
     return out
 
 
-def _root_table(keys: np.ndarray, elems: np.ndarray, width: int) -> np.ndarray:
-    """Row k lists, in increasing order, the ``elems[i]`` with ``keys[i] == k``
-    (at most ``width`` of them); -1 pads the rest."""
+def _cubic_roots(field: GaloisField) -> np.ndarray:
+    """Row k lists, in increasing order, the roots w of w^3 + w = k, and row
+    2^m + k those of w^3 = k; -1 pads."""
+    x = np.arange(field.order + 1)
+    cube = _field_power(field, 3)
+    keys = np.concatenate([cube ^ x, cube + len(x)])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     rank = np.arange(len(keys)) - np.searchsorted(keys, keys)
-    table = np.full((len(keys), width), -1, dtype=np.intp)
-    table[keys, rank] = elems[order]
+    table = np.full((len(keys), 3), -1, dtype=np.intp)
+    table[keys, rank] = order % len(x)
     return table
-
-
-def _quadratic_roots(field: GaloisField) -> np.ndarray:
-    """Row k lists the roots y of y^2 + y = k; -1 pads."""
-    x = np.arange(field.order + 1)
-    return _root_table(_field_power(field, 2) ^ x, x, 2)
-
-
-def _cubic_roots(field: GaloisField) -> np.ndarray:
-    """Row k lists the roots w of w^3 + w = k, and row 2^m + k those of
-    w^3 = k; -1 pads."""
-    x = np.arange(field.order + 1)
-    cube = _field_power(field, 3)
-    return _root_table(np.concatenate([cube ^ x, cube + len(x)]), np.tile(x, 2), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +337,8 @@ def _cubic_roots(field: GaloisField) -> np.ndarray:
 
 
 def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Error positions of every row of ``synd`` at once: (row, position, ok).
+    """Error positions of every row at once, from the rows' odd syndromes
+    ``synd`` (``BchCode.syndromes``): (row, position, ok).
 
     ``row`` and ``position`` list the bits to flip, only in decodable rows
     and each bit once; ``ok`` holds the per-row verdict.
@@ -363,17 +351,16 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     need 112 MB.
 
     Longer codes run Berlekamp-Massey on all rows together (Lin & Costello,
-    ch. 6).  The syndromes of a binary word satisfy S_2i = S_i^2, so the
-    discrepancy of every odd step is zero (Lin & Costello, sec. 6.2): only
-    the t even steps run, each shifting ``b`` by x^2 for itself and the
-    skipped step.  ``c`` is the error locator, ``b`` the locator before the
-    last length change times x^(steps since), ``b_log`` that change's
-    discrepancy as a log.  Step 0 always leaves c = 1 + S_1 x, so it is taken
-    in closed form.
+    ch. 6), over S_1..S_2t with the even syndromes built here as
+    S_2i = S_i^2.  That identity also makes the discrepancy of every odd
+    step zero (Lin & Costello, sec. 6.2): only the t even steps run, each
+    shifting ``b`` by x^2 for itself and the skipped step.  ``c`` is the
+    error locator, ``b`` the locator before the last length change times
+    x^(steps since), ``b_log`` that change's discrepancy as a log.  Step 0
+    always leaves c = 1 + S_1 x, so it is taken in closed form.
 
-    For t <= 3 the roots come from closed forms, one per t, read from
-    2^m-entry tables (``_root_exponents``; Chen, "Formulas for the solutions
-    of quadratic equations over GF(2^m)", IEEE T-IT 1982; Okano & Imai, "A
+    For t = 2 and 3 the roots come from one closed form for cubics, read
+    from 2^m-entry tables (``_cubic_roots``; Okano & Imai, "A
     construction method of high-speed decoders using ROM's for BCH and RS
     codes", IEEE T-C 1987): exponent e is position n-1-e when e < n.  For
     t >= 4 the Chien search evaluates the locator at the n in-range
@@ -382,12 +369,15 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     degree t.
     """
     if code._table is not None:
-        key = synd[:, ::2] @ code._key_weights
+        key = synd @ code._key_weights
         found = code._table[key]
         row, k = np.nonzero(found >= 0)
         return row, found[row, k].astype(np.intp), code._table_ok[key]
     t, n, order = code.t, code.n, code.field.order
     log, alog = code._log, code._alog
+    synd = np.repeat(synd, 2, axis=1)  # each odd syndrome, then the slot of S_2i
+    for i in range(1, t + 1):
+        synd[:, 2 * i - 1] = code._square[synd[:, i - 1]]
     rows, two_t = synd.shape
     c = np.zeros((rows, two_t + 1), dtype=np.intp)
     c[:, 0] = 1
@@ -418,38 +408,23 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
         values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
         row, pos = np.nonzero(values == 1)  # the locator, 1 + sum of these terms, vanishes
     else:
-        exps = _root_exponents(code, c)
+        # alpha^e, a root of the reversed locator z^3 c(1/z), is position
+        # n-1-e; for t = 2 (c3 = 0 in decodable rows) that is z (z^2 c(1/z)),
+        # whose extra root z = 0, like a missing root, has a log of at least n.
+        # z = v + c1 turns z^3 + c1 z^2 + c2 z + c3 into v^3 + p v + q, and
+        # v = sqrt(p) w into w^3 + w = q / sqrt(p)^3 when p != 0, else w^3 = q
+        c1 = c[:, 1]
+        p = code._square[c1] ^ c[:, 2]
+        q = alog[log[c1] + log[c[:, 2]]] ^ c[:, 3]
+        w = code._cubic_roots[alog[log[q] + code._cubic_key_log[p]] + ((p == 0) << code.field.m)]
+        v = alog[code._half_log[p][:, None] + log[w]]
+        exps = np.where(w < 0, log[0], log[v ^ c1[:, None]])
         row, k = np.nonzero(exps < n)
         pos = n - 1 - exps[row, k]
     count = np.bincount(row, minlength=rows)
     ok = (length <= t) & (count == length) & ~c[:, t + 1 :].any(axis=1)
     keep = ok[row]
     return row[keep], pos[keep], ok
-
-
-def _root_exponents(code: BchCode, c: np.ndarray) -> np.ndarray:
-    """The exponents e of the distinct roots alpha^e of the reversed locator
-    z^t c(1/z), t = 2 or 3, one column per root; a missing root, or the root
-    z = 0, reads the log of zero, which is at least n."""
-    log, alog = code._log, code._alog
-    c1 = c[:, 1]
-    lc1 = log[c1]
-    if code.t == 2:
-        # z = c1 y turns z^2 + c1 z + c2 into y^2 + y = c2 / c1^2.  Here
-        # c1 = S_1, and a row with S_1 = 0 has L = 0 or L = 3 > t: no root is
-        # needed, z = c1 y = 0 gives none, and c1's log is clamped only to
-        # keep the key in range.
-        order = code.field.order
-        key = alog[log[c[:, 2]] + 2 * (order - np.minimum(lc1, order))]
-        return log[alog[lc1[:, None] + log[code._quad_roots[key]]]]
-    # z = u + c1 turns z^3 + c1 z^2 + c2 z + c3 into u^3 + a u + b, and then
-    # u = sqrt(a) w into w^3 + w = b / sqrt(a)^3 when a != 0, else w^3 = b
-    a = code._square[c1] ^ c[:, 2]
-    b = alog[lc1 + log[c[:, 2]]] ^ c[:, 3]
-    key = alog[log[b] + code._cubic_key_log[a]] + ((a == 0) << code.field.m)
-    w = code._cubic_roots[key]
-    u = alog[code._half_log[a][:, None] + log[w]]
-    return np.where(w < 0, log[0], log[u ^ c1[:, None]])
 
 
 def bdd_decode_matrix(

@@ -224,6 +224,8 @@ def run_gldpc(
     arrays are exact prefixes of the full run's.  Without ``stop_early``
     all ``iterations`` run.
     """
+    if iterations < 1:
+        raise ValueError(f"iteration budget must be at least 1, got {iterations=}")
     params = make_params(ebn0_db, rate)
     p_ch, sigma = params.p_ch, params.sigma
     kern = TransitionKernels(profile, p_ch)
@@ -309,6 +311,8 @@ def run_sc_window(
     """
     if window < 1:
         raise ValueError(f"window must be at least 1 position, got {window=}")
+    if iters_per_slide < 1:
+        raise ValueError(f"iteration budget must be at least 1, got {iters_per_slide=}")
     params = make_params(ebn0_db, rate)
     p_ch, sigma = params.p_ch, params.sigma
     kern = TransitionKernels(profile, p_ch)

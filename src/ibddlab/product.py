@@ -172,13 +172,15 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     """The round loop of both schemes: ``iters`` rounds over groups lo..hi-1.
 
     ``words`` (S, G, R, n) holds S items' component words as rows, each bit
-    in two lines, and ``synd`` (S, G, R, 2t) their syndromes.  A round passes
-    each group g through ``line_flips`` with weight ``weights[g - lo][round]``
-    and its rows ``llr[g]``, ``hard[g]`` or ``genie[g]``.  Each (line, position)
-    index pair that ``copies(lo, g, s, r, c)`` lists for the flipped bits
-    (s, g, r, c) is flipped and XORed into its lines' syndromes.  An item
-    whose groups are all codewords at the top of a round is done for the
-    call.  ``observer(g, round)`` follows every group that decodes any item.
+    in two lines, and ``synd`` (S, G, R, t) their odd syndromes.  A round
+    passes each group g through ``line_flips`` with weight
+    ``weights[g - lo][round]`` and its rows ``llr[g]``, ``hard[g]`` or
+    ``genie[g]``.  Each (line, position) index pair that
+    ``copies(lo, g, s, r, c)`` lists for the flipped bits (s, g, r, c) is
+    flipped, and the position's row of ``comp.position_syndromes`` is XORed
+    into the line's syndromes.  An item whose groups are all codewords at
+    the top of a round is done for the call.  ``observer(g, round)``
+    follows every group that decodes any item.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
@@ -193,7 +195,7 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
                                  *(None if a is None else a[g] for a in (llr, hard, genie)))
             for line, pos in copies(lo, g, s, r, c):
                 words[(*line, pos)] ^= 1
-                np.bitwise_xor.at(synd, line, comp._synd_pow.T[pos])
+                np.bitwise_xor.at(synd, line, comp.position_syndromes[pos])
             if observer is not None:
                 observer(g, ell)
 

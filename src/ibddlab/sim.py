@@ -130,6 +130,8 @@ class SimConfig:
         if self.sr_iters + self.plain_iters == 0:
             raise ValueError("sr_iters + plain_iters must be positive: with none, "
                              "every mode reports the channel")
+        if self.sr_iters == 0 and "ibdd_sr" in self.modes:
+            raise ValueError("ibdd_sr needs sr_iters >= 1, got sr_iters=0")
         if self.fixed_weight is not None:
             check_weights(self.fixed_weight)
         _SCHEMES[self.scheme](self)  # raises on parameters that give no code
@@ -196,47 +198,43 @@ def wilson_ci95(successes: int, trials: int) -> tuple:
     return (max(0.0, centre - half), min(1.0, centre + half))
 
 
-# resampled frame indices drawn at once, bounding the bootstrap's memory
+# bootstrap replicates per interval, and resampled frame indices drawn at
+# once, bounding the bootstrap's memory
+N_BOOT = 1000
 _BOOT_CHUNK = 1 << 20
 
 
-def _resampled_sums(rng, columns, n_boot: int) -> list:
-    """Totals of each per-frame count array over ``n_boot`` frame resamples.
+def _resampled_sums(rng, columns) -> list:
+    """Totals of each per-frame count array over ``N_BOOT`` frame resamples.
 
     Every replicate draws one set of frame indices and applies it to all
     ``columns``.  Indices are drawn in row chunks of about ``_BOOT_CHUNK``
-    elements, which continue the same random stream as one (n_boot, n) draw.
+    elements, which continue the same random stream as one (N_BOOT, n) draw.
     """
     n = len(columns[0])
     rows = max(1, _BOOT_CHUNK // n)
-    sums = [np.empty(n_boot, dtype=np.int64) for _ in columns]
-    for lo in range(0, n_boot, rows):
-        idx = rng.integers(0, n, size=(min(rows, n_boot - lo), n))
+    sums = [np.empty(N_BOOT, dtype=np.int64) for _ in columns]
+    for lo in range(0, N_BOOT, rows):
+        idx = rng.integers(0, n, size=(min(rows, N_BOOT - lo), n))
         for out, col in zip(sums, columns):
             out[lo : lo + len(idx)] = col[idx].sum(axis=1)
     return sums
 
 
-def bootstrap_ber_ci(
-    frame_bit_errors, bits_per_frame: int, seed: int, n_boot: int = 1000
-) -> tuple:
+def bootstrap_ber_ci(frame_bit_errors, bits_per_frame: int, seed: int) -> tuple:
     """Percentile bootstrap 95% interval for BER, resampling whole frames."""
     counts = np.asarray(frame_bit_errors, dtype=np.int64)
     n = len(counts)
     if n == 0 or counts.sum() == 0:
         return (0.0, 0.0)
     rng = np.random.default_rng([seed, 0xB0075])
-    (sums,) = _resampled_sums(rng, [counts], n_boot)
+    (sums,) = _resampled_sums(rng, [counts])
     lo, hi = np.percentile(sums / (n * bits_per_frame), [2.5, 97.5])
     return (float(lo), float(hi))
 
 
 def paired_gap_bootstrap(
-    frame_bit_errors_a,
-    frame_bit_errors_b,
-    bits_per_frame: int,
-    seed: int,
-    n_boot: int = 1000,
+    frame_bit_errors_a, frame_bit_errors_b, bits_per_frame: int, seed: int
 ) -> tuple:
     """Bootstrap 95% interval for BER(a) - BER(b) over shared noise.
 
@@ -252,7 +250,7 @@ def paired_gap_bootstrap(
     if n == 0:
         return (0.0, 0.0)
     rng = np.random.default_rng([seed, 0xD1FF])
-    sums_a, sums_b = _resampled_sums(rng, [a, b], n_boot)
+    sums_a, sums_b = _resampled_sums(rng, [a, b])
     lo, hi = np.percentile((sums_a - sums_b) / (n * bits_per_frame), [2.5, 97.5])
     return (float(lo), float(hi))
 
@@ -477,12 +475,13 @@ def _worker_frames(indices) -> dict:
 # ---------------------------------------------------------------------------
 # point and curve drivers
 
-def _batch_plan(units_per_frame: int, start_units: int = 32, cap_units: int = 4096):
-    """Deterministic batch schedule, sized in frame units, yielded in frames."""
-    units = start_units
+def _batch_plan(units_per_frame: int):
+    """Deterministic batch schedule, sized in frame units, yielded in frames:
+    32 units, doubling to at most 4096."""
+    units = 32
     while True:
         yield max(1, round(units / units_per_frame))
-        units = min(units * 2, cap_units)
+        units = min(units * 2, 4096)
 
 
 def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:

@@ -254,7 +254,7 @@ def window_decode(
     n_streams, n_blocks = llr.shape[:2]
     zeros = np.zeros((n_streams, half, half), dtype=np.uint8)
     pairs = _pairs(harden(llr), zeros)
-    synd = comp.syndromes(pairs)  # (S, N, h, 2t), kept exact from here on
+    synd = comp.syndromes(pairs)  # (S, N, h, t) odd syndromes, kept exact from here on
     llr_pairs = hard_pairs = genie = None  # indexed by pair: (N, S, h, 2h)
     if mode == "ibdd_sr":  # block 0's LLRs: perfectly known zeros
         llr_pairs = _pairs(llr, np.full(zeros.shape, np.inf)).swapaxes(0, 1)

@@ -23,6 +23,7 @@ from scipy.special import gammaln
 from ibddlab.bch import BchCode, bdd_decode_matrix, ideal_decode_matrix
 from ibddlab.channel import harden, make_params, q_function
 from ibddlab.product import ProductCode, combine_decision, pc_encode
+from ibddlab.sim import N_BOOT
 from ibddlab.staircase import StaircaseCode, WindowConfig, encode_stream
 
 
@@ -159,6 +160,13 @@ def _error_positions(code, synd_row) -> np.ndarray | None:
     return positions
 
 
+def syndrome_powers(code) -> np.ndarray:
+    """Row j-1, column p: alpha^(j * (n-1-p)), the term of S_j at position p."""
+    field = code.field
+    exps = code.n - 1 - np.arange(code.n)
+    return field.antilog_table[(np.arange(1, 2 * code.t + 1)[:, None] * exps) % field.order]
+
+
 def bdd_decode_rows(code, words: np.ndarray):
     """Bounded-distance decoding one row at a time: syndromes from their
     definition, list-based Berlekamp-Massey and a Chien search over every
@@ -166,10 +174,8 @@ def bdd_decode_rows(code, words: np.ndarray):
     ``bch.bdd_decode_matrix``, the array kernel it is the reference for.
     """
     words = np.ascontiguousarray(words, dtype=np.uint8)
-    field = code.field
     # S_j sums alpha^(j * (n-1-p)) over the set positions p
-    exps = code.n - 1 - np.arange(code.n)
-    powers = field.antilog_table[(np.arange(1, 2 * code.t + 1)[:, None] * exps) % field.order]
+    powers = syndrome_powers(code)
     decoded = words.copy()
     ok = np.ones(len(words), dtype=bool)
     for r, word in enumerate(words):
@@ -186,13 +192,14 @@ def bdd_decode_rows(code, words: np.ndarray):
 
 
 def locate_errors_chien(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Error positions of every row of ``synd`` at once: (flip mask, ok).
+    """Error positions of every row at once, from the rows' odd syndromes
+    ``synd`` (``BchCode.syndromes``): (flip mask, ok).
 
     The array kernel ``bch._locate_errors`` replaced by syndrome tables
     (m*t <= 18) and closed-form roots (t <= 3), kept as its reference:
     Berlekamp-Massey from step 0, then a Chien search over the n in-range
-    positions for every t.  It computes its own Chien exponents and
-    otherwise reads only the code's zero-safe log tables.
+    positions for every t.  It computes its own even syndromes and Chien
+    exponents and otherwise reads only the code's zero-safe log tables.
 
     Berlekamp-Massey runs on all rows together (Lin & Costello, ch. 6).  The
     syndromes of a binary word satisfy S_2i = S_i^2, so the discrepancy of
@@ -209,7 +216,12 @@ def locate_errors_chien(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np
     log, alog = code._log, code._alog
     # locator degree d at position p is evaluated at alpha^(-d*(n-1-p))
     chien = (-np.arange(1, t + 1)[:, None] * np.arange(code.n - 1, -1, -1)) % order
-    rows, two_t = synd.shape
+    rows, two_t = len(synd), 2 * t
+    full = np.zeros((rows, two_t), dtype=np.intp)
+    full[:, ::2] = synd
+    for j in range(2, two_t + 1, 2):  # S_j = S_(j/2)^2, by doubling its log
+        full[:, j - 1] = alog[2 * log[full[:, j // 2 - 1]]]
+    synd = full
     # syndrome logs reversed, then 2t zero logs: step r reads the logs of
     # synd[:, r - j] for j = 1..2t (zero where r - j < 0) as one slice
     s_rev = np.full((rows, 2 * two_t), log[0])
@@ -526,24 +538,24 @@ def scaling_factor_numeric(
     return float(ws[np.argmin(vn_update(values, ws, p_ch, sigma))])
 
 
-def bootstrap_ber_ci_oneshot(counts, bits_per_frame: int, seed: int, n_boot: int = 1000):
-    """The BER bootstrap drawing its whole (n_boot, n) index matrix at once."""
+def bootstrap_ber_ci_oneshot(counts, bits_per_frame: int, seed: int):
+    """The BER bootstrap drawing its whole (N_BOOT, n) index matrix at once."""
     counts = np.asarray(counts, dtype=np.int64)
     n = len(counts)
     rng = np.random.default_rng([seed, 0xB0075])
-    idx = rng.integers(0, n, size=(n_boot, n))
+    idx = rng.integers(0, n, size=(N_BOOT, n))
     bers = counts[idx].sum(axis=1) / (n * bits_per_frame)
     lo, hi = np.percentile(bers, [2.5, 97.5])
     return (float(lo), float(hi))
 
 
-def paired_gap_bootstrap_oneshot(a, b, bits_per_frame: int, seed: int, n_boot: int = 1000):
+def paired_gap_bootstrap_oneshot(a, b, bits_per_frame: int, seed: int):
     """The paired BER-gap bootstrap drawing its whole index matrix at once."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     n = len(a)
     rng = np.random.default_rng([seed, 0xD1FF])
-    idx = rng.integers(0, n, size=(n_boot, n))
+    idx = rng.integers(0, n, size=(N_BOOT, n))
     gaps = (a[idx].sum(axis=1) - b[idx].sum(axis=1)) / (n * bits_per_frame)
     lo, hi = np.percentile(gaps, [2.5, 97.5])
     return (float(lo), float(hi))

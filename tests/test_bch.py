@@ -137,6 +137,23 @@ KERNEL_CODES = [(4, 1, 0), (4, 2, 0), (5, 2, 1), (8, 3, 0), (8, 3, 1), (8, 4, 0)
 
 
 @pytest.mark.parametrize("m,t,shorten", KERNEL_CODES)
+def test_syndromes_are_the_odd_syndromes(m, t, shorten):
+    """``syndromes`` keeps S_1, S_3, .., S_2t-1 of the row oracle's powers as
+    (..., t) int32, and a flip XORs in ``position_syndromes``, int32 too: an
+    int64 table sends ``np.bitwise_xor.at`` into int32 syndromes down a slow
+    casting path."""
+    code = build_bch(m, t, shorten=shorten)
+    words = (np.random.default_rng([m, t, shorten]).random((3, 40, code.n)) < 0.1).astype(np.uint8)
+    odd = oracles.syndrome_powers(code)[::2]
+    synd = code.syndromes(words)
+    assert synd.shape == (3, 40, t) and synd.dtype == np.int32
+    want = np.bitwise_xor.reduce(np.where(words[..., None, :] == 1, odd, 0), axis=-1)
+    np.testing.assert_array_equal(synd, want)
+    assert code.position_syndromes.dtype == np.int32
+    np.testing.assert_array_equal(code.position_syndromes, odd.T)
+
+
+@pytest.mark.parametrize("m,t,shorten", KERNEL_CODES)
 def test_bdd_kernel_matches_row_oracle(m, t, shorten):
     """Random rows up to p = 1/2, and codewords with t+1..t+3 errors (the
     miscorrection and failure cases), decode exactly as the scalar
@@ -157,8 +174,10 @@ def test_bdd_kernel_matches_row_oracle(m, t, shorten):
 
 # KERNEL_CODES, two shortened t = 3 codes whose parent field holds far more
 # roots than positions, (223,193) from length 1023 and (300,252) from 65535,
-# and (1023,1003), a t = 2 code too long for a syndrome table
-LOCATOR_CODES = [*KERNEL_CODES, (10, 3, 800), (16, 3, 65235), (10, 2, 0)]
+# (1023,1003), a t = 2 code too long for a syndrome table, and two shortened
+# t = 2 codes, (523,503) from length 1023 and (535,503) from 65535
+LOCATOR_CODES = [*KERNEL_CODES, (10, 3, 800), (16, 3, 65235), (10, 2, 0), (10, 2, 500),
+                 (16, 2, 65000)]
 
 
 @pytest.mark.parametrize("m,t,shorten", LOCATOR_CODES)
@@ -228,17 +247,15 @@ def _field_mul(field, a, b):
 
 @pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLY))
 def test_root_tables_exhaustive(m):
-    """Every root listed under a key solves that key's equation, and every
-    field element is listed under the key its own value gives; the listed
-    roots rise within a row and precede the -1 padding."""
+    """Every root listed under a key of the cubic tables solves that key's
+    equation, and every field element is listed under the key its own value
+    gives; the listed roots rise within a row and precede the -1 padding."""
     field = GaloisField(m)
     x = np.arange(1 << m)
-    square = _field_mul(field, x, x)
-    cube = _field_mul(field, square, x)
-    quad, cubic = bch._quadratic_roots(field), bch._cubic_roots(field)
-    assert quad.shape == (1 << m, 2) and cubic.shape == (2 << m, 3)
+    cube = _field_mul(field, _field_mul(field, x, x), x)
+    cubic = bch._cubic_roots(field)
+    assert cubic.shape == (2 << m, 3)
     for table, value, own_key in (
-        (quad, lambda y: _field_mul(field, y, y) ^ y, square ^ x),
         (cubic[: 1 << m], lambda w: _field_mul(field, _field_mul(field, w, w), w) ^ w, cube ^ x),
         (cubic[1 << m :], lambda w: _field_mul(field, _field_mul(field, w, w), w), cube),
     ):

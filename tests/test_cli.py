@@ -198,16 +198,20 @@ _DE_THRESHOLD = ["de-threshold", "--m", "4", "--t", "1", "--bracket", "3", "5"]
         ["de-schedule", "--ensemble", "sc", "--m", "4", "--t", "1", "--window", "-2",
          "--ebn0-db", "4"],
         ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "nan"],
+        ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "4",
+         "--iters", "0"],
+        ["de-schedule", "--ensemble", "sc", "--m", "4", "--t", "1", "--ebn0-db", "4",
+         "--iters", "-2"],
     ],
     ids=["de-threshold", "de-schedule", "sim", "sim-staircase", "sim-weight",
          "tol-zero", "tol-negative", "tol-nan", "threshold-window", "schedule-window",
-         "schedule-ebn0"],
+         "schedule-ebn0", "schedule-iters-gldpc", "schedule-iters-sc"],
 )
 def test_bad_component_exits_one(argv, tmp_path, capsys):
     """Parameters that give no (staircase) component code, a bad weight, a
     threshold tolerance the bisection cannot reach, a window without
-    positions or a non-finite Eb/N0 end in one error line and exit 1, before
-    any output file is opened."""
+    positions, a non-finite Eb/N0 or an iteration budget below 1 end in one
+    error line and exit 1, before any output file is opened."""
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "error" in err

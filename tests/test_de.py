@@ -354,6 +354,15 @@ def test_run_sc_window_rejects_bad_window(prof_15_11, window):
         run_sc_window(prof_15_11, 4.0, 1 - 2 * 4 / 15, window, 10)
 
 
+@pytest.mark.parametrize("iters", [0, -2])
+def test_iteration_budget_below_one_rejected(prof_15_11, iters):
+    rate = 1 - 2 * 4 / 15
+    with pytest.raises(ValueError, match=f"iterations={iters}"):
+        run_gldpc(prof_15_11, 4.0, rate, iterations=iters)
+    with pytest.raises(ValueError, match=f"iters_per_slide={iters}"):
+        run_sc_window(prof_15_11, 4.0, rate, 3, iters)
+
+
 # ---------------------------------------------------------------------------
 # coupled chain
 

@@ -77,6 +77,15 @@ def test_config_validation():
     toy_cfg(seed=2**64 - 1, max_frames=2**32 - 1)
 
 
+@pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
+def test_config_rejects_ibdd_sr_without_scaled_iterations(scheme, spec):
+    """With sr_iters = 0 there is no scaled iteration: ibdd_sr is refused in
+    either scheme, and the other modes still run their plain rounds."""
+    with pytest.raises(ValueError, match="sr_iters"):
+        toy_cfg(scheme=scheme, component=spec, sr_iters=0)
+    toy_cfg(scheme=scheme, component=spec, sr_iters=0, modes=("ibdd", "ideal"))
+
+
 def test_component_spec_label():
     assert TOY.label == "n15k11t1"
     assert ComponentSpec(m=8, t=3, shorten=1).label == "n254k230t3"
@@ -255,7 +264,7 @@ def test_paired_gap_bootstrap_detects_difference(rng):
 @pytest.mark.parametrize("n", [1, 7, 2016, 2017, 5000])
 def test_bootstrap_chunks_match_oneshot(n):
     """Chunked resampling continues one random stream: the intervals equal
-    those of the single (n_boot, n) index draw to the bit."""
+    those of the single (N_BOOT, n) index draw to the bit."""
     rng = np.random.default_rng(n)
     a = rng.poisson(3.0, size=n).astype(np.int64)
     a[0] += 1  # at least one error, so the interval is not short-circuited
