@@ -1,22 +1,26 @@
 """Binary BCH component codes over GF(2^m) with bounded-distance decoding.
 
 Narrow-sense primitive BCH codes of length 2^m - 1, optionally shortened by
-removing leading information positions.  Decoding is syndrome-based, and a
-word's syndromes are kept as its t odd ones, S_1, S_3, .., S_2t-1, since a
-binary word has S_2i = S_i^2.  They are linear over GF(2) in the word's
-bits, so they come from one matrix product with the (n, m*t) bit matrix of
-``BchCode.position_syndromes``.  Codes with m*t <= ``TABLE_MAX_BITS``
-decode by syndrome table: the packed odd syndromes index a 2^(m*t)-row
-table of the error patterns of weight <= t.  Longer codes run
-Berlekamp-Massey for the error locator, whose roots come from the 2^m-entry
-tables of one closed form for cubics when t <= 3 (Okano & Imai, IEEE T-C
-1987) and from a Chien search when t >= 4.  Decoding has exactly three
-outcomes: the decoder returns the unique codeword within Hamming distance t
-of the input when one exists (which may be a miscorrection), and reports a
-failure otherwise.  The kernel ``_locate_errors`` takes the odd syndromes
-of many rows and returns only the (row, position) pairs of the bits to
-flip, so its cost follows the dirty rows and their errors, never the row
-length; ``bdd_decode_matrix`` builds dense decoded words from them.
+removing leading information positions.  The generator polynomial is built
+from the field's log/antilog tables as the product of (x + alpha^j) over the
+cyclotomic cosets of 1, 3, .., 2t-1 (``generator_poly``), and the systematic
+encoder's parity rows are its remainders x^i mod g.  Decoding is
+syndrome-based, and a word's syndromes are kept as its t odd ones, S_1,
+S_3, .., S_2t-1, since a binary word has S_2i = S_i^2.  They are linear
+over GF(2) in the word's bits, so they come from one matrix product with
+the (n, m*t) bit matrix of ``BchCode.position_syndromes``.  Codes with
+m*t <= ``TABLE_MAX_BITS`` decode by syndrome table: the packed odd
+syndromes index a 2^(m*t)-row table of the error patterns of weight <= t.
+Longer codes run Berlekamp-Massey for the error locator, whose roots come
+from the 2^m-entry tables of one closed form for cubics when t <= 3 (Okano
+& Imai, IEEE T-C 1987) and from a Chien search when t >= 4.  Decoding has
+exactly three outcomes: the decoder returns the unique codeword within
+Hamming distance t of the input when one exists (which may be a
+miscorrection), and reports a failure otherwise.  The kernel
+``_locate_errors`` takes the odd syndromes of many rows and returns only
+the (row, position) pairs of the bits to flip, so its cost follows the
+dirty rows and their errors, never the row length; ``bdd_decode_matrix``
+builds dense decoded words from them.
 """
 
 import math
@@ -80,66 +84,31 @@ class GaloisField:
         self.log_table = log
         self.antilog_table = antilog
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.antilog_table[(self.log_table[a] + self.log_table[b]) % self.order])
-
-    def pow_alpha(self, e: int) -> int:
-        """alpha^e for any integer exponent."""
-        return int(self.antilog_table[e % self.order])
-
     def __repr__(self):
         return f"GaloisField(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(2), polynomials as int bit masks
+# the generator polynomial, as an int bit mask (bit i = coefficient of x^i)
 
 
-def _poly_mod(p: int, g: int) -> int:
-    dg = g.bit_length() - 1
-    while p.bit_length() - 1 >= dg and p:
-        p ^= g << (p.bit_length() - 1 - dg)
-    return p
-
-
-def _poly_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def _minimal_polynomial(field: GaloisField, exponent: int) -> int:
-    """Minimal polynomial over GF(2) of alpha^exponent, as a bit mask."""
-    order = field.order
-    coset = []
-    e = exponent % order
-    while e not in coset:
-        coset.append(e)
-        e = (2 * e) % order
-    # multiply out prod_{j in coset} (x + alpha^j) with coefficients in GF(2^m)
-    poly = [1]  # coefficient list, poly[i] = coeff of x^i
-    for j in coset:
-        root = field.pow_alpha(j)
-        nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            if c == 0:
-                continue
-            nxt[i + 1] ^= c
-            nxt[i] ^= field.mul(c, root)
-        poly = nxt
-    mask = 0
-    for i, c in enumerate(poly):
-        if c not in (0, 1):
-            raise CodeConstructionError("minimal polynomial has coefficients outside GF(2)")
-        if c:
-            mask |= 1 << i
-    return mask
+def generator_poly(field: GaloisField, t: int) -> int:
+    """Generator polynomial of the t-error-correcting narrow-sense BCH code
+    over ``field``, as a bit mask: the product of (x + alpha^j) over the
+    union of the cyclotomic cosets {i 2^s mod (2^m - 1)} of i = 1, 3, ..,
+    2t-1.  Each coset holds the roots of one minimal polynomial, and the
+    union is closed under squaring, so every coefficient lies in GF(2).
+    """
+    log, alog, order = field.log_table, field.antilog_table, field.order
+    odd = np.arange(1, 2 * t, 2, dtype=np.int64)
+    roots = np.unique((odd[:, None] << np.arange(field.m)) % order)
+    coef = np.zeros(len(roots) + 1, dtype=np.int32)  # coef[i]: coefficient of x^i
+    coef[0] = 1
+    for j in roots:  # multiply by (x + alpha^j)
+        times_root = np.where(coef != 0, alog[(log[coef] + j) % order], 0)
+        times_root[1:] ^= coef[:-1]
+        coef = times_root
+    return sum(1 << int(i) for i in np.flatnonzero(coef))
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +135,8 @@ class BchCode:
         self.t = t
         self.n_parent = field.order
 
-        generator = 1
-        seen: set[int] = set()
-        for i in range(1, 2 * t, 2):
-            mp = _minimal_polynomial(field, i)
-            if mp not in seen:
-                seen.add(mp)
-                generator = _poly_mul(generator, mp)
-        self.generator_poly = generator
-        deg_g = generator.bit_length() - 1
-        k_parent = self.n_parent - deg_g
+        self.generator_poly = generator_poly(field, t)
+        k_parent = self.n_parent - (self.generator_poly.bit_length() - 1)
         if k_parent <= 0:
             raise CodeConstructionError(
                 f"t={t} leaves no information positions at length {self.n_parent}"
@@ -197,18 +158,16 @@ class BchCode:
         n, k, g = self.n, self.k, self.generator_poly
         nk = n - k
         # systematic parity rows: info position i sits at exponent n-1-i, so its
-        # parity contribution is x^(n-1-i) mod g
-        rows = []
-        cur = _poly_mod(1 << nk, g)
-        for _ in range(k):
-            rows.append(cur)
-            cur = _poly_mod(cur << 1, g)
-        parity = np.zeros((k, nk), dtype=np.uint8)
-        for i in range(k):
-            r = rows[k - 1 - i]
-            for q in range(nk):
-                parity[i, q] = (r >> (nk - 1 - q)) & 1
-        self._parity = parity
+        # parity contribution is x^(n-1-i) mod g, whose coefficient of x^(nk-1-q)
+        # is parity column q.  g has degree nk: x^nk mod g is g - x^nk, and each
+        # further power shifts the last one up and reduces it by g at degree nk
+        rows = [g ^ (1 << nk)]
+        for _ in range(k - 1):
+            rows.append((rows[-1] << 1) ^ (g if rows[-1] >> (nk - 1) else 0))
+        width = (nk + 7) // 8
+        packed = b"".join(r.to_bytes(width, "big") for r in reversed(rows))
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(k, width), axis=1)
+        self._parity = np.ascontiguousarray(bits[:, 8 * width - nk :])
 
     def _build_decoder_tables(self):
         n, t, m = self.n, self.t, self.field.m

@@ -27,13 +27,11 @@ from datetime import datetime, timezone
 from . import __version__
 from .bch import CodeConstructionError, FieldConstructionError, build_bch
 from .de import (
-    SC_ITERS_PER_SLIDE,
-    SC_MAX_SLIDES,
-    SC_SCHEDULE_MAX_SLIDES,
     BracketError,
     auto_profile,
     run_gldpc,
-    run_sc_window,
+    sc_schedule_run,
+    threshold_run,
     threshold_search,
 )
 from .sim import (
@@ -124,11 +122,12 @@ def _cmd_de_threshold(args, argv) -> int:
         return 1
     profile = auto_profile(code)
     rate = _design_rate(code.n, code.k)
+    window = args.window if args.ensemble == "sc" else None
     try:
         thr = threshold_search(
             args.ensemble, profile, rate, tol_db=args.tol_db,
             bracket=tuple(args.bracket) if args.bracket else None,
-            window=args.window if args.ensemble == "sc" else None,
+            window=window,
         )
     except ValueError as exc:
         print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
@@ -140,11 +139,7 @@ def _cmd_de_threshold(args, argv) -> int:
         return 2
     print(f"{thr:.4f} dB")
     if args.out:
-        if args.ensemble == "gldpc":
-            res = run_gldpc(profile, thr, rate)
-        else:
-            res = run_sc_window(profile, thr, rate, args.window, SC_ITERS_PER_SLIDE,
-                                max_slides=SC_MAX_SLIDES)
+        res = threshold_run(profile, thr, rate, window)
         _write_profile(args, argv, code, res, thr, rate, started)
     return 0
 
@@ -169,9 +164,7 @@ def _cmd_de_schedule(args, argv) -> int:
                 f"converged={res.converged}"
             )
         else:
-            res = run_sc_window(profile, args.ebn0_db, rate, args.window, args.iters,
-                                full_iterations=True, fail_fast=False,
-                                max_slides=SC_SCHEDULE_MAX_SLIDES)
+            res = sc_schedule_run(profile, args.ebn0_db, rate, args.window, args.iters)
             print(
                 f"sc schedule at {args.ebn0_db} dB: window {args.window}, "
                 f"{args.iters} iterations/slide, steady at slide "

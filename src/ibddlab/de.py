@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
+from .bch import EXACT_MAX_K, weight_enumerator_approx, weight_enumerator_exact
 from .channel import make_params, q_function
 
 DEFAULT_WEIGHT_CAP = 64.0
@@ -110,8 +111,6 @@ def auto_profile(code) -> ComponentProfile:
 
     Built once per code object and shared by every caller, read-only.
     """
-    from .bch import EXACT_MAX_K, weight_enumerator_approx, weight_enumerator_exact
-
     if code.k <= EXACT_MAX_K:
         return component_profile(code.n, code.t, weight_enumerator_exact(code))
     return component_profile(code.n, code.t, weight_enumerator_approx(code))
@@ -180,11 +179,6 @@ def _vn_update_values(v: TransitionValues, w, p_ch: float, sigma: float):
 
 # ---------------------------------------------------------------------------
 # uncoupled (product-code) recursion
-
-
-class ScheduleUnavailable(RuntimeError):
-    """The recursion does not improve at the requested operating point, so it
-    gives no useful weight schedule."""
 
 
 @dataclass
@@ -396,6 +390,25 @@ SC_MAX_SLIDES = 400
 SC_SCHEDULE_MAX_SLIDES = 60
 
 
+def threshold_run(profile: ComponentProfile, ebn0_db: float, rate: float,
+                  window: int | None = None) -> GldpcDeResult | ScDeResult:
+    """The recursion whose convergence decides the threshold: the uncoupled
+    one when ``window`` is None, else the window-decoded coupled chain over
+    ``window`` positions with the budgets above."""
+    if window is None:
+        return run_gldpc(profile, ebn0_db, rate)
+    return run_sc_window(profile, ebn0_db, rate, window, SC_ITERS_PER_SLIDE,
+                         max_slides=SC_MAX_SLIDES)
+
+
+def sc_schedule_run(profile: ComponentProfile, ebn0_db: float, rate: float, window: int,
+                    iters_per_slide: int) -> ScDeResult:
+    """The windowed recursion a decoder's weight schedule is read from: all
+    ``iters_per_slide`` rounds of every slide, past any failure."""
+    return run_sc_window(profile, ebn0_db, rate, window, iters_per_slide, full_iterations=True,
+                         fail_fast=False, max_slides=SC_SCHEDULE_MAX_SLIDES)
+
+
 def threshold_search(
     ensemble: str,
     profile: ComponentProfile,
@@ -408,12 +421,12 @@ def threshold_search(
     """Bisect Eb/N0 for the smallest value where the recursion decodes.
 
     ``ensemble`` is "gldpc" (uncoupled) or "sc" (window-decoded coupled chain,
-    requires ``window``; ``SC_ITERS_PER_SLIDE`` rounds per slide, at most
-    ``SC_MAX_SLIDES`` slides).  Success means the message error rate falls
-    below ``DEFAULT_TARGET`` within the iteration budget.  Raises BracketError
-    when the bracket endpoints do not straddle the threshold, and ValueError,
-    before any recursion runs, on an unknown ensemble, a ``tol_db`` that is
-    not finite and positive, or an sc ``window`` below 1.
+    requires ``window``).  Success means that ``threshold_run``'s message
+    error rate falls below ``DEFAULT_TARGET`` within its iteration budget.
+    Raises BracketError when the bracket endpoints do not straddle the
+    threshold, and ValueError, before any recursion runs, on an unknown
+    ensemble, a ``tol_db`` that is not finite and positive, or an sc
+    ``window`` below 1.
     """
     if ensemble not in ("gldpc", "sc"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
@@ -421,13 +434,10 @@ def threshold_search(
         raise ValueError(f"tol_db must be finite and positive, got {tol_db!r}")
     if ensemble == "sc" and (window is None or window < 1):
         raise ValueError(f"sc ensemble needs a window of at least 1 position, got {window=}")
+    window = window if ensemble == "sc" else None
 
     def success(ebn0: float) -> bool:
-        if ensemble == "gldpc":
-            return run_gldpc(profile, ebn0, rate).converged
-        return run_sc_window(
-            profile, ebn0, rate, window, SC_ITERS_PER_SLIDE, max_slides=SC_MAX_SLIDES
-        ).converged
+        return threshold_run(profile, ebn0, rate, window).converged
 
     if bracket is None:
         lo, hi = None, None

@@ -240,13 +240,16 @@ def ibdd_sr_decode(
 
     Each scaled iteration BDD-decodes all rows, re-decides every bit by
     ``combine_decision``'s rule with the iteration's row weight, then
-    repeats for columns.  After ``sr_iters`` such iterations, ``plain_iters`` rounds of
-    conventional decoding (which ignore the channel, flipping the error-floor
-    mechanism off) finish the job.  A frame stops once it is a product
-    codeword.  ``llr`` is one (n, n) frame or a (B, n, n) stack.
+    repeats for columns.  After ``sr_iters`` >= 1 such iterations,
+    ``plain_iters`` rounds of conventional decoding (which ignore the channel,
+    flipping the error-floor mechanism off) finish the job.  A frame stops
+    once it is a product codeword.  ``llr`` is one (n, n) frame or a
+    (B, n, n) stack.
     ``observer(stage, iteration, psi)`` is called after every half-iteration
     that decodes any frame, when given.
     """
+    if sr_iters < 1:  # with no scaled iteration it would silently decode plain
+        raise ValueError(f"ibdd_sr needs sr_iters >= 1, got {sr_iters=}")
     if schedule.iterations < sr_iters:
         raise ValueError(
             f"schedule covers {schedule.iterations} iterations, need {sr_iters}"

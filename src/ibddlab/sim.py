@@ -41,7 +41,7 @@ import numpy as np
 
 from .bch import BchCode, build_bch
 from .channel import harden, make_params, noise_to_llr
-from .de import ScheduleUnavailable, auto_profile, run_gldpc
+from .de import ComponentProfile, auto_profile, run_gldpc, sc_schedule_run
 from .product import (
     ProductCode,
     ScalingSchedule,
@@ -56,7 +56,6 @@ from .staircase import (
     WindowConfig,
     WindowSchedule,
     encode_stream,
-    schedule_for_window,
     window_decode,
 )
 
@@ -256,6 +255,53 @@ def paired_gap_bootstrap(
 
 
 # ---------------------------------------------------------------------------
+# weight schedules from density evolution
+
+
+class ScheduleUnavailable(RuntimeError):
+    """The recursion does not improve at the requested operating point, so it
+    gives no useful weight schedule."""
+
+
+def _improving(res):
+    """``res``, a DE result, if its recursion improves on the channel; else
+    ScheduleUnavailable, since its weights would be meaningless."""
+    if not res.improving:
+        raise ScheduleUnavailable(f"recursion not improving at {res.ebn0_db} dB "
+                                  f"(rate {res.rate:.4f}): no weight schedule")
+    return res
+
+
+def schedule_for_window(
+    profile: ComponentProfile,
+    ebn0_db: float,
+    rate: float,
+    window_blocks: int,
+    sr_iters: int,
+) -> WindowSchedule:
+    """Derive per-pair weights by running the windowed recursion
+    (``de.sc_schedule_run``) at the operating point.
+
+    A window of U blocks maps onto a chain window of U-1 positions; the
+    recursion's U constraint slots line up with the window's U decodable
+    pairs (slot 0 is the frozen-edge constraint in both pictures).  Raises
+    ScheduleUnavailable when the recursion's error probability does not
+    decrease.
+    """
+    if window_blocks < 2:
+        raise ValueError("window must span at least two blocks")
+    res = _improving(sc_schedule_run(profile, ebn0_db, rate, window_blocks - 1, sr_iters))
+    horizon = res.steady_slide if res.steady_slide is not None else len(res.schedules)
+    return WindowSchedule(
+        early=tuple(res.schedules[: horizon - 1]),
+        steady=res.schedules[horizon - 1],
+        steady_slide=horizon,
+        ebn0_db=ebn0_db,
+        rate=rate,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the frame engine: built once per process, runs many frames
 
 
@@ -282,13 +328,8 @@ def _product(cfg: SimConfig) -> _Scheme:
     def schedule(ebn0_db):
         if cfg.fixed_weight is not None:
             return ScalingSchedule.constant(cfg.fixed_weight, cfg.sr_iters)
-        res = run_gldpc(auto_profile(code.component), ebn0_db, code.rate,
-                        iterations=cfg.sr_iters, stop_early=False)
-        if not res.improving:
-            raise ScheduleUnavailable(
-                f"recursion not improving at {ebn0_db} dB "
-                f"(rate {code.rate:.4f}): no weight schedule"
-            )
+        res = _improving(run_gldpc(auto_profile(code.component), ebn0_db, code.rate,
+                                   iterations=cfg.sr_iters, stop_early=False))
         return ScalingSchedule(res.w_row, res.w_col)
 
     def decoders(weights):  # one call decodes the whole stack of frames

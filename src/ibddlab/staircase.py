@@ -18,11 +18,10 @@ of pair i.  Each window position runs the scaled rounds, then the plain ones;
 a stream whose window pairs are all codewords is done for that position.
 
 Scaled-reliability decoding consumes a per-pair, per-iteration weight
-schedule derived from the coupled-chain recursion in :mod:`ibddlab.de`:
-pair j of a window maps onto constraint slot j of the windowed recursion
-(slot 0 is the frozen-edge constraint in both pictures), so a window of U
-blocks consumes exactly the (U, iterations) weight array the recursion
-produces for a chain window of U-1 positions.
+schedule (``WindowSchedule``): row j of a slide's (U, iterations) array
+weighs pair j of a window of U blocks, oldest first.  This module only
+consumes schedules; ``sim.schedule_for_window`` derives them from the
+coupled-chain recursion in :mod:`ibddlab.de`, or a caller builds one.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 from .bch import BchCode
 from .channel import harden
-from .de import SC_SCHEDULE_MAX_SLIDES, ComponentProfile, ScheduleUnavailable, run_sc_window
 from .product import check_weights, iterate
 
 
@@ -141,52 +139,6 @@ class WindowSchedule:
         return self.steady.shape[1]
 
 
-def schedule_for_window(
-    profile: ComponentProfile,
-    ebn0_db: float,
-    rate: float,
-    window_blocks: int,
-    sr_iters: int,
-) -> WindowSchedule:
-    """Derive per-pair weights by running the windowed recursion at the
-    operating point.
-
-    A window of U blocks maps onto a chain window of U-1 positions; the
-    recursion's U constraint slots line up with the window's U decodable
-    pairs.  Raises ScheduleUnavailable when the recursion's error
-    probability does not decrease (the weights would be meaningless and the
-    caller should fall back to plain decoding).
-    """
-    if window_blocks < 2:
-        raise ValueError("window must span at least two blocks")
-    res = run_sc_window(
-        profile,
-        ebn0_db,
-        rate,
-        window=window_blocks - 1,
-        iters_per_slide=sr_iters,
-        full_iterations=True,
-        fail_fast=False,
-        max_slides=SC_SCHEDULE_MAX_SLIDES,
-    )
-    if not res.improving:
-        raise ScheduleUnavailable(
-            f"message error probability not decreasing at {ebn0_db} dB "
-            f"(rate {rate:.4f}); no useful weight schedule exists"
-        )
-    schedules = [np.asarray(s, dtype=float) for s in res.schedules]
-    horizon = res.steady_slide if res.steady_slide is not None else len(schedules)
-    steady = schedules[horizon - 1]
-    early = tuple(schedules[: horizon - 1])
-    return WindowSchedule(
-        early=early,
-        steady=steady,
-        steady_slide=horizon,
-        ebn0_db=ebn0_db,
-        rate=rate,
-    )
-
-
 @dataclass(frozen=True)
 class WindowConfig:
     """Window-decoder settings: size, iteration budget, and weights."""
@@ -230,8 +182,9 @@ def window_decode(
     ``llr_blocks`` are the channel LLRs of blocks 1..N of one stream, (N, h, h),
     or of a stack of S streams, (S, N, h, h); the result has the shape given.
     Block 0 is the known all-zero terminator.  Modes: "ibdd" (plain),
-    "ibdd_sr" (scaled reliability, requires ``cfg.schedule``), "ideal"
-    (genie-aided; requires the ``transmitted`` blocks, shaped like the LLRs).
+    "ibdd_sr" (scaled reliability, requires ``cfg.schedule`` and
+    ``cfg.sr_iters`` >= 1), "ideal" (genie-aided; requires the
+    ``transmitted`` blocks, shaped like the LLRs).
     Emitted blocks are final -- later windows treat them as frozen hard
     values and never write them back.
     """
@@ -239,6 +192,8 @@ def window_decode(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "ibdd_sr" and cfg.schedule is None:
         raise ValueError("ibdd_sr needs a weight schedule")
+    if mode == "ibdd_sr" and cfg.sr_iters < 1:  # else it would silently decode plain
+        raise ValueError(f"ibdd_sr needs sr_iters >= 1, got sr_iters={cfg.sr_iters}")
     if mode == "ideal" and transmitted is None:
         raise ValueError("ideal mode needs the transmitted blocks")
 

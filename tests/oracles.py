@@ -12,7 +12,10 @@ table-root kernel replaced, and reads the code's log tables,
 ``weight_enumerator_encode`` is the codeword enumerator that the span and
 MacWilliams enumerator replaced, and ``frame_stack_per_frame`` is the
 per-frame generator loop that the stacked noise draw replaced, with the
-package's encoders.
+package's encoders.  ``generator_poly_minimal`` and ``parity_matrix`` are the
+minimal-polynomial product and the per-element parity loop that the
+generator built from the cyclotomic cosets and the packed parity build
+replaced, and read the field's log tables.
 """
 
 import math
@@ -49,6 +52,71 @@ def weight_enumerator_encode(code) -> np.ndarray:
         weights = np.count_nonzero(code.encode(info), axis=1)
         counts += np.bincount(weights, minlength=code.n + 1)
     return counts
+
+
+def _poly_mul(a: int, b: int) -> int:
+    """Product of two GF(2) polynomials held as int bit masks."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def _poly_mod(p: int, g: int) -> int:
+    dg = g.bit_length() - 1
+    while p.bit_length() - 1 >= dg and p:
+        p ^= g << (p.bit_length() - 1 - dg)
+    return p
+
+
+def minimal_polynomial(field, exponent: int) -> int:
+    """Minimal polynomial over GF(2) of alpha^exponent, as a bit mask: the
+    product of (x + alpha^j) over the cyclotomic coset of the exponent,
+    multiplied out coefficient by coefficient."""
+    log, alog, order = field.log_table, field.antilog_table, field.order
+    coset = []
+    e = exponent % order
+    while e not in coset:
+        coset.append(e)
+        e = (2 * e) % order
+    poly = [1]  # poly[i] = coefficient of x^i, in GF(2^m)
+    for j in coset:
+        nxt = [0] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            if c:
+                nxt[i + 1] ^= c
+                nxt[i] ^= int(alog[(log[c] + j) % order])
+        poly = nxt
+    assert set(poly) <= {0, 1}, "minimal polynomial has coefficients outside GF(2)"
+    return sum(c << i for i, c in enumerate(poly))
+
+
+def generator_poly_minimal(field, t: int) -> int:
+    """The BCH generator as the product of the distinct minimal polynomials
+    of alpha, alpha^3, .., alpha^(2t-1)."""
+    generator, seen = 1, set()
+    for i in range(1, 2 * t, 2):
+        mp = minimal_polynomial(field, i)
+        if mp not in seen:
+            seen.add(mp)
+            generator = _poly_mul(generator, mp)
+    return generator
+
+
+def parity_matrix(code) -> np.ndarray:
+    """The (k, n-k) systematic parity bits, one element at a time: row i holds
+    x^(n-1-i) mod g, its coefficient of x^(n-k-1-q) in column q."""
+    n, k, g = code.n, code.k, code.generator_poly
+    nk = n - k
+    parity = np.zeros((k, nk), dtype=np.uint8)
+    for i in range(k):
+        r = _poly_mod(1 << (n - 1 - i), g)
+        for q in range(nk):
+            parity[i, q] = (r >> (nk - 1 - q)) & 1
+    return parity
 
 
 def popcount_table() -> np.ndarray:

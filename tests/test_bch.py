@@ -50,6 +50,31 @@ def test_known_generator_polys(code_15_11, code_15_7):
     assert code_15_7.generator_poly == 0b111010001
 
 
+def test_generator_matches_minimal_polynomial_oracle():
+    """The generator from the cyclotomic cosets equals the product of the
+    distinct minimal polynomials for every field degree and every t <= 8
+    that leaves information positions."""
+    checked = 0
+    for m in sorted(DEFAULT_PRIMITIVE_POLY):
+        field = GaloisField(m)
+        for t in range(1, 9):
+            want = oracles.generator_poly_minimal(field, t)
+            if want.bit_length() - 1 >= field.order:  # k <= 0
+                continue
+            assert bch.generator_poly(field, t) == want, (m, t)
+            checked += 1
+    assert checked == 107  # every (m, t) pair with k > 0
+
+
+@pytest.mark.parametrize(
+    "fixture", ["code_15_11", "code_15_7", "code_30_20", "code_255_231", "code_254_230"]
+)
+def test_parity_matches_oracle(fixture, request):
+    code = request.getfixturevalue(fixture)
+    parity = oracles.parity_matrix(code)
+    assert code._parity.dtype == parity.dtype and np.array_equal(code._parity, parity)
+
+
 def test_bad_construction_raises():
     with pytest.raises(CodeConstructionError):
         build_bch(4, 0)

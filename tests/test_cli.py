@@ -184,37 +184,41 @@ _DE_THRESHOLD = ["de-threshold", "--m", "4", "--t", "1", "--bracket", "3", "5"]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["de-threshold", "--ensemble", "gldpc", "--m", "20", "--t", "3"],
-        ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "9", "--ebn0-db", "4"],
-        ["sim", "--scheme", "pc", "--m", "4", "--t", "9", "--ebn0", "4"],
-        ["sim", "--scheme", "staircase", "--m", "4", "--t", "1", "--ebn0", "4"],
-        ["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--ebn0", "4", "--fixed-weight", "-1"],
-        _DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "0"],
-        _DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "-1"],
-        _DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "nan"],
-        _DE_THRESHOLD + ["--ensemble", "sc", "--window", "0"],
-        ["de-schedule", "--ensemble", "sc", "--m", "4", "--t", "1", "--window", "-2",
-         "--ebn0-db", "4"],
-        ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "nan"],
-        ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "4",
-         "--iters", "0"],
-        ["de-schedule", "--ensemble", "sc", "--m", "4", "--t", "1", "--ebn0-db", "4",
-         "--iters", "-2"],
+        (["de-threshold", "--ensemble", "gldpc", "--m", "20", "--t", "3"], "got 20"),
+        (["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "9", "--ebn0-db", "4"], "t=9"),
+        (["sim", "--scheme", "pc", "--m", "4", "--t", "9", "--ebn0", "4"], "t=9"),
+        (["sim", "--scheme", "staircase", "--m", "4", "--t", "1", "--ebn0", "4"],
+         "length must be even"),
+        (["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--ebn0", "4", "--fixed-weight", "-1"],
+         "weight"),
+        (_DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "0"], "tol_db"),
+        (_DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "-1"], "tol_db"),
+        (_DE_THRESHOLD + ["--ensemble", "gldpc", "--tol-db", "nan"], "tol_db"),
+        (_DE_THRESHOLD + ["--ensemble", "sc", "--window", "0"], "window=0"),
+        (["de-schedule", "--ensemble", "sc", "--m", "4", "--t", "1", "--window", "-2",
+          "--ebn0-db", "4"], "window=-2"),
+        (["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "nan"],
+         "Eb/N0"),
+        (["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "4",
+          "--iters", "0"], "iterations=0"),
+        (["de-schedule", "--ensemble", "sc", "--m", "4", "--t", "1", "--ebn0-db", "4",
+          "--iters", "-2"], "iters_per_slide=-2"),
     ],
     ids=["de-threshold", "de-schedule", "sim", "sim-staircase", "sim-weight",
          "tol-zero", "tol-negative", "tol-nan", "threshold-window", "schedule-window",
          "schedule-ebn0", "schedule-iters-gldpc", "schedule-iters-sc"],
 )
-def test_bad_component_exits_one(argv, tmp_path, capsys):
+def test_bad_component_exits_one(argv, message, tmp_path, capsys):
     """Parameters that give no (staircase) component code, a bad weight, a
     threshold tolerance the bisection cannot reach, a window without
     positions, a non-finite Eb/N0 or an iteration budget below 1 end in one
-    error line and exit 1, before any output file is opened."""
+    error line, which names the bad option or its value, and exit 1, before
+    any output file is opened."""
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "error" in err
+    assert len(err.strip().splitlines()) == 1 and "error" in err and message in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,6 +2,7 @@
 exhaustive decoder enumeration), the transition kernel, the weight rule,
 recursions, and threshold bisection."""
 
+import ast
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ibddlab import de
+from ibddlab import de, product, staircase
 from ibddlab.bch import bdd_decode_matrix
 from ibddlab.channel import make_params
 from ibddlab.cli import main
@@ -453,3 +454,19 @@ def test_auto_profile_switches_enumerator(code_15_11, code_255_231):
     approx = auto_profile(code_255_231)
     assert approx.n == 255
     assert np.all(approx.peps >= 0)
+
+
+@pytest.mark.parametrize("module", [product, staircase], ids=["product", "staircase"])
+def test_codecs_do_not_import_de(module):
+    """The codecs only consume weights: density evolution stays above them."""
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            if node.module in (None, "ibddlab"):  # from . import de
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported.isdisjoint({"de", "ibddlab.de"})

@@ -258,6 +258,13 @@ def test_sr_decoder_rejects_short_schedule(pc_15_11):
         ibdd_sr_decode(pc_15_11, llr, ScalingSchedule.constant(2.0, 3), sr_iters=5)
 
 
+def test_sr_decoder_rejects_no_scaled_iteration(pc_15_11):
+    """With sr_iters = 0 no scaled iteration runs: refused, not decoded plain."""
+    llr = np.full((15, 15), 7.5)
+    with pytest.raises(ValueError, match="sr_iters"):
+        ibdd_sr_decode(pc_15_11, llr, ScalingSchedule.constant(2.0, 0), sr_iters=0)
+
+
 def test_decoders_reject_negative_iterations(pc_15_11):
     """A negative count would return the input undecoded as if decoded."""
     r = np.zeros((15, 15), dtype=np.uint8)

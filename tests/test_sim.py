@@ -59,6 +59,9 @@ def test_config_validation():
         toy_cfg(min_error_events=10)
     with pytest.raises(ValueError):
         toy_cfg(scheme="staircase", window_blocks=4, blocks_per_stream=5)
+    with pytest.raises(ValueError, match="blocks_per_stream >= 7"):
+        toy_cfg(scheme="staircase", component=ComponentSpec(5, 2, 1), window_blocks=4,
+                blocks_per_stream=6)
     with pytest.raises(ValueError):
         toy_cfg(component=ComponentSpec(m=4, t=9))  # no information positions
     with pytest.raises(ValueError):
@@ -101,7 +104,7 @@ def test_component_enumerated_once(monkeypatch):
         enumerated.append((code.n, code.k))
         return enumerate_exact(code)
 
-    monkeypatch.setattr(bch, "weight_enumerator_exact", counting_enumerate)
+    monkeypatch.setattr(de, "weight_enumerator_exact", counting_enumerate)
     ComponentSpec.build.cache_clear()
     cfg = SimConfig(
         scheme="staircase", component=ComponentSpec(m=5, t=2, shorten=1),
@@ -130,6 +133,17 @@ def test_profile_built_once_per_spec(monkeypatch):
     run_point(cfg, 4.5)
     run_point(cfg, 4.5)
     assert built == [(255, 3)]
+
+
+def test_product_skips_ibdd_sr_where_recursion_does_not_improve():
+    """Far below threshold the uncoupled recursion does not improve on the
+    channel: ibdd_sr is reported as skipped, naming the point, while the
+    other modes still decode it."""
+    with pytest.warns(UserWarning, match="skipped at -2.0 dB"):
+        pts = run_point(toy_cfg(ebn0_grid=(-2.0,), max_frames=40), -2.0)
+    assert isinstance(pts["ibdd_sr"], SkippedPoint)
+    assert "not improving at -2.0 dB" in pts["ibdd_sr"].reason
+    assert all(isinstance(pts[m], BerPoint) and pts[m].frames == 40 for m in ("ibdd", "ideal"))
 
 
 @pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])

@@ -7,13 +7,12 @@ import oracles
 from ibddlab import product
 from ibddlab.bch import build_bch
 from ibddlab.channel import harden, make_params, transmit
+from ibddlab.sim import ScheduleUnavailable, schedule_for_window
 from ibddlab.staircase import (
-    ScheduleUnavailable,
     StaircaseCode,
     WindowConfig,
     WindowSchedule,
     encode_stream,
-    schedule_for_window,
     staircase_encode_block,
     window_decode,
 )
@@ -313,6 +312,24 @@ def test_window_decode_rejects_unknown_mode(sc_30_20, toy_schedule):
         window_decode(sc_30_20, llrs, _default_cfg(toy_schedule), mode="chase")
     with pytest.raises(ValueError):
         window_decode(sc_30_20, llrs, _default_cfg(toy_schedule), mode="ideal")
+
+
+def test_window_decode_rejects_inconsistent_inputs(sc_30_20, toy_schedule):
+    """ibdd_sr without a schedule or without a scaled iteration, blocks of the
+    wrong shape, and transmitted blocks that do not align are refused."""
+    llrs = np.full((4, 15, 15), 9.0)
+    with pytest.raises(ValueError, match="schedule"):
+        window_decode(sc_30_20, llrs, _default_cfg(None), mode="ibdd_sr")
+    no_scaled = WindowSchedule(early=(), steady=np.zeros((4, 0)), steady_slide=1,
+                               ebn0_db=4.0, rate=sc_30_20.rate)
+    with pytest.raises(ValueError, match="sr_iters"):
+        window_decode(sc_30_20, llrs, _default_cfg(no_scaled, sr_iters=0), mode="ibdd_sr")
+    for shape in ((4, 15, 14), (15, 15), (1, 1, 4, 15, 15)):
+        with pytest.raises(ValueError, match="blocks"):
+            window_decode(sc_30_20, np.full(shape, 9.0), _default_cfg(toy_schedule), "ibdd")
+    with pytest.raises(ValueError, match="align"):
+        window_decode(sc_30_20, llrs, _default_cfg(toy_schedule), "ideal",
+                      np.zeros((3, 15, 15), dtype=np.uint8))
 
 
 def test_window_decode_rejects_nan_llrs(sc_30_20, toy_schedule):
