@@ -19,8 +19,8 @@ Hamming distance t of the input when one exists (which may be a
 miscorrection), and reports a failure otherwise.  The kernel
 ``_locate_errors`` takes the odd syndromes of many rows and returns only
 the (row, position) pairs of the bits to flip, so its cost follows the
-dirty rows and their errors, never the row length; ``bdd_decode_matrix``
-builds dense decoded words from them.
+dirty rows and their errors, never the row length, as does the genie
+``ideal_decode_matrix``; ``bdd_decode_matrix`` builds dense words from them.
 """
 
 import math
@@ -119,6 +119,7 @@ def generator_poly(field: GaloisField, t: int) -> int:
 # table: at 18 bits no table exceeds 1.25 MB or takes 20 ms to build, while
 # the paper's (255,231,3), at 24 bits, would need 112 MB.
 TABLE_MAX_BITS = 18
+SYNDROME_CHUNK_BITS = 1 << 16  # bits that BchCode.syndromes casts to float64 at once
 
 
 class BchCode:
@@ -182,10 +183,8 @@ class BchCode:
         self.position_syndromes = alog[exps[:, None] * np.arange(1, 2 * t, 2) % order]
         # bit b of S_2i+1's term at position p is column m*i + b of row p, and
         # _synd_pack packs a row of summed bits back into t field elements.
-        # float64, not float32: float32 is faster per call, but its smaller
-        # temporary no longer lifts glibc's dynamic mmap threshold above the
-        # channel's (n, n) float64 arrays, and a (255,231,3)^2 frame then
-        # re-faults its heap pages (about 450 minor faults, 6-9 % of frames/s)
+        # float64 counts are exact and take the BLAS path; ``syndromes`` casts at
+        # most SYNDROME_CHUNK_BITS bits at a time, so its temporary stays in 512 KB
         bits = self.position_syndromes[:, :, None] >> np.arange(m) & 1
         self._synd_bits = bits.reshape(n, t * m).astype(np.float64)
         bit_values = 1 << np.arange(m, dtype=np.int32)[:, None]
@@ -248,13 +247,18 @@ class BchCode:
         """The odd syndromes S_1, S_3, .., S_2t-1 of each row, (..., t) int32,
         all zero iff the row is a codeword (a binary word has S_2i = S_i^2).
 
-        They are one GF(2) matrix product of the bits with ``_synd_bits``:
-        float64 counts are exact below 2^53 > n, and their low bits are the
-        syndrome bits.
+        They are one GF(2) matrix product of the bits with ``_synd_bits``, in
+        row chunks of ``SYNDROME_CHUNK_BITS`` bits: float64 counts are exact
+        below 2^53 > n, and their low bits are the syndrome bits.
         """
         words = np.asarray(words, dtype=np.uint8)
-        counts = words.astype(np.float64) @ self._synd_bits
-        return (counts.astype(np.int32) & 1) @ self._synd_pack
+        rows = words.reshape(-1, words.shape[-1])  # a row of other than n bits fails matmul
+        out = np.empty((len(rows), self.t), dtype=np.int32)
+        step = SYNDROME_CHUNK_BITS // self.n  # n < 2^16
+        for lo in range(0, len(rows), step):
+            counts = rows[lo : lo + step].astype(np.float64) @ self._synd_bits
+            np.matmul(counts.astype(np.int32) & 1, self._synd_pack, out=out[lo : lo + step])
+        return out.reshape(*words.shape[:-1], self.t)
 
     def is_codeword(self, words: np.ndarray) -> np.ndarray | bool:
         return ~self.syndromes(words).any(axis=-1)
@@ -413,14 +417,12 @@ def bdd_decode_matrix(
 def ideal_decode_matrix(
     code: BchCode, words: np.ndarray, transmitted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise genie decode: return the transmitted row iff within distance t."""
-    words = np.asarray(words, dtype=np.uint8)
-    transmitted = np.asarray(transmitted, dtype=np.uint8)
-    dist = np.count_nonzero(words != transmitted, axis=1)
-    ok = dist <= code.t
-    decoded = np.where(ok[:, None], transmitted, words).astype(np.uint8)
-    ternary = np.where(ok[:, None], 1 - 2 * transmitted.astype(np.int8), 0).astype(np.int8)
-    return ternary, decoded, ok
+    """Row-wise genie decode as the flips (row, position, ok) of ``_locate_errors``:
+    a row within distance t of its transmitted row returns to it, others fail."""
+    row, pos = np.nonzero(np.asarray(words, dtype=np.uint8) != transmitted)
+    ok = np.bincount(row, minlength=len(words)) <= code.t
+    keep = ok[row]
+    return row[keep], pos[keep], ok
 
 
 # ---------------------------------------------------------------------------

@@ -146,16 +146,13 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
     """
     f, i = np.nonzero(synd[act].any(axis=2))
     f, j = act[f], i
-    if len(f) and genie is not None:
-        old = words[f, i]
-        k, j = np.nonzero(ideal_decode_matrix(comp, old, genie[f, i])[1] != old)
-        return f[k], i[k], j
     failed = f, i
     if len(f):
-        row, j, ok = _locate_errors(comp, synd[f, i])
+        row, j, ok = (_locate_errors(comp, synd[f, i]) if genie is None
+                      else ideal_decode_matrix(comp, words[f, i], genie[f, i]))
         failed = f[~ok], i[~ok]
         f, i = f[row], i[row]
-    if llr is None:  # ibdd (or a genie with no dirty line): the verdict is the message
+    if llr is None:  # ibdd or the genie: the verdict is the message
         return f, i, j
     keep = weight > np.abs(llr[f, i, j])
     differ = words[act] != hard[act]
@@ -212,7 +209,7 @@ def _decode(code, hard, observer, *runs):
     ``iterate`` call: the row and column weights with the stacked ``llr``,
     whose hard decision is ``hard``, or the transmitted stack ``genie``,
     select the verdict."""
-    psi = np.array(hard, dtype=np.uint8, ndmin=3)
+    psi = np.array(hard, dtype=np.uint8, ndmin=3, copy=None)  # only read: words is a new stack
     if psi.ndim != 3 or psi.shape[1:] != (code.n, code.n):
         raise ValueError(f"expected an ({code.n}, {code.n}) array or a stack of them")
     comp = code.component
@@ -278,9 +275,11 @@ def ideal_ibdd_decode(
 ) -> np.ndarray:
     """Iterative genie decoding: components correct within t, never miscorrect.
 
-    The transmitted product codeword(s), shaped like ``r``, are side
-    information for the genie only; the schedule and stopping rule match
-    ``ibdd_decode``.
+    The transmitted product codeword(s), shaped like ``r`` (else ValueError),
+    are side information for the genie only; the schedule and stopping rule
+    match ``ibdd_decode``.
     """
-    tx = np.array(transmitted, dtype=np.uint8, ndmin=3)
-    return _decode(code, r, None, (iters, None, None, tx))
+    tx = np.asarray(transmitted, dtype=np.uint8)
+    if tx.shape != np.shape(r):
+        raise ValueError(f"transmitted shape {tx.shape} differs from r's {np.shape(r)}")
+    return _decode(code, r, None, (iters, None, None, np.array(tx, ndmin=3, copy=None)))

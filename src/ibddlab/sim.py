@@ -17,9 +17,10 @@ whose errors count are the statistical events: FER gets a Wilson 95%
 interval and BER a per-unit bootstrap interval.  A staircase stream carries
 ``blocks_per_stream`` encoded blocks after the all-zero terminator; its
 first and last window_blocks-1 blocks (warm-up and flush) are not counted.
-The engine decodes a batch of frames in calls of at most ``DECODE_CALL_BITS``
-transmitted bits: a product mode decodes a call's frames as one (B, n, n)
-stack, a staircase mode its streams as one (S, N, h, h) stack.
+The engine decodes a batch in calls of at most ``DECODE_CALL_BITS`` bits, four
+(255,231)^2 frames: a product mode decodes a call's frames as one (B, n, n)
+stack, a staircase mode its streams as one (S, N, h, h) stack.  Each frame
+decodes as it would alone, so the call size never moves a statistic.
 
 Stopping is frame-error driven: a point runs until every active mode has
 accumulated ``min_error_events`` unit errors, or the budget of
@@ -61,8 +62,8 @@ from .staircase import (
 
 MODES = ("ibdd", "ibdd_sr", "ideal")
 _Z95 = 1.959963984540054
-# a batch is decoded in calls of at most this many bits (or one frame): bounded memory
-DECODE_CALL_BITS = 1 << 16
+# bits per decode call (or one frame), as test_batched_decoding_memory_bounded sizes it
+DECODE_CALL_BITS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -580,9 +581,7 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
 
     wall = time.perf_counter() - t0
     for m in active:
-        per_unit = (
-            np.concatenate(counts[m]) if counts[m] else np.zeros(0, dtype=np.int64)
-        )
+        per_unit = np.concatenate(counts[m])  # every active mode decodes at least one call
         frames = len(per_unit)
         frame_errors = int(np.count_nonzero(per_unit))
         bits = frames * engine.bits_per_unit

@@ -15,7 +15,10 @@ per-frame generator loop that the stacked noise draw replaced, with the
 package's encoders.  ``generator_poly_minimal`` and ``parity_matrix`` are the
 minimal-polynomial product and the per-element parity loop that the
 generator built from the cyclotomic cosets and the packed parity build
-replaced, and read the field's log tables.
+replaced, and read the field's log tables.  ``syndromes_oneshot`` is the
+one-product syndrome formula that the chunked ``BchCode.syndromes``
+replaced, and ``ideal_decode_dense`` the dense genie decoder that the genie's
+flip list replaced.
 """
 
 import math
@@ -23,7 +26,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ibddlab.bch import BchCode, bdd_decode_matrix, ideal_decode_matrix
+from ibddlab.bch import BchCode, bdd_decode_matrix
 from ibddlab.channel import harden, make_params, q_function
 from ibddlab.product import ProductCode, combine_decision, pc_encode
 from ibddlab.sim import N_BOOT
@@ -235,6 +238,23 @@ def syndrome_powers(code) -> np.ndarray:
     return field.antilog_table[(np.arange(1, 2 * code.t + 1)[:, None] * exps) % field.order]
 
 
+def syndromes_oneshot(code, words) -> np.ndarray:
+    """``BchCode.syndromes`` as one float64 product over the whole stack."""
+    counts = np.asarray(words, dtype=np.uint8).astype(np.float64) @ code._synd_bits
+    return (counts.astype(np.int32) & 1) @ code._synd_pack
+
+
+def ideal_decode_dense(code, words, transmitted):
+    """Row-wise genie decode as dense arrays (ternary, decoded, ok): the
+    transmitted row iff within distance t, else the row unchanged."""
+    words = np.asarray(words, dtype=np.uint8)
+    transmitted = np.asarray(transmitted, dtype=np.uint8)
+    ok = np.count_nonzero(words != transmitted, axis=1) <= code.t
+    decoded = np.where(ok[:, None], transmitted, words).astype(np.uint8)
+    ternary = np.where(ok[:, None], 1 - 2 * transmitted.astype(np.int8), 0).astype(np.int8)
+    return ternary, decoded, ok
+
+
 def bdd_decode_rows(code, words: np.ndarray):
     """Bounded-distance decoding one row at a time: syndromes from their
     definition, list-based Berlekamp-Massey and a Chien search over every
@@ -326,7 +346,7 @@ def component_step(comp: BchCode, words, weight=None, llr=None, genie=None) -> n
     ``weight`` is given, else the BDD word itself.
     """
     if genie is not None:
-        return ideal_decode_matrix(comp, words, genie)[1]
+        return ideal_decode_dense(comp, words, genie)[1]
     ternary, decoded, _ = bdd_decode_matrix(comp, words)
     if weight is None:
         return decoded

@@ -178,6 +178,26 @@ def test_syndromes_are_the_odd_syndromes(m, t, shorten):
     np.testing.assert_array_equal(code.position_syndromes, odd.T)
 
 
+@pytest.mark.parametrize("fixture", ["code_15_11", "code_30_20", "code_255_231"])
+def test_chunked_syndromes_match_oneshot(fixture, request):
+    """``syndromes`` works in chunks of at most SYNDROME_CHUNK_BITS bits, and
+    equals the one-product formula bit for bit: at row counts on and around
+    the chunk boundaries, for one row, and for a (B, 2, n, n) frame stack
+    that spans several chunks.  Rows of the wrong length are refused."""
+    code = request.getfixturevalue(fixture)
+    n = code.n
+    chunk = bch.SYNDROME_CHUNK_BITS // n
+    rng = np.random.default_rng(n)
+    shapes = [(rows, n) for rows in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)]
+    for shape in shapes + [(n,), (chunk // (2 * n) + 2, 2, n, n)]:
+        words = rng.integers(0, 2, shape, dtype=np.uint8)
+        synd = code.syndromes(words)
+        assert synd.shape == (*shape[:-1], code.t) and synd.dtype == np.int32
+        np.testing.assert_array_equal(synd, oracles.syndromes_oneshot(code, words))
+    with pytest.raises(ValueError):
+        code.syndromes(np.zeros((2, 2 * n), dtype=np.uint8))  # not four rows of n
+
+
 @pytest.mark.parametrize("m,t,shorten", KERNEL_CODES)
 def test_bdd_kernel_matches_row_oracle(m, t, shorten):
     """Random rows up to p = 1/2, and codewords with t+1..t+3 errors (the
@@ -360,16 +380,36 @@ def test_bdd_ternary_scalar_outcomes(code_15_7):
 
 
 def test_ideal_decoder_genie(code_15_7, rng):
+    """The genie flips a row within t back to its transmitted row and leaves a
+    row beyond t alone, never miscorrecting it."""
     tx = code_15_7.encode(rng.integers(0, 2, size=(4, code_15_7.k), dtype=np.uint8))
     rx = tx.copy()
     rx[0, [1, 4]] ^= 1          # within t: restored
     rx[1, [0, 3, 7]] ^= 1       # weight 3 > t: must NOT miscorrect
-    tern, dec, ok = ideal_decode_matrix(code_15_7, rx, tx)
-    np.testing.assert_array_equal(dec[0], tx[0])
-    np.testing.assert_array_equal(dec[1], rx[1])  # untouched, never miscorrected
-    assert ok[0] and not ok[1]
-    assert tern[1].sum() == 0 and np.all(tern[1] == 0)
-    np.testing.assert_array_equal(tern[0], 1 - 2 * tx[0].astype(np.int8))
+    row, pos, ok = ideal_decode_matrix(code_15_7, rx, tx)
+    np.testing.assert_array_equal(row, [0, 0])
+    np.testing.assert_array_equal(pos, [1, 4])
+    np.testing.assert_array_equal(ok, [True, False, True, True])
+
+
+@pytest.mark.parametrize("fixture", ["code_15_7", "code_255_231"])
+def test_ideal_flips_match_dense_oracle(fixture, request, rng):
+    """Applied to the rows, the genie's flips give the dense oracle's decoded
+    rows, with its verdicts, for rows at distance 0, t and t+1 from the
+    transmitted rows and for random rows; each flip is one bit of a decoded row."""
+    code = request.getfixturevalue(fixture)
+    tx = code.encode(rng.integers(0, 2, (40, code.k), dtype=np.uint8))
+    rx = tx.copy()
+    for r, dist in enumerate([0, code.t, code.t + 1] * 10):
+        rx[r, rng.choice(code.n, dist, replace=False)] ^= 1
+    rx[30:] = rng.integers(0, 2, (10, code.n), dtype=np.uint8)
+    row, pos, ok = ideal_decode_matrix(code, rx, tx)
+    _, decoded, want_ok = oracles.ideal_decode_dense(code, rx, tx)
+    np.testing.assert_array_equal(ok, want_ok)
+    np.testing.assert_array_equal(ok[:30], [True, True, False] * 10)
+    assert ok[row].all() and len(set(zip(row.tolist(), pos.tolist()))) == len(row)
+    rx[row, pos] ^= 1
+    np.testing.assert_array_equal(rx, decoded)
 
 
 # ---------------------------------------------------------------------------

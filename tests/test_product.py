@@ -1,6 +1,8 @@
 """Product-code encoding and the iterative decoders, in particular the
 scaled-reliability combining rule and its limiting behaviors."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,17 @@ def test_decoders_reject_negative_iterations(pc_15_11):
             decode()
 
 
+def test_ideal_rejects_misshapen_genie(pc_15_11):
+    """A genie that does not match the received stack frame for frame is
+    refused, with both shapes named, whichever frames have dirty lines."""
+    for dirty in (0, 2):
+        r = np.zeros((3, 15, 15), dtype=np.uint8)
+        r[dirty, 4, 9] = 1
+        for tx in (np.zeros((15, 15), np.uint8), np.zeros((2, 15, 15), np.uint8)):
+            with pytest.raises(ValueError, match=re.escape(f"{tx.shape}") + r".*\(3, 15, 15\)"):
+                ideal_ibdd_decode(pc_15_11, r, tx)
+
+
 def test_observer_counts_follow_early_exit(pc_15_11):
     """A decodable input exits after the first full iteration."""
     llr = np.full((15, 15), 7.5)
@@ -423,6 +436,23 @@ def test_sr_trace_crosses_into_plain_tail(pc_15_7):
                           plain_iters=1, observer=lambda s, i, p: want.append((s, i)))
     assert calls == want == [("row", 1), ("col", 1), ("row", 2), ("col", 2),
                              ("row", 1), ("col", 1)]
+
+
+def test_decoders_leave_inputs_unchanged(pc_15_7):
+    """The decoders read ``r``, ``llr`` and ``transmitted`` without copying
+    them, one frame or a stack: none is written, and the decoded array
+    shares no memory with any of them."""
+    stack_tx, stack_llr = _channel_stack(pc_15_7, 2.5, 20, seed=6)
+    for tx, llr in ((stack_tx, stack_llr), (stack_tx[0], stack_llr[0])):
+        r = harden(llr)
+        saved = [a.copy() for a in (r, llr, tx)]
+        for out in (ibdd_decode(pc_15_7, r), ibdd_sr_decode(pc_15_7, llr, _SCHED),
+                    ideal_ibdd_decode(pc_15_7, r, tx)):
+            assert out.shape == r.shape
+            assert not any(np.shares_memory(out, a) for a in (r, llr, tx))
+        for a, b in zip((r, llr, tx), saved):
+            np.testing.assert_array_equal(a, b)
+    assert np.any(ibdd_decode(pc_15_7, harden(stack_llr)) != harden(stack_llr))  # it decoded
 
 
 def test_stack_shapes(pc_15_11):

@@ -335,6 +335,29 @@ def test_batched_decoding_memory_bounded(name):
     assert peak <= 1.1 * _PEAK_PER_FRAME_ENGINE[name], peak
 
 
+@pytest.mark.parametrize("name", ["pc255", "pc15"])
+def test_call_size_never_enters_statistics(monkeypatch, name):
+    """Each frame decodes as it would alone, so the statistics do not depend
+    on how many frames a decode call stacks: at 2^16 bits per call (one
+    (255,231)^2 frame, 291 (15,11)^2 frames) and at 2^18 (four, 1,165),
+    every mode's stat_key() agrees."""
+    cfg, ebn0_db = _PEAK_POINTS[name]
+    if name == "pc255":
+        cfg = dataclasses.replace(cfg, max_frames=6)  # calls of 4 and 2 frames at 2^18
+    keys = []
+    for bits in (1 << 16, 1 << 18):
+        monkeypatch.setattr(sim, "DECODE_CALL_BITS", bits)
+        keys.append({m: pt.stat_key() for m, pt in run_point(cfg, ebn0_db).items()})
+    assert keys[0] == keys[1]
+
+
+def test_pc255_decodes_four_frames_per_call():
+    """Four (255,231)^2 frames fit one decode call within the memory bound
+    above; fewer would pay every per-call cost more often per frame."""
+    cfg, ebn0_db = _PEAK_POINTS["pc255"]
+    assert sim._build_engine(cfg, ebn0_db, ("ibdd",)).frames_per_call == 4
+
+
 def test_library_writes_nothing_to_stdout(capfd, prof_255_231):
     """The benchmark reads its result from the last line of standard output,
     so simulation and threshold search print nothing there."""
