@@ -123,9 +123,9 @@ class ScalingSchedule:
 
 
 def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=None):
-    """The verdict rule on lines ``words[f, i]`` of items ``act``, whose
-    syndromes are ``synd[f, i]``: the (f, i, j) of every bit it flips, each
-    once.
+    """The verdict rule on lines ``words[f, i]`` of items ``act`` (ascending),
+    whose syndromes are ``synd[f, i]``: the (f, i, j) of every bit it flips,
+    each once.
 
     The genie's verdict when ``genie`` (indexed like ``words``) is given, else
     the BDD verdict weighed against ``llr`` as ``combine_decision`` does when
@@ -155,7 +155,7 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
     if llr is None:  # ibdd or the genie: the verdict is the message
         return f, i, j
     keep = weight > np.abs(llr[f, i, j])
-    differ = words[act] != hard[act]
+    differ = words != hard if len(act) == len(words) else words[act] != hard[act]
     df, di, dj = np.unravel_index(np.flatnonzero(differ), differ.shape)
     df = act[df]
     line_failed = np.zeros(synd.shape[:2], dtype=bool)
@@ -200,6 +200,14 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
 def _transposed(lo, g, s, r, c):
     """Bit (g, r, c) of a product frame is also bit (1 - g, c, r)."""
     return ((s, g, r), c), ((s, 1 - g, c), r)
+
+
+def _binary(bits, name):
+    """``bits`` as an array, or ValueError unless it holds only 0 and 1."""
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"{name} must hold only 0 and 1")
+    return bits
 
 
 def _decode(code, hard, observer, *runs):
@@ -263,8 +271,9 @@ def ibdd_decode(
 
     Rows then columns per iteration; decoded component words replace their
     input, failures leave it untouched.  A frame stops once it is a codeword.
+    ``r`` must hold only 0 and 1 (else ValueError).
     """
-    return _decode(code, r, observer, (iters, None, None, None))
+    return _decode(code, _binary(r, "r"), observer, (iters, None, None, None))
 
 
 def ideal_ibdd_decode(
@@ -277,9 +286,9 @@ def ideal_ibdd_decode(
 
     The transmitted product codeword(s), shaped like ``r`` (else ValueError),
     are side information for the genie only; the schedule and stopping rule
-    match ``ibdd_decode``.
+    match ``ibdd_decode``.  Both must hold only 0 and 1 (else ValueError).
     """
-    tx = np.asarray(transmitted, dtype=np.uint8)
-    if tx.shape != np.shape(r):
-        raise ValueError(f"transmitted shape {tx.shape} differs from r's {np.shape(r)}")
-    return _decode(code, r, None, (iters, None, None, np.array(tx, ndmin=3, copy=None)))
+    r, tx = _binary(r, "r"), _binary(transmitted, "transmitted")
+    if tx.shape != r.shape:
+        raise ValueError(f"transmitted shape {tx.shape} differs from r's {r.shape}")
+    return _decode(code, r, None, (iters, None, None, np.array(tx, np.uint8, ndmin=3, copy=None)))

@@ -17,15 +17,15 @@ whose errors count are the statistical events: FER gets a Wilson 95%
 interval and BER a per-unit bootstrap interval.  A staircase stream carries
 ``blocks_per_stream`` encoded blocks after the all-zero terminator; its
 first and last window_blocks-1 blocks (warm-up and flush) are not counted.
-The engine decodes a batch in calls of at most ``DECODE_CALL_BITS`` bits, four
-(255,231)^2 frames: a product mode decodes a call's frames as one (B, n, n)
-stack, a staircase mode its streams as one (S, N, h, h) stack.  Each frame
-decodes as it would alone, so the call size never moves a statistic.
 
 Stopping is frame-error driven: a point runs until every active mode has
 accumulated ``min_error_events`` unit errors, or the budget of
-``max_frames`` counted units is exhausted.  ``results_json`` is the result
-record that ``ibddlab plotdata`` reads back.
+``max_frames`` counted units is exhausted.  The batches that no stop check
+separates share calls of at most ``DECODE_CALL_BITS`` bits, four (255,231)^2
+frames: a product mode decodes a call's frames as one (B, n, n) stack, a
+staircase mode its streams as one (S, N, h, h) stack.  Each frame decodes as
+it would alone, so the call size never moves a statistic.  ``results_json``
+is the result record that ``ibddlab plotdata`` reads back.
 """
 
 from __future__ import annotations
@@ -532,7 +532,8 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
     All returned modes share the same frames and noise.  The number of
     frames is a deterministic function of (cfg, ebn0_db, modes): batches are
     scheduled by a fixed plan and the stop rule consults only aggregated
-    counts, so worker parallelism cannot change any statistic.
+    counts, so worker parallelism cannot change any statistic.  Batches
+    between which the stop rule provably cannot fire decode together.
     """
     modes = tuple(modes) if modes is not None else cfg.modes
     t0 = time.perf_counter()
@@ -559,12 +560,17 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
                 initargs=(cfg, ebn0_db, modes),
             )
         while active:
-            if units_done >= cfg.max_frames or all(
-                events[m] >= cfg.min_error_events for m in active
+            # the stop check, then plan batches join this one while it provably
+            # cannot fire between them: a gathered unit adds at most one event
+            n_frames = gathered = 0
+            while units_done + gathered < cfg.max_frames and any(
+                events[m] + gathered < cfg.min_error_events for m in active
             ):
+                left = cfg.max_frames - units_done - gathered
+                n_frames += min(next(plan), math.ceil(left / engine.units_per_frame))
+                gathered = n_frames * engine.units_per_frame
+            if not n_frames:
                 break
-            frames_left = math.ceil((cfg.max_frames - units_done) / engine.units_per_frame)
-            n_frames = min(next(plan), frames_left)
             stop = next_index + n_frames
             size = min(engine.frames_per_call, math.ceil(n_frames / cfg.workers))
             calls = [range(lo, min(lo + size, stop)) for lo in range(next_index, stop, size)]
@@ -574,7 +580,7 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
                 for m in active:
                     counts[m].append(fr[m].ravel())
                     events[m] += int(np.count_nonzero(fr[m]))
-            units_done += n_frames * engine.units_per_frame
+            units_done += gathered
     finally:
         if executor is not None:
             executor.shutdown()

@@ -18,7 +18,9 @@ generator built from the cyclotomic cosets and the packed parity build
 replaced, and read the field's log tables.  ``syndromes_oneshot`` is the
 one-product syndrome formula that the chunked ``BchCode.syndromes``
 replaced, and ``ideal_decode_dense`` the dense genie decoder that the genie's
-flip list replaced.
+flip list replaced.  ``run_point_stepwise`` is the point driver that sent each
+plan batch to the decoders alone, before batches no stop check separates were
+merged into shared calls; it runs the package's engine.
 """
 
 import math
@@ -29,7 +31,7 @@ from scipy.special import gammaln
 from ibddlab.bch import BchCode, bdd_decode_matrix
 from ibddlab.channel import harden, make_params, q_function
 from ibddlab.product import ProductCode, combine_decision, pc_encode
-from ibddlab.sim import N_BOOT
+from ibddlab.sim import N_BOOT, _batch_plan, _build_engine
 from ibddlab.staircase import StaircaseCode, WindowConfig, encode_stream
 
 
@@ -694,3 +696,33 @@ def frame_stack_per_frame(cfg, ebn0_db: float, indices) -> tuple:
         tx.append(frame)
         llr.append([transmit_normal(unit, params, rng) for unit in frame])
     return np.array(tx), np.array(llr)
+
+
+def run_point_stepwise(cfg, ebn0_db: float, modes=None) -> dict:
+    """Per-unit bit-error counts {mode: (units,)} of ``sim.run_point``'s
+    frames, found batch by batch: the stop rule is checked after every plan
+    batch, and each batch is split into its own decode calls, in one process
+    whatever ``cfg.workers``.  Modes whose weights are unavailable are
+    left out."""
+    engine = _build_engine(cfg, ebn0_db, tuple(modes or cfg.modes))
+    counts = {m: [] for m in engine.decoders}
+    events = dict.fromkeys(engine.decoders, 0)
+    units_done = next_index = 0
+    plan = _batch_plan(engine.units_per_frame)
+    while counts:
+        if units_done >= cfg.max_frames or all(
+            events[m] >= cfg.min_error_events for m in counts
+        ):
+            break
+        frames_left = math.ceil((cfg.max_frames - units_done) / engine.units_per_frame)
+        n_frames = min(next(plan), frames_left)
+        stop = next_index + n_frames
+        size = min(engine.frames_per_call, math.ceil(n_frames / cfg.workers))
+        for lo in range(next_index, stop, size):
+            fr = engine.run_frames(range(lo, min(lo + size, stop)))
+            for m in counts:
+                counts[m].append(fr[m].ravel())
+                events[m] += int(np.count_nonzero(fr[m]))
+        next_index = stop
+        units_done += n_frames * engine.units_per_frame
+    return {m: np.concatenate(c) for m, c in counts.items()}

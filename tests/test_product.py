@@ -292,6 +292,41 @@ def test_ideal_rejects_misshapen_genie(pc_15_11):
                 ideal_ibdd_decode(pc_15_11, r, tx)
 
 
+@pytest.mark.parametrize("bad", [2, 0.5, -1.0])
+def test_hard_decoders_reject_non_binary_input(pc_15_11, bad):
+    """A hard-decision array holds bits: a 2 is not decoded as itself, a 0.5
+    as 0, nor an all -1.0 array as 255s.  ``r`` and the genie's
+    ``transmitted`` are refused, one frame or a stack."""
+    zeros = np.zeros((2, 15, 15))
+    rx = zeros.copy()
+    rx[1, 4, 9] = bad
+    if bad == -1.0:
+        rx[:] = bad
+    for decode in (lambda: ibdd_decode(pc_15_11, rx), lambda: ibdd_decode(pc_15_11, rx[1]),
+                   lambda: ideal_ibdd_decode(pc_15_11, rx, zeros),
+                   lambda: ideal_ibdd_decode(pc_15_11, zeros, rx)):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            decode()
+
+
+def test_sr_flips_match_for_partial_and_full_items(pc_15_11):
+    """Scaled reliability flips the same bits of an item whether every item
+    is active, where the message/channel mask compares whole arrays, or only
+    some are, where it compares the active items' gathered copies."""
+    comp, rng = pc_15_11.component, np.random.default_rng(9)
+    _, llr = _channel_stack(pc_15_11, 3.0, 40, seed=9)
+    hard = harden(llr)
+    words = hard ^ (rng.random(hard.shape) < 0.02).astype(np.uint8)  # messages off the channel
+    synd = comp.syndromes(words)
+    full = product.line_flips(comp, words, synd, np.arange(40), 2.5, llr, hard)
+    act = np.sort(rng.choice(40, 17, replace=False))
+    part = product.line_flips(comp, words, synd, act, 2.5, llr, hard)
+    keep = np.isin(full[0], act)
+    assert 0 < keep.sum() < len(keep)
+    for a, b in zip(part, full):
+        np.testing.assert_array_equal(a, b[keep])
+
+
 def test_observer_counts_follow_early_exit(pc_15_11):
     """A decodable input exits after the first full iteration."""
     llr = np.full((15, 15), 7.5)

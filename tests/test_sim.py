@@ -358,6 +358,65 @@ def test_pc255_decodes_four_frames_per_call():
     assert sim._build_engine(cfg, ebn0_db, ("ibdd",)).frames_per_call == 4
 
 
+_STEPWISE_POINTS = {
+    **_PEAK_POINTS,
+    "pc15-3.5dB": (toy_cfg(ebn0_grid=(3.5,)), 3.5),
+    "pc15-5.0dB-2workers": (toy_cfg(ebn0_grid=(5.0,), min_error_events=60, workers=2), 5.0),
+    "sc30-50errors": (SimConfig(scheme="staircase", component=ComponentSpec(5, 2, 1),
+                                ebn0_grid=(4.0,), window_blocks=4), 4.0),
+    "sc30-3.6dB-2workers": (SimConfig(scheme="staircase", component=ComponentSpec(5, 2, 1),
+                                      ebn0_grid=(3.6,), min_error_events=80, max_frames=5000,
+                                      workers=2, window_blocks=4), 3.6),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEPWISE_POINTS))
+def test_run_point_matches_stepwise_oracle(name):
+    """Merging plan batches that no stop check separates decodes the frames
+    that checking after every batch decodes, so every statistic agrees: at
+    the three benchmark points, and at error-stopped and budget-capped points
+    with one and two workers."""
+    cfg, ebn0_db = _STEPWISE_POINTS[name]
+    bits_per_unit = sim._build_engine(cfg, ebn0_db, ("ibdd",)).bits_per_unit
+    points = run_point(cfg, ebn0_db)
+    expected = oracles.run_point_stepwise(cfg, ebn0_db)
+    assert set(points) == set(expected)
+    for mode, counts in expected.items():
+        pt, frames = points[mode], len(counts)
+        assert (pt.frames, pt.frame_bit_errors) == (frames, tuple(counts.tolist()))
+        bits, errors, bit_errors = frames * bits_per_unit, np.count_nonzero(counts), counts.sum()
+        assert pt.stat_key() == (
+            cfg.scheme, cfg.component.label, mode, ebn0_db, frames, errors, bits,
+            bit_errors, bit_errors / bits, errors / frames, wilson_ci95(errors, frames),
+            bootstrap_ber_ci(counts, bits_per_unit, cfg.seed), cfg.seed,
+            tuple(counts.tolist()),
+        )
+
+
+def test_unseparated_batches_share_calls(monkeypatch):
+    """Plan batches that no stop check separates share decode calls: the sc30
+    point's six streams decode in one call, the pc15 point's first three
+    batches (32 + 64 + 128 frames, below its 100 errors) in one, and the
+    10-frame pc255 point, already one batch, in calls of 4, 4 and 2."""
+    sizes = []
+    run_frames = sim._Engine.run_frames
+
+    def recording(self, indices):
+        sizes.append(len(indices))
+        return run_frames(self, indices)
+
+    monkeypatch.setattr(sim._Engine, "run_frames", recording)
+
+    def calls(name):
+        sizes.clear()
+        run_point(*_PEAK_POINTS[name])
+        return list(sizes)
+
+    assert calls("sc30") == [6]
+    assert calls("pc15")[0] == 224
+    assert calls("pc255") == [4, 4, 2]
+
+
 def test_library_writes_nothing_to_stdout(capfd, prof_255_231):
     """The benchmark reads its result from the last line of standard output,
     so simulation and threshold search print nothing there."""
