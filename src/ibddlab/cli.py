@@ -8,6 +8,9 @@ and ``de-schedule --out`` write the fields of the DE result dataclass
 (``GldpcDeResult`` or ``ScDeResult``); ``sim`` writes the results JSON
 ``<out>.json``, which ``plotdata`` reads back.
 
+Each ``sim`` flag's dest is the ``SimConfig`` field it sets, ``--config`` holds
+the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1).
+
 Exit codes: 0 success, 1 usage error, 2 numeric failure (threshold bracket
 not found), 3 a ``sim`` grid point failed (the finished points are still
 written to the results JSON and manifest; the failed E_b/N_0 and the
@@ -18,10 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -181,48 +183,34 @@ def _cmd_de_schedule(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # sim
 
-# SimConfig's defaults, None for the required keys; workers=None falls back
-# to $IBDDLAB_WORKERS
-_SIM_DEFAULTS = {
-    f.name: None if f.default is MISSING else f.default
-    for f in fields(SimConfig)
-    if f.name != "component"
-} | {"workers": None}
+_SIM_KEYS = {f.name for f in fields(SimConfig)} - {"component"}
+_COMPONENT_KEYS = {f.name for f in fields(ComponentSpec)}
 
 
 def _sim_config(args) -> SimConfig:
-    """Merge precedence: flags > config file > defaults."""
-    merged = dict(_SIM_DEFAULTS)
-    component = {}
+    """Merge precedence: flags > config file > SimConfig's defaults.  Each
+    flag's dest is the key it sets, and unset flags are absent from args."""
+    merged, component = {}, {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        component.update(file_cfg.pop("component", {}))
-        unknown = set(file_cfg) - set(_SIM_DEFAULTS)
+            merged = json.load(fh)
+        if not isinstance(merged, dict) or not isinstance(merged.get("component", {}), dict):
+            raise ValueError(f"{args.config} and its 'component' must be JSON objects")
+        component = merged.pop("component", {})
+        unknown = set(merged) - _SIM_KEYS | {f"component.{k}" for k in component
+                                             if k not in _COMPONENT_KEYS}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    # flags carry SimConfig's key names apart from these two; unset flags
-    # are absent from args
-    renamed = {"ebn0": "ebn0_grid", "min_errors": "min_error_events"}
-    for flag, value in vars(args).items():
-        key = renamed.get(flag, flag)
-        if key in _SIM_DEFAULTS:
-            merged[key] = value
-    for part in ("m", "t", "shorten"):
-        if hasattr(args, part):
-            component[part] = getattr(args, part)
-    if isinstance(merged["modes"], str):
+    flags = vars(args)
+    merged |= {k: flags[k] for k in _SIM_KEYS & flags.keys()}
+    component |= {k: flags[k] for k in _COMPONENT_KEYS & flags.keys()}
+    if isinstance(merged.get("modes"), str):
         merged["modes"] = tuple(s.strip() for s in merged["modes"].split(","))
-    if merged["scheme"] is None or merged["ebn0_grid"] is None:
+    if "scheme" not in merged or "ebn0_grid" not in merged:
         raise ValueError("scheme and at least one --ebn0 point are required")
     if "m" not in component or "t" not in component:
         raise ValueError("component --m and --t are required")
-    if merged["workers"] is None:
-        merged["workers"] = int(os.environ.get("IBDDLAB_WORKERS", "1"))
-    spec = ComponentSpec(m=int(component["m"]), t=int(component["t"]),
-                         shorten=int(component.get("shorten", 0)))
-    merged["ebn0_grid"] = tuple(float(e) for e in merged["ebn0_grid"])
+    spec = ComponentSpec(**{k: int(v) for k, v in component.items()})
     return SimConfig(component=spec, **merged)
 
 
@@ -230,7 +218,7 @@ def _cmd_sim(args, argv) -> int:
     started = _utc_now()
     try:
         cfg = _sim_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"ibddlab sim: error: {exc}", file=sys.stderr)
         return 1
     out = args.out
@@ -241,19 +229,16 @@ def _cmd_sim(args, argv) -> int:
     t0 = time.perf_counter()
     try:
         for ebn0, points in run_curve(cfg):
-            for mode in cfg.modes:
-                pt = points.get(mode)
-                if pt is None:
-                    continue
+            for pt in points.values():  # in cfg.modes order
                 rows.append(pt)
                 if isinstance(pt, BerPoint):
                     print(
-                        f"{ebn0:6.2f} dB {mode:8s} ber={pt.ber:.3e} "
+                        f"{ebn0:6.2f} dB {pt.mode:8s} ber={pt.ber:.3e} "
                         f"fer={pt.fer:.3e} ({pt.frames} frames, "
                         f"{pt.frame_errors} errors)"
                     )
                 else:
-                    print(f"{ebn0:6.2f} dB {mode:8s} skipped: {pt.reason}")
+                    print(f"{ebn0:6.2f} dB {pt.mode:8s} skipped: {pt.reason}")
             done += 1
     except Exception as exc:  # keep the finished points usable
         failure = f"{cfg.ebn0_grid[done]} dB: {type(exc).__name__}: {exc}"
@@ -283,6 +268,8 @@ def _read_points(path: str) -> list:
 
 def _cmd_plotdata(args, argv) -> int:
     try:
+        if args.target_ber is not None and not 0 < args.target_ber < 1:
+            raise ValueError(f"--target-ber must lie in (0, 1), got {args.target_ber:g}")
         points = _read_points(args.infile)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"ibddlab plotdata: error: {exc}", file=sys.stderr)
@@ -360,40 +347,24 @@ def _build_parser() -> _Parser:
                    help="override the design rate 1-2(n-k)/n")
     p.add_argument("--out", help="write the schedule JSON here")
 
-    p = sub.add_parser("sim",
+    p = sub.add_parser("sim", argument_default=argparse.SUPPRESS,
                        help="Monte-Carlo error-rate curves (paired noise)")
     p.add_argument("--config", help="JSON config file (flags take precedence)")
-    p.add_argument("--scheme", choices=("pc", "staircase"),
-                   default=argparse.SUPPRESS)
-    p.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--t", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--shorten", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--modes", default=argparse.SUPPRESS,
-                   help="comma list from {ibdd, ibdd_sr, ideal}")
-    p.add_argument("--ebn0", type=float, nargs="+", default=argparse.SUPPRESS,
+    p.add_argument("--scheme", choices=("pc", "staircase"))
+    for flag in ("--m", "--t", "--shorten", "--seed", "--sr-iters", "--plain-iters",
+                 "--window-blocks", "--blocks-per-stream"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--modes", help="comma list from {ibdd, ibdd_sr, ideal}")
+    p.add_argument("--ebn0", dest="ebn0_grid", type=float, nargs="+",
                    help="E_b/N_0 grid in dB, ascending")
-    p.add_argument("--min-errors", dest="min_errors", type=int,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--max-frames", dest="max_frames", type=int,
-                   default=argparse.SUPPRESS,
+    p.add_argument("--min-errors", dest="min_error_events", type=int)
+    p.add_argument("--max-frames", type=int,
                    help="frame budget per point: product arrays, or counted "
                         "staircase blocks (not streams)")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                   help="worker processes (default $IBDDLAB_WORKERS or 1)")
-    p.add_argument("--sr-iters", dest="sr_iters", type=int,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--plain-iters", dest="plain_iters", type=int,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--window-blocks", dest="window_blocks", type=int,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--blocks-per-stream", dest="blocks_per_stream", type=int,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--random-info", dest="random_info", action="store_true",
-                   default=argparse.SUPPRESS,
+    p.add_argument("--workers", type=int, help="worker processes (default 1)")
+    p.add_argument("--random-info", action="store_true",
                    help="encode random information (default all-zero frames)")
-    p.add_argument("--fixed-weight", dest="fixed_weight", type=float,
-                   default=argparse.SUPPRESS,
+    p.add_argument("--fixed-weight", type=float,
                    help="constant combining weight instead of derived schedule")
     p.add_argument("--out", required=True,
                    help="output prefix: <out>.json/.manifest.json")

@@ -112,6 +112,8 @@ class ScalingSchedule:
         object.__setattr__(self, "w_row", np.asarray(self.w_row, dtype=float))
         object.__setattr__(self, "w_col", np.asarray(self.w_col, dtype=float))
         check_weights(self.w_row, self.w_col)
+        if self.w_row.ndim != 1 or self.w_col.ndim != 1:
+            raise ValueError("w_row and w_col must be 1-D: one weight per iteration")
 
     @property
     def iterations(self) -> int:

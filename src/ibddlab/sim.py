@@ -34,7 +34,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -132,6 +132,8 @@ class SimConfig:
                              "every mode reports the channel")
         if self.sr_iters == 0 and "ibdd_sr" in self.modes:
             raise ValueError("ibdd_sr needs sr_iters >= 1, got sr_iters=0")
+        if not 0 <= self.ber_floor < 1:
+            raise ValueError(f"ber_floor must lie in [0, 1), got {self.ber_floor}")
         if self.fixed_weight is not None:
             check_weights(self.fixed_weight)
         _SCHEMES[self.scheme](self)  # raises on parameters that give no code
@@ -158,13 +160,8 @@ class BerPoint:
     frame_bit_errors: tuple = field(repr=False, default=())
 
     def stat_key(self) -> tuple:
-        """Everything reproducible — i.e. all statistics except wall time."""
-        return (
-            self.scheme, self.component, self.mode, self.ebn0_db,
-            self.frames, self.frame_errors, self.bits_simulated,
-            self.bit_errors, self.ber, self.fer, self.wilson_ci95,
-            self.ber_ci95, self.seed, self.frame_bit_errors,
-        )
+        """Everything reproducible: every field but wall time, in field order."""
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "wall_seconds")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bch import BchCode
 from .channel import harden
-from .product import check_weights, iterate
+from .product import _binary, check_weights, iterate
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ def encode_stream(code: StaircaseCode, info_blocks) -> list[np.ndarray]:
 class WindowSchedule:
     """Per-slide weight arrays for window decoding.
 
-    Early slides get their own (pairs, iterations) array; from the recorded
-    convergence horizon onward every slide reuses ``steady``.
+    Slides 1..len(early) get their own (pairs, iterations) array; from
+    ``steady_slide`` = len(early) + 1 onward every slide reuses ``steady``.
     """
 
     early: tuple
@@ -121,6 +121,8 @@ class WindowSchedule:
         check_weights(self.steady, *self.early)
         if self.steady.ndim != 2 or any(e.shape != self.steady.shape for e in self.early):
             raise ValueError("weights must be (pairs, iterations) arrays of one shape")
+        if self.steady_slide != len(self.early) + 1:
+            raise ValueError(f"steady_slide must be len(early) + 1, got {self.steady_slide}")
 
     def weights_for_slide(self, slide: int) -> np.ndarray:
         """Weights for the window whose oldest block is ``slide`` (1-based)."""
@@ -215,7 +217,7 @@ def window_decode(
         llr_pairs = _pairs(llr, np.full(zeros.shape, np.inf)).swapaxes(0, 1)
         hard_pairs = pairs.swapaxes(0, 1).copy()  # the channel's hard decision
     if mode == "ideal":
-        tx = np.asarray(transmitted, dtype=np.uint8).reshape(llr.shape)
+        tx = _binary(transmitted, "transmitted").astype(np.uint8).reshape(llr.shape)
         genie = _pairs(tx, zeros).swapaxes(0, 1)
 
     def copies(lo, p, s, r, c):

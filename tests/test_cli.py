@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, output files, manifests, precedence."""
 
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import pytest
 
 from ibddlab import __version__
-from ibddlab.cli import main
+from ibddlab.cli import _build_parser, _sim_config, main
 from ibddlab.sim import BerPoint, ComponentSpec, SimConfig, SkippedPoint, results_json
 
 
@@ -222,6 +224,87 @@ def test_bad_component_exits_one(argv, message, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"ber_floor": float("nan")}, "ber_floor"),
+        ({"ber_floor": -1e-7}, "ber_floor"),
+        ({"ber_floor": float("inf")}, "ber_floor"),
+        ({"ber_floor": 1.0}, "ber_floor"),
+        ({"component": {"m": 4, "t": 1, "shortn": 1}}, "component.shortn"),
+        ({"component": 5}, "JSON objects"),
+        ([4.0], "JSON objects"),
+    ],
+    ids=["floor-nan", "floor-negative", "floor-inf", "floor-one", "component-typo",
+         "component-number", "file-list"],
+)
+def test_bad_config_file_exits_one(config, message, tmp_path, capsys):
+    """A config file whose ber_floor lies outside [0, 1), whose component
+    has a key ComponentSpec lacks, or that (or whose component) is no JSON
+    object ends in one error line and exit 1, before any output file is
+    opened."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["sim", "--config", str(cfg_file), "--scheme", "pc", "--m", "4", "--t", "1",
+                 "--ebn0", "4", "--out", str(out / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "error" in err and message in err
+    assert list(out.iterdir()) == []
+
+
+def _sim_parser():
+    [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices["sim"]
+
+
+def test_sim_dests_are_simconfig_fields():
+    """Every sim flag's dest is a SimConfig field, a component field, or
+    one of the run's files: no flag needs a rename to reach its field."""
+    dests = {a.dest for a in _sim_parser()._actions if a.dest != "help"}
+    allowed = {f.name for f in fields(SimConfig)} | {"m", "t", "shorten", "config", "out"}
+    assert dests <= allowed, dests - allowed
+
+
+_EVERY_SIM_FLAG = {
+    "--scheme": "staircase", "--m": "5", "--t": "2", "--shorten": "1",
+    "--modes": "ibdd_sr,ideal", "--ebn0": ["3.0", "3.5"], "--min-errors": "60",
+    "--max-frames": "70", "--seed": "11", "--workers": "2", "--sr-iters": "4",
+    "--plain-iters": "3", "--window-blocks": "5", "--blocks-per-stream": "12",
+    "--random-info": [], "--fixed-weight": "1.5", "--out": "x",
+}
+
+
+def test_every_sim_flag_sets_its_field():
+    """A command line that gives every flag yields a SimConfig with each
+    field taken from its flag; every value differs from SimConfig's default."""
+    parser = _sim_parser()
+    flags = {s for a in parser._actions for s in a.option_strings}
+    assert flags - {"-h", "--help", "--config"} == set(_EVERY_SIM_FLAG)
+    argv = ["sim"]
+    for flag, value in _EVERY_SIM_FLAG.items():
+        argv += [flag, *([value] if isinstance(value, str) else value)]
+    want = dict(scheme="staircase", component=ComponentSpec(5, 2, 1), ebn0_grid=(3.0, 3.5),
+                modes=("ibdd_sr", "ideal"), min_error_events=60, max_frames=70, seed=11,
+                workers=2, sr_iters=4, plain_iters=3, window_blocks=5, blocks_per_stream=12,
+                random_info=True, fixed_weight=1.5)
+    assert all(want[f.name] != f.default for f in fields(SimConfig) if f.name in want)
+    assert _sim_config(_build_parser().parse_args(argv)) == SimConfig(**want)
+
+
+def test_unset_sim_flags_keep_simconfig_defaults(monkeypatch):
+    """With only the required flags, every other field is SimConfig's
+    default; no environment variable stands in for --workers."""
+    monkeypatch.setenv("IBDDLAB_WORKERS", "3")
+    cfg = _sim_config(_build_parser().parse_args(
+        ["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--ebn0", "4", "--out", "x"]))
+    assert (cfg.scheme, cfg.component, cfg.ebn0_grid) == ("pc", ComponentSpec(4, 1), (4.0,))
+    for f in fields(SimConfig):
+        if f.default is not MISSING:
+            assert getattr(cfg, f.name) == f.default, f.name
+
+
 def test_sim_writes_skip_row_when_schedule_unavailable(tmp_path, capsys):
     """The long shortened code at 1.0 dB has no usable window schedule:
     the point is reported, not simulated, and the results JSON carries it
@@ -346,6 +429,19 @@ def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in err[0]
     assert "not a sim results JSON" in err[0]
+
+
+@pytest.mark.parametrize("target", ["0", "-1", "nan", "2", "1"])
+def test_plotdata_rejects_target_ber_outside_unit_interval(target, tmp_path, capsys):
+    """A BER target outside (0, 1) has no crossing: it ends in one error
+    line and exit 1 instead of printing nan crossings."""
+    src = tmp_path / "in.json"
+    _write_results(src, [_mk_point("ibdd", 4.0, 1e-2), _mk_point("ibdd", 5.0, 1e-4)])
+    assert main(["plotdata", "--in", str(src), "--target-ber", target]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "error" in err[0] and "--target-ber" in err[0]
+    assert captured.out == ""
 
 
 def test_sim_results_round_trip_through_plotdata(tmp_path, capsys):

@@ -133,6 +133,16 @@ def test_schedule_validation():
         ScalingSchedule(np.array([1.0, -0.5]), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("w_row,w_col", [(2.0, [1.0]), ([1.0], 2.0),
+                                         (np.ones((2, 3)), np.ones(3)),
+                                         (np.ones(3), np.ones((3, 1)))])
+def test_scaling_schedule_rejects_non_vector_weights(w_row, w_col):
+    """One weight per iteration: 0-D or 2-D weights are refused when the
+    schedule is built, not by a broadcast error inside ``ibdd_sr_decode``."""
+    with pytest.raises(ValueError, match="1-D"):
+        ScalingSchedule(w_row, w_col)
+
+
 # ---------------------------------------------------------------------------
 # decoders
 

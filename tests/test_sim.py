@@ -72,12 +72,14 @@ def test_config_validation():
                 {"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": 2**64},
                 {"max_frames": 2**32}, {"max_frames": 0},
                 {"ebn0_grid": (4.0, float("nan"))}, {"ebn0_grid": (float("nan"),)},
-                {"ebn0_grid": (4.0, float("inf"))}, {"ebn0_grid": (-float("inf"), 4.0)}):
+                {"ebn0_grid": (4.0, float("inf"))}, {"ebn0_grid": (-float("inf"), 4.0)},
+                {"ber_floor": float("nan")}, {"ber_floor": -1e-7},
+                {"ber_floor": float("inf")}, {"ber_floor": 1.0}):
         with pytest.raises(ValueError):
             toy_cfg(**bad)
     # the extremes of the seed and frame budget ranges are valid
     toy_cfg(seed=0)
-    toy_cfg(seed=2**64 - 1, max_frames=2**32 - 1)
+    toy_cfg(seed=2**64 - 1, max_frames=2**32 - 1, ber_floor=0.0)
 
 
 @pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])

@@ -271,6 +271,17 @@ def test_window_schedule_rejects_bad_weights(bad, where):
                    ebn0_db=4.0, rate=0.5)  # all-zero weights stay valid
 
 
+@pytest.mark.parametrize("early,steady_slide", [((), 5), ((), 0), ((np.ones((4, 10)),), 1),
+                                                ((np.ones((4, 10)),), 3)])
+def test_window_schedule_rejects_steady_slide_off_early(early, steady_slide):
+    """``weights_for_slide`` reads ``steady`` from slide len(early) + 1 on,
+    so a ``steady_slide`` naming any other slide is refused when the schedule
+    is built."""
+    with pytest.raises(ValueError, match="steady_slide"):
+        WindowSchedule(early=early, steady=np.ones((4, 10)), steady_slide=steady_slide,
+                       ebn0_db=4.0, rate=0.5)
+
+
 def test_zero_weight_window_equals_hardening(sc_30_20, rng):
     """All-zero weights with no plain rounds reproduce the channel decision."""
     sched = WindowSchedule(
@@ -330,6 +341,20 @@ def test_window_decode_rejects_inconsistent_inputs(sc_30_20, toy_schedule):
     with pytest.raises(ValueError, match="align"):
         window_decode(sc_30_20, llrs, _default_cfg(toy_schedule), "ideal",
                       np.zeros((3, 15, 15), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, -1.0])
+def test_window_genie_rejects_non_binary_transmitted(sc_30_20, toy_schedule, bad):
+    """The genie's transmitted blocks hold bits, as the product decoders
+    require: a 2 is not decoded as itself, a 0.5 as 0, nor an all -1.0
+    stack as 255s."""
+    tx = np.zeros((4, 15, 15))
+    tx[2, 4, 9] = bad
+    if bad == -1.0:
+        tx[:] = bad
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        window_decode(sc_30_20, np.full((4, 15, 15), 9.0), _default_cfg(toy_schedule),
+                      "ideal", tx)
 
 
 def test_window_decode_rejects_nan_llrs(sc_30_20, toy_schedule):
