@@ -11,10 +11,10 @@ and ``de-schedule --out`` write the fields of the DE result dataclass
 Each ``sim`` flag's dest is the ``SimConfig`` field it sets, ``--config`` holds
 the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1).
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure (threshold bracket
-not found), 3 a ``sim`` grid point failed (the finished points are still
-written to the results JSON and manifest; the failed E_b/N_0 and the
-error go to stderr on one line).
+Exit codes: 0 success, 1 usage error, 2 numeric failure (the threshold
+bracket does not straddle the threshold), 3 a ``sim`` grid point failed (the
+finished points are still written to the results JSON and manifest; the
+failed E_b/N_0 and the error go to stderr on one line).
 """
 
 from __future__ import annotations
@@ -125,12 +125,10 @@ def _cmd_de_threshold(args, argv) -> int:
     profile = auto_profile(code)
     rate = _design_rate(code.n, code.k)
     window = args.window if args.ensemble == "sc" else None
+    bracket = {"bracket": tuple(args.bracket)} if args.bracket else {}
     try:
-        thr = threshold_search(
-            args.ensemble, profile, rate, tol_db=args.tol_db,
-            bracket=tuple(args.bracket) if args.bracket else None,
-            window=window,
-        )
+        thr = threshold_search(args.ensemble, profile, rate, tol_db=args.tol_db,
+                               window=window, **bracket)
     except ValueError as exc:
         print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
         return 1
@@ -210,8 +208,7 @@ def _sim_config(args) -> SimConfig:
         raise ValueError("scheme and at least one --ebn0 point are required")
     if "m" not in component or "t" not in component:
         raise ValueError("component --m and --t are required")
-    spec = ComponentSpec(**{k: int(v) for k, v in component.items()})
-    return SimConfig(component=spec, **merged)
+    return SimConfig(component=ComponentSpec(**component), **merged)
 
 
 def _cmd_sim(args, argv) -> int:
@@ -332,7 +329,7 @@ def _build_parser() -> _Parser:
                    help="window positions for the sc ensemble (default 6)")
     p.add_argument("--tol-db", type=float, default=0.01)
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"),
-                   help="E_b/N_0 bracket in dB (default: automatic scan)")
+                   help="E_b/N_0 bracket in dB, bisected (default 0 16)")
     p.add_argument("--out", help="write the recursion profile JSON here")
 
     p = sub.add_parser("de-schedule",

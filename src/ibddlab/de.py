@@ -11,20 +11,21 @@ once to float.
 
 The per-iteration reliability weights used by the scaled-reliability decoders
 fall out of the same recursion as log-ratios of the correct/error transition
-probabilities, evaluated at the current message error rate.
+probabilities, evaluated at the current message error rate.  Both recursions
+advance by one half-step, ``TransitionKernels.step``: that weight, then the
+bit-node update at it.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from .bch import EXACT_MAX_K, weight_enumerator_approx, weight_enumerator_exact
-from .channel import make_params, q_function
+from .channel import ChannelParams, make_params, q_function
 
 DEFAULT_WEIGHT_CAP = 64.0
 DEFAULT_TARGET = 1e-9
@@ -120,21 +121,16 @@ def auto_profile(code) -> ComponentProfile:
 # transition functions
 
 
-class TransitionValues(NamedTuple):
-    fe: float
-    fc: float
-    fqe: float
-    fpc: float
-
-
 class TransitionKernels:
-    """Binomially averaged transition functions for a fixed channel error rate.
+    """Binomially averaged transition functions for a fixed channel.
 
     Precomputes the outcome kernels so that evaluating all four functions at a
     message error rate x costs one binomial pmf and one matrix product.
     """
 
-    def __init__(self, profile: ComponentProfile, p_ch: float):
+    def __init__(self, profile: ComponentProfile, params: ChannelParams):
+        p_ch = self._p_ch = params.p_ch
+        self._sigma = params.sigma
         self._kernels = np.stack(
             [
                 p_ch * profile.pe + (1.0 - p_ch) * profile.qe,
@@ -148,16 +144,28 @@ class TransitionKernels:
         self._rest = (profile.n - 1) - self._i
         self._logbin = gammaln(profile.n) - gammaln(self._i + 1) - gammaln(self._rest + 1)
 
-    def eval(self, x) -> TransitionValues:
-        """The transition functions at message error rate(s) x in [0, 1].
+    def eval(self, x) -> np.ndarray:
+        """The transition functions (f_e, f_c, f_qe, f_pc) at message error
+        rate(s) x in [0, 1], stacked on the first axis.
 
-        A scalar x gives scalar fields, an array of rates gives arrays of the
+        A scalar x gives four scalars, an array of rates four arrays of the
         same shape; the Binomial(n-1, x) weights are exact at x = 0 and 1.
         """
         x = np.asarray(x, dtype=np.float64)[..., None]
         pmf = np.exp(self._logbin + xlogy(self._i, x) + xlog1py(self._rest, -x))
         values = pmf @ self._kernels  # one column per transition function
-        return TransitionValues(*values.transpose(-1, *range(values.ndim - 1)))
+        return values.transpose(-1, *range(values.ndim - 1))
+
+    def step(self, x):
+        """One half-iteration at incoming message error rate(s) x: the weight
+        log(f_c / f_e) clamped to ``DEFAULT_WEIGHT_CAP``, and the bit-node
+        update's outgoing error rate at that weight, each shaped like x."""
+        fe, fc, fqe, fpc = self.eval(x)
+        w = _weights(fc, fe, DEFAULT_WEIGHT_CAP)
+        p_ch, sigma = self._p_ch, self._sigma
+        qm = q_function(1.0 / sigma - sigma * w / 2.0)
+        qp = q_function(1.0 / sigma + sigma * w / 2.0)
+        return w, fqe * (qm - p_ch) + fpc * qp + (1.0 - fpc) * p_ch
 
 
 def _weights(fc, fe, cap: float):
@@ -169,12 +177,6 @@ def _weights(fc, fe, cap: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.minimum(np.maximum(np.log(fc) - np.log(fe), 0.0), cap)
     return np.where(fc > 0.0, w, 0.0)
-
-
-def _vn_update_values(v: TransitionValues, w, p_ch: float, sigma: float):
-    qm = q_function(1.0 / sigma - sigma * np.asarray(w) / 2.0)
-    qp = q_function(1.0 / sigma + sigma * np.asarray(w) / 2.0)
-    return v.fqe * (qm - p_ch) + v.fpc * qp + (1.0 - v.fpc) * p_ch
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +223,25 @@ def run_gldpc(
     if iterations < 1:
         raise ValueError(f"iteration budget must be at least 1, got {iterations=}")
     params = make_params(ebn0_db, rate)
-    p_ch, sigma = params.p_ch, params.sigma
-    kern = TransitionKernels(profile, p_ch)
+    kern = TransitionKernels(profile, params)
 
-    x = p_ch
+    x = params.p_ch
     weights: list[float] = []
     traj: list[float] = []
     it = 0
     for it in range(1, iterations + 1):
         x_in = x
         for _ in ("row", "col"):
-            v = kern.eval(x)
-            w = float(_weights(v.fc, v.fe, DEFAULT_WEIGHT_CAP))
-            x = float(_vn_update_values(v, w, p_ch, sigma))
+            w, x = map(float, kern.step(x))
             weights.append(w)
             traj.append(x)
         if stop_early and (x < DEFAULT_TARGET * 1e-3 or x == x_in):
             break
     return GldpcDeResult(
-        ebn0_db=ebn0_db,
-        rate=rate,
-        p_ch=p_ch,
-        sigma=sigma,
-        w_row=np.array(weights[0::2]),
-        w_col=np.array(weights[1::2]),
-        trajectory=np.array(traj),
-        final_x=x,
-        converged=bool(x < DEFAULT_TARGET),
-        improving=bool(x < p_ch * (1.0 - 1e-9)),
-        iterations_run=it,
+        ebn0_db=ebn0_db, rate=rate, p_ch=params.p_ch, sigma=params.sigma,
+        w_row=np.array(weights[0::2]), w_col=np.array(weights[1::2]),
+        trajectory=np.array(traj), final_x=x, converged=bool(x < DEFAULT_TARGET),
+        improving=bool(x < params.p_ch * (1.0 - 1e-9)), iterations_run=it,
     )
 
 
@@ -301,19 +293,22 @@ def run_sc_window(
     Each slide iterates the in-window positions (``full_iterations`` disables
     the early fixed-point break so every slide logs a complete weight
     schedule), then advances by one position, freezing the position it leaves
-    behind.  The left end of the chain is terminated by known bits.
+    behind.  The left end of the chain is terminated by known bits.  Raises
+    ValueError, before any recursion runs, on a window or budget below 1 or a
+    ``steady_tol`` that is not finite and positive.
     """
     if window < 1:
         raise ValueError(f"window must be at least 1 position, got {window=}")
     if iters_per_slide < 1:
         raise ValueError(f"iteration budget must be at least 1, got {iters_per_slide=}")
+    if max_slides < 1:
+        raise ValueError(f"slide budget must be at least 1, got {max_slides=}")
+    if not (math.isfinite(steady_tol) and steady_tol > 0):
+        raise ValueError(f"steady_tol must be finite and positive, got {steady_tol!r}")
     params = make_params(ebn0_db, rate)
-    p_ch, sigma = params.p_ch, params.sigma
-    kern = TransitionKernels(profile, p_ch)
+    kern = TransitionKernels(profile, params)
 
-    x = np.full(max_slides + window + 2, p_ch)
-    x[0] = 0.0  # known termination; masked out of every window anyway
-
+    x = np.full(max_slides + window + 2, params.p_ch)
     emitted: list[float] = []
     schedules: list[np.ndarray] = []
     steady_slide: int | None = None
@@ -323,11 +318,8 @@ def run_sc_window(
     for s in range(1, max_slides + 1):
         sched = np.zeros((window + 1, iters_per_slide))
         for it in range(iters_per_slide):
-            bavg = sc_cn_averages(x, s, window)
-            v = kern.eval(bavg)
-            w_cn = _weights(v.fc, v.fe, DEFAULT_WEIGHT_CAP)
+            w_cn, contrib = kern.step(sc_cn_averages(x, s, window))
             sched[:, it] = w_cn
-            contrib = _vn_update_values(v, w_cn, p_ch, sigma)
             new = 0.5 * (contrib[:-1] + contrib[1:])
             delta = float(np.max(np.abs(new - x[s : s + window])))
             x[s : s + window] = new
@@ -350,20 +342,11 @@ def run_sc_window(
             break
         prev = probe
 
-    improving = bool(emitted and emitted[-1] < p_ch * (1.0 - 1e-9))
     return ScDeResult(
-        ebn0_db=ebn0_db,
-        rate=rate,
-        p_ch=p_ch,
-        sigma=sigma,
-        window=window,
-        iters_per_slide=iters_per_slide,
-        emitted=np.array(emitted),
-        schedules=schedules,
-        steady_slide=steady_slide,
-        slides_run=s,
-        converged=converged,
-        improving=improving,
+        ebn0_db=ebn0_db, rate=rate, p_ch=params.p_ch, sigma=params.sigma, window=window,
+        iters_per_slide=iters_per_slide, emitted=np.array(emitted), schedules=schedules,
+        steady_slide=steady_slide, slides_run=s, converged=converged,
+        improving=bool(emitted and emitted[-1] < params.p_ch * (1.0 - 1e-9)),
     )
 
 
@@ -415,18 +398,18 @@ def threshold_search(
     rate: float,
     *,
     tol_db: float = 0.01,
-    bracket: tuple[float, float] | None = None,
+    bracket: tuple[float, float] = (0.0, 16.0),
     window: int | None = None,
 ) -> float:
-    """Bisect Eb/N0 for the smallest value where the recursion decodes.
+    """Bisect ``bracket`` (Eb/N0 in dB) for the smallest value that decodes.
 
     ``ensemble`` is "gldpc" (uncoupled) or "sc" (window-decoded coupled chain,
     requires ``window``).  Success means that ``threshold_run``'s message
     error rate falls below ``DEFAULT_TARGET`` within its iteration budget.
-    Raises BracketError when the bracket endpoints do not straddle the
-    threshold, and ValueError, before any recursion runs, on an unknown
-    ensemble, a ``tol_db`` that is not finite and positive, or an sc
-    ``window`` below 1.
+    The default bracket finds thresholds up to 16 dB.  Raises BracketError
+    when the bracket endpoints do not straddle the threshold, and ValueError,
+    before any recursion runs, on an unknown ensemble, a ``tol_db`` that is
+    not finite and positive, or an sc ``window`` below 1.
     """
     if ensemble not in ("gldpc", "sc"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
@@ -439,30 +422,14 @@ def threshold_search(
     def success(ebn0: float) -> bool:
         return threshold_run(profile, ebn0, rate, window).converged
 
-    if bracket is None:
-        lo, hi = None, None
-        prev = 0.5
-        prev_ok = success(prev)
-        for ebn0 in np.arange(1.0, 13.0, 0.5):
-            ok = success(float(ebn0))
-            if ok and not prev_ok:
-                lo, hi = prev, float(ebn0)
-                break
-            prev, prev_ok = float(ebn0), ok
-        if lo is None:
-            raise BracketError(
-                "no threshold bracket found in [0.5, 12.5] dB",
-                {"ensemble": ensemble, "rate": rate},
-            )
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        lo_ok, hi_ok = success(lo), success(hi)
-        if lo_ok or not hi_ok:
-            raise BracketError(
-                f"bracket does not straddle the threshold: "
-                f"decodes@{lo}dB={lo_ok}, decodes@{hi}dB={hi_ok}",
-                {"lo": lo, "hi": hi, "lo_ok": lo_ok, "hi_ok": hi_ok},
-            )
+    lo, hi = float(bracket[0]), float(bracket[1])
+    lo_ok, hi_ok = success(lo), success(hi)
+    if lo_ok or not hi_ok:
+        raise BracketError(
+            f"bracket does not straddle the threshold: "
+            f"decodes@{lo}dB={lo_ok}, decodes@{hi}dB={hi_ok}",
+            {"lo": lo, "hi": hi, "lo_ok": lo_ok, "hi_ok": hi_ok},
+        )
 
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)

@@ -66,6 +66,14 @@ _Z95 = 1.959963984540054
 DECODE_CALL_BITS = 1 << 18
 
 
+def _check_ints(config) -> None:
+    """Refuse a bool or a non-integer in any ``int`` field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{f.name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ComponentSpec:
     """Component-code parameters: GF(2^m) BCH with t-error correction."""
@@ -73,6 +81,9 @@ class ComponentSpec:
     m: int
     t: int
     shorten: int = 0
+
+    def __post_init__(self):
+        _check_ints(self)
 
     @cache
     def build(self) -> BchCode:
@@ -113,13 +124,14 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.modes or any(m not in MODES for m in self.modes):
             raise ValueError(f"modes must be a nonempty subset of {MODES}")
+        _check_ints(self)
         if not all(math.isfinite(e) for e in self.ebn0_grid):
             raise ValueError(f"ebn0_grid must be finite, got {self.ebn0_grid}")
         if list(self.ebn0_grid) != sorted(self.ebn0_grid):
             raise ValueError("ebn0_grid must be sorted ascending")
         if self.min_error_events < 50:
             raise ValueError("min_error_events below 50 gives junk intervals")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.max_frames < 1 or self.workers < 1:
             raise ValueError("max_frames and workers must be positive")

@@ -24,6 +24,11 @@ def code_30_20():
 
 
 @pytest.fixture(scope="session")
+def code_63_51():
+    return build_bch(6, 2)
+
+
+@pytest.fixture(scope="session")
 def code_255_231():
     return build_bch(8, 3)
 

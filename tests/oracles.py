@@ -20,7 +20,10 @@ one-product syndrome formula that the chunked ``BchCode.syndromes``
 replaced, and ``ideal_decode_dense`` the dense genie decoder that the genie's
 flip list replaced.  ``run_point_stepwise`` is the point driver that sent each
 plan batch to the decoders alone, before batches no stop check separates were
-merged into shared calls; it runs the package's engine.
+merged into shared calls; it runs the package's engine.  ``threshold_scan``
+is the 0.5-dB scan that found ``threshold_search``'s bracket before its
+default bracket was bisected like a given one; it runs the package's
+``threshold_run``.
 """
 
 import math
@@ -30,6 +33,7 @@ from scipy.special import gammaln
 
 from ibddlab.bch import BchCode, bdd_decode_matrix
 from ibddlab.channel import harden, make_params, q_function
+from ibddlab.de import BracketError, threshold_run
 from ibddlab.product import ProductCode, combine_decision, pc_encode
 from ibddlab.sim import N_BOOT, _batch_plan, _build_engine
 from ibddlab.staircase import StaircaseCode, WindowConfig, encode_stream
@@ -626,6 +630,39 @@ def scaling_factor_numeric(
     """
     ws = np.linspace(0.0, cap, grid_points)
     return float(ws[np.argmin(vn_update(values, ws, p_ch, sigma))])
+
+
+def threshold_scan(ensemble: str, profile, rate: float, *, tol_db: float = 0.01,
+                   window: int | None = None) -> float:
+    """Threshold by scanning Eb/N0 from 0.5 dB in 0.5-dB steps for the first
+    step from failure to success, then bisecting that step."""
+    window = window if ensemble == "sc" else None
+
+    def success(ebn0: float) -> bool:
+        return threshold_run(profile, ebn0, rate, window).converged
+
+    lo, hi = None, None
+    prev = 0.5
+    prev_ok = success(prev)
+    for ebn0 in np.arange(1.0, 13.0, 0.5):
+        ok = success(float(ebn0))
+        if ok and not prev_ok:
+            lo, hi = prev, float(ebn0)
+            break
+        prev, prev_ok = float(ebn0), ok
+    if lo is None:
+        raise BracketError(
+            "no threshold bracket found in [0.5, 12.5] dB",
+            {"ensemble": ensemble, "rate": rate},
+        )
+
+    while hi - lo > tol_db:
+        mid = 0.5 * (lo + hi)
+        if success(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def bootstrap_ber_ci_oneshot(counts, bits_per_frame: int, seed: int):

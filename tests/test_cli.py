@@ -85,6 +85,12 @@ def test_de_threshold_bad_bracket(capsys):
     assert "diagnostics" in err
 
 
+def test_de_threshold_default_bracket(capsys):
+    """With no --bracket the default bracket is bisected to the toy threshold."""
+    assert main(["de-threshold", "--ensemble", "gldpc", "--m", "4", "--t", "1"]) == 0
+    assert capsys.readouterr().out == "3.8789 dB\n"
+
+
 # ---------------------------------------------------------------------------
 # de-schedule
 
@@ -252,6 +258,22 @@ def test_bad_config_file_exits_one(config, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "error" in err and message in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [({"component": {"m": 4.7, "t": 1}}, "m must be an int, got 4.7"),
+     ({"component": {"m": 4, "t": 1}, "max_frames": 100.5}, "max_frames must be an int")],
+    ids=["m-float", "max-frames-float"],
+)
+def test_config_file_non_integer_counts_exit_one(config, message, tmp_path, capsys):
+    """A config file's non-integer count is refused by name, not truncated."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"scheme": "pc", "ebn0_grid": [4.0], **config}))
+    assert main(["sim", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and message in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def _sim_parser():

@@ -134,17 +134,18 @@ def test_model_tables_match_log_space_oracle(fixture, request):
 def test_kernels_match_transition_fns(prof_15_7):
     """One evaluator serves scalar and array rates, both matching the
     direct binomial sum."""
-    p_ch = 0.03
-    kern = TransitionKernels(prof_15_7, p_ch)
+    params = make_params(3.0, 7 / 15)
+    kern = TransitionKernels(prof_15_7, params)
     xs = np.array([0.0, 0.004, 0.03, 0.2, 1.0])
     many = kern.eval(xs)
     for j, x in enumerate(xs):
         one = kern.eval(float(x))
-        assert np.ndim(one.fe) == 0
-        np.testing.assert_allclose(list(one), oracles.transition_values(prof_15_7, x, p_ch), atol=1e-14)
+        assert np.ndim(one[0]) == 0
+        np.testing.assert_allclose(list(one), oracles.transition_values(prof_15_7, x, params.p_ch),
+                                   atol=1e-14)
         np.testing.assert_allclose([f[j] for f in many], list(one), atol=1e-15)
-    grid = kern.eval(np.full((2, 3), 0.01))
-    assert grid.fc.shape == (2, 3)
+    _, grid_fc, _, _ = kern.eval(np.full((2, 3), 0.01))
+    assert grid_fc.shape == (2, 3)
 
 
 def test_pmf_normalization(prof_15_7):
@@ -156,29 +157,31 @@ def test_pmf_normalization(prof_15_7):
         n=n, t=prof_15_7.t, pe=zeros, pc=ones, peps=zeros,
         qe=zeros, qc=ones, qeps=zeros,
     )
-    kern = TransitionKernels(flat, 0.02)
+    params = make_params(3.0, 7 / 15)
+    kern = TransitionKernels(flat, params)
     for x in (0.0, 1e-6, 0.1, 0.9, 1.0):
-        assert kern.eval(x).fpc == pytest.approx(1.0, abs=1e-12)
-    kern = TransitionKernels(prof_15_7, 0.02)
-    assert kern.eval(0.0).fqe == prof_15_7.qe[0]
-    assert kern.eval(0.0).fe == 0.0  # nothing left to miscorrect
-    assert kern.eval(1.0).fpc == prof_15_7.pc[-1]
+        assert kern.eval(x)[3] == pytest.approx(1.0, abs=1e-12)
+    kern = TransitionKernels(prof_15_7, params)
+    fe, _, fqe, _ = kern.eval(0.0)
+    assert fqe == prof_15_7.qe[0]
+    assert fe == 0.0  # nothing left to miscorrect
+    assert kern.eval(1.0)[3] == prof_15_7.pc[-1]
 
 
 def test_transition_fns_against_direct_binomial_sum(prof_15_7):
     """Independent re-derivation: binomial-weighted table averages."""
-    p_ch, x = 0.025, 0.011
-    n = prof_15_7.n
+    params, x = make_params(3.5, 7 / 15), 0.011
+    p_ch, n = params.p_ch, prof_15_7.n
     pmf = np.array(
         [math.comb(n - 1, i) * x**i * (1 - x) ** (n - 1 - i) for i in range(n)]
     )
-    v = TransitionKernels(prof_15_7, p_ch).eval(x)
+    fe, fc, fqe, fpc = TransitionKernels(prof_15_7, params).eval(x)
     ke = p_ch * prof_15_7.pe + (1 - p_ch) * prof_15_7.qe
     kc = p_ch * prof_15_7.pc + (1 - p_ch) * prof_15_7.qc
-    assert v.fe == pytest.approx(float(pmf @ ke), abs=1e-12)
-    assert v.fc == pytest.approx(float(pmf @ kc), abs=1e-12)
-    assert v.fqe == pytest.approx(float(pmf @ prof_15_7.qe), abs=1e-12)
-    assert v.fpc == pytest.approx(float(pmf @ prof_15_7.pc), abs=1e-12)
+    assert fe == pytest.approx(float(pmf @ ke), abs=1e-12)
+    assert fc == pytest.approx(float(pmf @ kc), abs=1e-12)
+    assert fqe == pytest.approx(float(pmf @ prof_15_7.qe), abs=1e-12)
+    assert fpc == pytest.approx(float(pmf @ prof_15_7.pc), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +222,11 @@ def test_weight_formula_agrees_with_numeric(prof_255_231):
 
 def test_zero_weight_returns_channel_error_rate(prof_15_7):
     params = make_params(3.0, 7 / 15)
-    kern = TransitionKernels(prof_15_7, params.p_ch)
+    kern = TransitionKernels(prof_15_7, params)
     for x in (params.p_ch, 0.01, 1e-4):
         v = kern.eval(x)
-        assert de._weights(v.fc, v.fe, 0.0) == 0.0  # a zero cap forces weight 0
+        fe, fc, _, _ = v
+        assert de._weights(fc, fe, 0.0) == 0.0  # a zero cap forces weight 0
         x_out = oracles.vn_update(v, 0.0, params.p_ch, params.sigma)
         assert x_out == pytest.approx(params.p_ch, rel=1e-13)
 
@@ -231,7 +235,7 @@ def test_de_step_accepts_prebuilt_kernels(prof_15_7):
     """run_gldpc's trajectory is the bit-node update of one prebuilt kernel
     at the recursion's own weights."""
     params = make_params(4.0, 7 / 15)
-    kern = TransitionKernels(prof_15_7, params.p_ch)
+    kern = TransitionKernels(prof_15_7, params)
     res = run_gldpc(prof_15_7, 4.0, 7 / 15, iterations=2, stop_early=False)
     weights = np.column_stack([res.w_row, res.w_col]).ravel()
     x = params.p_ch
@@ -239,6 +243,22 @@ def test_de_step_accepts_prebuilt_kernels(prof_15_7):
         x = float(oracles.vn_update(kern.eval(x), w, params.p_ch, params.sigma))
         assert x == pytest.approx(x_out, rel=1e-12)
     assert res.trajectory[0] < params.p_ch  # one weighted half-iteration already helps
+
+
+@pytest.mark.parametrize("x", [0.013, np.array([0.0, 1e-5, 0.013, 0.2, 1.0])],
+                         ids=["scalar", "array"])
+def test_step_is_weight_then_vn_update(prof_15_7, x):
+    """One half-step is the clamped log-ratio weight and the bit-node update
+    at that weight, bit for bit."""
+    params = make_params(3.5, 7 / 15)
+    kern = TransitionKernels(prof_15_7, params)
+    v = kern.eval(x)
+    fe, fc, _, _ = v
+    want_w = de._weights(fc, fe, DEFAULT_WEIGHT_CAP)
+    w, x_next = kern.step(x)
+    np.testing.assert_array_equal(w, want_w)
+    np.testing.assert_array_equal(x_next, oracles.vn_update(v, want_w, params.p_ch, params.sigma))
+    assert np.shape(w) == np.shape(x_next) == np.shape(x)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +351,21 @@ def test_threshold_search_kernel_evals(prof_255_231, monkeypatch):
     monkeypatch.setattr(TransitionKernels, "eval", spy)
     thr = threshold_search("gldpc", prof_255_231, RATE_BIG, bracket=(3.5, 4.5), tol_db=0.01)
     assert thr == 4.16796875
-    assert len(calls) <= 1500
+    assert len(calls) == 1064
+
+
+@pytest.mark.parametrize("tol_db", [0.01, 0.5])
+@pytest.mark.parametrize("ensemble", ["gldpc", "sc"])
+@pytest.mark.parametrize("code_fixture", ["code_15_11", "code_30_20", "code_63_51", "code_255_231"])
+def test_default_bracket_matches_scan(code_fixture, ensemble, tol_db, request):
+    """With no bracket given, bisecting [0, 16] dB ends where the former
+    0.5-dB scan and its bisection did: the scan's grid lies on the dyadic
+    grid that bisection walks."""
+    code = request.getfixturevalue(code_fixture)
+    prof, rate = auto_profile(code), 1 - 2 * (code.n - code.k) / code.n
+    window = 6 if ensemble == "sc" else None
+    thr = threshold_search(ensemble, prof, rate, tol_db=tol_db, window=window)
+    assert thr == oracles.threshold_scan(ensemble, prof, rate, tol_db=tol_db, window=window)
 
 
 @pytest.mark.parametrize("tol_db", [0.0, -1.0, math.nan, math.inf])
@@ -353,6 +387,20 @@ def test_threshold_search_rejects_bad_window(prof_15_11, window, monkeypatch):
 def test_run_sc_window_rejects_bad_window(prof_15_11, window):
     with pytest.raises(ValueError, match="window"):
         run_sc_window(prof_15_11, 4.0, 1 - 2 * 4 / 15, window, 10)
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [({"max_slides": 0}, "max_slides=0"), ({"max_slides": -3}, "max_slides=-3")]
+    + [({"steady_tol": tol}, "steady_tol") for tol in (math.nan, -1.0, 0.0, math.inf)],
+    ids=["slides-zero", "slides-negative", "tol-nan", "tol-negative", "tol-zero", "tol-inf"],
+)
+def test_run_sc_window_rejects_bad_slides_or_tolerance(prof_15_11, kwargs, match, monkeypatch):
+    """A slide budget below 1, or a steady tolerance no slide can meet, fails
+    before any recursion runs."""
+    monkeypatch.setattr(de, "TransitionKernels", None)
+    with pytest.raises(ValueError, match=match):
+        run_sc_window(prof_15_11, 4.0, 1 - 2 * 4 / 15, 3, 10, **kwargs)
 
 
 @pytest.mark.parametrize("iters", [0, -2])

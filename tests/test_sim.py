@@ -82,6 +82,28 @@ def test_config_validation():
     toy_cfg(seed=2**64 - 1, max_frames=2**32 - 1, ber_floor=0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("max_frames", 100.5), ("min_error_events", 50.5), ("workers", True), ("sr_iters", 2.5),
+     ("plain_iters", 2.0), ("seed", True), ("window_blocks", 4.0), ("blocks_per_stream", "20")],
+)
+def test_config_rejects_non_integer_counts(field, value):
+    """Every int field of SimConfig refuses a float, a string or a bool,
+    naming the field, before anything is decoded."""
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        toy_cfg(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [({"m": 4.7, "t": 1}, "m"), ({"m": 4, "t": 1.0}, "t"), ({"m": 4, "t": True}, "t"),
+     ({"m": 5, "t": 2, "shorten": 1.5}, "shorten")],
+)
+def test_component_spec_rejects_non_integer(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        ComponentSpec(**kwargs)
+
+
 @pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
 def test_config_rejects_ibdd_sr_without_scaled_iterations(scheme, spec):
     """With sr_iters = 0 there is no scaled iteration: ibdd_sr is refused in
