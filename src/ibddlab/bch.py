@@ -415,12 +415,17 @@ def bdd_decode_matrix(
 
 
 def ideal_decode_matrix(
-    code: BchCode, words: np.ndarray, transmitted: np.ndarray
+    code: BchCode, words: np.ndarray, transmitted: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise genie decode as the flips (row, position, ok) of ``_locate_errors``:
-    a row within distance t of its transmitted row returns to it, others fail."""
-    row, pos = np.nonzero(np.asarray(words, dtype=np.uint8) != transmitted)
-    ok = np.bincount(row, minlength=len(words)) <= code.t
+    """Row-wise genie decode of the rows of ``words`` (..., n) that the mask
+    ``rows`` selects (all when None), numbered through the stack, as the flips
+    (row, position, ok) of ``_locate_errors``: a row within distance t of its
+    transmitted row returns to it, others fail, and unselected rows are ok."""
+    row, pos = np.divmod(np.flatnonzero(np.asarray(words, dtype=np.uint8) != transmitted), code.n)
+    if rows is not None:
+        keep = rows[row]
+        row, pos = row[keep], pos[keep]
+    ok = np.bincount(row, minlength=np.size(words) // code.n) <= code.t
     keep = ok[row]
     return row[keep], pos[keep], ok
 

@@ -5,12 +5,15 @@ k-by-k array, every row is encoded, then every column of the intermediate
 array.
 
 ``iterate`` is the round loop of both schemes.  A stack's component words are
-the rows of one (S, G, R, n) array, so each bit is held twice, once in each of
-its two lines, and the loop keeps the lines' syndromes exact from the bits
-that change: only lines with a nonzero syndrome reach BDD, and an item stops
-once all its syndromes are zero.  A product frame has G = 2 groups, its rows
-and then its columns.  The three decoders differ only in the verdict rule
-(``line_flips``) that makes a component word the next binary message:
+the rows of one group-major (G, S, R, n) array, so each bit is held twice, once
+in each of its two lines.  A flipped bit travels as one flat index into its
+group's block, from the verdict rule (``line_flips``) to the write-back, where
+the scheme's ``copies`` gives the flat indices of both its copies.  Lines'
+syndromes are kept exact from the bits that change: only lines with a nonzero
+syndrome reach BDD, and an item stops once all its syndromes are zero.  A
+product frame's G = 2 groups are its rows and its columns: bit (s, r, c) of
+the one is bit (s, c, r) of the other.  The three decoders differ only in
+the verdict rule that makes a component word the next binary message:
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
@@ -125,11 +128,11 @@ class ScalingSchedule:
 
 
 def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=None):
-    """The verdict rule on lines ``words[f, i]`` of items ``act`` (ascending),
-    whose syndromes are ``synd[f, i]``: the (f, i, j) of every bit it flips,
-    each once.
+    """The verdict rule on the lines of items ``act`` (ascending) of one
+    group's block ``words`` (S, R, n), whose syndromes are ``synd``
+    (S, R, t): the flat index into ``words`` of every bit it flips, each once.
 
-    The genie's verdict when ``genie`` (indexed like ``words``) is given, else
+    The genie's verdict when ``genie`` (shaped like ``words``) is given, else
     the BDD verdict weighed against ``llr`` as ``combine_decision`` does when
     ``llr`` and its hard decision ``hard`` are given, else the BDD word.
     Only lines with a nonzero syndrome reach BDD or the genie: a clean line
@@ -146,62 +149,67 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
     D iff not (decoded and s): on a bit in both, whose line decoded, exactly
     one of the two holds.
     """
-    f, i = np.nonzero(synd[act].any(axis=2))
-    f, j = act[f], i
-    failed = f, i
-    if len(f):
-        row, j, ok = (_locate_errors(comp, synd[f, i]) if genie is None
-                      else ideal_decode_matrix(comp, words[f, i], genie[f, i]))
-        failed = f[~ok], i[~ok]
-        f, i = f[row], i[row]
+    every = len(act) == len(words)  # else the active items' blocks are gathered
+    pick = (lambda a: a) if every else (lambda a: a[act])
+    n, size = words.shape[-1], words[0].size
+    lines = pick(synd).reshape(-1, synd.shape[-1])
+    dirty = lines.any(axis=1)
+    if genie is None:
+        dirty = np.flatnonzero(dirty)
+        row, pos, ok = _locate_errors(comp, lines[dirty])
+        row = dirty[row]
+    else:  # ideal_ibdd_decode weighs nothing against the channel
+        row, pos, _ = ideal_decode_matrix(comp, pick(words), pick(genie), dirty)
+    flips = row * n + pos  # B, as flat indices into the (gathered) blocks
+    if llr is not None:  # then D
+        differ = np.flatnonzero(pick(words) != pick(hard))
+        decoded = np.ones(len(lines), dtype=bool)
+        decoded[dirty] = ok
+        flips = np.concatenate([flips, differ])
+    if not every:
+        flips += ((act - np.arange(len(act))) * size)[flips // size]
     if llr is None:  # ibdd or the genie: the verdict is the message
-        return f, i, j
-    keep = weight > np.abs(llr[f, i, j])
-    differ = words != hard if len(act) == len(words) else words[act] != hard[act]
-    df, di, dj = np.unravel_index(np.flatnonzero(differ), differ.shape)
-    df = act[df]
-    line_failed = np.zeros(synd.shape[:2], dtype=bool)
-    line_failed[failed] = True
-    flip = line_failed[df, di] | ~(weight > np.abs(llr[df, di, dj]))
-    return tuple(np.concatenate([a[keep], b[flip]]) for a, b in ((f, df), (i, di), (j, dj)))
+        return flips
+    # a transposed view's ``flat`` walks its strides per index: gather by coordinates
+    s = weight > np.abs(llr.reshape(-1)[flips] if llr.flags.c_contiguous
+                        else llr[np.unravel_index(flips, llr.shape)])
+    s[len(row):] = ~(s[len(row):] & decoded[differ // n])
+    return flips[s]
 
 
 def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, hard=None,
             genie=None, observer=None):
     """The round loop of both schemes: ``iters`` rounds over groups lo..hi-1.
 
-    ``words`` (S, G, R, n) holds S items' component words as rows, each bit
-    in two lines, and ``synd`` (S, G, R, t) their odd syndromes.  A round
-    passes each group g through ``line_flips`` with weight
-    ``weights[g - lo][round]`` and its rows ``llr[g]``, ``hard[g]`` or
-    ``genie[g]``.  Each (line, position) index pair that
-    ``copies(lo, g, s, r, c)`` lists for the flipped bits (s, g, r, c) is
-    flipped, and the position's row of ``comp.position_syndromes`` is XORed
-    into the line's syndromes.  An item whose groups are all codewords at
-    the top of a round is done for the call.  ``observer(g, round)``
-    follows every group that decodes any item.
+    ``words`` (G, S, R, n) holds S items' component words group-major, each
+    bit in two lines, and ``synd`` (G, S, R, t) their odd syndromes; both are
+    C-contiguous.  A round passes each group g through ``line_flips`` with
+    weight ``weights[g - lo][round]`` and the blocks ``llr[g]``, ``hard[g]``
+    or ``genie[g]``.  ``copies(lo, g, x)`` turns the flat indices ``x`` of
+    the bits flipped in block g into the flat indices into ``words`` of all
+    their copies: one XOR flips them, and one more XORs each position's row
+    of ``comp.position_syndromes`` into its line's syndromes.  An item whose
+    groups are all codewords at the top of a round is done for the call.
+    ``observer(g, round)`` follows every group that decodes any item.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
-    act = np.arange(len(words))
+    bits = words.reshape(-1, copy=False)
+    line_synd = synd.reshape(-1, synd.shape[-1], copy=False)
     for ell in range(iters):
-        act = act[synd[act, lo:hi].any(axis=(1, 2, 3))]
+        # a dropped item gets no flip in this call, so its syndromes stay zero
+        act = np.flatnonzero(synd[lo:hi].any(axis=(0, 2, 3)))
         if not len(act):
             return
         for g in range(lo, hi):
-            s, r, c = line_flips(comp, words[:, g], synd[:, g], act,
-                                 None if weights is None else weights[g - lo][ell],
-                                 *(None if a is None else a[g] for a in (llr, hard, genie)))
-            for line, pos in copies(lo, g, s, r, c):
-                words[(*line, pos)] ^= 1
-                np.bitwise_xor.at(synd, line, comp.position_syndromes[pos])
+            x = copies(lo, g, line_flips(
+                comp, words[g], synd[g], act, None if weights is None else weights[g - lo][ell],
+                *(None if a is None else a[g] for a in (llr, hard, genie))))
+            bits[x] ^= 1
+            line, pos = np.divmod(x, words.shape[-1])
+            np.bitwise_xor.at(line_synd, line, comp.position_syndromes[pos])
             if observer is not None:
                 observer(g, ell)
-
-
-def _transposed(lo, g, s, r, c):
-    """Bit (g, r, c) of a product frame is also bit (1 - g, c, r)."""
-    return ((s, g, r), c), ((s, 1 - g, c), r)
 
 
 def _binary(bits, name):
@@ -214,7 +222,7 @@ def _binary(bits, name):
 
 def _decode(code, hard, observer, *runs):
     """Rows, then columns, of one (n, n) array or a (B, n, n) stack, held as
-    the groups of (B, 2, n, n); the result and the observer's arrays have the
+    the groups of (2, B, n, n); the result and the observer's arrays have the
     shape given.  Each run ``(iterations, weights, llr, genie)`` is one
     ``iterate`` call: the row and column weights with the stacked ``llr``,
     whose hard decision is ``hard``, or the transmitted stack ``genie``,
@@ -222,15 +230,22 @@ def _decode(code, hard, observer, *runs):
     psi = np.array(hard, dtype=np.uint8, ndmin=3, copy=None)  # only read: words is a new stack
     if psi.ndim != 3 or psi.shape[1:] != (code.n, code.n):
         raise ValueError(f"expected an ({code.n}, {code.n}) array or a stack of them")
-    comp = code.component
-    words = np.stack([psi, psi.transpose(0, 2, 1)], axis=1)
+    comp, n = code.component, code.n
+    words = np.stack([psi, psi.transpose(0, 2, 1)])
     synd = comp.syndromes(words)
-    out = words[0, 0] if np.ndim(hard) == 2 else words[:, 0]
+    out = words[0, 0] if np.ndim(hard) == 2 else words[0]
+
+    def copies(lo, g, x):
+        """Bit x = (s, r, c) of group g is also bit (s, c, r) of group 1 - g."""
+        rc = x % (n * n)
+        return np.concatenate([x + g * psi.size, x + (rc % n * n + rc // n - rc)
+                               + (1 - g) * psi.size])
+
     watch = None if observer is None else (
         lambda g, ell: observer(("row", "col")[g], ell + 1, out))
     for iters, weights, llr, genie in runs:
         rows = (llr, None if llr is None else psi, genie)
-        iterate(comp, words, synd, _transposed, iters, 0, 2, weights,
+        iterate(comp, words, synd, copies, iters, 0, 2, weights,
                 *(None if a is None else (a, a.transpose(0, 2, 1)) for a in rows), watch)
     return out.copy()
 

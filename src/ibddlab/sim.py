@@ -34,7 +34,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -122,8 +122,9 @@ class SimConfig:
         object.__setattr__(self, "modes", tuple(self.modes))
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.modes or any(m not in MODES for m in self.modes):
-            raise ValueError(f"modes must be a nonempty subset of {MODES}")
+        if not self.modes or any(m not in MODES for m in self.modes) or (
+                len(set(self.modes)) < len(self.modes)):  # a repeat counts each frame twice
+            raise ValueError(f"modes must be distinct modes from {MODES}, got {self.modes}")
         _check_ints(self)
         if not all(math.isfinite(e) for e in self.ebn0_grid):
             raise ValueError(f"ebn0_grid must be finite, got {self.ebn0_grid}")
@@ -210,7 +211,7 @@ def wilson_ci95(successes: int, trials: int) -> tuple:
 # bootstrap replicates per interval, and resampled frame indices drawn at
 # once, bounding the bootstrap's memory
 N_BOOT = 1000
-_BOOT_CHUNK = 1 << 20
+_BOOT_CHUNK = 1 << 16
 
 
 def _resampled_sums(rng, columns) -> list:
@@ -544,7 +545,9 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
     counts, so worker parallelism cannot change any statistic.  Batches
     between which the stop rule provably cannot fire decode together.
     """
-    modes = tuple(modes) if modes is not None else cfg.modes
+    if modes is not None:  # checked by SimConfig's rules
+        cfg = replace(cfg, modes=modes)
+    modes = cfg.modes
     t0 = time.perf_counter()
     engine = _build_engine(cfg, ebn0_db, modes)
     result: dict = {}

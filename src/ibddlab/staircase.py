@@ -12,10 +12,12 @@ plus every pair of consecutive in-window blocks -- oldest to newest, then
 emits the oldest block as final and advances by one block.
 
 ``window_decode`` decodes one stream or a stack of streams through
-``product.iterate``: the pairs [B_{i-1}^T, B_i] are its groups, and bit (r, c)
-of block i >= 1 is position h+c of row r of pair i-1 and position r of row c
-of pair i.  Each window position runs the scaled rounds, then the plain ones;
-a stream whose window pairs are all codewords is done for that position.
+``product.iterate``: the pairs [B_{i-1}^T, B_i], held pair-major as
+(N, S, h, 2h), are its groups, and bit (r, c) of block i >= 1 is position h+c
+of row r of pair i-1 and position r of row c of pair i, so a flat index steps
+to its partner by a table offset per (row, position).  Each window position
+runs the scaled rounds, then the plain ones; a stream whose window pairs are
+all codewords is done for that position.
 
 Scaled-reliability decoding consumes a per-pair, per-iteration weight
 schedule (``WindowSchedule``): row j of a slide's (U, iterations) array
@@ -166,10 +168,15 @@ class WindowConfig:
 
 
 def _pairs(blocks, first):
-    """The component words [B_i^T, B_{i+1}] of pairs i = 0..N-1, as rows:
-    (S, N, h, 2h) from the stacked blocks B_1..B_N and B_0 = ``first``."""
-    left = np.concatenate([first[:, None], blocks[:, :-1]], axis=1).swapaxes(2, 3)
-    return np.concatenate([left, blocks], axis=3)
+    """The component words [B_i^T, B_{i+1}] of pairs i = 0..N-1, as rows of a
+    C-contiguous pair-major (N, S, h, 2h) array, from the stacked blocks
+    B_1..B_N (S, N, h, h) and the value ``first`` of every bit of B_0."""
+    half = blocks.shape[-1]
+    out = np.empty((blocks.shape[1], len(blocks), half, 2 * half), dtype=blocks.dtype)
+    out[..., half:] = blocks.swapaxes(0, 1)
+    out[0, ..., :half] = first
+    out[1:, ..., :half] = out[:-1, ..., half:].swapaxes(2, 3)
+    return out
 
 
 def window_decode(
@@ -208,31 +215,31 @@ def window_decode(
     if transmitted is not None and np.shape(transmitted) != shape:
         raise ValueError("transmitted blocks must align with llr blocks")
     llr = llr.reshape(-1, *shape[-3:])
-    n_streams, n_blocks = llr.shape[:2]
-    zeros = np.zeros((n_streams, half, half), dtype=np.uint8)
-    pairs = _pairs(harden(llr), zeros)
-    synd = comp.syndromes(pairs)  # (S, N, h, t) odd syndromes, kept exact from here on
-    llr_pairs = hard_pairs = genie = None  # indexed by pair: (N, S, h, 2h)
+    n_blocks = llr.shape[1]
+    pairs = _pairs(harden(llr), 0)
+    synd = comp.syndromes(pairs)  # (N, S, h, t) odd syndromes, kept exact from here on
+    llr_pairs = hard_pairs = genie = None  # indexed by pair, like ``pairs``
     if mode == "ibdd_sr":  # block 0's LLRs: perfectly known zeros
-        llr_pairs = _pairs(llr, np.full(zeros.shape, np.inf)).swapaxes(0, 1)
-        hard_pairs = pairs.swapaxes(0, 1).copy()  # the channel's hard decision
+        llr_pairs, hard_pairs = _pairs(llr, np.inf), pairs.copy()  # the channel's LLRs, bits
     if mode == "ideal":
-        tx = _binary(transmitted, "transmitted").astype(np.uint8).reshape(llr.shape)
-        genie = _pairs(tx, zeros).swapaxes(0, 1)
+        genie = _pairs(_binary(transmitted, "transmitted").astype(np.uint8).reshape(llr.shape), 0)
 
-    def copies(lo, p, s, r, c):
-        """Bit c of row r of pair p is also in pair p-1 (if c < h) or p+1 (none
-        for block N); pair lo's left half, the frozen emitted block, is kept."""
+    # bit (r, c) of a pair is also bit (c, h + r) of the pair before if c < h, else
+    # bit (c - h, r) of the pair after: the step between their flat indices, per (r, c)
+    width, size = 2 * half, pairs[0].size
+    r, c = np.divmod(np.arange(half * width), width)
+    partner = r - r * width - c + np.where(c < half, c * width + half - size,
+                                           (c - half) * width + size)
+
+    def copies(lo, p, x):
+        """Both copies of the bits ``x`` flipped in pair p, as flat indices
+        into ``pairs``: pair lo's left half, the frozen emitted block, is
+        kept, and block N's bits have no second copy."""
         if p == lo:
-            keep = c >= half
-            s, r, c = s[keep], r[keep], c[keep]
-        left = c < half
-        q = np.where(left, p - 1, p + 1)
-        keep = q < n_blocks
-        line = (np.concatenate([s, s[keep]]),
-                np.concatenate([np.full(len(s), p), q[keep]]),
-                np.concatenate([r, np.where(left, c, c - half)[keep]]))
-        return [(line, np.concatenate([c, np.where(left, r + half, r)[keep]]))]  # both copies in one write
+            x = x[x % width >= half]
+        x = x + p * size
+        y = x + partner[x % (half * width)]
+        return np.concatenate([x, y[y < pairs.size]])
 
     for b in range(1, n_blocks + 1):
         # pair p joins blocks p and p+1; slot 0 (pair b-1) joins the frozen block b-1
@@ -242,4 +249,4 @@ def window_decode(
                 hard_pairs, genie)
         iterate(comp, pairs, synd, copies, cfg.plain_iters, lo, hi, genie=genie)
     # block b is emitted after slide b: no later flip reaches it
-    return np.ascontiguousarray(pairs[..., half:]).reshape(shape)
+    return np.ascontiguousarray(pairs[..., half:].swapaxes(0, 1)).reshape(shape)

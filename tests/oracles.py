@@ -23,7 +23,10 @@ plan batch to the decoders alone, before batches no stop check separates were
 merged into shared calls; it runs the package's engine.  ``threshold_scan``
 is the 0.5-dB scan that found ``threshold_search``'s bracket before its
 default bracket was bisected like a given one; it runs the package's
-``threshold_run``.
+``threshold_run``.  ``line_flips``, ``iterate``, ``transposed`` and
+``staircase_copies`` are the round loop of both schemes as it was before
+the flat-index kernel: item-major words, each flipped bit an (f, i, j)
+triple; ``kernel_spy`` runs them beside the package's loop.
 """
 
 import math
@@ -31,7 +34,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ibddlab.bch import BchCode, bdd_decode_matrix
+from ibddlab import product, staircase
+from ibddlab.bch import BchCode, _locate_errors, bdd_decode_matrix, ideal_decode_matrix
 from ibddlab.channel import harden, make_params, q_function
 from ibddlab.de import BracketError, threshold_run
 from ibddlab.product import ProductCode, combine_decision, pc_encode
@@ -408,6 +412,128 @@ def frame_ideal(code, r, transmitted, iters=12):
     tx = np.asarray(transmitted, dtype=np.uint8)
     genie = (tx, np.ascontiguousarray(tx.T))
     return _frame_iterate(code, np.array(r, dtype=np.uint8, copy=True), iters, genie=genie)
+
+
+# ---------------------------------------------------------------------------
+# the (f, i, j) round loop that the flat-index kernel replaced
+
+
+def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=None):
+    """The verdict rule on lines ``words[f, i]`` of items ``act`` (ascending),
+    whose syndromes are ``synd[f, i]``: the (f, i, j) of every bit it flips,
+    each once, by ``product.line_flips``'s rule."""
+    f, i = np.nonzero(synd[act].any(axis=2))
+    f, j = act[f], i
+    failed = f, i
+    if len(f):
+        row, j, ok = (_locate_errors(comp, synd[f, i]) if genie is None
+                      else ideal_decode_matrix(comp, words[f, i], genie[f, i]))
+        failed = f[~ok], i[~ok]
+        f, i = f[row], i[row]
+    if llr is None:  # ibdd or the genie: the verdict is the message
+        return f, i, j
+    keep = weight > np.abs(llr[f, i, j])
+    differ = words != hard if len(act) == len(words) else words[act] != hard[act]
+    df, di, dj = np.unravel_index(np.flatnonzero(differ), differ.shape)
+    df = act[df]
+    line_failed = np.zeros(synd.shape[:2], dtype=bool)
+    line_failed[failed] = True
+    flip = line_failed[df, di] | ~(weight > np.abs(llr[df, di, dj]))
+    return tuple(np.concatenate([a[keep], b[flip]]) for a, b in ((f, df), (i, di), (j, dj)))
+
+
+def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, hard=None,
+            genie=None):
+    """``product.iterate`` on item-major (S, G, R, n) words and (S, G, R, t)
+    syndromes: each (line, position) index pair that ``copies(lo, g, s, r,
+    c)`` lists for the flipped bits (s, g, r, c) is flipped, and the
+    position's syndrome row XORed into the line's syndromes."""
+    act = np.arange(len(words))
+    for ell in range(iters):
+        act = act[synd[act, lo:hi].any(axis=(1, 2, 3))]
+        if not len(act):
+            return
+        for g in range(lo, hi):
+            s, r, c = line_flips(comp, words[:, g], synd[:, g], act,
+                                 None if weights is None else weights[g - lo][ell],
+                                 *(None if a is None else a[g] for a in (llr, hard, genie)))
+            for line, pos in copies(lo, g, s, r, c):
+                words[(*line, pos)] ^= 1
+                np.bitwise_xor.at(synd, line, comp.position_syndromes[pos])
+
+
+def transposed(lo, g, s, r, c):
+    """Bit (g, r, c) of a product frame is also bit (1 - g, c, r)."""
+    return ((s, g, r), c), ((s, 1 - g, c), r)
+
+
+def staircase_copies(half, n_blocks):
+    """The staircase's ``copies`` for ``iterate``, over pairs 0..n_blocks-1 of
+    rows of 2 * ``half`` bits."""
+
+    def copies(lo, p, s, r, c):
+        """Bit c of row r of pair p is also in pair p-1 (if c < h) or p+1 (none
+        for block N); pair lo's left half, the frozen emitted block, is kept."""
+        if p == lo:
+            keep = c >= half
+            s, r, c = s[keep], r[keep], c[keep]
+        left = c < half
+        q = np.where(left, p - 1, p + 1)
+        keep = q < n_blocks
+        line = (np.concatenate([s, s[keep]]),
+                np.concatenate([np.full(len(s), p), q[keep]]),
+                np.concatenate([r, np.where(left, c, c - half)[keep]]))
+        return [(line, np.concatenate([c, np.where(left, r + half, r)[keep]]))]
+
+    return copies
+
+
+def kernel_spy(monkeypatch, scheme):
+    """Run every ``product.iterate`` call of ``scheme`` ("product" or
+    "staircase") beside the (f, i, j) oracle loop above.
+
+    On every group call, the package's flips, mapped by the scheme's
+    ``copies`` to flat indices into the group-major words, must equal as a
+    set the oracle kernel's flips on the same state, mapped by the oracle
+    ``copies``.  After each call, the oracle loop run from the call's input
+    must leave the same words and syndromes.  Returns a list that gains one
+    ``(g, lo, n_groups, partial, oracle_c)`` per group call, ``partial``
+    telling whether only some items were active, ``oracle_c`` the oracle's
+    flipped positions.
+    """
+    real_iterate, real_rule = product.iterate, product.line_flips
+    calls, last = [], {}
+
+    def rule(*args):
+        last["args"] = args
+        return real_rule(*args)
+
+    def spy(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, hard=None,
+            genie=None, observer=None):
+        n_groups, n_items, rows, n = words.shape
+        old_words, old_synd = words.swapaxes(0, 1).copy(), synd.swapaxes(0, 1).copy()
+        old_copies = transposed if scheme == "product" else staircase_copies(rows, n_groups)
+
+        def checked(lo, g, x):
+            got = copies(lo, g, x)
+            comp, block, block_synd, act, *rest = last["args"]
+            s, r, c = line_flips(comp, block, block_synd, act, *rest)
+            want = [((line[1] * n_items + line[0]) * rows + line[2]) * n + pos
+                    for line, pos in old_copies(lo, g, s, r, c)]
+            np.testing.assert_array_equal(np.sort(got), np.sort(np.concatenate(want)))
+            calls.append((g, lo, n_groups, len(act) < n_items, c))
+            return got
+
+        real_iterate(comp, words, synd, checked, iters, lo, hi, weights, llr, hard, genie,
+                     observer)
+        iterate(comp, old_words, old_synd, old_copies, iters, lo, hi, weights, llr, hard, genie)
+        np.testing.assert_array_equal(words.swapaxes(0, 1), old_words)
+        np.testing.assert_array_equal(synd.swapaxes(0, 1), old_synd)
+
+    monkeypatch.setattr(product, "line_flips", rule)
+    monkeypatch.setattr(product, "iterate", spy)
+    monkeypatch.setattr(staircase, "iterate", spy)
+    return calls
 
 
 # ---------------------------------------------------------------------------

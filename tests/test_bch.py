@@ -381,7 +381,8 @@ def test_bdd_ternary_scalar_outcomes(code_15_7):
 
 def test_ideal_decoder_genie(code_15_7, rng):
     """The genie flips a row within t back to its transmitted row and leaves a
-    row beyond t alone, never miscorrecting it."""
+    row beyond t alone, never miscorrecting it; rows of a stack count through
+    it, and a row outside the ``rows`` mask is left alone and ok."""
     tx = code_15_7.encode(rng.integers(0, 2, size=(4, code_15_7.k), dtype=np.uint8))
     rx = tx.copy()
     rx[0, [1, 4]] ^= 1          # within t: restored
@@ -389,6 +390,13 @@ def test_ideal_decoder_genie(code_15_7, rng):
     row, pos, ok = ideal_decode_matrix(code_15_7, rx, tx)
     np.testing.assert_array_equal(row, [0, 0])
     np.testing.assert_array_equal(pos, [1, 4])
+    np.testing.assert_array_equal(ok, [True, False, True, True])
+    # a stack's rows are numbered through it; a row the mask leaves out keeps its bits
+    stacked = ideal_decode_matrix(code_15_7, rx.reshape(2, 2, -1), tx.reshape(2, 2, -1))
+    for a, b in zip(stacked, (row, pos, ok)):
+        np.testing.assert_array_equal(a, b)
+    row, pos, ok = ideal_decode_matrix(code_15_7, rx, tx, np.array([False, True, True, True]))
+    assert len(row) == len(pos) == 0
     np.testing.assert_array_equal(ok, [True, False, True, True])
 
 

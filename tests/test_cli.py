@@ -188,6 +188,17 @@ def test_sim_missing_required_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sim_rejects_repeated_mode(tmp_path, capsys):
+    """``--modes ibdd,ibdd`` would report every frame twice: it ends in one
+    error line naming ``modes`` and exit 1, before any output file is opened."""
+    assert main(["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--ebn0", "4",
+                 "--modes", "ibdd,ibdd", "--max-frames", "64",
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "error" in err and "modes" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 _DE_THRESHOLD = ["de-threshold", "--m", "4", "--t", "1", "--bracket", "3", "5"]
 
 

@@ -320,9 +320,10 @@ def test_hard_decoders_reject_non_binary_input(pc_15_11, bad):
 
 
 def test_sr_flips_match_for_partial_and_full_items(pc_15_11):
-    """Scaled reliability flips the same bits of an item whether every item
-    is active, where the message/channel mask compares whole arrays, or only
-    some are, where it compares the active items' gathered copies."""
+    """Scaled reliability flips the same bits of an item, as the same flat
+    indices in the same order, whether every item is active, where the
+    message/channel mask compares whole arrays, or only some are, where it
+    compares the active items' gathered copies."""
     comp, rng = pc_15_11.component, np.random.default_rng(9)
     _, llr = _channel_stack(pc_15_11, 3.0, 40, seed=9)
     hard = harden(llr)
@@ -331,10 +332,9 @@ def test_sr_flips_match_for_partial_and_full_items(pc_15_11):
     full = product.line_flips(comp, words, synd, np.arange(40), 2.5, llr, hard)
     act = np.sort(rng.choice(40, 17, replace=False))
     part = product.line_flips(comp, words, synd, act, 2.5, llr, hard)
-    keep = np.isin(full[0], act)
+    keep = np.isin(full // words[0].size, act)
     assert 0 < keep.sum() < len(keep)
-    for a, b in zip(part, full):
-        np.testing.assert_array_equal(a, b[keep])
+    np.testing.assert_array_equal(part, full[keep])
 
 
 def test_observer_counts_follow_early_exit(pc_15_11):
@@ -413,6 +413,26 @@ def test_stack_matches_frame_oracle(mode, batched, oracle, m, t, snrs, frames):
     assert np.any(~codeword)  # frames that never converge
     if m == 4:
         assert np.any(codeword & wrong)  # frames that settle on a wrong codeword
+
+
+@pytest.mark.parametrize("batched", [d[1] for d in _DECODERS], ids=[d[0] for d in _DECODERS])
+@pytest.mark.parametrize("m,t,snrs,frames", [
+    (4, 1, (2.5, 3.5, 4.5), 40),
+    (4, 2, (2.0, 3.0, 4.0), 40),
+    (8, 3, (4.0, 4.3, 4.6), 2),
+], ids=["15_11", "15_7", "255_231"])
+def test_flat_kernel_matches_triple_oracle(monkeypatch, batched, m, t, snrs, frames):
+    """On every group call, the flat-index kernel and the transpose
+    ``copies`` flip the same bits of the group-major words as the (f, i, j)
+    oracle kernel and its ``copies`` on the same state, also once only some
+    frames are still decoding."""
+    pc = ProductCode(build_bch(m, t))
+    stacks = [_channel_stack(pc, snr, frames, seed=10 * m + i) for i, snr in enumerate(snrs)]
+    tx = np.concatenate([s[0] for s in stacks])
+    llr = np.concatenate([s[1] for s in stacks])
+    calls = oracles.kernel_spy(monkeypatch, "product")
+    batched(pc, llr, tx)
+    assert any(partial for *_, partial, _ in calls)
 
 
 @pytest.mark.parametrize("m,t,snr", [(4, 1, 3.0), (4, 2, 2.0), (4, 2, 3.0)])

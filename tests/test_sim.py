@@ -113,6 +113,34 @@ def test_config_rejects_ibdd_sr_without_scaled_iterations(scheme, spec):
     toy_cfg(scheme=scheme, component=spec, sr_iters=0, modes=("ibdd", "ideal"))
 
 
+def test_config_rejects_repeated_modes():
+    """A mode named twice would decode every frame once but count it twice:
+    128 frames for 64, and a bootstrap over the duplicates."""
+    with pytest.raises(ValueError, match="modes"):
+        toy_cfg(modes=("ibdd", "ibdd"))
+    with pytest.raises(ValueError, match="modes"):
+        toy_cfg(modes=("ibdd_sr", "ideal", "ibdd_sr"))
+
+
+@pytest.mark.parametrize("modes,over,message", [
+    (("bogus",), {}, "modes"),
+    (("ibdd", "ibdd"), {}, "modes"),
+    ((), {}, "modes"),
+    (("ibdd_sr",), {"sr_iters": 0, "modes": ("ibdd",)}, "sr_iters"),
+], ids=["unknown", "repeated", "empty", "sr-without-scaled-iterations"])
+def test_run_point_checks_modes_as_config_does(monkeypatch, modes, over, message):
+    """``run_point``'s own ``modes`` obeys SimConfig's rules, and a bad one is
+    refused before any set-up: no KeyError from the decoder table, and no
+    failure deep in density evolution."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused point must not be set up")
+
+    monkeypatch.setattr(sim, "_build_engine", refuse)
+    with pytest.raises(ValueError, match=message):
+        run_point(toy_cfg(**over), 4.0, modes=modes)
+
+
 def test_component_spec_label():
     assert TOY.label == "n15k11t1"
     assert ComponentSpec(m=8, t=3, shorten=1).label == "n254k230t3"

@@ -399,6 +399,30 @@ def test_stack_matches_stream_oracle(sc_30_20, prof_30_20, rng, monkeypatch, win
         assert any(0 < n < len(llr) for n in active)  # streams finish a slide apart
 
 
+@pytest.mark.parametrize("window", [2, 4, 7])
+def test_flat_kernel_matches_triple_oracle(sc_30_20, prof_30_20, rng, monkeypatch, window):
+    """On every group call of every slide, in every mode, the flat-index
+    kernel and the partner-offset ``copies`` flip the same bits of the
+    pair-major words as the (f, i, j) oracle kernel and its ``copies`` on
+    the same state.  The calls cover streams that leave a slide early,
+    flips in slot 0's frozen left half, which neither writes, and flips in
+    block N, which has no second copy."""
+    sched = schedule_for_window(prof_30_20, 4.0, sc_30_20.rate, window, sr_iters=10)
+    cfg = _default_cfg(sched, window_blocks=window)
+    streams = [_noisy_stream(sc_30_20, rng, 10, e) for e in np.linspace(4.0, 5.5, 6)]
+    tx = np.array([blocks[1:] for blocks, _ in streams])
+    llr = np.array([llrs for _, llrs in streams])
+    half, seen = sc_30_20.block_size, []
+    for mode in ("ibdd", "ibdd_sr", "ideal"):
+        calls = oracles.kernel_spy(monkeypatch, "staircase")
+        window_decode(sc_30_20, llr, cfg, mode=mode, transmitted=tx)
+        monkeypatch.undo()
+        assert any(partial for *_, partial, _ in calls)
+        seen += calls
+    assert any(g == lo and np.any(c < half) for g, lo, _, _, c in seen)
+    assert any(g == last - 1 and np.any(c >= half) for g, _, last, _, c in seen)
+
+
 @pytest.mark.parametrize("ebn0_db", [3.0, 3.5, 4.0])
 def test_sr_ties_zeros_and_infinities_match_stream_oracle(sc_30_20, ebn0_db):
     """With LLRs and weights on one 0.5 grid, and LLRs of +-0 and +-inf, the
