@@ -11,16 +11,17 @@ over GF(2) in the word's bits, so they come from one matrix product with
 the (n, m*t) bit matrix of ``BchCode.position_syndromes``.  Codes with
 m*t <= ``TABLE_MAX_BITS`` decode by syndrome table: the packed odd
 syndromes index a 2^(m*t)-row table of the error patterns of weight <= t.
-Longer codes run Berlekamp-Massey for the error locator, whose roots come
-from the 2^m-entry tables of one closed form for cubics when t <= 3 (Okano
-& Imai, IEEE T-C 1987) and from a Chien search when t >= 4.  Decoding has
-exactly three outcomes: the decoder returns the unique codeword within
-Hamming distance t of the input when one exists (which may be a
-miscorrection), and reports a failure otherwise.  The kernel
-``_locate_errors`` takes the odd syndromes of many rows and returns only
-the (row, position) pairs of the bits to flip, so its cost follows the
-dirty rows and their errors, never the row length, as does the genie
-``ideal_decode_matrix``; ``bdd_decode_matrix`` builds dense words from them.
+Longer codes with t <= 3 solve the error locator in closed form (Peterson;
+a row with D = S_1^3 + S_3 = 0 holds one error or none), and read its roots
+from 2^m-entry cubic tables (Okano & Imai, IEEE T-C 1987); t >= 4 runs
+Berlekamp-Massey and a Chien search.  Decoding has exactly three outcomes:
+the decoder returns the unique codeword within Hamming distance t of the
+input when one exists (which may be a miscorrection), and reports a
+failure otherwise.  The kernel ``_locate_errors`` takes the odd syndromes
+of many rows and returns only the (row, position) pairs of the bits to
+flip, so its cost follows the dirty rows and their errors, never the row
+length, as does the genie ``ideal_decode_matrix``; ``bdd_decode_matrix``
+builds dense words from them.
 """
 
 import math
@@ -203,9 +204,9 @@ class BchCode:
         self._table = None
         if m * t <= TABLE_MAX_BITS:
             self._build_syndrome_table()
-        elif t > 3:
+        if t > 3:
             self._chien = (-np.arange(1, t + 1)[:, None] * exps) % order
-        else:
+        elif t > 1:  # 2^m entries each, cheap next to any syndrome table
             self._cubic_roots = _cubic_roots(self.field)
             # log sqrt(a) and log sqrt(a)^-3 for a != 0; both 0 at a = 0
             self._half_log = self._log[_field_power(self.field, (order + 1) // 2)]
@@ -236,8 +237,9 @@ class BchCode:
     # -- public interface ----------------------------------------------------
 
     def encode(self, info: np.ndarray) -> np.ndarray:
-        """Systematic encode: information bits verbatim, parity appended."""
-        info = np.asarray(info, dtype=np.uint8)
+        """Systematic encode: information bits verbatim, parity appended.
+        ``info`` must hold only 0 and 1 (else ValueError)."""
+        info = np.asarray(_binary(info, "info"), dtype=np.uint8)
         if info.shape[-1] != self.k:
             raise ValueError(f"expected {self.k} information bits, got {info.shape[-1]}")
         parity = (info.astype(np.int32) @ self._parity.astype(np.int32)) & 1
@@ -274,6 +276,14 @@ def build_bch(m: int, t: int, shorten: int = 0) -> BchCode:
     return BchCode(GaloisField(m), t, shorten)
 
 
+def _binary(bits, name):
+    """``bits`` as an array, or ValueError unless it holds only 0 and 1."""
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"{name} must hold only 0 and 1")
+    return bits
+
+
 def _field_power(field: GaloisField, e: int) -> np.ndarray:
     """x^e for every field element x, indexed by x (e >= 1)."""
     out = field.antilog_table[e * field.log_table.astype(np.int64) % field.order]
@@ -304,7 +314,8 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``synd`` (``BchCode.syndromes``): (row, position, ok).
 
     ``row`` and ``position`` list the bits to flip, only in decodable rows
-    and each bit once; ``ok`` holds the per-row verdict.
+    and each bit once; ``ok`` holds the per-row verdict.  Each of the three
+    paths is exact BDD.
 
     A code with m*t <= ``TABLE_MAX_BITS`` reads both from its syndrome table
     (``BchCode._build_syndrome_table``), keyed by the packed odd syndromes.
@@ -313,30 +324,77 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     each table at most 1.25 MB; the paper's (255,231,3), at m*t = 24, would
     need 112 MB.
 
-    Longer codes run Berlekamp-Massey on all rows together (Lin & Costello,
-    ch. 6), over S_1..S_2t with the even syndromes built here as
-    S_2i = S_i^2.  That identity also makes the discrepancy of every odd
-    step zero (Lin & Costello, sec. 6.2): only the t even steps run, each
-    shifting ``b`` by x^2 for itself and the skipped step.  ``c`` is the
-    error locator, ``b`` the locator before the last length change times
-    x^(steps since), ``b_log`` that change's discrepancy as a log.  Step 0
-    always leaves c = 1 + S_1 x, so it is taken in closed form.
-
-    For t = 2 and 3 the roots come from one closed form for cubics, read
-    from 2^m-entry tables (``_cubic_roots``; Okano & Imai, "A
-    construction method of high-speed decoders using ROM's for BCH and RS
-    codes", IEEE T-C 1987): exponent e is position n-1-e when e < n.  For
-    t >= 4 the Chien search evaluates the locator at the n in-range
-    positions.  A row is decodable when the LFSR length L is at most t, L
-    distinct roots lie in range, and no locator coefficient lies above
-    degree t.
+    Longer codes with t = 2 or 3 solve the locator in closed form
+    (``_locate_closed_form``): a row with D = S_1^3 + S_3 = 0 holds one
+    error, at S_1 != 0 if S_5 = S_1^5 (t = 3), or none if all are 0, and
+    otherwise fails.  Those with t >= 4 run ``_berlekamp_massey`` and a
+    Chien search of the n positions: a row decodes when its LFSR length L
+    is at most t, with L distinct roots in range and no coefficient above x^t.
     """
     if code._table is not None:
         key = synd @ code._key_weights
         found = code._table[key]
         row, k = np.nonzero(found >= 0)
         return row, found[row, k].astype(np.intp), code._table_ok[key]
-    t, n, order = code.t, code.n, code.field.order
+    if code.t <= 3:
+        return _locate_closed_form(code, synd)
+    t, log, alog = code.t, code._log, code._alog
+    c, length = _berlekamp_massey(code, synd)
+    values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
+    row, pos = np.nonzero(values == 1)  # the locator, 1 + sum of these terms, vanishes
+    ok = (length <= t) & (np.bincount(row, minlength=len(synd)) == length) & ~c[:, t + 1 :].any(1)
+    keep = ok[row]
+    return row[keep], pos[keep], ok
+
+
+def _locate_closed_form(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_locate_errors`` for t = 2 or 3: the error locator 1 + c1 x + c2 x^2
+    + c3 x^3 in closed form (Peterson 1960; Lin & Costello, ch. 6).  With
+    D = S_1^3 + S_3, Newton's identities give c1 = S_1, c3 = D + S_1 c2 and
+    c2 = D / S_1 (t = 2) or (S_1^2 S_3 + S_5) / D (t = 3).  A zero divisor
+    leaves at most one error, at S_1 if any, so the row decodes only if the
+    dividend is zero too (for t = 3, S_5 = S_1^5): then c2 = c3 = 0, and a
+    row with S_1 = D = 0 but S_5 != 0 fails.  Other rows decode when the
+    locator has as many distinct roots in range as its degree, read from the
+    cubic tables (``_cubic_roots``; Okano & Imai, "A construction method of
+    high-speed decoders using ROM's for BCH and RS codes", IEEE T-C 1987).
+    """
+    n, order, log, alog = code.n, code.field.order, code._log, code._alog
+    c1, s3 = synd[:, 0], synd[:, 1]
+    c1_sq = code._square[c1]
+    d = alog[log[c1_sq] + log[c1]] ^ s3
+    top, bottom = (d, c1) if code.t == 2 else (alog[log[c1_sq] + log[s3]] ^ synd[:, 2], d)
+    # -log % order: the log of 1 / bottom, or 0 at bottom = 0 (where top = 0 unless the row fails)
+    c2 = alog[log[top] + -log[bottom] % order]
+    c1_c2 = alog[log[c1] + log[c2]]
+    # alpha^e, a root of the reversed locator z^3 c(1/z), is position n-1-e,
+    # and a root z = 0 (one per degree below 3) has a log of at least n.
+    # z = v + c1 turns it into v^3 + p v + D (c1 c2 + c3 = D), and v = sqrt(p) w
+    # into w^3 + w = D / sqrt(p)^3 when p != 0, else w^3 = D
+    p = c1_sq ^ c2
+    w = code._cubic_roots[alog[log[d] + code._cubic_key_log[p]] + ((p == 0) << code.field.m)]
+    v = alog[code._half_log[p][:, None] + log[w]]
+    exps = np.where(w < 0, log[0], log[v ^ c1[:, None]])
+    row, k = np.nonzero(exps < n)
+    degree = np.where(d != c1_c2, 3, np.where(c2 != 0, 2, c1 != 0))
+    ok = (np.bincount(row, minlength=len(synd)) == degree) & ((bottom != 0) | (top == 0))
+    keep = ok[row]
+    row, k = row[keep], k[keep]
+    return row, n - 1 - exps[row, k], ok
+
+
+def _berlekamp_massey(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The error locator c (rows, 2t+1) and LFSR length of every row, by
+    Berlekamp-Massey on all rows together (Lin & Costello, ch. 6), over
+    S_1..S_2t with the even syndromes built here as S_2i = S_i^2.  That
+    identity also makes the discrepancy of every odd step zero (Lin &
+    Costello, sec. 6.2): only the t even steps run, each shifting ``b`` by
+    x^2 for itself and the skipped step.  ``c`` is the error locator, ``b``
+    the locator before the last length change times x^(steps since),
+    ``b_log`` that change's discrepancy as a log.  Step 0 always leaves
+    c = 1 + S_1 x, so it is taken in closed form.
+    """
+    t, order = code.t, code.field.order
     log, alog = code._log, code._alog
     synd = np.repeat(synd, 2, axis=1)  # each odd syndrome, then the slot of S_2i
     for i in range(1, t + 1):
@@ -367,27 +425,7 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
         c ^= update
         b_log = np.where(grow, d_log, b_log)
         length = np.where(grow, r + 1 - length, length)
-    if t > 3:
-        values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
-        row, pos = np.nonzero(values == 1)  # the locator, 1 + sum of these terms, vanishes
-    else:
-        # alpha^e, a root of the reversed locator z^3 c(1/z), is position
-        # n-1-e; for t = 2 (c3 = 0 in decodable rows) that is z (z^2 c(1/z)),
-        # whose extra root z = 0, like a missing root, has a log of at least n.
-        # z = v + c1 turns z^3 + c1 z^2 + c2 z + c3 into v^3 + p v + q, and
-        # v = sqrt(p) w into w^3 + w = q / sqrt(p)^3 when p != 0, else w^3 = q
-        c1 = c[:, 1]
-        p = code._square[c1] ^ c[:, 2]
-        q = alog[log[c1] + log[c[:, 2]]] ^ c[:, 3]
-        w = code._cubic_roots[alog[log[q] + code._cubic_key_log[p]] + ((p == 0) << code.field.m)]
-        v = alog[code._half_log[p][:, None] + log[w]]
-        exps = np.where(w < 0, log[0], log[v ^ c1[:, None]])
-        row, k = np.nonzero(exps < n)
-        pos = n - 1 - exps[row, k]
-    count = np.bincount(row, minlength=rows)
-    ok = (length <= t) & (count == length) & ~c[:, t + 1 :].any(axis=1)
-    keep = ok[row]
-    return row[keep], pos[keep], ok
+    return c, length
 
 
 def bdd_decode_matrix(
@@ -399,8 +437,9 @@ def bdd_decode_matrix(
     messages (all-zero rows mark failures), ``decoded`` the updated words
     (failed rows are passed through unchanged), ``ok`` the per-row success
     flags.  Only rows with a nonzero syndrome reach the error locator.
+    ``words`` must hold only 0 and 1 (else ValueError).
     """
-    words = np.ascontiguousarray(words, dtype=np.uint8)
+    words = np.ascontiguousarray(_binary(words, "words"), dtype=np.uint8)
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ValueError(f"expected shape (rows, {code.n})")
     synd = code.syndromes(words)

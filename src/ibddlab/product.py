@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode, _locate_errors, ideal_decode_matrix
+from .bch import BchCode, _binary, _locate_errors, ideal_decode_matrix
 from .channel import harden
 
 
@@ -70,7 +70,7 @@ def pc_encode(code: ProductCode, info: np.ndarray) -> np.ndarray:
     every column a component codeword regardless of the encoding order.
     """
     comp = code.component
-    info = np.asarray(info, dtype=np.uint8)
+    info = np.asarray(info)  # the component's encode refuses any entry but 0 and 1
     if info.shape != (comp.k, comp.k):
         raise ValueError(f"expected {comp.k}x{comp.k} information array")
     rows_done = comp.encode(info)  # (k, n)
@@ -210,14 +210,6 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
             np.bitwise_xor.at(line_synd, line, comp.position_syndromes[pos])
             if observer is not None:
                 observer(g, ell)
-
-
-def _binary(bits, name):
-    """``bits`` as an array, or ValueError unless it holds only 0 and 1."""
-    bits = np.asarray(bits)
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError(f"{name} must hold only 0 and 1")
-    return bits
 
 
 def _decode(code, hard, observer, *runs):

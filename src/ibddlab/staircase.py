@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode
+from .bch import BchCode, _binary
 from .channel import harden
-from .product import _binary, check_weights, iterate
+from .product import check_weights, iterate
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,11 @@ def staircase_encode_block(
 
     ``info`` is the (n/2)-by-(k - n/2) fresh information array; the returned
     block carries it verbatim with the n-k parity bits in the trailing
-    columns.
+    columns.  Both arrays must hold only 0 and 1 (else ValueError).
     """
     comp = code.component
     half = code.block_size
-    prev = np.asarray(prev, dtype=np.uint8)
-    info = np.asarray(info, dtype=np.uint8)
+    prev, info = np.asarray(prev), np.asarray(info)  # encode refuses any entry but 0 and 1
     if prev.shape != (half, half):
         raise ValueError(f"previous block must be {half}x{half}")
     if info.shape != (half, code.info_cols):

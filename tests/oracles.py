@@ -8,7 +8,9 @@ window loop: they are the decoder loops the stacked decoders replaced, kept
 as their references, and they decode each component matrix through
 ``component_step`` with the package's BCH kernels and ``combine_decision``.
 Likewise ``locate_errors_chien`` is the array error locator that the
-table-root kernel replaced, and reads the code's log tables,
+table-root kernel replaced, and reads the code's log tables; as
+Berlekamp-Massey from step 0 with a Chien search for every t, it now also
+checks the closed-form locator that replaced Berlekamp-Massey for t <= 3.
 ``weight_enumerator_encode`` is the codeword enumerator that the span and
 MacWilliams enumerator replaced, and ``frame_stack_per_frame`` is the
 per-frame generator loop that the stacked noise draw replaced, with the
@@ -294,9 +296,9 @@ def locate_errors_chien(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np
     ``synd`` (``BchCode.syndromes``): (flip mask, ok).
 
     The array kernel ``bch._locate_errors`` replaced by syndrome tables
-    (m*t <= 18) and closed-form roots (t <= 3), kept as its reference:
-    Berlekamp-Massey from step 0, then a Chien search over the n in-range
-    positions for every t.  It computes its own even syndromes and Chien
+    (m*t <= 18) and closed-form locators and roots (t <= 3), kept as its
+    reference: Berlekamp-Massey from step 0, then a Chien search over the n
+    in-range positions for every t.  It computes its own even syndromes and Chien
     exponents and otherwise reads only the code's zero-safe log tables.
 
     Berlekamp-Massey runs on all rows together (Lin & Costello, ch. 6).  The

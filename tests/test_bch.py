@@ -20,6 +20,7 @@ from ibddlab.bch import (
     weight_enumerator_approx,
     weight_enumerator_exact,
 )
+from ibddlab.product import ProductCode, ibdd_decode
 
 # ---------------------------------------------------------------------------
 # construction
@@ -277,10 +278,84 @@ def test_syndrome_table_exhaustive(m, t, shorten):
 
 
 def test_syndrome_table_only_within_bound():
-    """The paper's (255,231,3), at m*t = 24, keeps Berlekamp-Massey."""
+    """The paper's (255,231,3), at m*t = 24, has no syndrome table."""
     assert build_bch(8, 3)._table is None
     assert build_bch(9, 2)._table is not None  # (511,493), at the bound
     assert build_bch(10, 2)._table is None
+
+
+# (m, t, shorten) of table-decoded t = 2 and 3 codes, (15,5,3), (31,16,3),
+# (63,45,3), (62,44,3), (15,7,2), (31,21,2), (63,51,2) and (30,20,2)
+CLOSED_FORM_TABLE_CODES = [(4, 3, 0), (5, 3, 0), (6, 3, 0), (6, 3, 1), (4, 2, 0), (5, 2, 0),
+                           (6, 2, 0), (5, 2, 1)]
+
+
+def _packed_syndromes(code, lo, hi):
+    """The odd syndromes that pack to the keys lo..hi-1 (S_2i+1 shifted by m*i)."""
+    m = code.field.m
+    keys = np.arange(lo, hi, dtype=np.int32)[:, None]
+    return keys >> m * np.arange(code.t, dtype=np.int32) & (1 << m) - 1
+
+
+@pytest.mark.parametrize("m,t,shorten", CLOSED_FORM_TABLE_CODES)
+def test_closed_form_matches_syndrome_table(m, t, shorten):
+    """Over every packed odd-syndrome vector of a table-decoded code, those
+    no word has included, the closed-form locator flips the bits and gives
+    the verdicts of the syndrome table, each bit once."""
+    code = build_bch(m, t, shorten=shorten)
+    assert code._table is not None
+    synd = _packed_syndromes(code, 0, 1 << m * t)
+    row, pos, ok = bch._locate_closed_form(code, synd)
+    want_row, want_pos, want_ok = bch._locate_errors(code, synd)
+    np.testing.assert_array_equal(ok, want_ok)
+    np.testing.assert_array_equal(np.sort(row * code.n + pos), want_row * code.n + want_pos)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("fixture", ["code_255_231", "code_254_230"])
+def test_closed_form_exhaustive_full_size(fixture, request):
+    """Over all 2^24 odd-syndrome vectors of the paper's components, the
+    closed form accepts exactly as many as there are error patterns of
+    weight <= 3, and each accepted row flips at most 3 distinct in-range
+    bits whose syndromes sum to the row's.  Since d >= 7 gives each such
+    pattern its own syndrome, the decoder is exact BDD."""
+    code = request.getfixturevalue(fixture)
+    n, step = code.n, 1 << 16
+    accepted = 0
+    for lo in range(0, 1 << 24, step):
+        synd = _packed_syndromes(code, lo, lo + step)
+        row, pos, ok = bch._locate_closed_form(code, synd)
+        assert ok[row].all() and (np.diff(row) >= 0).all() and ((0 <= pos) & (pos < n)).all()
+        # rows ascend, so a row's flips are at most 3 adjacent entries, all distinct
+        assert not (row[3:] == row[:-3]).any()
+        for gap in (1, 2):
+            assert (pos[gap:] != pos[:-gap])[row[gap:] == row[:-gap]].all()
+        firsts = np.flatnonzero(np.diff(row, prepend=-1))
+        flipped = np.zeros_like(synd)
+        flipped[row[firsts]] = np.bitwise_xor.reduceat(code.position_syndromes[pos], firsts)
+        np.testing.assert_array_equal(flipped[ok], synd[ok])
+        accepted += int(ok.sum())
+    assert accepted == sum(math.comb(n, w) for w in range(4))
+
+
+def test_paper_codes_never_enter_berlekamp_massey(code_255_231, code_254_230, monkeypatch):
+    """The paper's t = 3 components, in rows and in a product frame, find
+    every error locator in closed form and never take a Berlekamp-Massey
+    step, while a t = 4 code does; only t >= 4 codes build Chien exponents."""
+    calls = []
+    run = bch._berlekamp_massey
+    monkeypatch.setattr(bch, "_berlekamp_massey",
+                        lambda code, synd: calls.append(code.t) or run(code, synd))
+    rng = np.random.default_rng(7)
+    t4 = build_bch(8, 4)
+    for code in (code_255_231, code_254_230, t4):
+        words = (rng.random((300, code.n)) < 0.02).astype(np.uint8)
+        assert bdd_decode_matrix(code, words)[2].any()
+    frame = (rng.random((255, 255)) < 0.01).astype(np.uint8)
+    ibdd_decode(ProductCode(code_255_231), frame, iters=4)
+    assert calls == [4]
+    assert not hasattr(code_255_231, "_chien") and not hasattr(code_254_230, "_chien")
+    assert hasattr(t4, "_chien") and not hasattr(t4, "_cubic_roots")
 
 
 def _field_mul(field, a, b):
@@ -377,6 +452,19 @@ def test_bdd_ternary_scalar_outcomes(code_15_7):
     tern, _, ok = bdd_decode_matrix(code_15_7, zero)
     assert ok[0]
     np.testing.assert_array_equal(tern[0], np.ones(15, dtype=np.int8))
+
+
+@pytest.mark.parametrize("bad", [2, 3, 257, -1, 0.5])
+def test_bit_inputs_reject_non_binary(code_15_7, bad):
+    """Words and information rows hold bits, whatever their dtype: a row
+    holding a 2 is not decoded as a codeword with message -3, an int64 257
+    does not wrap to 1, and 3s are not encoded into a word of 3s."""
+    words = np.zeros((2, code_15_7.n), dtype=np.asarray(bad).dtype)
+    words[1, 4] = bad
+    info = np.full(code_15_7.k, bad)
+    for call in (lambda: bdd_decode_matrix(code_15_7, words), lambda: code_15_7.encode(info)):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            call()
 
 
 def test_ideal_decoder_genie(code_15_7, rng):

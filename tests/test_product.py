@@ -302,11 +302,13 @@ def test_ideal_rejects_misshapen_genie(pc_15_11):
                 ideal_ibdd_decode(pc_15_11, r, tx)
 
 
-@pytest.mark.parametrize("bad", [2, 0.5, -1.0])
+@pytest.mark.parametrize("bad", [2, 0.5, -1.0, 257])
 def test_hard_decoders_reject_non_binary_input(pc_15_11, bad):
     """A hard-decision array holds bits: a 2 is not decoded as itself, a 0.5
     as 0, nor an all -1.0 array as 255s.  ``r`` and the genie's
-    ``transmitted`` are refused, one frame or a stack."""
+    ``transmitted`` are refused, one frame or a stack, and so is an
+    information array that ``pc_encode`` would have cast to uint8 (an int64
+    257 to 1) or encoded as itself."""
     zeros = np.zeros((2, 15, 15))
     rx = zeros.copy()
     rx[1, 4, 9] = bad
@@ -314,7 +316,8 @@ def test_hard_decoders_reject_non_binary_input(pc_15_11, bad):
         rx[:] = bad
     for decode in (lambda: ibdd_decode(pc_15_11, rx), lambda: ibdd_decode(pc_15_11, rx[1]),
                    lambda: ideal_ibdd_decode(pc_15_11, rx, zeros),
-                   lambda: ideal_ibdd_decode(pc_15_11, zeros, rx)):
+                   lambda: ideal_ibdd_decode(pc_15_11, zeros, rx),
+                   lambda: pc_encode(pc_15_11, rx[1, :11, :11].astype(np.asarray(bad).dtype))):
         with pytest.raises(ValueError, match="only 0 and 1"):
             decode()
 

@@ -108,6 +108,24 @@ def test_encode_block_validates_shapes(sc_30_20, rng):
         )
 
 
+@pytest.mark.parametrize("bad", [2, 257, -1, 0.5])
+def test_encode_rejects_non_binary(sc_30_20, bad):
+    """Blocks hold bits: neither the previous block nor the information
+    array may hold a 2 (encoded as itself), an int64 257 or -1 (cast to 1
+    and 255) or a 0.5 (cast to 0)."""
+    b, ic = sc_30_20.block_size, sc_30_20.info_cols
+    dtype = np.asarray(bad).dtype
+    for which in (0, 1):
+        arrays = [np.zeros((b, b), dtype=dtype), np.zeros((b, ic), dtype=dtype)]
+        arrays[which][3, 4] = bad
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            staircase_encode_block(sc_30_20, *arrays)
+    info = np.zeros((b, ic), dtype=dtype)
+    info[0, 0] = bad
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        encode_stream(sc_30_20, [np.zeros((b, ic), dtype=np.uint8), info])
+
+
 # ---------------------------------------------------------------------------
 # schedule derivation
 
