@@ -6,18 +6,19 @@ from the field's log/antilog tables as the product of (x + alpha^j) over the
 cyclotomic cosets of 1, 3, .., 2t-1 (``generator_poly``), and the systematic
 encoder's parity rows are its remainders x^i mod g.  Decoding is
 syndrome-based, and a word's syndromes are kept as its t odd ones, S_1,
-S_3, .., S_2t-1, since a binary word has S_2i = S_i^2.  They are linear
-over GF(2) in the word's bits, so they come from one matrix product with
-the (n, m*t) bit matrix of ``BchCode.position_syndromes``.  Codes with
-m*t <= ``TABLE_MAX_BITS`` decode by syndrome table: the packed odd
-syndromes index a 2^(m*t)-row table of the error patterns of weight <= t.
-Longer codes with t <= 3 solve the error locator in closed form (Peterson;
-a row with D = S_1^3 + S_3 = 0 holds one error or none), and read its roots
-from 2^m-entry cubic tables (Okano & Imai, IEEE T-C 1987); t >= 4 runs
-Berlekamp-Massey and a Chien search.  Decoding has exactly three outcomes:
+S_3, .., S_2t-1, since a binary word has S_2i = S_i^2, packed into one int64
+syndrome word with S_2i+1 in bits m*i .. m*i+m-1 (so m*t <= 63).  The word
+is linear over GF(2) in the bits: it comes from one matrix product with the
+bits of ``BchCode.position_keys``, the words of single-bit errors, and a
+flip XORs in its position's key.  Codes with m*t <= ``TABLE_MAX_BITS``
+decode by syndrome table: the word indexes a 2^(m*t)-row table of the error
+patterns of weight <= t.  Longer codes with t <= 3 solve the error locator
+in closed form (Peterson; a row with D = S_1^3 + S_3 = 0 holds one error or
+none), and read its roots from 2^m-entry cubic tables (Okano & Imai, IEEE
+T-C 1987); t >= 4 runs Berlekamp-Massey and a Chien search.  Decoding has exactly three outcomes:
 the decoder returns the unique codeword within Hamming distance t of the
 input when one exists (which may be a miscorrection), and reports a
-failure otherwise.  The kernel ``_locate_errors`` takes the odd syndromes
+failure otherwise.  The kernel ``_locate_errors`` takes the syndrome words
 of many rows and returns only the (row, position) pairs of the bits to
 flip, so its cost follows the dirty rows and their errors, never the row
 length, as does the genie ``ideal_decode_matrix``; ``bdd_decode_matrix``
@@ -133,6 +134,8 @@ class BchCode:
     def __init__(self, field: GaloisField, t: int, shorten: int = 0):
         if t < 1:
             raise CodeConstructionError(f"t must be >= 1, got {t}")
+        if field.m * t > 63:  # before any table: the syndrome word is one int64
+            raise CodeConstructionError(f"m*t = {field.m * t} syndrome bits exceed an int64's 63")
         self.field = field
         self.t = t
         self.n_parent = field.order
@@ -178,18 +181,14 @@ class BchCode:
         # position p carries exponent n-1-p: syndrome j sums alpha^(j*(n-1-p)),
         # and the Chien search evaluates locator degree d at alpha^(-d*(n-1-p))
         exps = np.arange(n - 1, -1, -1, dtype=np.int64)
-        # row p: the odd syndromes of a single error at position p, which a
-        # flip of bit p XORs into its word's.  int32, like every kept syndrome
-        # array: an int64 table sends np.bitwise_xor.at down a casting path
-        self.position_syndromes = alog[exps[:, None] * np.arange(1, 2 * t, 2) % order]
-        # bit b of S_2i+1's term at position p is column m*i + b of row p, and
-        # _synd_pack packs a row of summed bits back into t field elements.
-        # float64 counts are exact and take the BLAS path; ``syndromes`` casts at
-        # most SYNDROME_CHUNK_BITS bits at a time, so its temporary stays in 512 KB
-        bits = self.position_syndromes[:, :, None] >> np.arange(m) & 1
-        self._synd_bits = bits.reshape(n, t * m).astype(np.float64)
-        bit_values = 1 << np.arange(m, dtype=np.int32)[:, None]
-        self._synd_pack = np.kron(np.eye(t, dtype=np.int32), bit_values)
+        # entry p: the syndrome word of a single error at position p, which a
+        # flip of bit p XORs into its word's
+        odd = alog[exps[:, None] * np.arange(1, 2 * t, 2) % order]
+        self.position_keys = odd.astype(np.int64) @ (1 << m * np.arange(t))
+        # column b: bit b of each key.  float64 counts are exact and take the BLAS
+        # path; ``syndromes`` casts SYNDROME_CHUNK_BITS bits at a time (512 KB)
+        self._synd_bits = (self.position_keys[:, None] >> np.arange(m * t) & 1).astype(np.float64)
+        self._bit_values = 1 << np.arange(m * t, dtype=np.int64)
         # Zero-safe tables for the array decoder: the log of 0 is a sentinel
         # whose sum with any log indexes a 0 in the antilog table, so products
         # need no zero masks.  Genuine logs, one of them offset by up to one
@@ -215,15 +214,13 @@ class BchCode:
 
     def _build_syndrome_table(self):
         """Row ``key`` of ``_table`` lists, in increasing order, the positions
-        of the error pattern of weight <= t whose odd syndromes pack to
-        ``key`` (S_2i+1 shifted by m*i), -1 padding; ``_table_ok[key]`` says
-        whether one exists.  Two patterns of weight <= t with one key would
-        differ by a nonzero codeword of weight <= 2t < d, so each key has at
-        most one.  The key is linear in the word: a pattern's key is the XOR
-        of its positions' keys ``kpos``."""
+        of the error pattern of weight <= t whose syndrome word is ``key``, -1
+        padding; ``_table_ok[key]`` says whether one exists.  Two patterns of
+        weight <= t with one key would differ by a nonzero codeword of weight
+        <= 2t < d, so each key has at most one.  The key is linear in the
+        word: a pattern's key is the XOR of its positions' keys ``kpos``."""
         n, t, m = self.n, self.t, self.field.m
-        self._key_weights = 1 << m * np.arange(t)
-        kpos = np.append(self.position_syndromes @ self._key_weights, 0)  # position n: none
+        kpos = np.append(self.position_keys, 0)  # position n: none
         # every pattern is one t-tuple over 0..n, rising to its last position
         # and then padded with n; there are (n+1)^t <= 2^(m*t) tuples in all
         pats = np.indices((n + 1,) * t).reshape(t, -1).T
@@ -246,24 +243,26 @@ class BchCode:
         return np.concatenate([info, parity.astype(np.uint8)], axis=-1)
 
     def syndromes(self, words: np.ndarray) -> np.ndarray:
-        """The odd syndromes S_1, S_3, .., S_2t-1 of each row, (..., t) int32,
-        all zero iff the row is a codeword (a binary word has S_2i = S_i^2).
+        """The syndrome word of each row, (...,) int64: its odd syndromes
+        S_1, S_3, .., S_2t-1, with S_2i+1 in bits m*i .. m*i+m-1, zero iff the
+        row is a codeword (a binary word has S_2i = S_i^2).  ``words`` must
+        hold only 0 and 1 (else ValueError).
 
-        They are one GF(2) matrix product of the bits with ``_synd_bits``, in
-        row chunks of ``SYNDROME_CHUNK_BITS`` bits: float64 counts are exact
-        below 2^53 > n, and their low bits are the syndrome bits.
+        Its bits are one GF(2) matrix product of the row with ``_synd_bits``,
+        in row chunks of ``SYNDROME_CHUNK_BITS`` bits: float64 counts are exact
+        below 2^53 > n, and their low bits are the word's bits.
         """
-        words = np.asarray(words, dtype=np.uint8)
+        words = np.asarray(_binary(words, "words"), dtype=np.uint8)
         rows = words.reshape(-1, words.shape[-1])  # a row of other than n bits fails matmul
-        out = np.empty((len(rows), self.t), dtype=np.int32)
+        out = np.empty(len(rows), dtype=np.int64)
         step = SYNDROME_CHUNK_BITS // self.n  # n < 2^16
         for lo in range(0, len(rows), step):
             counts = rows[lo : lo + step].astype(np.float64) @ self._synd_bits
-            np.matmul(counts.astype(np.int32) & 1, self._synd_pack, out=out[lo : lo + step])
-        return out.reshape(*words.shape[:-1], self.t)
+            np.matmul(counts.astype(np.int64) & 1, self._bit_values, out=out[lo : lo + step])
+        return out.reshape(words.shape[:-1])
 
     def is_codeword(self, words: np.ndarray) -> np.ndarray | bool:
-        return ~self.syndromes(words).any(axis=-1)
+        return self.syndromes(words) == 0
 
     def __repr__(self):
         return (
@@ -277,9 +276,11 @@ def build_bch(m: int, t: int, shorten: int = 0) -> BchCode:
 
 
 def _binary(bits, name):
-    """``bits`` as an array, or ValueError unless it holds only 0 and 1."""
+    """``bits`` as an array, or ValueError unless it holds only 0 and 1, in
+    one pass over unsigned bits such as the decoders' uint8 words."""
     bits = np.asarray(bits)
-    if not ((bits == 0) | (bits == 1)).all():
+    ok = bits.max(initial=0) <= 1 if bits.dtype.kind in "ub" else ((bits == 0) | (bits == 1)).all()
+    if not ok:
         raise ValueError(f"{name} must hold only 0 and 1")
     return bits
 
@@ -310,7 +311,7 @@ def _cubic_roots(field: GaloisField) -> np.ndarray:
 
 
 def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Error positions of every row at once, from the rows' odd syndromes
+    """Error positions of every row at once, from the rows' syndrome words
     ``synd`` (``BchCode.syndromes``): (row, position, ok).
 
     ``row`` and ``position`` list the bits to flip, only in decodable rows
@@ -318,7 +319,7 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     paths is exact BDD.
 
     A code with m*t <= ``TABLE_MAX_BITS`` reads both from its syndrome table
-    (``BchCode._build_syndrome_table``), keyed by the packed odd syndromes.
+    (``BchCode._build_syndrome_table``), indexed by the syndrome word.
     This is exact BDD: since d >= 2t+1, a key names at most one error pattern
     of weight <= t, and a key that names none is a failure.  The bound keeps
     each table at most 1.25 MB; the paper's (255,231,3), at m*t = 24, would
@@ -330,12 +331,12 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     otherwise fails.  Those with t >= 4 run ``_berlekamp_massey`` and a
     Chien search of the n positions: a row decodes when its LFSR length L
     is at most t, with L distinct roots in range and no coefficient above x^t.
+    Both unpack only the words they get into field elements.
     """
     if code._table is not None:
-        key = synd @ code._key_weights
-        found = code._table[key]
+        found = code._table[synd]
         row, k = np.nonzero(found >= 0)
-        return row, found[row, k].astype(np.intp), code._table_ok[key]
+        return row, found[row, k].astype(np.intp), code._table_ok[synd]
     if code.t <= 3:
         return _locate_closed_form(code, synd)
     t, log, alog = code.t, code._log, code._alog
@@ -360,10 +361,10 @@ def _locate_closed_form(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, ..
     high-speed decoders using ROM's for BCH and RS codes", IEEE T-C 1987).
     """
     n, order, log, alog = code.n, code.field.order, code._log, code._alog
-    c1, s3 = synd[:, 0], synd[:, 1]
+    c1, s3, s5 = (synd >> code.field.m * i & order for i in range(3))  # S_5 = 0 at t = 2
     c1_sq = code._square[c1]
     d = alog[log[c1_sq] + log[c1]] ^ s3
-    top, bottom = (d, c1) if code.t == 2 else (alog[log[c1_sq] + log[s3]] ^ synd[:, 2], d)
+    top, bottom = (d, c1) if code.t == 2 else (alog[log[c1_sq] + log[s3]] ^ s5, d)
     # -log % order: the log of 1 / bottom, or 0 at bottom = 0 (where top = 0 unless the row fails)
     c2 = alog[log[top] + -log[bottom] % order]
     c1_c2 = alog[log[c1] + log[c2]]
@@ -386,17 +387,18 @@ def _locate_closed_form(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, ..
 def _berlekamp_massey(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The error locator c (rows, 2t+1) and LFSR length of every row, by
     Berlekamp-Massey on all rows together (Lin & Costello, ch. 6), over
-    S_1..S_2t with the even syndromes built here as S_2i = S_i^2.  That
-    identity also makes the discrepancy of every odd step zero (Lin &
-    Costello, sec. 6.2): only the t even steps run, each shifting ``b`` by
-    x^2 for itself and the skipped step.  ``c`` is the error locator, ``b``
-    the locator before the last length change times x^(steps since),
-    ``b_log`` that change's discrepancy as a log.  Step 0 always leaves
-    c = 1 + S_1 x, so it is taken in closed form.
+    S_1..S_2t: the odd ones unpacked from the words ``synd``, the even ones
+    built as S_2i = S_i^2.  That identity also makes the discrepancy of every
+    odd step zero (Lin & Costello, sec. 6.2): only the t even steps run, each
+    shifting ``b`` by x^2 for itself and the skipped step.  ``c`` is the
+    error locator, ``b`` the locator before the last length change times
+    x^(steps since), ``b_log`` that change's discrepancy as a log.  Step 0
+    always leaves c = 1 + S_1 x, so it is taken in closed form.
     """
     t, order = code.t, code.field.order
     log, alog = code._log, code._alog
-    synd = np.repeat(synd, 2, axis=1)  # each odd syndrome, then the slot of S_2i
+    # each odd syndrome, then the slot of S_2i
+    synd = np.repeat(synd[:, None] >> code.field.m * np.arange(t) & order, 2, axis=1)
     for i in range(1, t + 1):
         synd[:, 2 * i - 1] = code._square[synd[:, i - 1]]
     rows, two_t = synd.shape
@@ -443,7 +445,7 @@ def bdd_decode_matrix(
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ValueError(f"expected shape (rows, {code.n})")
     synd = code.syndromes(words)
-    dirty = np.flatnonzero(synd.any(axis=1))
+    dirty = np.flatnonzero(synd)
     decoded = words.copy()
     ok = np.ones(len(words), dtype=bool)
     if len(dirty):

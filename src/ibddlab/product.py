@@ -8,9 +8,9 @@ array.
 the rows of one group-major (G, S, R, n) array, so each bit is held twice, once
 in each of its two lines.  A flipped bit travels as one flat index into its
 group's block, from the verdict rule (``line_flips``) to the write-back, where
-the scheme's ``copies`` gives the flat indices of both its copies.  Lines'
-syndromes are kept exact from the bits that change: only lines with a nonzero
-syndrome reach BDD, and an item stops once all its syndromes are zero.  A
+the scheme's ``copies`` gives the flat indices of both its copies.  Each
+line's syndrome word is kept exact from the bits that change: only lines with
+a nonzero word reach BDD, and an item stops once all its words are zero.  A
 product frame's G = 2 groups are its rows and its columns: bit (s, r, c) of
 the one is bit (s, c, r) of the other.  The three decoders differ only in
 the verdict rule that makes a component word the next binary message:
@@ -129,8 +129,8 @@ class ScalingSchedule:
 
 def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=None):
     """The verdict rule on the lines of items ``act`` (ascending) of one
-    group's block ``words`` (S, R, n), whose syndromes are ``synd``
-    (S, R, t): the flat index into ``words`` of every bit it flips, each once.
+    group's block ``words`` (S, R, n), whose syndrome words are ``synd``
+    (S, R): the flat index into ``words`` of every bit it flips, each once.
 
     The genie's verdict when ``genie`` (shaped like ``words``) is given, else
     the BDD verdict weighed against ``llr`` as ``combine_decision`` does when
@@ -152,14 +152,13 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
     every = len(act) == len(words)  # else the active items' blocks are gathered
     pick = (lambda a: a) if every else (lambda a: a[act])
     n, size = words.shape[-1], words[0].size
-    lines = pick(synd).reshape(-1, synd.shape[-1])
-    dirty = lines.any(axis=1)
+    lines = pick(synd).reshape(-1)
     if genie is None:
-        dirty = np.flatnonzero(dirty)
+        dirty = np.flatnonzero(lines)
         row, pos, ok = _locate_errors(comp, lines[dirty])
         row = dirty[row]
     else:  # ideal_ibdd_decode weighs nothing against the channel
-        row, pos, _ = ideal_decode_matrix(comp, pick(words), pick(genie), dirty)
+        row, pos, _ = ideal_decode_matrix(comp, pick(words), pick(genie), lines != 0)
     flips = row * n + pos  # B, as flat indices into the (gathered) blocks
     if llr is not None:  # then D
         differ = np.flatnonzero(pick(words) != pick(hard))
@@ -182,23 +181,22 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     """The round loop of both schemes: ``iters`` rounds over groups lo..hi-1.
 
     ``words`` (G, S, R, n) holds S items' component words group-major, each
-    bit in two lines, and ``synd`` (G, S, R, t) their odd syndromes; both are
+    bit in two lines, and ``synd`` (G, S, R) their syndrome words; both are
     C-contiguous.  A round passes each group g through ``line_flips`` with
     weight ``weights[g - lo][round]`` and the blocks ``llr[g]``, ``hard[g]``
     or ``genie[g]``.  ``copies(lo, g, x)`` turns the flat indices ``x`` of
     the bits flipped in block g into the flat indices into ``words`` of all
-    their copies: one XOR flips them, and one more XORs each position's row
-    of ``comp.position_syndromes`` into its line's syndromes.  An item whose
+    their copies: one XOR flips them, and one more XORs each position's
+    ``comp.position_keys`` entry into its line's word.  An item whose
     groups are all codewords at the top of a round is done for the call.
     ``observer(g, round)`` follows every group that decodes any item.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
-    bits = words.reshape(-1, copy=False)
-    line_synd = synd.reshape(-1, synd.shape[-1], copy=False)
+    bits, keys = words.reshape(-1, copy=False), synd.reshape(-1, copy=False)
     for ell in range(iters):
-        # a dropped item gets no flip in this call, so its syndromes stay zero
-        act = np.flatnonzero(synd[lo:hi].any(axis=(0, 2, 3)))
+        # a dropped item gets no flip in this call, so its words stay zero
+        act = np.flatnonzero(synd[lo:hi].any(axis=(0, 2)))
         if not len(act):
             return
         for g in range(lo, hi):
@@ -207,7 +205,7 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
                 *(None if a is None else a[g] for a in (llr, hard, genie))))
             bits[x] ^= 1
             line, pos = np.divmod(x, words.shape[-1])
-            np.bitwise_xor.at(line_synd, line, comp.position_syndromes[pos])
+            np.bitwise_xor.at(keys, line, comp.position_keys[pos])
             if observer is not None:
                 observer(g, ell)
 

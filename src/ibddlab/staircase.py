@@ -216,7 +216,7 @@ def window_decode(
     llr = llr.reshape(-1, *shape[-3:])
     n_blocks = llr.shape[1]
     pairs = _pairs(harden(llr), 0)
-    synd = comp.syndromes(pairs)  # (N, S, h, t) odd syndromes, kept exact from here on
+    synd = comp.syndromes(pairs)  # (N, S, h) syndrome words, kept exact from here on
     llr_pairs = hard_pairs = genie = None  # indexed by pair, like ``pairs``
     if mode == "ibdd_sr":  # block 0's LLRs: perfectly known zeros
         llr_pairs, hard_pairs = _pairs(llr, np.inf), pairs.copy()  # the channel's LLRs, bits

@@ -27,8 +27,13 @@ is the 0.5-dB scan that found ``threshold_search``'s bracket before its
 default bracket was bisected like a given one; it runs the package's
 ``threshold_run``.  ``line_flips``, ``iterate``, ``transposed`` and
 ``staircase_copies`` are the round loop of both schemes as it was before
-the flat-index kernel: item-major words, each flipped bit an (f, i, j)
-triple; ``kernel_spy`` runs them beside the package's loop.
+the flat-index kernel and the packed syndrome word: item-major words, each
+flipped bit an (f, i, j) triple, each line's odd syndromes a row of a
+(..., t) int32 array that a flip updates by ``np.bitwise_xor.at`` with its
+position's row of odd syndromes; ``kernel_spy`` runs them beside the
+package's loop.  ``word_syndromes`` sums a word's odd syndromes from
+``syndrome_powers``, and ``pack_syndromes`` and ``unpack_syndromes`` move
+them between that layout and the package's int64 syndrome words.
 """
 
 import math
@@ -250,10 +255,30 @@ def syndrome_powers(code) -> np.ndarray:
     return field.antilog_table[(np.arange(1, 2 * code.t + 1)[:, None] * exps) % field.order]
 
 
+def word_syndromes(code, words) -> np.ndarray:
+    """The odd syndromes S_1, S_3, .., S_2t-1 of each row of ``words``,
+    (..., t) int32: the XOR of their ``syndrome_powers`` at the set bits."""
+    odd = syndrome_powers(code)[::2]
+    return np.bitwise_xor.reduce(np.where(np.asarray(words)[..., None, :] == 1, odd, 0), axis=-1)
+
+
+def pack_syndromes(code, synd) -> np.ndarray:
+    """Odd syndromes (..., t) as syndrome words (...,) int64, S_2i+1 in bits
+    m*i .. m*i+m-1, the layout of ``BchCode.syndromes``."""
+    shifted = np.asarray(synd, dtype=np.int64) << code.field.m * np.arange(code.t)
+    return np.bitwise_or.reduce(shifted, axis=-1)
+
+
+def unpack_syndromes(code, words) -> np.ndarray:
+    """Syndrome words (...,) as their odd syndromes (..., t) int32."""
+    m = code.field.m
+    return (np.asarray(words)[..., None] >> m * np.arange(code.t) & (1 << m) - 1).astype(np.int32)
+
+
 def syndromes_oneshot(code, words) -> np.ndarray:
     """``BchCode.syndromes`` as one float64 product over the whole stack."""
     counts = np.asarray(words, dtype=np.uint8).astype(np.float64) @ code._synd_bits
-    return (counts.astype(np.int32) & 1) @ code._synd_pack
+    return (counts.astype(np.int64) & 1) @ code._bit_values
 
 
 def ideal_decode_dense(code, words, transmitted):
@@ -422,13 +447,14 @@ def frame_ideal(code, r, transmitted, iters=12):
 
 def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=None):
     """The verdict rule on lines ``words[f, i]`` of items ``act`` (ascending),
-    whose syndromes are ``synd[f, i]``: the (f, i, j) of every bit it flips,
-    each once, by ``product.line_flips``'s rule."""
+    whose odd syndromes are ``synd[f, i]`` (``word_syndromes``' layout): the
+    (f, i, j) of every bit it flips, each once, by ``product.line_flips``'s
+    rule."""
     f, i = np.nonzero(synd[act].any(axis=2))
     f, j = act[f], i
     failed = f, i
     if len(f):
-        row, j, ok = (_locate_errors(comp, synd[f, i]) if genie is None
+        row, j, ok = (_locate_errors(comp, pack_syndromes(comp, synd[f, i])) if genie is None
                       else ideal_decode_matrix(comp, words[f, i], genie[f, i]))
         failed = f[~ok], i[~ok]
         f, i = f[row], i[row]
@@ -447,9 +473,10 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
 def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, hard=None,
             genie=None):
     """``product.iterate`` on item-major (S, G, R, n) words and (S, G, R, t)
-    syndromes: each (line, position) index pair that ``copies(lo, g, s, r,
-    c)`` lists for the flipped bits (s, g, r, c) is flipped, and the
-    position's syndrome row XORed into the line's syndromes."""
+    odd syndromes: each (line, position) index pair that ``copies(lo, g, s,
+    r, c)`` lists for the flipped bits (s, g, r, c) is flipped, and the
+    position's odd syndromes XORed into the line's."""
+    position = syndrome_powers(comp)[::2].T
     act = np.arange(len(words))
     for ell in range(iters):
         act = act[synd[act, lo:hi].any(axis=(1, 2, 3))]
@@ -461,7 +488,7 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
                                  *(None if a is None else a[g] for a in (llr, hard, genie)))
             for line, pos in copies(lo, g, s, r, c):
                 words[(*line, pos)] ^= 1
-                np.bitwise_xor.at(synd, line, comp.position_syndromes[pos])
+                np.bitwise_xor.at(synd, line, position[pos])
 
 
 def transposed(lo, g, s, r, c):
@@ -497,11 +524,11 @@ def kernel_spy(monkeypatch, scheme):
     On every group call, the package's flips, mapped by the scheme's
     ``copies`` to flat indices into the group-major words, must equal as a
     set the oracle kernel's flips on the same state, mapped by the oracle
-    ``copies``.  After each call, the oracle loop run from the call's input
-    must leave the same words and syndromes.  Returns a list that gains one
-    ``(g, lo, n_groups, partial, oracle_c)`` per group call, ``partial``
-    telling whether only some items were active, ``oracle_c`` the oracle's
-    flipped positions.
+    ``copies``.  After each call, the oracle loop run from the call's input,
+    with the call's syndrome words unpacked, must leave the same words and
+    syndromes.  Returns a list that gains one ``(g, lo, n_groups, partial,
+    oracle_c)`` per group call, ``partial`` telling whether only some items
+    were active, ``oracle_c`` the oracle's flipped positions.
     """
     real_iterate, real_rule = product.iterate, product.line_flips
     calls, last = [], {}
@@ -513,13 +540,14 @@ def kernel_spy(monkeypatch, scheme):
     def spy(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, hard=None,
             genie=None, observer=None):
         n_groups, n_items, rows, n = words.shape
-        old_words, old_synd = words.swapaxes(0, 1).copy(), synd.swapaxes(0, 1).copy()
+        old_words = words.swapaxes(0, 1).copy()
+        old_synd = unpack_syndromes(comp, synd.swapaxes(0, 1))
         old_copies = transposed if scheme == "product" else staircase_copies(rows, n_groups)
 
         def checked(lo, g, x):
             got = copies(lo, g, x)
             comp, block, block_synd, act, *rest = last["args"]
-            s, r, c = line_flips(comp, block, block_synd, act, *rest)
+            s, r, c = line_flips(comp, block, unpack_syndromes(comp, block_synd), act, *rest)
             want = [((line[1] * n_items + line[0]) * rows + line[2]) * n + pos
                     for line, pos in old_copies(lo, g, s, r, c)]
             np.testing.assert_array_equal(np.sort(got), np.sort(np.concatenate(want)))
@@ -530,7 +558,7 @@ def kernel_spy(monkeypatch, scheme):
                      observer)
         iterate(comp, old_words, old_synd, old_copies, iters, lo, hi, weights, llr, hard, genie)
         np.testing.assert_array_equal(words.swapaxes(0, 1), old_words)
-        np.testing.assert_array_equal(synd.swapaxes(0, 1), old_synd)
+        np.testing.assert_array_equal(synd.swapaxes(0, 1), pack_syndromes(comp, old_synd))
 
     monkeypatch.setattr(product, "line_flips", rule)
     monkeypatch.setattr(product, "iterate", spy)

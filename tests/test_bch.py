@@ -86,6 +86,24 @@ def test_bad_construction_raises():
             GaloisField(m)
 
 
+def test_syndrome_word_must_fit_int64():
+    """A code whose t odd syndromes take more than 63 bits is refused before
+    any table is built; (255,199,7), at 56 bits, still builds and decodes
+    through the top field element of its words."""
+    with pytest.raises(CodeConstructionError, match="m\\*t = 64"):
+        build_bch(16, 4)
+    code = build_bch(8, 7)
+    assert code.position_keys.max() >> 48 and code.position_keys.max() < 1 << 56
+    rng = np.random.default_rng(56)
+    sent = code.encode(rng.integers(0, 2, (50, code.k), dtype=np.uint8))
+    words = sent.copy()
+    for row in words:
+        row[rng.choice(code.n, 7, replace=False)] ^= 1
+    _, decoded, ok = bdd_decode_matrix(code, words)
+    assert ok.all()
+    np.testing.assert_array_equal(decoded, sent)
+
+
 @pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLY))
 def test_default_polynomials_are_primitive(m):
     """alpha's powers run through all 2^m - 1 nonzero elements before repeating."""
@@ -164,19 +182,19 @@ KERNEL_CODES = [(4, 1, 0), (4, 2, 0), (5, 2, 1), (8, 3, 0), (8, 3, 1), (8, 4, 0)
 
 @pytest.mark.parametrize("m,t,shorten", KERNEL_CODES)
 def test_syndromes_are_the_odd_syndromes(m, t, shorten):
-    """``syndromes`` keeps S_1, S_3, .., S_2t-1 of the row oracle's powers as
-    (..., t) int32, and a flip XORs in ``position_syndromes``, int32 too: an
-    int64 table sends ``np.bitwise_xor.at`` into int32 syndromes down a slow
-    casting path."""
+    """``syndromes`` packs S_1, S_3, .., S_2t-1 of the row oracle's powers
+    into one (...,) int64 word, S_2i+1 in bits m*i .. m*i+m-1, and a flip
+    XORs in its position's word of ``position_keys``."""
     code = build_bch(m, t, shorten=shorten)
     words = (np.random.default_rng([m, t, shorten]).random((3, 40, code.n)) < 0.1).astype(np.uint8)
-    odd = oracles.syndrome_powers(code)[::2]
+    odd = oracles.word_syndromes(code, words)
     synd = code.syndromes(words)
-    assert synd.shape == (3, 40, t) and synd.dtype == np.int32
-    want = np.bitwise_xor.reduce(np.where(words[..., None, :] == 1, odd, 0), axis=-1)
-    np.testing.assert_array_equal(synd, want)
-    assert code.position_syndromes.dtype == np.int32
-    np.testing.assert_array_equal(code.position_syndromes, odd.T)
+    assert synd.shape == (3, 40) and synd.dtype == np.int64
+    np.testing.assert_array_equal(synd, oracles.pack_syndromes(code, odd))
+    np.testing.assert_array_equal(oracles.unpack_syndromes(code, synd), odd)
+    assert code.position_keys.shape == (code.n,) and code.position_keys.dtype == np.int64
+    want = oracles.pack_syndromes(code, oracles.syndrome_powers(code)[::2].T)
+    np.testing.assert_array_equal(code.position_keys, want)
 
 
 @pytest.mark.parametrize("fixture", ["code_15_11", "code_30_20", "code_255_231"])
@@ -193,8 +211,10 @@ def test_chunked_syndromes_match_oneshot(fixture, request):
     for shape in shapes + [(n,), (chunk // (2 * n) + 2, 2, n, n)]:
         words = rng.integers(0, 2, shape, dtype=np.uint8)
         synd = code.syndromes(words)
-        assert synd.shape == (*shape[:-1], code.t) and synd.dtype == np.int32
+        assert synd.shape == shape[:-1] and synd.dtype == np.int64
         np.testing.assert_array_equal(synd, oracles.syndromes_oneshot(code, words))
+        want = oracles.pack_syndromes(code, oracles.word_syndromes(code, words))
+        np.testing.assert_array_equal(synd, want)
     with pytest.raises(ValueError):
         code.syndromes(np.zeros((2, 2 * n), dtype=np.uint8))  # not four rows of n
 
@@ -241,10 +261,11 @@ def test_locate_errors_matches_chien_oracle(m, t, shorten):
         for row in words:
             row[rng.choice(code.n, errors, replace=False)] ^= 1
         noisy.append(words)
-    synd = code.syndromes(np.concatenate(noisy))
-    synd = synd[synd.any(axis=1)]
-    row, pos, ok = bch._locate_errors(code, synd)
-    flips, want_ok = oracles.locate_errors_chien(code, synd)
+    words = np.concatenate(noisy)
+    synd, odd = code.syndromes(words), oracles.word_syndromes(code, words)
+    np.testing.assert_array_equal(synd, oracles.pack_syndromes(code, odd))
+    row, pos, ok = bch._locate_errors(code, synd[synd != 0])
+    flips, want_ok = oracles.locate_errors_chien(code, odd[synd != 0])
     assert len(set(zip(row.tolist(), pos.tolist()))) == len(row)  # each bit once
     got = np.zeros_like(flips)
     got[row, pos] = True
@@ -266,9 +287,10 @@ def test_syndrome_table_exhaustive(m, t, shorten):
     for lo in range(0, 1 << r, 1 << 14):
         words = np.zeros((min(1 << 14, (1 << r) - lo), code.n), dtype=np.uint8)
         words[:, code.k :] = np.arange(lo, lo + len(words))[:, None] >> np.arange(r) & 1
-        synd = code.syndromes(words)
+        synd, odd = code.syndromes(words), oracles.word_syndromes(code, words)
+        np.testing.assert_array_equal(synd, oracles.pack_syndromes(code, odd))
         row, pos, ok = bch._locate_errors(code, synd)
-        flips, want_ok = oracles.locate_errors_chien(code, synd)
+        flips, want_ok = oracles.locate_errors_chien(code, odd)
         got = np.zeros_like(flips)
         got[row, pos] = True
         np.testing.assert_array_equal(got, flips)
@@ -290,21 +312,14 @@ CLOSED_FORM_TABLE_CODES = [(4, 3, 0), (5, 3, 0), (6, 3, 0), (6, 3, 1), (4, 2, 0)
                            (6, 2, 0), (5, 2, 1)]
 
 
-def _packed_syndromes(code, lo, hi):
-    """The odd syndromes that pack to the keys lo..hi-1 (S_2i+1 shifted by m*i)."""
-    m = code.field.m
-    keys = np.arange(lo, hi, dtype=np.int32)[:, None]
-    return keys >> m * np.arange(code.t, dtype=np.int32) & (1 << m) - 1
-
-
 @pytest.mark.parametrize("m,t,shorten", CLOSED_FORM_TABLE_CODES)
 def test_closed_form_matches_syndrome_table(m, t, shorten):
-    """Over every packed odd-syndrome vector of a table-decoded code, those
-    no word has included, the closed-form locator flips the bits and gives
-    the verdicts of the syndrome table, each bit once."""
+    """Over every syndrome word of a table-decoded code, those no word has
+    included, the closed-form locator flips the bits and gives the verdicts
+    of the syndrome table, each bit once."""
     code = build_bch(m, t, shorten=shorten)
     assert code._table is not None
-    synd = _packed_syndromes(code, 0, 1 << m * t)
+    synd = np.arange(1 << m * t)
     row, pos, ok = bch._locate_closed_form(code, synd)
     want_row, want_pos, want_ok = bch._locate_errors(code, synd)
     np.testing.assert_array_equal(ok, want_ok)
@@ -314,16 +329,18 @@ def test_closed_form_matches_syndrome_table(m, t, shorten):
 @pytest.mark.long
 @pytest.mark.parametrize("fixture", ["code_255_231", "code_254_230"])
 def test_closed_form_exhaustive_full_size(fixture, request):
-    """Over all 2^24 odd-syndrome vectors of the paper's components, the
-    closed form accepts exactly as many as there are error patterns of
-    weight <= 3, and each accepted row flips at most 3 distinct in-range
-    bits whose syndromes sum to the row's.  Since d >= 7 gives each such
-    pattern its own syndrome, the decoder is exact BDD."""
+    """Over all 2^24 syndrome words of the paper's components, the closed
+    form accepts exactly as many as there are error patterns of weight <= 3,
+    and each accepted row flips at most 3 distinct in-range bits whose
+    syndromes, packed from the row oracle's powers, sum to the row's.  Since
+    d >= 7 gives each such pattern its own syndrome, the decoder is exact
+    BDD."""
     code = request.getfixturevalue(fixture)
     n, step = code.n, 1 << 16
+    position = oracles.pack_syndromes(code, oracles.syndrome_powers(code)[::2].T)
     accepted = 0
     for lo in range(0, 1 << 24, step):
-        synd = _packed_syndromes(code, lo, lo + step)
+        synd = np.arange(lo, lo + step)
         row, pos, ok = bch._locate_closed_form(code, synd)
         assert ok[row].all() and (np.diff(row) >= 0).all() and ((0 <= pos) & (pos < n)).all()
         # rows ascend, so a row's flips are at most 3 adjacent entries, all distinct
@@ -332,7 +349,7 @@ def test_closed_form_exhaustive_full_size(fixture, request):
             assert (pos[gap:] != pos[:-gap])[row[gap:] == row[:-gap]].all()
         firsts = np.flatnonzero(np.diff(row, prepend=-1))
         flipped = np.zeros_like(synd)
-        flipped[row[firsts]] = np.bitwise_xor.reduceat(code.position_syndromes[pos], firsts)
+        flipped[row[firsts]] = np.bitwise_xor.reduceat(position[pos], firsts)
         np.testing.assert_array_equal(flipped[ok], synd[ok])
         accepted += int(ok.sum())
     assert accepted == sum(math.comb(n, w) for w in range(4))
@@ -467,6 +484,19 @@ def test_bit_inputs_reject_non_binary(code_15_7, bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [2, 257, -1, np.uint8(2)], ids=["2", "257", "-1", "uint8-2"])
+def test_syndromes_reject_non_binary(code_15_7, bad):
+    """``syndromes`` and both codeword checks refuse any entry but 0 and 1,
+    whatever the dtype: a word of 2s is not a codeword with zero syndromes,
+    and 257 does not count as 1."""
+    word = np.full(code_15_7.n, bad)
+    frame = np.full((code_15_7.n, code_15_7.n), bad)
+    for call in (lambda: code_15_7.syndromes(word), lambda: code_15_7.is_codeword(word),
+                 lambda: ProductCode(code_15_7).is_codeword(frame)):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            call()
+
+
 def test_ideal_decoder_genie(code_15_7, rng):
     """The genie flips a row within t back to its transmitted row and leaves a
     row beyond t alone, never miscorrecting it; rows of a stack count through
@@ -532,10 +562,10 @@ def test_exact_enumerator_bch_15_7(code_15_7):
 
 @pytest.mark.parametrize("m,t,shorten", [
     (4, 1, 0), (4, 2, 0), (4, 3, 0), (5, 2, 1), (5, 3, 0), (5, 2, 5), (6, 1, 40),
-    (6, 10, 0), (7, 27, 0), (7, 31, 0), (8, 3, 230),
+    (6, 10, 0), (7, 9, 56), (7, 9, 62), (8, 3, 230),
 ])
 def test_exact_enumerator_matches_codeword_enumeration(m, t, shorten):
-    """Both branches, the code's own span (k <= n - k, here up to n = 127,
+    """Both branches, the code's own span (k <= n - k, here up to n = 71,
     two packed words) and the dual's span with the MacWilliams transform
     (k > n - k), count what encoding every information word counts."""
     code = build_bch(m, t, shorten=shorten)

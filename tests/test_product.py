@@ -458,16 +458,18 @@ def test_sr_ties_zeros_and_infinities_match_frame_oracle(m, t, snr):
 @pytest.mark.parametrize("m,t,snr,frames", [(4, 2, 2.5, 60), (8, 3, 4.2, 3)])
 def test_kept_syndromes_are_exact(monkeypatch, m, t, snr, frames):
     """Every line of every frame the verdict rule visits carries the true
-    syndromes of its words, dirty or clean, so the syndromes the decoders
-    keep up to date from flipped bits never drift from the stack."""
+    syndrome word of its bits, dirty or clean (its odd syndromes from the
+    row oracle's powers, packed), so the words the decoders keep up to date
+    from flipped bits never drift from the stack."""
     pc = ProductCode(build_bch(m, t))
     tx, llr = _channel_stack(pc, snr, frames, seed=m)
     rule = product.line_flips
     lines = []
 
     def checked(comp, words, synd, act, *args):
-        np.testing.assert_array_equal(synd[act], comp.syndromes(words[act]))
-        lines.append(int(synd[act].any(axis=2).sum()))
+        want = oracles.pack_syndromes(comp, oracles.word_syndromes(comp, words[act]))
+        np.testing.assert_array_equal(synd[act], want)
+        lines.append(int(np.count_nonzero(synd[act])))
         return rule(comp, words, synd, act, *args)
 
     monkeypatch.setattr(product, "line_flips", checked)

@@ -387,17 +387,18 @@ def test_batched_decoding_memory_bounded(name):
     assert peak <= 1.1 * _PEAK_PER_FRAME_ENGINE[name], peak
 
 
-@pytest.mark.parametrize("name", ["pc255", "pc15"])
+@pytest.mark.parametrize("name", ["pc255", "pc15", "sc30"])
 def test_call_size_never_enters_statistics(monkeypatch, name):
-    """Each frame decodes as it would alone, so the statistics do not depend
-    on how many frames a decode call stacks: at 2^16 bits per call (one
-    (255,231)^2 frame, 291 (15,11)^2 frames) and at 2^18 (four, 1,165),
-    every mode's stat_key() agrees."""
+    """Each frame or stream decodes as it would alone, so the statistics do
+    not depend on how many a decode call stacks: at 2^16 bits per call (one
+    (255,231)^2 frame, 291 (15,11)^2 frames), at 2^12 (one (30,20) staircase
+    stream) and at 2^18 (four frames, 1,165 frames, 58 streams), every mode's
+    stat_key() agrees."""
     cfg, ebn0_db = _PEAK_POINTS[name]
     if name == "pc255":
         cfg = dataclasses.replace(cfg, max_frames=6)  # calls of 4 and 2 frames at 2^18
     keys = []
-    for bits in (1 << 16, 1 << 18):
+    for bits in (1 << 12 if name == "sc30" else 1 << 16, 1 << 18):
         monkeypatch.setattr(sim, "DECODE_CALL_BITS", bits)
         keys.append({m: pt.stat_key() for m, pt in run_point(cfg, ebn0_db).items()})
     assert keys[0] == keys[1]

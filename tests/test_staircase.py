@@ -461,13 +461,15 @@ def test_sr_ties_zeros_and_infinities_match_stream_oracle(sc_30_20, ebn0_db):
 
 def test_kept_pair_syndromes_are_exact(sc_30_20, toy_schedule, rng, monkeypatch):
     """Every line of every stream the verdict rule visits carries the
-    syndromes of its current bits, dirty or clean."""
+    syndrome word of its current bits, dirty or clean (its odd syndromes
+    from the row oracle's powers, packed)."""
     rule = product.line_flips
     lines = []
 
     def checked(comp, words, synd, act, *args):
-        np.testing.assert_array_equal(synd[act], comp.syndromes(words[act]))
-        lines.append(int(synd[act].any(axis=2).sum()))
+        want = oracles.pack_syndromes(comp, oracles.word_syndromes(comp, words[act]))
+        np.testing.assert_array_equal(synd[act], want)
+        lines.append(int(np.count_nonzero(synd[act])))
         return rule(comp, words, synd, act, *args)
 
     monkeypatch.setattr(product, "line_flips", checked)
