@@ -10,12 +10,12 @@ S_3, .., S_2t-1, since a binary word has S_2i = S_i^2, packed into one int64
 syndrome word with S_2i+1 in bits m*i .. m*i+m-1 (so m*t <= 63).  The word
 is linear over GF(2) in the bits: it comes from one matrix product with the
 bits of ``BchCode.position_keys``, the words of single-bit errors, and a
-flip XORs in its position's key.  Codes with m*t <= ``TABLE_MAX_BITS``
-decode by syndrome table: the word indexes a 2^(m*t)-row table of the error
-patterns of weight <= t.  Longer codes with t <= 3 solve the error locator
-in closed form (Peterson; a row with D = S_1^3 + S_3 = 0 holds one error or
-none), and read its roots from 2^m-entry cubic tables (Okano & Imai, IEEE
-T-C 1987); t >= 4 runs Berlekamp-Massey and a Chien search.  Decoding has exactly three outcomes:
+flip XORs in its position's key.  Each code has one error locator: t <= 3
+solves it in closed form (Peterson; at t = 1, or D = S_1^3 + S_3 = 0, a row
+holds one error or none) with roots from 2^m-entry cubic tables (Okano &
+Imai, IEEE T-C 1987), and t >= 4 runs Berlekamp-Massey and a Chien search.
+Codes with m*t <= ``TABLE_MAX_BITS`` cache its answer for every syndrome
+word in a 2^(m*t)-row table that the word indexes.  Decoding has exactly three outcomes:
 the decoder returns the unique codeword within Hamming distance t of the
 input when one exists (which may be a miscorrection), and reports a
 failure otherwise.  The kernel ``_locate_errors`` takes the syndrome words
@@ -26,6 +26,7 @@ builds dense words from them.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +69,7 @@ class GaloisField:
     """
 
     def __init__(self, m: int):
+        m = _integer(m, "field degree m", FieldConstructionError)
         if not 2 <= m <= 16:
             raise FieldConstructionError(f"field degree must be in [2, 16], got {m}")
         self.m = m
@@ -118,8 +120,9 @@ def generator_poly(field: GaloisField, t: int) -> int:
 
 
 # Codes with m*t up to this many packed odd-syndrome bits decode by syndrome
-# table: at 18 bits no table exceeds 1.25 MB or takes 20 ms to build, while
-# the paper's (255,231,3), at 24 bits, would need 112 MB.
+# table: at 18 bits no table exceeds 1.25 MB, and the largest, (511,493,2),
+# (63,45,3) and (15,1,4), take 60-110 ms to fill on a 2-core VM, while the
+# paper's (255,231,3), at 24 bits, would need 112 MB.
 TABLE_MAX_BITS = 18
 SYNDROME_CHUNK_BITS = 1 << 16  # bits that BchCode.syndromes casts to float64 at once
 
@@ -132,6 +135,8 @@ class BchCode:
     """
 
     def __init__(self, field: GaloisField, t: int, shorten: int = 0):
+        t = _integer(t, "t", CodeConstructionError)
+        shorten = _integer(shorten, "shorten", CodeConstructionError)
         if t < 1:
             raise CodeConstructionError(f"t must be >= 1, got {t}")
         if field.m * t > 63:  # before any table: the syndrome word is one int64
@@ -200,36 +205,34 @@ class BchCode:
         self._alog = np.zeros(2 * zero_log + order + 1, dtype=np.intp)
         self._alog[:zero_log] = np.resize(alog, zero_log)
         self._square = _field_power(self.field, 2)
-        self._table = None
-        if m * t <= TABLE_MAX_BITS:
-            self._build_syndrome_table()
         if t > 3:
             self._chien = (-np.arange(1, t + 1)[:, None] * exps) % order
-        elif t > 1:  # 2^m entries each, cheap next to any syndrome table
+        else:  # 2^m entries each, cheap next to any syndrome table
             self._cubic_roots = _cubic_roots(self.field)
             # log sqrt(a) and log sqrt(a)^-3 for a != 0; both 0 at a = 0
             self._half_log = self._log[_field_power(self.field, (order + 1) // 2)]
             self._half_log[0] = 0
             self._cubic_key_log = -3 * self._half_log % order
+        self._table = None
+        if m * t <= TABLE_MAX_BITS:
+            self._build_syndrome_table()
 
     def _build_syndrome_table(self):
         """Row ``key`` of ``_table`` lists, in increasing order, the positions
-        of the error pattern of weight <= t whose syndrome word is ``key``, -1
-        padding; ``_table_ok[key]`` says whether one exists.  Two patterns of
-        weight <= t with one key would differ by a nonzero codeword of weight
-        <= 2t < d, so each key has at most one.  The key is linear in the
-        word: a pattern's key is the XOR of its positions' keys ``kpos``."""
-        n, t, m = self.n, self.t, self.field.m
-        kpos = np.append(self.position_keys, 0)  # position n: none
-        # every pattern is one t-tuple over 0..n, rising to its last position
-        # and then padded with n; there are (n+1)^t <= 2^(m*t) tuples in all
-        pats = np.indices((n + 1,) * t).reshape(t, -1).T
-        pats = pats[((pats[:, :-1] < pats[:, 1:]) | (pats[:, 1:] == n)).all(axis=1)]
-        keys = np.bitwise_xor.reduce(kpos[pats], axis=1)
-        self._table = np.full((1 << m * t, t), -1, dtype=np.min_scalar_type(-n))
-        self._table[keys] = np.where(pats < n, pats, -1)
-        self._table_ok = np.zeros(1 << m * t, dtype=bool)
-        self._table_ok[keys] = True
+        that the code's solver flips for the syndrome word ``key``, -1 padding,
+        and ``_table_ok[key]`` its verdict: the table caches the solver's
+        answer for every word."""
+        solve = _locate_closed_form if self.t <= 3 else _berlekamp_massey
+        words = np.arange(1 << self.field.m * self.t)
+        table = np.full((len(words), self.t), -1, dtype=np.min_scalar_type(-self.n))
+        ok = np.empty(len(words), dtype=bool)
+        step = 1 << 14  # 2^14 x 15 x 4 int64 Chien terms of (15,1,4) take 7.9 MB
+        for lo in range(0, len(words), step):
+            row, pos, ok[lo : lo + step] = solve(self, words[lo : lo + step])
+            rising = np.lexsort((pos, row))
+            row, pos = row[rising], pos[rising]
+            table[lo + row, np.arange(len(row)) - np.searchsorted(row, row)] = pos
+        self._table, self._table_ok = table, ok
 
     # -- public interface ----------------------------------------------------
 
@@ -275,6 +278,14 @@ def build_bch(m: int, t: int, shorten: int = 0) -> BchCode:
     return BchCode(GaloisField(m), t, shorten)
 
 
+def _integer(value, name: str, error: type) -> int:
+    """``value`` as an int, numpy integers too; ``error`` naming ``name``
+    for a bool or a non-integer."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _binary(bits, name):
     """``bits`` as an array, or ValueError unless it holds only 0 and 1, in
     one pass over unsigned bits such as the decoders' uint8 words."""
@@ -315,46 +326,32 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``synd`` (``BchCode.syndromes``): (row, position, ok).
 
     ``row`` and ``position`` list the bits to flip, only in decodable rows
-    and each bit once; ``ok`` holds the per-row verdict.  Each of the three
-    paths is exact BDD.
+    and each bit once; ``ok`` holds the per-row verdict.  This is exact BDD:
+    since d >= 2t+1, a syndrome word names at most one error pattern of
+    weight <= t, and a word that names none is a failure.
 
-    A code with m*t <= ``TABLE_MAX_BITS`` reads both from its syndrome table
-    (``BchCode._build_syndrome_table``), indexed by the syndrome word.
-    This is exact BDD: since d >= 2t+1, a key names at most one error pattern
-    of weight <= t, and a key that names none is a failure.  The bound keeps
-    each table at most 1.25 MB; the paper's (255,231,3), at m*t = 24, would
-    need 112 MB.
-
-    Longer codes with t = 2 or 3 solve the locator in closed form
-    (``_locate_closed_form``): a row with D = S_1^3 + S_3 = 0 holds one
-    error, at S_1 != 0 if S_5 = S_1^5 (t = 3), or none if all are 0, and
-    otherwise fails.  Those with t >= 4 run ``_berlekamp_massey`` and a
-    Chien search of the n positions: a row decodes when its LFSR length L
-    is at most t, with L distinct roots in range and no coefficient above x^t.
-    Both unpack only the words they get into field elements.
+    Each code has one solver, which unpacks only the words it gets into
+    field elements: ``_locate_closed_form`` for t <= 3 and
+    ``_berlekamp_massey`` with a Chien search for t >= 4.  A code with
+    m*t <= ``TABLE_MAX_BITS`` reads the solver's answers from its syndrome
+    table (``BchCode._build_syndrome_table``), indexed by the syndrome word.
+    The bound keeps each table at most 1.25 MB; the paper's (255,231,3), at
+    m*t = 24, would need 112 MB.
     """
     if code._table is not None:
         found = code._table[synd]
         row, k = np.nonzero(found >= 0)
         return row, found[row, k].astype(np.intp), code._table_ok[synd]
-    if code.t <= 3:
-        return _locate_closed_form(code, synd)
-    t, log, alog = code.t, code._log, code._alog
-    c, length = _berlekamp_massey(code, synd)
-    values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
-    row, pos = np.nonzero(values == 1)  # the locator, 1 + sum of these terms, vanishes
-    ok = (length <= t) & (np.bincount(row, minlength=len(synd)) == length) & ~c[:, t + 1 :].any(1)
-    keep = ok[row]
-    return row[keep], pos[keep], ok
+    return (_locate_closed_form if code.t <= 3 else _berlekamp_massey)(code, synd)
 
 
 def _locate_closed_form(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_locate_errors`` for t = 2 or 3: the error locator 1 + c1 x + c2 x^2
+    """``_locate_errors`` for t <= 3: the error locator 1 + c1 x + c2 x^2
     + c3 x^3 in closed form (Peterson 1960; Lin & Costello, ch. 6).  With
     D = S_1^3 + S_3, Newton's identities give c1 = S_1, c3 = D + S_1 c2 and
-    c2 = D / S_1 (t = 2) or (S_1^2 S_3 + S_5) / D (t = 3).  A zero divisor
-    leaves at most one error, at S_1 if any, so the row decodes only if the
-    dividend is zero too (for t = 3, S_5 = S_1^5): then c2 = c3 = 0, and a
+    c2 = D / S_1 (t = 2) or (S_1^2 S_3 + S_5) / D (t = 3); t = 1 takes D = 0.
+    A zero divisor leaves at most one error, at S_1 if any, so the row
+    decodes only if the dividend is zero too (for t = 3, S_5 = S_1^5): then c2 = c3 = 0, and a
     row with S_1 = D = 0 but S_5 != 0 fails.  Other rows decode when the
     locator has as many distinct roots in range as its degree, read from the
     cubic tables (``_cubic_roots``; Okano & Imai, "A construction method of
@@ -363,8 +360,8 @@ def _locate_closed_form(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, ..
     n, order, log, alog = code.n, code.field.order, code._log, code._alog
     c1, s3, s5 = (synd >> code.field.m * i & order for i in range(3))  # S_5 = 0 at t = 2
     c1_sq = code._square[c1]
-    d = alog[log[c1_sq] + log[c1]] ^ s3
-    top, bottom = (d, c1) if code.t == 2 else (alog[log[c1_sq] + log[s3]] ^ s5, d)
+    d = alog[log[c1_sq] + log[c1]] ^ s3 if code.t > 1 else np.zeros_like(c1)
+    top, bottom = (d, c1) if code.t <= 2 else (alog[log[c1_sq] + log[s3]] ^ s5, d)
     # -log % order: the log of 1 / bottom, or 0 at bottom = 0 (where top = 0 unless the row fails)
     c2 = alog[log[top] + -log[bottom] % order]
     c1_c2 = alog[log[c1] + log[c2]]
@@ -384,16 +381,18 @@ def _locate_closed_form(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, ..
     return row, n - 1 - exps[row, k], ok
 
 
-def _berlekamp_massey(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The error locator c (rows, 2t+1) and LFSR length of every row, by
-    Berlekamp-Massey on all rows together (Lin & Costello, ch. 6), over
-    S_1..S_2t: the odd ones unpacked from the words ``synd``, the even ones
-    built as S_2i = S_i^2.  That identity also makes the discrepancy of every
-    odd step zero (Lin & Costello, sec. 6.2): only the t even steps run, each
-    shifting ``b`` by x^2 for itself and the skipped step.  ``c`` is the
-    error locator, ``b`` the locator before the last length change times
-    x^(steps since), ``b_log`` that change's discrepancy as a log.  Step 0
-    always leaves c = 1 + S_1 x, so it is taken in closed form.
+def _berlekamp_massey(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_locate_errors`` for t >= 4: the error locator c (rows, 2t+1) and
+    LFSR length of every row, by Berlekamp-Massey on all rows together (Lin
+    & Costello, ch. 6), over S_1..S_2t: the odd ones unpacked from the words
+    ``synd``, the even ones built as S_2i = S_i^2.  That identity also makes
+    the discrepancy of every odd step zero (Lin & Costello, sec. 6.2): only
+    the t even steps run, each shifting ``b`` by x^2 for itself and the
+    skipped step.  ``c`` is the error locator, from 1; ``b`` the locator
+    before the last length change times x^(steps since), from x; ``b_log``
+    that change's discrepancy as a log, from a discrepancy of 1.  A Chien
+    search of the n positions follows: a row decodes when its LFSR length L
+    is at most t, with L distinct roots in range and no coefficient above x^t.
     """
     t, order = code.t, code.field.order
     log, alog = code._log, code._alog
@@ -404,18 +403,14 @@ def _berlekamp_massey(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.n
     rows, two_t = synd.shape
     c = np.zeros((rows, two_t + 1), dtype=np.intp)
     c[:, 0] = 1
-    c[:, 1] = synd[:, 0]
-    length = (synd[:, 0] != 0).astype(np.intp)
+    b = np.zeros_like(c)
+    b[:, 1] = 1
+    b_log = length = np.zeros(rows, dtype=np.intp)
     # syndrome logs reversed, then 2t zero logs: step r reads the logs of
     # synd[:, r - j] for j = 1..2t (zero where r - j < 0) as one slice
     s_rev = np.full((rows, 2 * two_t), log[0])
     s_rev[:, :two_t] = log[synd[:, ::-1]]
-    # step 0 left b = x^2 after a length change to 1, else b = x^3
-    b = np.zeros_like(c)
-    b[:, 2] = length
-    b[:, 3] = 1 - length
-    b_log = np.where(length, log[synd[:, 0]], 0)
-    for r in range(2, two_t, 2):
+    for r in range(0, two_t, 2):
         terms = alog[log[c[:, 1:]] + s_rev[:, two_t - r : 2 * two_t - r]]
         d = synd[:, r] ^ np.bitwise_xor.reduce(terms, axis=1)
         d_log = log[d]
@@ -427,7 +422,11 @@ def _berlekamp_massey(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.n
         c ^= update
         b_log = np.where(grow, d_log, b_log)
         length = np.where(grow, r + 1 - length, length)
-    return c, length
+    values = np.bitwise_xor.reduce(alog[log[c[:, 1 : t + 1, None]] + code._chien], axis=1)
+    row, pos = np.nonzero(values == 1)  # the locator, 1 + sum of these terms, vanishes
+    ok = (length <= t) & (np.bincount(row, minlength=rows) == length) & ~c[:, t + 1 :].any(1)
+    keep = ok[row]
+    return row[keep], pos[keep], ok
 
 
 def bdd_decode_matrix(

@@ -14,7 +14,11 @@ checks the closed-form locator that replaced Berlekamp-Massey for t <= 3.
 ``weight_enumerator_encode`` is the codeword enumerator that the span and
 MacWilliams enumerator replaced, and ``frame_stack_per_frame`` is the
 per-frame generator loop that the stacked noise draw replaced, with the
-package's encoders.  ``generator_poly_minimal`` and ``parity_matrix`` are the
+package's encoders.  ``syndrome_table_by_patterns`` is the syndrome table
+built by enumerating every error pattern of weight <= t, before each code's
+table was filled by running its one error locator over every syndrome word;
+it keys the patterns by syndrome words packed from ``syndrome_powers``.
+``generator_poly_minimal`` and ``parity_matrix`` are the
 minimal-polynomial product and the per-element parity loop that the
 generator built from the cyclotomic cosets and the packed parity build
 replaced, and read the field's log tables.  ``syndromes_oneshot`` is the
@@ -273,6 +277,28 @@ def unpack_syndromes(code, words) -> np.ndarray:
     """Syndrome words (...,) as their odd syndromes (..., t) int32."""
     m = code.field.m
     return (np.asarray(words)[..., None] >> m * np.arange(code.t) & (1 << m) - 1).astype(np.int32)
+
+
+def syndrome_table_by_patterns(code) -> tuple[np.ndarray, np.ndarray]:
+    """The (``_table``, ``_table_ok``) that ``BchCode._build_syndrome_table``
+    fills, built here from the error patterns of weight <= t.  Row ``key``
+    lists, in increasing order, the positions of the pattern whose syndrome
+    word is ``key``, -1 padding; ``ok[key]`` says whether one exists.  Two
+    patterns of weight <= t with one key would differ by a nonzero codeword
+    of weight <= 2t < d, so each key has at most one.  The key is linear in
+    the word: a pattern's key is the XOR of its positions' keys ``kpos``."""
+    n, t, m = code.n, code.t, code.field.m
+    kpos = np.append(pack_syndromes(code, syndrome_powers(code)[::2].T), 0)  # position n: none
+    # every pattern is one t-tuple over 0..n, rising to its last position
+    # and then padded with n; there are (n+1)^t <= 2^(m*t) tuples in all
+    pats = np.indices((n + 1,) * t).reshape(t, -1).T
+    pats = pats[((pats[:, :-1] < pats[:, 1:]) | (pats[:, 1:] == n)).all(axis=1)]
+    keys = np.bitwise_xor.reduce(kpos[pats], axis=1)
+    table = np.full((1 << m * t, t), -1, dtype=np.min_scalar_type(-n))
+    table[keys] = np.where(pats < n, pats, -1)
+    ok = np.zeros(1 << m * t, dtype=bool)
+    ok[keys] = True
+    return table, ok
 
 
 def syndromes_oneshot(code, words) -> np.ndarray:

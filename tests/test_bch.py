@@ -3,6 +3,8 @@ bounded-distance decoder checked against a brute-force nearest-codeword
 oracle."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +86,24 @@ def test_bad_construction_raises():
     for m in (1, 17):
         with pytest.raises(FieldConstructionError):
             GaloisField(m)
+
+
+def test_construction_takes_integers():
+    """m, t and shorten may be numpy integers, and a bool or a non-integer
+    is refused naming its parameter, never read as a number."""
+    code = build_bch(np.int64(4), np.uint8(2), shorten=np.int32(1))
+    assert (code.n, code.k, code.t, code.field.m) == (14, 6, 2, 4)
+    assert all(type(v) is int for v in (code.n, code.k, code.t, code.field.m, code.shorten))
+    for m, t, shorten, error, name in [
+        (4, 1, True, CodeConstructionError, "shorten"),
+        (4, 2.0, 0, CodeConstructionError, "t"),
+        (4, True, 0, CodeConstructionError, "t"),
+        (4.0, 1, 0, FieldConstructionError, "m"),
+        (np.True_, 1, 0, FieldConstructionError, "m"),
+        ("4", 1, 0, FieldConstructionError, "m"),
+    ]:
+        with pytest.raises(error, match=f"{name} must be an integer"):
+            build_bch(m, t, shorten=shorten)
 
 
 def test_syndrome_word_must_fit_int64():
@@ -240,18 +260,21 @@ def test_bdd_kernel_matches_row_oracle(m, t, shorten):
 
 # KERNEL_CODES, two shortened t = 3 codes whose parent field holds far more
 # roots than positions, (223,193) from length 1023 and (300,252) from 65535,
-# (1023,1003), a t = 2 code too long for a syndrome table, and two shortened
-# t = 2 codes, (523,503) from length 1023 and (535,503) from 65535
+# (1023,1003), a t = 2 code too long for a syndrome table, two shortened
+# t = 2 codes, (523,503) from length 1023 and (535,503) from 65535, and
+# three more Berlekamp-Massey codes, (62,38,4), (127,92,5) and the shortened
+# (245,197,6)
 LOCATOR_CODES = [*KERNEL_CODES, (10, 3, 800), (16, 3, 65235), (10, 2, 0), (10, 2, 500),
-                 (16, 2, 65000)]
+                 (16, 2, 65000), (6, 4, 1), (7, 5, 0), (8, 6, 10)]
 
 
 @pytest.mark.parametrize("m,t,shorten", LOCATOR_CODES)
 def test_locate_errors_matches_chien_oracle(m, t, shorten):
-    """The syndrome table (m*t <= 18) or the table roots (t <= 3) give the
-    flipped bits and verdicts of Berlekamp-Massey with a Chien search on
-    every dirty row, each bit listed once: random rows up to p = 1/2, and
-    codewords with 1..t+2 errors."""
+    """The syndrome table (m*t <= 18), the table roots (t <= 3) or the
+    package's Berlekamp-Massey (t >= 4) give the flipped bits and verdicts
+    of the Berlekamp-Massey and Chien search oracle on every dirty row, each
+    bit listed once: random rows up to p = 1/2, and codewords with 1..t+2
+    errors."""
     code = build_bch(m, t, shorten=shorten)
     rng = np.random.default_rng([m, t, shorten, 1])
     noisy = [(rng.random((500, code.n)) < p).astype(np.uint8) for p in (0.005, 0.02, 0.1, 0.5)]
@@ -312,18 +335,49 @@ CLOSED_FORM_TABLE_CODES = [(4, 3, 0), (5, 3, 0), (6, 3, 0), (6, 3, 1), (4, 2, 0)
                            (6, 2, 0), (5, 2, 1)]
 
 
-@pytest.mark.parametrize("m,t,shorten", CLOSED_FORM_TABLE_CODES)
+# with the t = 1 codes (15,11), (12,8) and (155,147), and the t = 4 (15,1)
+@pytest.mark.parametrize(
+    "m,t,shorten", [*CLOSED_FORM_TABLE_CODES, (4, 1, 0), (4, 1, 3), (8, 1, 100), (4, 4, 0)]
+)
 def test_closed_form_matches_syndrome_table(m, t, shorten):
-    """Over every syndrome word of a table-decoded code, those no word has
-    included, the closed-form locator flips the bits and gives the verdicts
-    of the syndrome table, each bit once."""
+    """Over every syndrome word, those no word has included, the code's
+    syndrome table and its solver (the closed form for t <= 3, else
+    Berlekamp-Massey) equal the table that enumerates the error patterns of
+    weight <= t, each bit once."""
     code = build_bch(m, t, shorten=shorten)
-    assert code._table is not None
-    synd = np.arange(1 << m * t)
-    row, pos, ok = bch._locate_closed_form(code, synd)
-    want_row, want_pos, want_ok = bch._locate_errors(code, synd)
-    np.testing.assert_array_equal(ok, want_ok)
-    np.testing.assert_array_equal(np.sort(row * code.n + pos), want_row * code.n + want_pos)
+    table, table_ok = oracles.syndrome_table_by_patterns(code)
+    assert code._table.dtype == table.dtype
+    np.testing.assert_array_equal(code._table, table)
+    np.testing.assert_array_equal(code._table_ok, table_ok)
+    solve = bch._locate_closed_form if t <= 3 else bch._berlekamp_massey
+    row, pos, ok = solve(code, np.arange(1 << m * t))
+    want_row, k = np.nonzero(table >= 0)
+    want = want_row * code.n + table[want_row, k]
+    np.testing.assert_array_equal(ok, table_ok)
+    np.testing.assert_array_equal(np.sort(row * code.n + pos), want)
+
+
+@pytest.mark.parametrize("m,t", [(16, 1), (9, 2), (6, 3)])
+def test_small_t_table_never_enters_berlekamp_massey(m, t, monkeypatch):
+    """The largest t <= 3 syndrome tables, (65535,65519,1), (511,493,2) and
+    (63,45,3), fill in closed form: with Berlekamp-Massey refused each builds
+    in under 0.5 s, and never holds 32 MB (a Chien search over the 65535
+    positions of one 2^14-word chunk would take 8.6 GB)."""
+    def refuse(code, synd):
+        raise AssertionError("Berlekamp-Massey reached")
+
+    monkeypatch.setattr(bch, "_berlekamp_massey", refuse)
+    t0 = time.perf_counter()
+    assert build_bch(m, t)._table is not None
+    wall = time.perf_counter() - t0
+    tracemalloc.start()  # traced apart: tracing slows the encoder's int loop
+    try:
+        build_bch(m, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wall < 0.5, wall
+    assert peak < 32 << 20, peak
 
 
 @pytest.mark.long
