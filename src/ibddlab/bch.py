@@ -341,7 +341,7 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     if code._table is not None:
         found = code._table[synd]
         row, k = np.nonzero(found >= 0)
-        return row, found[row, k].astype(np.intp), code._table_ok[synd]
+        return row, found[row, k], code._table_ok[synd]
     return (_locate_closed_form if code.t <= 3 else _berlekamp_massey)(code, synd)
 
 

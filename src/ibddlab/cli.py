@@ -20,6 +20,7 @@ failed E_b/N_0 and the error go to stderr on one line).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -41,7 +42,6 @@ from .sim import (
     ComponentSpec,
     SimConfig,
     interpolate_ebn0_at_ber,
-    paired_gain_estimate,
     results_json,
     run_curve,
 )
@@ -289,20 +289,14 @@ def _cmd_plotdata(args, argv) -> int:
         lines.append("")
         lines.append("")  # gnuplot index separator
     if args.target_ber is not None:
-        for mode, pts in by_mode.items():
-            e = interpolate_ebn0_at_ber(pts, args.target_ber)
+        cross = {mode: interpolate_ebn0_at_ber(pts, args.target_ber)
+                 for mode, pts in by_mode.items()}
+        for mode, e in cross.items():
             e_txt = f"{e:.4f}" if e is not None else "nan"
             lines.append(f"# ebn0_at_ber[{mode}]@{args.target_ber:g} = {e_txt} dB")
-        for ref in by_mode:
-            for other in by_mode:
-                if other == ref:
-                    continue
-                g = paired_gain_estimate(by_mode[ref], by_mode[other],
-                                         args.target_ber)
-                g_txt = f"{g:.4f}" if g is not None else "nan"
-                lines.append(
-                    f"# gain_db[{other} over {ref}]@{args.target_ber:g} = {g_txt}"
-                )
+        for a, b in itertools.permutations(cross, 2):  # the gain of b over a
+            g_txt = "nan" if None in (cross[a], cross[b]) else f"{cross[a] - cross[b]:.4f}"
+            lines.append(f"# gain_db[{b} over {a}]@{args.target_ber:g} = {g_txt}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

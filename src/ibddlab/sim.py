@@ -31,6 +31,7 @@ is the result record that ``ibddlab plotdata`` reads back.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bch import BchCode, build_bch
+from .bch import BchCode, _integer, build_bch
 from .channel import harden, make_params, noise_to_llr
 from .de import ComponentProfile, auto_profile, run_gldpc, sc_schedule_run
 from .product import (
@@ -66,12 +67,23 @@ _Z95 = 1.959963984540054
 DECODE_CALL_BITS = 1 << 18
 
 
-def _check_ints(config) -> None:
-    """Refuse a bool or a non-integer in any ``int`` field of a config dataclass."""
+def _real(value, name: str) -> float:
+    """``value`` as a float, numpy reals too; ValueError naming ``name`` for a
+    bool or a non-real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_numbers(config) -> None:
+    """Store each ``int`` field of a config dataclass as an int (``bch._integer``)
+    and each ``float`` field but a None as a float (``_real``)."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{f.name} must be an int, got {value!r}")
+        if f.type == "int":
+            object.__setattr__(config, f.name, _integer(value, f.name, ValueError))
+        elif f.type.startswith("float") and value is not None:
+            object.__setattr__(config, f.name, _real(value, f.name))
 
 
 @dataclass(frozen=True)
@@ -83,7 +95,7 @@ class ComponentSpec:
     shorten: int = 0
 
     def __post_init__(self):
-        _check_ints(self)
+        _check_numbers(self)
 
     @cache
     def build(self) -> BchCode:
@@ -118,14 +130,14 @@ class SimConfig:
     ber_floor: float = 1e-7
 
     def __post_init__(self):
-        object.__setattr__(self, "ebn0_grid", tuple(float(e) for e in self.ebn0_grid))
+        object.__setattr__(self, "ebn0_grid", tuple(_real(e, "ebn0_grid") for e in self.ebn0_grid))
         object.__setattr__(self, "modes", tuple(self.modes))
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.modes or any(m not in MODES for m in self.modes) or (
                 len(set(self.modes)) < len(self.modes)):  # a repeat counts each frame twice
             raise ValueError(f"modes must be distinct modes from {MODES}, got {self.modes}")
-        _check_ints(self)
+        _check_numbers(self)
         if not all(math.isfinite(e) for e in self.ebn0_grid):
             raise ValueError(f"ebn0_grid must be finite, got {self.ebn0_grid}")
         if list(self.ebn0_grid) != sorted(self.ebn0_grid):
@@ -326,7 +338,7 @@ class _Scheme(NamedTuple):
     counted: slice
     frame: Callable  # rng -> one random-information frame's transmitted units (units, h, w)
     schedule: Callable  # ebn0_db -> ibdd_sr weights; raises ScheduleUnavailable
-    decoders: Callable  # weights or None -> {mode: (llr, tx) -> decoded}, each (frames, units, h, w)
+    decode: Callable  # (mode, weights or None, llr, tx) -> decoded, each (frames, units, h, w)
 
 
 def _product(cfg: SimConfig) -> _Scheme:
@@ -343,18 +355,15 @@ def _product(cfg: SimConfig) -> _Scheme:
                                    iterations=cfg.sr_iters, stop_early=False))
         return ScalingSchedule(res.w_row, res.w_col)
 
-    def decoders(weights):  # one call decodes the whole stack of frames
-        out = {
-            "ibdd": lambda llr, tx: ibdd_decode(code, harden(llr[:, 0]), total)[:, None],
-            "ideal": lambda llr, tx: ideal_ibdd_decode(
-                code, harden(llr[:, 0]), tx[:, 0], total)[:, None],
-        }
-        if weights is not None:
-            out["ibdd_sr"] = lambda llr, tx: ibdd_sr_decode(
-                code, llr[:, 0], weights, cfg.sr_iters, cfg.plain_iters)[:, None]
-        return out
+    def decode(mode, weights, llr, tx):  # one call decodes the whole stack of frames
+        if mode == "ibdd_sr":
+            return ibdd_sr_decode(code, llr[:, 0], weights, cfg.sr_iters, cfg.plain_iters)[:, None]
+        hard = harden(llr[:, 0])
+        if mode == "ibdd":
+            return ibdd_decode(code, hard, total)[:, None]
+        return ideal_ibdd_decode(code, hard, tx[:, 0], total)[:, None]
 
-    return _Scheme(code, (code.n, code.n), 1, slice(0, 1), frame, schedule, decoders)
+    return _Scheme(code, (code.n, code.n), 1, slice(0, 1), frame, schedule, decode)
 
 
 def _staircase(cfg: SimConfig) -> _Scheme:
@@ -376,22 +385,16 @@ def _staircase(cfg: SimConfig) -> _Scheme:
         if cfg.fixed_weight is None:
             return schedule_for_window(auto_profile(code.component), ebn0_db, code.rate,
                                        cfg.window_blocks, cfg.sr_iters)
-        steady = np.full((cfg.window_blocks, cfg.sr_iters), float(cfg.fixed_weight))
+        steady = np.full((cfg.window_blocks, cfg.sr_iters), cfg.fixed_weight)
         return WindowSchedule(early=(), steady=steady, steady_slide=1,
                               ebn0_db=ebn0_db, rate=code.rate)
 
-    def decoders(weights):
-        configs = {"ibdd": plain, "ideal": plain}
-        if weights is not None:
-            configs["ibdd_sr"] = WindowConfig(cfg.window_blocks, cfg.sr_iters,
-                                              cfg.plain_iters, weights)
-        return {  # one call decodes the whole stack of streams
-            mode: lambda llr, tx, mode=mode, wc=wc: window_decode(code, llr, wc, mode, tx)
-            for mode, wc in configs.items()
-        }
+    def decode(mode, weights, llr, tx):  # one call decodes the whole stack of streams
+        wc = plain if weights is None else replace(plain, schedule=weights)
+        return window_decode(code, llr, wc, mode, tx)
 
     counted = slice(skirt, cfg.blocks_per_stream - skirt)
-    return _Scheme(code, (half, half), cfg.blocks_per_stream, counted, frame, schedule, decoders)
+    return _Scheme(code, (half, half), cfg.blocks_per_stream, counted, frame, schedule, decode)
 
 
 _SCHEMES = {"pc": _product, "staircase": _staircase}
@@ -475,14 +478,13 @@ class _Engine:
         self.bits_per_unit = math.prod(scheme.unit_shape)
         self.frames_per_call = max(1, DECODE_CALL_BITS // math.prod(self.shape))
         self.units_per_frame = scheme.counted.stop - scheme.counted.start
-        self.skip_reason = weights = None
+        self.decode, self.skip_reason, self.weights = scheme.decode, None, None
         if "ibdd_sr" in modes:
             try:
-                weights = scheme.schedule(ebn0_db)
+                self.weights = scheme.schedule(ebn0_db)
             except ScheduleUnavailable as exc:
                 self.skip_reason = str(exc)
-        decoders = scheme.decoders(weights)
-        self.decoders = {m: decoders[m] for m in modes if m in decoders}
+        self.modes = tuple(m for m in modes if m != "ibdd_sr" or self.weights is not None)
         self.rng = np.random.Generator(np.random.PCG64(0))  # takes each frame's state in turn
 
     def draw(self, indices) -> tuple:
@@ -503,8 +505,8 @@ class _Engine:
         as {mode: (frames, counted units)}; each mode decodes them in one call."""
         tx, llr = self.draw(indices)
         c = self.counted
-        return {mode: (decode(llr, tx)[:, c] != tx[:, c]).sum(axis=(2, 3))
-                for mode, decode in self.decoders.items()}
+        return {mode: (self.decode(mode, self.weights, llr, tx)[:, c] != tx[:, c]).sum(axis=(2, 3))
+                for mode in self.modes}
 
 
 def _build_engine(cfg: SimConfig, ebn0_db: float, modes: tuple) -> _Engine:
@@ -551,16 +553,14 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
     t0 = time.perf_counter()
     engine = _build_engine(cfg, ebn0_db, modes)
     result: dict = {}
-    active = list(modes)
+    active = engine.modes
     if engine.skip_reason is not None:
         warnings.warn(f"ibdd_sr skipped at {ebn0_db} dB: {engine.skip_reason}")
         result["ibdd_sr"] = SkippedPoint(cfg.scheme, cfg.component.label, "ibdd_sr",
                                          ebn0_db, cfg.seed, engine.skip_reason)
-        active = [m for m in modes if m != "ibdd_sr"]
 
     counts = {m: [] for m in active}
     events = {m: 0 for m in active}
-    units_done = 0
     next_index = 0
     plan = _batch_plan(engine.units_per_frame)
     executor = None
@@ -574,7 +574,7 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
         while active:
             # the stop check, then plan batches join this one while it provably
             # cannot fire between them: a gathered unit adds at most one event
-            n_frames = gathered = 0
+            units_done, n_frames, gathered = next_index * engine.units_per_frame, 0, 0
             while units_done + gathered < cfg.max_frames and any(
                 events[m] + gathered < cfg.min_error_events for m in active
             ):
@@ -592,7 +592,6 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
                 for m in active:
                     counts[m].append(fr[m].ravel())
                     events[m] += int(np.count_nonzero(fr[m]))
-            units_done += gathered
     finally:
         if executor is not None:
             executor.shutdown()
@@ -675,19 +674,6 @@ def interpolate_ebn0_at_ber(points, target_ber: float) -> float | None:
                 return a.ebn0_db
             return a.ebn0_db + (b.ebn0_db - a.ebn0_db) * (lt - la) / (lb - la)
     return None
-
-
-def paired_gain_estimate(points_a, points_b, target_ber: float) -> float | None:
-    """SNR advantage (dB) of curve b over curve a at the target BER.
-
-    Positive when curve b reaches the target at lower E_b/N_0.  None when
-    either curve fails to bracket the target.
-    """
-    ea = interpolate_ebn0_at_ber(points_a, target_ber)
-    eb = interpolate_ebn0_at_ber(points_b, target_ber)
-    if ea is None or eb is None:
-        return None
-    return ea - eb
 
 
 # ---------------------------------------------------------------------------

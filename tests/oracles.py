@@ -924,8 +924,8 @@ def run_point_stepwise(cfg, ebn0_db: float, modes=None) -> dict:
     whatever ``cfg.workers``.  Modes whose weights are unavailable are
     left out."""
     engine = _build_engine(cfg, ebn0_db, tuple(modes or cfg.modes))
-    counts = {m: [] for m in engine.decoders}
-    events = dict.fromkeys(engine.decoders, 0)
+    counts = {m: [] for m in engine.modes}
+    events = dict.fromkeys(engine.modes, 0)
     units_done = next_index = 0
     plan = _batch_plan(engine.units_per_frame)
     while counts:

@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from dataclasses import MISSING, fields
 
 import pytest
 
+import ibddlab
 from ibddlab import __version__
 from ibddlab.cli import _build_parser, _sim_config, main
 from ibddlab.sim import BerPoint, ComponentSpec, SimConfig, SkippedPoint, results_json
@@ -273,12 +275,15 @@ def test_bad_config_file_exits_one(config, message, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config,message",
-    [({"component": {"m": 4.7, "t": 1}}, "m must be an int, got 4.7"),
-     ({"component": {"m": 4, "t": 1}, "max_frames": 100.5}, "max_frames must be an int")],
-    ids=["m-float", "max-frames-float"],
+    [({"component": {"m": 4.7, "t": 1}}, "m must be an integer, got 4.7"),
+     ({"component": {"m": 4, "t": 1}, "max_frames": 100.5}, "max_frames must be an int"),
+     ({"component": {"m": 4, "t": 1}, "fixed_weight": "2.0"},
+      "fixed_weight must be a real number, got '2.0'")],
+    ids=["m-float", "max-frames-float", "weight-string"],
 )
 def test_config_file_non_integer_counts_exit_one(config, message, tmp_path, capsys):
-    """A config file's non-integer count is refused by name, not truncated."""
+    """A config file's non-integer count, or a weight that is no number, is
+    refused by name, not truncated or stored as given."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"scheme": "pc", "ebn0_grid": [4.0], **config}))
     assert main(["sim", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 1
@@ -410,9 +415,11 @@ def _write_results(path, rows):
 
 
 def test_plotdata_gains_and_crossings(tmp_path, capsys):
+    """Each gain is the difference of two printed crossings; where a curve
+    does not bracket the target, its crossing and every gain it enters are nan."""
     src = tmp_path / "in.json"
     _write_results(src, [
-        _mk_point("ibdd", 4.0, 1e-2), _mk_point("ibdd", 5.0, 1e-4),
+        _mk_point("ibdd", 4.0, 1e-2), _mk_point("ibdd", 5.0, 1e-4), _mk_point("ibdd", 5.5, 1e-6),
         _mk_point("ibdd_sr", 3.8, 1e-2), _mk_point("ibdd_sr", 4.8, 1e-4),
     ])
     out = tmp_path / "plot.dat"
@@ -428,6 +435,12 @@ def test_plotdata_gains_and_crossings(tmp_path, capsys):
     assert "# gain_db[ibdd over ibdd_sr]@0.001 = -0.2000" in text
     # two blank lines between mode blocks keep gnuplot indices intact
     assert "\n\n\n" in text
+    assert main(["plotdata", "--in", str(src), "--target-ber", "1e-5"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "# ebn0_at_ber[ibdd]@1e-05 = 5.2500 dB\n"
+        "# ebn0_at_ber[ibdd_sr]@1e-05 = nan dB\n"
+        "# gain_db[ibdd_sr over ibdd]@1e-05 = nan\n"
+        "# gain_db[ibdd over ibdd_sr]@1e-05 = nan\n")
 
 
 def test_plotdata_skips_nan_rows(tmp_path, capsys):
@@ -502,9 +515,11 @@ def test_sim_results_round_trip_through_plotdata(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child imports the package the tests import, installed or not
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ibddlab.__file__))}
     proc = subprocess.run(
         [sys.executable, "-m", "ibddlab.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     # the module guard duplicates the console entry point
     assert proc.returncode == 0

@@ -19,7 +19,6 @@ from ibddlab.sim import (
     SkippedPoint,
     bootstrap_ber_ci,
     interpolate_ebn0_at_ber,
-    paired_gain_estimate,
     paired_gap_bootstrap,
     point_dict,
     results_json,
@@ -102,6 +101,24 @@ def test_config_rejects_non_integer_counts(field, value):
 def test_component_spec_rejects_non_integer(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must be an int"):
         ComponentSpec(**kwargs)
+
+
+def test_config_numbers_by_one_rule():
+    """Numpy integers fill the int fields, as ``build_bch`` takes them, and are
+    stored as int; a float field takes any real but a bool, stored as a float,
+    and refuses the rest by name."""
+    spec = ComponentSpec(np.int64(4), np.uint8(1))
+    assert spec == TOY and type(spec.m) is type(spec.t) is int
+    cfg = toy_cfg(component=spec, seed=np.uint64(5), max_frames=np.int64(100),
+                  fixed_weight=np.int64(2), ebn0_grid=(np.float32(4.5),), ber_floor=0)
+    assert (cfg.seed, cfg.max_frames, cfg.fixed_weight, cfg.ebn0_grid) == (5, 100, 2.0, (4.5,))
+    assert type(cfg.seed) is type(cfg.max_frames) is int
+    assert type(cfg.fixed_weight) is type(cfg.ber_floor) is type(cfg.ebn0_grid[0]) is float
+    for field, value in [("fixed_weight", True), ("fixed_weight", "2.0"), ("ber_floor", False),
+                         ("ber_floor", np.bool_(False)), ("ebn0_grid", (True, 4.0)),
+                         ("ebn0_grid", ("4",)), ("fixed_weight", 1j)]:
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            toy_cfg(**{field: value})
 
 
 @pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
@@ -187,15 +204,21 @@ def test_profile_built_once_per_spec(monkeypatch):
     assert built == [(255, 3)]
 
 
-def test_product_skips_ibdd_sr_where_recursion_does_not_improve():
-    """Far below threshold the uncoupled recursion does not improve on the
-    channel: ibdd_sr is reported as skipped, naming the point, while the
-    other modes still decode it."""
-    with pytest.warns(UserWarning, match="skipped at -2.0 dB"):
-        pts = run_point(toy_cfg(ebn0_grid=(-2.0,), max_frames=40), -2.0)
+@pytest.mark.parametrize("scheme,spec,ebn0,units",
+                         [("pc", TOY, -2.0, 40), ("staircase", ComponentSpec(5, 2, 1), -10.0, 42)],
+                         ids=["pc", "staircase"])
+def test_product_skips_ibdd_sr_where_recursion_does_not_improve(scheme, spec, ebn0, units):
+    """Far below threshold the recursion does not improve on the channel:
+    ibdd_sr is reported as skipped, naming the point, while the other modes
+    still decode it, with no weights (three 14-block staircase streams)."""
+    cfg = toy_cfg(scheme=scheme, component=spec, ebn0_grid=(ebn0,), max_frames=40,
+                  window_blocks=4)
+    with pytest.warns(UserWarning, match=f"skipped at {ebn0} dB"):
+        pts = run_point(cfg, ebn0)
     assert isinstance(pts["ibdd_sr"], SkippedPoint)
-    assert "not improving at -2.0 dB" in pts["ibdd_sr"].reason
-    assert all(isinstance(pts[m], BerPoint) and pts[m].frames == 40 for m in ("ibdd", "ideal"))
+    assert f"not improving at {ebn0} dB" in pts["ibdd_sr"].reason
+    assert all(isinstance(pts[m], BerPoint) and pts[m].frames == units
+               for m in ("ibdd", "ideal"))
 
 
 @pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
@@ -229,7 +252,7 @@ def test_build_engine_sets_up_without_decoding(monkeypatch, scheme, spec):
     cfg = SimConfig(scheme=scheme, component=spec, ebn0_grid=(4.0,), window_blocks=4)
     engine = sim._build_engine(cfg, 4.0, sim.MODES)
     assert engine.skip_reason is None
-    assert tuple(engine.decoders) == sim.MODES
+    assert engine.modes == sim.MODES
     monkeypatch.undo()
     counts = engine.run_frames(range(2))
     assert all(counts[m].shape == (2, engine.units_per_frame) for m in sim.MODES)
@@ -506,14 +529,6 @@ def test_interpolate_log_linear_hand_case():
     assert interpolate_ebn0_at_ber(pts[:1], 1e-2) is None
 
 
-def test_paired_gain_estimate_shift():
-    a = [_mk_point("ibdd", e, b) for e, b in [(4.0, 1e-2), (5.0, 1e-4)]]
-    b = [_mk_point("ibdd_sr", e - 0.2, b) for e, b in [(4.0, 1e-2), (5.0, 1e-4)]]
-    gain = paired_gain_estimate(a, b, 1e-3)
-    assert gain == pytest.approx(0.2, abs=1e-12)
-    assert paired_gain_estimate(a, b, 1e-6) is None
-
-
 # ---------------------------------------------------------------------------
 # run_point stopping and reproducibility
 
@@ -624,8 +639,8 @@ def test_real_gain_on_toy_product_code():
     for _, pts in run_curve(cfg):
         for m, pt in pts.items():
             curves[m].append(pt)
-    gain = paired_gain_estimate(curves["ibdd"], curves["ibdd_sr"], 1e-4)
-    assert gain is not None and 0.15 <= gain <= 0.7
+    cross = {m: interpolate_ebn0_at_ber(pts, 1e-4) for m, pts in curves.items()}
+    assert None not in cross.values() and 0.15 <= cross["ibdd"] - cross["ibdd_sr"] <= 0.7
 
 
 # ---------------------------------------------------------------------------
