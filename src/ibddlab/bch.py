@@ -20,9 +20,9 @@ the decoder returns the unique codeword within Hamming distance t of the
 input when one exists (which may be a miscorrection), and reports a
 failure otherwise.  The kernel ``_locate_errors`` takes the syndrome words
 of many rows and returns only the (row, position) pairs of the bits to
-flip, so its cost follows the dirty rows and their errors, never the row
-length, as does the genie ``ideal_decode_matrix``; ``bdd_decode_matrix``
-builds dense words from them.
+flip, none for a zero word, so its cost follows the rows and their errors;
+``bdd_decode_matrix`` builds dense words from them, and the genie
+``ideal_decode_matrix`` finds such pairs by comparing whole rows.
 """
 
 import math
@@ -437,34 +437,25 @@ def bdd_decode_matrix(
     Returns (ternary, decoded, ok): ``ternary`` holds the {+1, 0, -1} decoder
     messages (all-zero rows mark failures), ``decoded`` the updated words
     (failed rows are passed through unchanged), ``ok`` the per-row success
-    flags.  Only rows with a nonzero syndrome reach the error locator.
-    ``words`` must hold only 0 and 1 (else ValueError).
+    flags, from one locator call on all rows.  ``words`` must hold only 0 and 1 (else ValueError).
     """
     words = np.ascontiguousarray(_binary(words, "words"), dtype=np.uint8)
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ValueError(f"expected shape (rows, {code.n})")
-    synd = code.syndromes(words)
-    dirty = np.flatnonzero(synd)
+    row, pos, ok = _locate_errors(code, code.syndromes(words))
     decoded = words.copy()
-    ok = np.ones(len(words), dtype=bool)
-    if len(dirty):
-        row, pos, ok[dirty] = _locate_errors(code, synd[dirty])
-        decoded[dirty[row], pos] ^= 1
+    decoded[row, pos] ^= 1
     ternary = np.where(ok[:, None], 1 - 2 * decoded.astype(np.int8), 0).astype(np.int8)
     return ternary, decoded, ok
 
 
-def ideal_decode_matrix(
-    code: BchCode, words: np.ndarray, transmitted: np.ndarray, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise genie decode of the rows of ``words`` (..., n) that the mask
-    ``rows`` selects (all when None), numbered through the stack, as the flips
-    (row, position, ok) of ``_locate_errors``: a row within distance t of its
-    transmitted row returns to it, others fail, and unselected rows are ok."""
+def ideal_decode_matrix(code: BchCode, words: np.ndarray,
+                        transmitted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise genie decode of the rows of ``words`` (..., n), numbered through
+    the stack, as the flips (row, position, ok) of ``_locate_errors``: a row within
+    distance t of its transmitted row returns to it, others fail.  A codeword stays
+    (it is its transmitted row or 2t+1 from it); the package never reads ``ok``."""
     row, pos = np.divmod(np.flatnonzero(np.asarray(words, dtype=np.uint8) != transmitted), code.n)
-    if rows is not None:
-        keep = rows[row]
-        row, pos = row[keep], pos[keep]
     ok = np.bincount(row, minlength=np.size(words) // code.n) <= code.t
     keep = ok[row]
     return row[keep], pos[keep], ok

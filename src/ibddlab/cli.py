@@ -1,12 +1,12 @@
 """Command-line surface: DE analysis, schedule export, Monte-Carlo curves,
 and plot-ready data emission.
 
-Every run writes a manifest JSON (command line, full configuration, seed,
-timestamps, output paths) and each output file points back at it, so any
-result can be regenerated from the manifest alone.  ``de-threshold --out``
-and ``de-schedule --out`` write the fields of the DE result dataclass
-(``GldpcDeResult`` or ``ScDeResult``); ``sim`` writes the results JSON
-``<out>.json``, which ``plotdata`` reads back.
+``sim`` writes a manifest JSON (command line, configuration, seed, timestamps,
+output paths), and so do ``de-threshold`` and ``de-schedule`` given ``--out``;
+each output file points back at it, so the result can be regenerated from it.
+``plotdata`` writes no manifest.  The DE commands' ``--out`` holds the fields of
+the DE result dataclass (``GldpcDeResult`` or ``ScDeResult``); ``sim`` writes
+the results JSON ``<out>.json``, which ``plotdata`` reads back.
 
 Each ``sim`` flag's dest is the ``SimConfig`` field it sets, ``--config`` holds
 the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1).

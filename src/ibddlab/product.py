@@ -115,12 +115,13 @@ class ScalingSchedule:
         object.__setattr__(self, "w_row", np.asarray(self.w_row, dtype=float))
         object.__setattr__(self, "w_col", np.asarray(self.w_col, dtype=float))
         check_weights(self.w_row, self.w_col)
-        if self.w_row.ndim != 1 or self.w_col.ndim != 1:
-            raise ValueError("w_row and w_col must be 1-D: one weight per iteration")
+        if self.w_row.ndim != 1 or self.w_col.shape != self.w_row.shape:
+            raise ValueError("w_row and w_col must be 1-D and of one length: "
+                             "one weight per iteration")
 
     @property
     def iterations(self) -> int:
-        return min(len(self.w_row), len(self.w_col))
+        return len(self.w_row)
 
     @classmethod
     def constant(cls, w: float, iterations: int) -> "ScalingSchedule":
@@ -135,9 +136,9 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
     The genie's verdict when ``genie`` (shaped like ``words``) is given, else
     the BDD verdict weighed against ``llr`` as ``combine_decision`` does when
     ``llr`` and its hard decision ``hard`` are given, else the BDD word.
-    Only lines with a nonzero syndrome reach BDD or the genie: a clean line
-    is its own BDD word, and the genie never moves a codeword, since its
-    transmitted lines are codewords too.
+    Only lines with a nonzero syndrome reach BDD, as a clean line is its own
+    BDD word; the genie reads every line and never moves a codeword, since
+    its transmitted lines are codewords too.
 
     Scaled reliability visits two sets of bits only, since elsewhere the BDD
     bit, the channel bit ``hard`` and the message agree: the bits B that BDD
@@ -152,13 +153,13 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
     every = len(act) == len(words)  # else the active items' blocks are gathered
     pick = (lambda a: a) if every else (lambda a: a[act])
     n, size = words.shape[-1], words[0].size
-    lines = pick(synd).reshape(-1)
     if genie is None:
+        lines = pick(synd).reshape(-1)
         dirty = np.flatnonzero(lines)
         row, pos, ok = _locate_errors(comp, lines[dirty])
         row = dirty[row]
     else:  # ideal_ibdd_decode weighs nothing against the channel
-        row, pos, _ = ideal_decode_matrix(comp, pick(words), pick(genie), lines != 0)
+        row, pos, _ = ideal_decode_matrix(comp, pick(words), pick(genie))
     flips = row * n + pos  # B, as flat indices into the (gathered) blocks
     if llr is not None:  # then D
         differ = np.flatnonzero(pick(words) != pick(hard))

@@ -76,14 +76,18 @@ def _real(value, name: str) -> float:
 
 
 def _check_numbers(config) -> None:
-    """Store each ``int`` field of a config dataclass as an int (``bch._integer``)
-    and each ``float`` field but a None as a float (``_real``)."""
+    """Store each ``int`` field of a config dataclass as an int (``bch._integer``),
+    each ``float`` field but a None as a float (``_real``) and each ``bool`` as a bool."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "int":
             object.__setattr__(config, f.name, _integer(value, f.name, ValueError))
         elif f.type.startswith("float") and value is not None:
             object.__setattr__(config, f.name, _real(value, f.name))
+        elif f.type == "bool":
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
+            object.__setattr__(config, f.name, bool(value))
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,9 @@ class SimConfig:
         _check_numbers(self)
         if not all(math.isfinite(e) for e in self.ebn0_grid):
             raise ValueError(f"ebn0_grid must be finite, got {self.ebn0_grid}")
-        if list(self.ebn0_grid) != sorted(self.ebn0_grid):
-            raise ValueError("ebn0_grid must be sorted ascending")
+        grid = self.ebn0_grid  # a repeated point would decode the same frames twice
+        if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"ebn0_grid must be nonempty and strictly ascending, got {grid}")
         if self.min_error_events < 50:
             raise ValueError("min_error_events below 50 gives junk intervals")
         if not 0 <= self.seed < 1 << 64:

@@ -495,6 +495,65 @@ def test_bdd_kernel_corrects_triple_errors(fixture, request):
     _decodes_to_sent(code, positions)
 
 
+# (m, t, shorten) of the three locator paths: syndrome table, closed form
+# beyond the table, Berlekamp-Massey
+ZERO_WORD_CODES = {"table": [(4, 1, 0), (5, 2, 1)], "closed-form": [(7, 3, 0), (8, 3, 0)],
+                   "berlekamp-massey": [(5, 5, 0), (6, 4, 0), (8, 6, 10)]}
+
+
+@pytest.mark.parametrize("path,m,t,shorten",
+                         [(p, *c) for p, codes in ZERO_WORD_CODES.items() for c in codes])
+def test_locate_errors_zero_words_are_ok_and_unflipped(path, m, t, shorten):
+    """A zero syndrome word gets ``ok`` and no flip on every locator path,
+    alone or among nonzero words, whose flips and verdicts are those they get
+    without the zero words."""
+    code = build_bch(m, t, shorten=shorten)
+    assert path == ("table" if code._table is not None
+                    else "closed-form" if t <= 3 else "berlekamp-massey")
+    row, pos, ok = bch._locate_errors(code, np.zeros(7, dtype=np.int64))
+    assert len(row) == len(pos) == 0
+    assert ok.shape == (7,) and ok.all()
+    rng = np.random.default_rng([m, t, shorten])
+    sent = code.encode(rng.integers(0, 2, (60, code.k), dtype=np.uint8))
+    for r, dist in enumerate([0, 1, t, t + 1, t + 2] * 12):
+        sent[r, rng.choice(code.n, dist, replace=False)] ^= 1
+    synd = code.syndromes(sent)
+    dirty = np.flatnonzero(synd)
+    assert 0 < len(dirty) < len(synd)
+    row, pos, ok = bch._locate_errors(code, synd)
+    want_row, want_pos, want_ok = bch._locate_errors(code, synd[dirty])
+    assert ok[synd == 0].all()
+    np.testing.assert_array_equal(ok[dirty], want_ok)
+    np.testing.assert_array_equal(row, dirty[want_row])
+    np.testing.assert_array_equal(pos, want_pos)
+
+
+@pytest.mark.parametrize("m,t,shorten", [(4, 1, 0), (5, 2, 1), (8, 3, 0), (6, 4, 0)])
+def test_bdd_decode_matrix_zero_rows_and_no_rows(m, t, shorten):
+    """All-zero rows decode to themselves with ``ok`` and all-+1 messages,
+    and a (0, n) array gives (0, n), (0, n) and (0,) results."""
+    code = build_bch(m, t, shorten=shorten)
+    ternary, decoded, ok = bdd_decode_matrix(code, np.zeros((5, code.n), dtype=np.uint8))
+    np.testing.assert_array_equal(ternary, np.ones((5, code.n), dtype=np.int8))
+    np.testing.assert_array_equal(decoded, np.zeros((5, code.n), dtype=np.uint8))
+    np.testing.assert_array_equal(ok, np.ones(5, dtype=bool))
+    ternary, decoded, ok = bdd_decode_matrix(code, np.zeros((0, code.n), dtype=np.uint8))
+    assert (ternary.shape, decoded.shape, ok.shape) == ((0, code.n), (0, code.n), (0,))
+    assert (ternary.dtype, decoded.dtype, ok.dtype) == (np.int8, np.uint8, bool)
+
+
+@pytest.mark.parametrize("shape", [(15,), (2, 14), (2, 16), (1, 2, 15)])
+def test_bdd_decode_matrix_refuses_shape(code_15_7, shape):
+    with pytest.raises(ValueError, match=r"expected shape \(rows, 15\)"):
+        bdd_decode_matrix(code_15_7, np.zeros(shape, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("length", [6, 8, 15])
+def test_encode_refuses_wrong_length(code_15_7, length):
+    with pytest.raises(ValueError, match=f"expected 7 information bits, got {length}"):
+        code_15_7.encode(np.zeros((2, length), dtype=np.uint8))
+
+
 def test_perfect_code_never_fails(code_15_11, rng):
     words = rng.integers(0, 2, size=(500, 15), dtype=np.uint8)
     _, _, ok = bdd_decode_matrix(code_15_11, words)
@@ -554,7 +613,7 @@ def test_syndromes_reject_non_binary(code_15_7, bad):
 def test_ideal_decoder_genie(code_15_7, rng):
     """The genie flips a row within t back to its transmitted row and leaves a
     row beyond t alone, never miscorrecting it; rows of a stack count through
-    it, and a row outside the ``rows`` mask is left alone and ok."""
+    it."""
     tx = code_15_7.encode(rng.integers(0, 2, size=(4, code_15_7.k), dtype=np.uint8))
     rx = tx.copy()
     rx[0, [1, 4]] ^= 1          # within t: restored
@@ -563,13 +622,10 @@ def test_ideal_decoder_genie(code_15_7, rng):
     np.testing.assert_array_equal(row, [0, 0])
     np.testing.assert_array_equal(pos, [1, 4])
     np.testing.assert_array_equal(ok, [True, False, True, True])
-    # a stack's rows are numbered through it; a row the mask leaves out keeps its bits
+    # a stack's rows are numbered through it
     stacked = ideal_decode_matrix(code_15_7, rx.reshape(2, 2, -1), tx.reshape(2, 2, -1))
     for a, b in zip(stacked, (row, pos, ok)):
         np.testing.assert_array_equal(a, b)
-    row, pos, ok = ideal_decode_matrix(code_15_7, rx, tx, np.array([False, True, True, True]))
-    assert len(row) == len(pos) == 0
-    np.testing.assert_array_equal(ok, [True, False, True, True])
 
 
 @pytest.mark.parametrize("fixture", ["code_15_7", "code_255_231"])

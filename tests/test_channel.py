@@ -26,6 +26,12 @@ def test_params_reject_non_finite_ebn0(ebn0_db):
         make_params(ebn0_db, 0.5)
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.5, 1.5, float("nan")])
+def test_params_reject_rate_outside_unit_interval(rate):
+    with pytest.raises(ValueError, match=r"rate must be in \(0, 1\]"):
+        make_params(3.0, rate)
+
+
 def test_p_ch_monotone_in_snr():
     rate = 0.7573  # (231/255)^2
     vals = [make_params(e, rate).p_ch for e in np.arange(0.0, 8.0, 0.5)]

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, manifests, precedence."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 
 import ibddlab
 from ibddlab import __version__
+from ibddlab.bch import build_bch
 from ibddlab.cli import _build_parser, _sim_config, main
+from ibddlab.de import auto_profile, run_gldpc
 from ibddlab.sim import BerPoint, ComponentSpec, SimConfig, SkippedPoint, results_json
 
 
@@ -112,6 +115,27 @@ def test_de_schedule_gldpc(tmp_path, capsys):
     manifest = json.loads((tmp_path / "sched.json.manifest.json").read_text())
     assert manifest["command"] == "de-schedule"
     assert manifest["config"]["iters"] == 10
+
+
+def test_de_schedule_rate_override(tmp_path, capsys):
+    """``--rate`` replaces the design rate: the file holds the recursion at
+    that rate, and a rate outside (0, 1] ends in one error line and exit 1."""
+    out = tmp_path / "sched.json"
+    argv = ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1",
+            "--ebn0-db", "3.5", "--iters", "6", "--out", str(out)]
+    assert main(argv + ["--rate", "0.5"]) == 0
+    want = run_gldpc(auto_profile(build_bch(4, 1)), 3.5, 0.5, iterations=6, stop_early=False)
+    doc = json.loads(out.read_text())
+    assert doc["rate"] == 0.5
+    for key, value in dataclasses.asdict(want).items():
+        assert doc[key] == (value.tolist() if hasattr(value, "tolist") else value), key
+    capsys.readouterr()
+    out.unlink()
+    (tmp_path / "sched.json.manifest.json").unlink()
+    assert main(argv + ["--rate", "0"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "rate must be in (0, 1]" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_de_schedule_sc(capsys):
@@ -290,6 +314,28 @@ def test_config_file_non_integer_counts_exit_one(config, message, tmp_path, caps
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and message in err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [({"component": {"m": 4, "t": 1}, "random_info": "false"},
+      "random_info must be a bool, got 'false'"),
+     ({"component": {"m": 4, "t": 1}, "ebn0_grid": []}, "ebn0_grid must be nonempty"),
+     ({"component": {"m": 4, "t": 1}, "ebn0_grid": [4.0, 4.0]}, "strictly ascending"),
+     ({"component": {"m": 4}}, "component --m and --t are required"),
+     ({"component": {"t": 1}}, "component --m and --t are required")],
+    ids=["random-info-string", "grid-empty", "grid-repeated", "no-t", "no-m"],
+)
+def test_config_file_bad_fields_exit_one(config, message, tmp_path, capsys):
+    """A config file whose ``random_info`` is no bool (the string "false" is
+    truthy), whose grid is empty or repeats a point, or whose component lacks
+    m or t ends in one error line naming it and exit 1, with no output file."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"scheme": "pc", "ebn0_grid": [4.0], **config}))
+    assert main(["sim", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def _sim_parser():

@@ -21,6 +21,7 @@ from ibddlab.product import (
     ideal_ibdd_decode,
     pc_encode,
 )
+from ibddlab.staircase import StaircaseCode, encode_stream
 
 # ---------------------------------------------------------------------------
 # combining rule
@@ -113,6 +114,12 @@ def test_pc_encode_order_invariance(pc_15_11, rng):
     np.testing.assert_array_equal(pc_encode(pc_15_11, info), rows_first)
 
 
+@pytest.mark.parametrize("shape", [(11, 10), (10, 11), (11,), (2, 11, 11)])
+def test_pc_encode_refuses_wrong_information_shape(pc_15_11, shape):
+    with pytest.raises(ValueError, match="expected 11x11 information array"):
+        pc_encode(pc_15_11, np.zeros(shape, dtype=np.uint8))
+
+
 def test_pc_parameters(pc_15_11):
     # n and k are the per-side component parameters; the rate is squared
     assert pc_15_11.n == 15
@@ -135,10 +142,12 @@ def test_schedule_validation():
 
 @pytest.mark.parametrize("w_row,w_col", [(2.0, [1.0]), ([1.0], 2.0),
                                          (np.ones((2, 3)), np.ones(3)),
-                                         (np.ones(3), np.ones((3, 1)))])
+                                         (np.ones(3), np.ones((3, 1))),
+                                         (np.ones(3), np.ones(5)), (np.ones(5), np.ones(3))])
 def test_scaling_schedule_rejects_non_vector_weights(w_row, w_col):
-    """One weight per iteration: 0-D or 2-D weights are refused when the
-    schedule is built, not by a broadcast error inside ``ibdd_sr_decode``."""
+    """One weight per iteration: 0-D or 2-D weights, and row and column
+    lists of unequal length, are refused when the schedule is built, not by
+    a broadcast error inside ``ibdd_sr_decode`` or by a cut to the shorter list."""
     with pytest.raises(ValueError, match="1-D"):
         ScalingSchedule(w_row, w_col)
 
@@ -338,6 +347,33 @@ def test_sr_flips_match_for_partial_and_full_items(pc_15_11):
     keep = np.isin(full // words[0].size, act)
     assert 0 < keep.sum() < len(keep)
     np.testing.assert_array_equal(part, full[keep])
+
+
+@pytest.mark.parametrize("scheme", ["product", "staircase"])
+def test_genie_leaves_clean_lines_alone(scheme, code_15_7, code_30_20):
+    """The genie reads every line of a block and moves only a line within t of
+    its transmitted line: a line equal to it, and a line that is another
+    codeword (2t+1 or more away), get no flip, in a product block and in a
+    staircase pair [B_1^T, B_2], whether every item is active or some are."""
+    rng = np.random.default_rng(4)
+    if scheme == "product":
+        comp = code_15_7
+        tx = np.stack([pc_encode(ProductCode(comp), rng.integers(0, 2, (comp.k, comp.k)))
+                       for _ in range(3)])
+    else:
+        comp, half = code_30_20, code_30_20.n // 2
+        tx = np.stack([np.hstack([b[1].T, b[2]]) for b in (
+            encode_stream(StaircaseCode(comp), rng.integers(0, 2, (2, half, comp.k - half)))
+            for _ in range(3))])
+    words = tx.copy()
+    words[1, 0] ^= comp.encode(np.eye(comp.k, dtype=np.uint8)[3])  # another codeword
+    words[1, 2, [4, 7]] ^= 1  # within t: restored
+    synd = comp.syndromes(words)
+    assert synd[1, 0] == 0 and synd[1, 2] != 0 and not synd[[0, 2]].any()
+    want = (1 * words.shape[1] + 2) * comp.n + np.array([4, 7])
+    for act in (np.arange(3), np.array([1, 2])):
+        np.testing.assert_array_equal(
+            np.sort(product.line_flips(comp, words, synd, act, genie=tx)), want)
 
 
 def test_observer_counts_follow_early_exit(pc_15_11):

@@ -121,6 +121,26 @@ def test_config_numbers_by_one_rule():
             toy_cfg(**{field: value})
 
 
+def test_config_random_info_takes_only_bools():
+    """``random_info`` takes a bool or a numpy bool, stored as a bool; a
+    string such as "false", which is truthy, a 0 or a None is refused by name."""
+    assert toy_cfg().random_info is False
+    for value in (True, np.bool_(True)):
+        assert toy_cfg(random_info=value).random_info is True
+    assert toy_cfg(random_info=np.bool_(False)).random_info is False
+    for value in ("false", 0, None):
+        with pytest.raises(ValueError, match="^random_info must be a bool"):
+            toy_cfg(random_info=value)
+
+
+@pytest.mark.parametrize("grid", [(), (4.0, 4.0), (3.0, 4.0, 4.0)], ids=["empty", "pair", "tail"])
+def test_config_refuses_empty_or_repeated_grid(grid):
+    """An empty grid would write a results file with no point, and a repeated
+    point decodes the same frames twice under the same seed."""
+    with pytest.raises(ValueError, match="^ebn0_grid must be nonempty and strictly ascending"):
+        toy_cfg(ebn0_grid=grid)
+
+
 @pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
 def test_config_rejects_ibdd_sr_without_scaled_iterations(scheme, spec):
     """With sr_iters = 0 there is no scaled iteration: ibdd_sr is refused in
@@ -350,6 +370,14 @@ def test_paired_gap_bootstrap_detects_difference(rng):
     assert same_lo == same_hi == 0.0
 
 
+def test_paired_gap_bootstrap_needs_paired_frames():
+    """Counts of different lengths are not paired and are refused; no
+    frames give the zero interval."""
+    with pytest.raises(ValueError, match="same frames"):
+        paired_gap_bootstrap([1, 2, 3], [1, 2], 225, seed=1)
+    assert paired_gap_bootstrap([], [], 225, seed=1) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("n", [1, 7, 2016, 2017, 5000])
 def test_bootstrap_chunks_match_oneshot(n):
     """Chunked resampling continues one random stream: the intervals equal
@@ -527,6 +555,9 @@ def test_interpolate_log_linear_hand_case():
     assert interpolate_ebn0_at_ber(pts, 1e-3) == pytest.approx(4.5, abs=1e-12)
     assert interpolate_ebn0_at_ber(pts, 1e-5) is None
     assert interpolate_ebn0_at_ber(pts[:1], 1e-2) is None
+    # both bracketing points at the target: the lower one's E_b/N_0
+    flat = [_mk_point("ibdd", 4.0, 1e-3), _mk_point("ibdd", 5.0, 1e-3)]
+    assert interpolate_ebn0_at_ber(flat, 1e-3) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +642,14 @@ def test_run_curve_retires_modes():
     assert all(b <= a for a, b in zip(mode_sets, mode_sets[1:]))
     assert "ideal" not in mode_sets[-1]
     assert len(mode_sets[-1]) < 3
+
+
+def test_run_curve_stops_once_every_mode_retires():
+    """Above a floor of 0.5 every mode retires at the first point, so the
+    later points are never run."""
+    cfg = toy_cfg(ebn0_grid=(4.0, 5.0, 6.0), modes=("ibdd", "ideal"), ber_floor=0.5,
+                  max_frames=60)
+    assert [(e, sorted(pts)) for e, pts in run_curve(cfg)] == [(4.0, ["ibdd", "ideal"])]
 
 
 def test_run_curve_warns_on_non_monotone(monkeypatch):

@@ -163,6 +163,12 @@ def test_schedule_unavailable_when_de_stalls(sc_254_230):
         )
 
 
+@pytest.mark.parametrize("window", [1, 0])
+def test_schedule_for_window_refuses_short_window(sc_30_20, prof_30_20, window):
+    with pytest.raises(ValueError, match="at least two blocks"):
+        schedule_for_window(prof_30_20, 4.0, sc_30_20.rate, window_blocks=window, sr_iters=4)
+
+
 def test_degenerate_two_block_window(sc_30_20, rng):
     from ibddlab.de import auto_profile
 
