@@ -2,11 +2,12 @@
 and plot-ready data emission.
 
 ``sim`` writes a manifest JSON (command line, configuration, seed, timestamps,
-output paths), and so do ``de-threshold`` and ``de-schedule`` given ``--out``;
-each output file points back at it, so the result can be regenerated from it.
-``plotdata`` writes no manifest.  The DE commands' ``--out`` holds the fields of
-the DE result dataclass (``GldpcDeResult`` or ``ScDeResult``); ``sim`` writes
-the results JSON ``<out>.json``, which ``plotdata`` reads back.
+numpy version, output paths), and so do ``de-threshold`` and ``de-schedule``
+given ``--out``; each output file points back at it, so the result can be
+regenerated from it.  ``plotdata`` writes no manifest.  The DE commands'
+``--out`` holds the fields of the DE result dataclass (``GldpcDeResult`` or
+``ScDeResult``); ``sim`` writes the results JSON ``<out>.json``, which
+``plotdata`` reads back.
 
 Each ``sim`` flag's dest is the ``SimConfig`` field it sets, ``--config`` holds
 the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1).
@@ -14,7 +15,9 @@ the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1).
 Exit codes: 0 success, 1 usage error, 2 numeric failure (the threshold
 bracket does not straddle the threshold), 3 a ``sim`` grid point failed (the
 finished points are still written to the results JSON and manifest; the
-failed E_b/N_0 and the error go to stderr on one line).
+failed E_b/N_0 and the error go to stderr on one line), 130 a ``sim`` run
+interrupted (SIGINT, Ctrl-C): the finished points are written as for 3, and
+stderr names the E_b/N_0 left unfinished.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import sys
 import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .bch import CodeConstructionError, FieldConstructionError, build_bch
@@ -74,6 +79,7 @@ def _write_manifest(path: str, command: str, argv, config: dict, seed, outputs,
         "started": started,
         "finished": _utc_now(),
         "config": config,
+        "numpy": np.__version__,  # the noise and bootstrap draws are numpy's
         "outputs": list(outputs),
     }
     _write_json(path, doc)
@@ -222,7 +228,7 @@ def _cmd_sim(args, argv) -> int:
     json_path, manifest_path = out + ".json", out + ".manifest.json"
     rows = []
     done = 0  # grid points finished; run_curve visits the grid in order
-    failure = None
+    failure = None  # (exit code, stderr line)
     t0 = time.perf_counter()
     try:
         for ebn0, points in run_curve(cfg):
@@ -237,15 +243,16 @@ def _cmd_sim(args, argv) -> int:
                 else:
                     print(f"{ebn0:6.2f} dB {pt.mode:8s} skipped: {pt.reason}")
             done += 1
-    except Exception as exc:  # keep the finished points usable
-        failure = f"{cfg.ebn0_grid[done]} dB: {type(exc).__name__}: {exc}"
+    except KeyboardInterrupt:  # keep the finished points usable
+        failure = 130, f"interrupted at {cfg.ebn0_grid[done]} dB"
+    except Exception as exc:
+        failure = 3, f"point failed at {cfg.ebn0_grid[done]} dB: {type(exc).__name__}: {exc}"
     _write_json(json_path, results_json(cfg, rows, manifest=manifest_path))
     _write_manifest(manifest_path, "sim", argv, asdict(cfg), cfg.seed,
                     [json_path], started)
     if failure is not None:
-        print(f"ibddlab sim: point failed at {failure}".replace("\n", " "),
-              file=sys.stderr)
-        return 3
+        print(f"ibddlab sim: {failure[1]}".replace("\n", " "), file=sys.stderr)
+        return failure[0]
     print(f"wrote {json_path} in {time.perf_counter()-t0:.1f}s")
     return 0
 

@@ -10,10 +10,12 @@ in each of its two lines.  A flipped bit travels as one flat index into its
 group's block, from the verdict rule (``line_flips``) to the write-back, where
 the scheme's ``copies`` gives the flat indices of both its copies.  Each
 line's syndrome word is kept exact from the bits that change: only lines with
-a nonzero word reach BDD, and an item stops once all its words are zero.  A
-product frame's G = 2 groups are its rows and its columns: bit (s, r, c) of
-the one is bit (s, c, r) of the other.  The three decoders differ only in
-the verdict rule that makes a component word the next binary message:
+a nonzero word reach BDD, an item stops once all its words are zero, and a
+call stops at a weight-free round that changes no bit, a fixed point (scaled
+rounds and calls with an observer run every round).  A product frame's G = 2
+groups are its rows and its columns: bit (s, r, c) of the one is bit
+(s, c, r) of the other.  The three decoders differ only in the verdict rule
+that makes a component word the next binary message:
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
@@ -189,17 +191,22 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     the bits flipped in block g into the flat indices into ``words`` of all
     their copies: one XOR flips them, and one more XORs each position's
     ``comp.position_keys`` entry into its line's word.  An item whose
-    groups are all codewords at the top of a round is done for the call.
-    ``observer(g, round)`` follows every group that decodes any item.
+    groups are all codewords at the top of a round is done for the call,
+    and the call after a round without ``weights`` that changes no bit (its
+    syndrome words come back and its writes cancel in pairs), as every later
+    round would repeat it.  ``observer(g, round)`` follows every group that
+    decodes any item; with it, every round runs.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
     bits, keys = words.reshape(-1, copy=False), synd.reshape(-1, copy=False)
+    stall = weights is None and observer is None  # else every round runs
     for ell in range(iters):
         # a dropped item gets no flip in this call, so its words stay zero
         act = np.flatnonzero(synd[lo:hi].any(axis=(0, 2)))
         if not len(act):
             return
+        before, written = synd[lo:hi].copy() if stall else None, []
         for g in range(lo, hi):
             x = copies(lo, g, line_flips(
                 comp, words[g], synd[g], act, None if weights is None else weights[g - lo][ell],
@@ -207,8 +214,13 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
             bits[x] ^= 1
             line, pos = np.divmod(x, words.shape[-1])
             np.bitwise_xor.at(keys, line, comp.position_keys[pos])
+            written.append(x)
             if observer is not None:
                 observer(g, ell)
+        if stall and np.array_equal(before, synd[lo:hi]):
+            x = np.sort(np.concatenate(written))  # each bit written an even number of times
+            if np.array_equal(x[::2], x[1::2]):
+                return
 
 
 def _decode(code, hard, observer, *runs):

@@ -623,7 +623,7 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
             ber_ci95=bootstrap_ber_ci(per_unit, engine.bits_per_unit, cfg.seed),
             seed=cfg.seed,
             wall_seconds=wall,
-            frame_bit_errors=tuple(int(v) for v in per_unit),
+            frame_bit_errors=tuple(per_unit.tolist()),
         )
     return {m: result[m] for m in modes if m in result}
 

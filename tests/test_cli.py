@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 import ibddlab
@@ -172,6 +173,7 @@ def test_sim_end_to_end(tmp_path, capsys):
     manifest = json.loads((tmp_path / "toy.manifest.json").read_text())
     assert manifest["command"] == "sim"
     assert manifest["seed"] == 5
+    assert manifest["numpy"] == np.__version__  # the draws the statistics rest on
     assert manifest["outputs"] == [str(json_path)]
     out = capsys.readouterr().out
     assert "4.00 dB" in out
@@ -439,6 +441,35 @@ def test_sim_failed_point_keeps_finished_points(tmp_path, capsys, monkeypatch):
     assert [(p["mode"], p["ebn0_db"]) for p in blob["points"]] == [("ibdd", 4.0), ("ideal", 4.0)]
     manifest = json.loads((tmp_path / "part.manifest.json").read_text())
     assert f"{prefix}.json" in manifest["outputs"]
+
+
+def test_sim_interrupt_keeps_finished_points(tmp_path, capsys, monkeypatch):
+    """Ctrl-C during the second grid point ends the run with status 130 and
+    one stderr line naming that point; the first point still reaches the
+    results JSON and manifest."""
+    from ibddlab import sim
+
+    real_run_point = sim.run_point
+
+    def interrupted_at_second(cfg, ebn0_db, modes=None):
+        if ebn0_db == cfg.ebn0_grid[1]:
+            raise KeyboardInterrupt
+        return real_run_point(cfg, ebn0_db, modes=modes)
+
+    monkeypatch.setattr(sim, "run_point", interrupted_at_second)
+    prefix = tmp_path / "cut"
+    rc = main([
+        "sim", "--scheme", "pc", "--m", "4", "--t", "1", "--modes", "ibdd,ideal",
+        "--ebn0", "4.0", "4.5", "5.0", "--max-frames", "100", "--out", str(prefix),
+    ])
+    assert rc == 130
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == ["ibddlab sim: interrupted at 4.5 dB"]
+    assert "4.00 dB" in captured.out and "4.50 dB" not in captured.out
+    blob = json.loads((tmp_path / "cut.json").read_text())
+    assert [(p["mode"], p["ebn0_db"]) for p in blob["points"]] == [("ibdd", 4.0), ("ideal", 4.0)]
+    manifest = json.loads((tmp_path / "cut.manifest.json").read_text())
+    assert manifest["outputs"] == [f"{prefix}.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,100 @@ def test_sr_trace_crosses_into_plain_tail(pc_15_7):
                              ("row", 1), ("col", 1)]
 
 
+# ---------------------------------------------------------------------------
+# the fixed-point exit: a weight-free round that changes no bit ends the call
+
+# seven errors on a (15,11)^2 frame, found by a seeded search: from round 2 on,
+# the columns flip back the six bits the rows flip
+_OSCILLATING = [(1, 1), (1, 13), (3, 1), (3, 9), (6, 2), (8, 12), (8, 13)]
+
+
+def _spy_flips(monkeypatch):
+    """A list that gains the number of bits flipped by each ``line_flips`` call."""
+    rule, sizes = product.line_flips, []
+
+    def spy(*args):
+        flips = rule(*args)
+        sizes.append(len(flips))
+        return flips
+
+    monkeypatch.setattr(product, "line_flips", spy)
+    return sizes
+
+
+def test_oscillating_frame_stops_at_its_fixed_point(pc_15_11, monkeypatch):
+    """Rows and columns flipping the same bits back is a fixed point of plain
+    iBDD: the decoder stops after the first round that changes nothing, with
+    the per-frame loop's result."""
+    rx = np.zeros((15, 15), dtype=np.uint8)
+    rx[tuple(np.transpose(_OSCILLATING))] = 1
+    sizes = _spy_flips(monkeypatch)
+    got = ibdd_decode(pc_15_11, rx, iters=12)
+    np.testing.assert_array_equal(got, oracles.frame_ibdd(pc_15_11, rx, iters=12))
+    assert not pc_15_11.is_codeword(got)
+    assert len(sizes) < 2 * 12
+    assert sizes[-2] == sizes[-1] > 0  # the last round flipped bits, and flipped them back
+
+
+def test_stalled_genie_stops_after_one_round(pc_15_7, monkeypatch):
+    """On a 3x3 error grid every affected word has t+1 errors, so the genie
+    flips nothing: one round runs, and the result is the per-frame loop's."""
+    rx = np.zeros((15, 15), dtype=np.uint8)
+    rx[np.ix_([0, 1, 2], [0, 1, 2])] = 1
+    tx = np.zeros_like(rx)
+    sizes = _spy_flips(monkeypatch)
+    got = ideal_ibdd_decode(pc_15_7, rx, tx, iters=12)
+    np.testing.assert_array_equal(got, oracles.frame_ideal(pc_15_7, rx, tx, iters=12))
+    assert sizes == [0, 0]
+
+
+def test_scaled_round_that_flips_nothing_does_not_stop(pc_15_11, monkeypatch):
+    """A scaled round that changes nothing is no fixed point: the next weight
+    may flip bits.  Weight 0 keeps the channel, weight 8 outvotes it."""
+    llr = np.full((15, 15), 3.0)
+    llr[[2, 7, 11], [4, 9, 0]] = -1.0  # three weak errors, one per row and column
+    sched = ScalingSchedule([0.0, 8.0], [0.0, 8.0])
+    sizes = _spy_flips(monkeypatch)
+    got = ibdd_sr_decode(pc_15_11, llr, sched, sr_iters=2, plain_iters=0)
+    np.testing.assert_array_equal(got, oracles.frame_ibdd_sr(pc_15_11, llr, sched, 2, 0))
+    assert sizes[:2] == [0, 0] and sizes[2] > 0
+    assert not got.any()  # the second weight corrected all three
+
+
+def test_round_that_restores_syndromes_but_not_bits_does_not_stop(code_15_11):
+    """Syndrome words that come back are not enough: the bits written must
+    cancel in pairs.  Here the one line's error at position 0 is flipped
+    together with u and v, where 0, u, v span a weight-3 codeword, so every
+    round keeps the syndrome and moves the bits; two rounds restore the
+    input, as when an observer keeps every round running."""
+    keys, n = code_15_11.position_keys, code_15_11.n
+    u, v = next((u, v) for u in range(1, n) for v in range(u + 1, n)
+                if keys[0] ^ keys[u] ^ keys[v] == 0)
+
+    def copies(lo, g, x):  # the one flip, of position 0, also writes u and v
+        return np.concatenate([x, x + u, x + v])
+
+    start = np.zeros((1, 1, 1, n), dtype=np.uint8)  # one group of one item of one line
+    start[..., 0] = 1
+    for observer in (None, lambda g, ell: None):
+        words = start.copy()
+        product.iterate(code_15_11, words, code_15_11.syndromes(words), copies, 2, 0, 1,
+                        observer=observer)
+        np.testing.assert_array_equal(words, start)
+
+
+def test_observer_sees_every_round_of_a_stalled_frame(pc_15_11):
+    """With an observer every round runs, so a stalled frame still reports
+    2 * iters half-iterations, as the per-frame loop does."""
+    rx = np.zeros((15, 15), dtype=np.uint8)
+    rx[tuple(np.transpose(_OSCILLATING))] = 1
+    got, want = [], []
+    out = ibdd_decode(pc_15_11, rx, iters=5, observer=lambda s, i, p: got.append((s, i)))
+    ref = oracles.frame_ibdd(pc_15_11, rx, iters=5, observer=lambda s, i, p: want.append((s, i)))
+    np.testing.assert_array_equal(out, ref)
+    assert got == want and len(got) == 2 * 5
+
+
 def test_decoders_leave_inputs_unchanged(pc_15_7):
     """The decoders read ``r``, ``llr`` and ``transmitted`` without copying
     them, one frame or a stack: none is written, and the decoded array

@@ -298,6 +298,22 @@ def test_frame_states_top_index_and_any_order():
     assert sim.frame_states(9, []) == []
 
 
+def test_random_streams_are_pinned():
+    """The draws every committed statistic rests on, as literals: frame i's
+    noise from ``default_rng([seed, i])`` and the resampled frame indices of
+    the two bootstraps.  A numpy release that changes any of them fails here
+    rather than silently moving published numbers."""
+    assert np.random.default_rng([11, 0]).standard_normal(4).tolist() == [
+        0.03419276725318417, 1.3597475403099617, 1.2247210785859324, -0.5103070767876675]
+    assert np.random.default_rng([11, 1]).standard_normal(4).tolist() == [
+        0.8259747663854217, 0.8395288639963259, 0.6667017328919227, 1.7254517460736793]
+    # the bootstraps draw (rows, n) frame indices from these generators
+    assert np.random.default_rng([11, 0xB0075]).integers(0, 1000, (2, 4)).tolist() == [
+        [979, 904, 563, 789], [930, 453, 319, 277]]
+    assert np.random.default_rng([11, 0xD1FF]).integers(0, 1000, (2, 4)).tolist() == [
+        [553, 488, 333, 718], [369, 584, 464, 881]]
+
+
 @pytest.mark.parametrize("seed,indices", [(-1, [0]), (2**64, [0]), (1, [-1]), (1, [2**32])])
 def test_frame_states_reject_out_of_range(seed, indices):
     with pytest.raises(ValueError):

@@ -465,6 +465,32 @@ def test_sr_ties_zeros_and_infinities_match_stream_oracle(sc_30_20, ebn0_db):
     assert np.any(got != harden(llr))  # it decoded
 
 
+def test_stalled_stream_stops_each_slide_at_its_fixed_point(sc_30_20, toy_schedule,
+                                                            monkeypatch):
+    """A 3x3 error grid in block 3 gives every affected word t+1 errors, which
+    neither BDD nor the genie changes.  Each of the four slides whose window
+    holds a pair of block 3 runs its weight-free rounds as one call, which
+    ends after one round, and every mode decodes as the per-stream loop."""
+    llr = np.full((6, 15, 15), 8.0)
+    llr[2][np.ix_([0, 1, 2], [0, 1, 2])] = -8.0
+    tx = np.zeros(llr.shape, dtype=np.uint8)
+    rule, calls = product.line_flips, []
+
+    def spy(*args):
+        calls.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(product, "line_flips", spy)
+    cfg = _default_cfg(toy_schedule)
+    for mode in ("ibdd", "ideal", "ibdd_sr"):
+        calls.clear()
+        got = window_decode(sc_30_20, llr, cfg, mode=mode, transmitted=tx)
+        np.testing.assert_array_equal(got, oracles.window_decode(sc_30_20, llr, cfg, mode, tx))
+        assert got.sum() == 9  # stuck where it started
+        if mode != "ibdd_sr":
+            assert len(calls) == 4 + 4 + 4 + 3  # one round of each window's pairs
+
+
 def test_kept_pair_syndromes_are_exact(sc_30_20, toy_schedule, rng, monkeypatch):
     """Every line of every stream the verdict rule visits carries the
     syndrome word of its current bits, dirty or clean (its odd syndromes
