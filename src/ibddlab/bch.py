@@ -205,9 +205,11 @@ class BchCode:
         self._alog = np.zeros(2 * zero_log + order + 1, dtype=np.intp)
         self._alog[:zero_log] = np.resize(alog, zero_log)
         self._square = _field_power(self.field, 2)
-        if t > 3:
+        if t > 3:  # the code's one error locator, ``_solver(code, synd)``
+            self._solver = _berlekamp_massey
             self._chien = (-np.arange(1, t + 1)[:, None] * exps) % order
         else:  # 2^m entries each, cheap next to any syndrome table
+            self._solver = _locate_closed_form
             self._cubic_roots = _cubic_roots(self.field)
             # log sqrt(a) and log sqrt(a)^-3 for a != 0; both 0 at a = 0
             self._half_log = self._log[_field_power(self.field, (order + 1) // 2)]
@@ -222,13 +224,12 @@ class BchCode:
         that the code's solver flips for the syndrome word ``key``, -1 padding,
         and ``_table_ok[key]`` its verdict: the table caches the solver's
         answer for every word."""
-        solve = _locate_closed_form if self.t <= 3 else _berlekamp_massey
         words = np.arange(1 << self.field.m * self.t)
         table = np.full((len(words), self.t), -1, dtype=np.min_scalar_type(-self.n))
         ok = np.empty(len(words), dtype=bool)
         step = 1 << 14  # 2^14 x 15 x 4 int64 Chien terms of (15,1,4) take 7.9 MB
         for lo in range(0, len(words), step):
-            row, pos, ok[lo : lo + step] = solve(self, words[lo : lo + step])
+            row, pos, ok[lo : lo + step] = self._solver(self, words[lo : lo + step])
             rising = np.lexsort((pos, row))
             row, pos = row[rising], pos[rising]
             table[lo + row, np.arange(len(row)) - np.searchsorted(row, row)] = pos
@@ -330,8 +331,8 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
     since d >= 2t+1, a syndrome word names at most one error pattern of
     weight <= t, and a word that names none is a failure.
 
-    Each code has one solver, which unpacks only the words it gets into
-    field elements: ``_locate_closed_form`` for t <= 3 and
+    Each code has one solver, ``BchCode._solver``, which unpacks only the
+    words it gets into field elements: ``_locate_closed_form`` for t <= 3 and
     ``_berlekamp_massey`` with a Chien search for t >= 4.  A code with
     m*t <= ``TABLE_MAX_BITS`` reads the solver's answers from its syndrome
     table (``BchCode._build_syndrome_table``), indexed by the syndrome word.
@@ -342,7 +343,7 @@ def _locate_errors(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, np.ndar
         found = code._table[synd]
         row, k = np.nonzero(found >= 0)
         return row, found[row, k], code._table_ok[synd]
-    return (_locate_closed_form if code.t <= 3 else _berlekamp_massey)(code, synd)
+    return code._solver(code, synd)
 
 
 def _locate_closed_form(code: BchCode, synd: np.ndarray) -> tuple[np.ndarray, ...]:

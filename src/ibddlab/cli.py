@@ -7,24 +7,30 @@ given ``--out``; each output file points back at it, so the result can be
 regenerated from it.  ``plotdata`` writes no manifest.  The DE commands'
 ``--out`` holds the fields of the DE result dataclass (``GldpcDeResult`` or
 ``ScDeResult``); ``sim`` writes the results JSON ``<out>.json``, which
-``plotdata`` reads back.
+``plotdata`` reads back.  ``sim`` writes both of its files before the first
+grid point and again after every finished point, so a run cut short keeps
+what it finished.  Every output goes through a temporary file beside it that
+``os.replace`` renames, so no file is ever half written.
 
 Each ``sim`` flag's dest is the ``SimConfig`` field it sets, ``--config`` holds
 the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1).
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure (the threshold
-bracket does not straddle the threshold), 3 a ``sim`` grid point failed (the
-finished points are still written to the results JSON and manifest; the
+Exit codes: 0 success, 1 usage error or an output that cannot be written (one
+stderr line; ``sim`` finds out before it decodes), 2 numeric failure (the
+threshold bracket does not straddle the threshold), 3 a ``sim`` grid point
+failed (the finished points stay in the results JSON and manifest; the
 failed E_b/N_0 and the error go to stderr on one line), 130 a ``sim`` run
-interrupted (SIGINT, Ctrl-C): the finished points are written as for 3, and
-stderr names the E_b/N_0 left unfinished.
+interrupted (SIGINT, Ctrl-C): the finished points stay as for 3, and stderr
+names the E_b/N_0 left unfinished.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -87,9 +93,20 @@ def _write_manifest(path: str, command: str, argv, config: dict, seed, outputs,
 
 def _write_json(path: str, doc: dict) -> None:
     """Write ``doc`` as indented JSON; numpy arrays become lists."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=lambda a: a.tolist())
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it, which
+    ``os.replace`` renames: ``path`` always holds one whole write."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)  # left only by a write that failed
 
 
 def _write_profile(args, argv, code, result, threshold, rate: float, started: str) -> None:
@@ -224,32 +241,41 @@ def _cmd_sim(args, argv) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"ibddlab sim: error: {exc}", file=sys.stderr)
         return 1
-    out = args.out
-    json_path, manifest_path = out + ".json", out + ".manifest.json"
+    json_path, manifest_path = args.out + ".json", args.out + ".manifest.json"
     rows = []
-    done = 0  # grid points finished; run_curve visits the grid in order
     failure = None  # (exit code, stderr line)
+
+    def save():
+        """Both files as of the points finished so far."""
+        _write_json(json_path, results_json(cfg, rows, manifest=manifest_path))
+        _write_manifest(manifest_path, "sim", argv, asdict(cfg), cfg.seed,
+                        [json_path], started)
+
     t0 = time.perf_counter()
-    try:
-        for ebn0, points in run_curve(cfg):
-            for pt in points.values():  # in cfg.modes order
-                rows.append(pt)
-                if isinstance(pt, BerPoint):
-                    print(
-                        f"{ebn0:6.2f} dB {pt.mode:8s} ber={pt.ber:.3e} "
-                        f"fer={pt.fer:.3e} ({pt.frames} frames, "
-                        f"{pt.frame_errors} errors)"
-                    )
-                else:
-                    print(f"{ebn0:6.2f} dB {pt.mode:8s} skipped: {pt.reason}")
-            done += 1
-    except KeyboardInterrupt:  # keep the finished points usable
-        failure = 130, f"interrupted at {cfg.ebn0_grid[done]} dB"
-    except Exception as exc:
-        failure = 3, f"point failed at {cfg.ebn0_grid[done]} dB: {type(exc).__name__}: {exc}"
-    _write_json(json_path, results_json(cfg, rows, manifest=manifest_path))
-    _write_manifest(manifest_path, "sim", argv, asdict(cfg), cfg.seed,
-                    [json_path], started)
+    save()  # an unwritable --out fails here, before any point is decoded
+    curve = run_curve(cfg)
+    for ebn0 in cfg.ebn0_grid:  # run_curve visits the grid in order
+        try:
+            step = next(curve, None)
+        except KeyboardInterrupt:  # the finished points are already written
+            failure = 130, f"interrupted at {ebn0} dB"
+            break
+        except Exception as exc:
+            failure = 3, f"point failed at {ebn0} dB: {type(exc).__name__}: {exc}"
+            break
+        if step is None:  # every mode retired below the BER floor
+            break
+        for pt in step[1].values():  # in cfg.modes order
+            rows.append(pt)
+            if isinstance(pt, BerPoint):
+                print(
+                    f"{ebn0:6.2f} dB {pt.mode:8s} ber={pt.ber:.3e} "
+                    f"fer={pt.fer:.3e} ({pt.frames} frames, "
+                    f"{pt.frame_errors} errors)"
+                )
+            else:
+                print(f"{ebn0:6.2f} dB {pt.mode:8s} skipped: {pt.reason}")
+        save()
     if failure is not None:
         print(f"ibddlab sim: {failure[1]}".replace("\n", " "), file=sys.stderr)
         return failure[0]
@@ -306,8 +332,7 @@ def _cmd_plotdata(args, argv) -> int:
             lines.append(f"# gain_db[{b} over {a}]@{args.target_ber:g} = {g_txt}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -387,7 +412,11 @@ def main(argv=None) -> int:
         "sim": _cmd_sim,
         "plotdata": _cmd_plotdata,
     }
-    return handlers[args.command](args, argv)
+    try:
+        return handlers[args.command](args, argv)
+    except OSError as exc:  # an output file that cannot be written
+        print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

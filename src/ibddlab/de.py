@@ -409,12 +409,16 @@ def threshold_search(
     The default bracket finds thresholds up to 16 dB.  Raises BracketError
     when the bracket endpoints do not straddle the threshold, and ValueError,
     before any recursion runs, on an unknown ensemble, a ``tol_db`` that is
-    not finite and positive, or an sc ``window`` below 1.
+    not finite and positive, a bracket (lo, hi) without lo < hi, or an sc
+    ``window`` below 1.
     """
     if ensemble not in ("gldpc", "sc"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
     if not (math.isfinite(tol_db) and tol_db > 0):
         raise ValueError(f"tol_db must be finite and positive, got {tol_db!r}")
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:  # reversed ends would read as a bracket that does not straddle
+        raise ValueError(f"bracket must be (lo, hi) with lo < hi, got ({lo:g}, {hi:g})")
     if ensemble == "sc" and (window is None or window < 1):
         raise ValueError(f"sc ensemble needs a window of at least 1 position, got {window=}")
     window = window if ensemble == "sc" else None
@@ -422,7 +426,6 @@ def threshold_search(
     def success(ebn0: float) -> bool:
         return threshold_run(profile, ebn0, rate, window).converged
 
-    lo, hi = float(bracket[0]), float(bracket[1])
     lo_ok, hi_ok = success(lo), success(hi)
     if lo_ok or not hi_ok:
         raise BracketError(

@@ -4,15 +4,15 @@ A product code squares one systematic component code: information bits fill a
 k-by-k array, every row is encoded, then every column of the intermediate
 array.
 
-``iterate`` is the round loop of both schemes.  A stack's component words are
-the rows of one group-major (G, S, R, n) array, so each bit is held twice, once
-in each of its two lines.  A flipped bit travels as one flat index into its
-group's block, from the verdict rule (``line_flips``) to the write-back, where
-the scheme's ``copies`` gives the flat indices of both its copies.  Each
-line's syndrome word is kept exact from the bits that change: only lines with
-a nonzero word reach BDD, an item stops once all its words are zero, and a
-call stops at a weight-free round that changes no bit, a fixed point (scaled
-rounds and calls with an observer run every round).  A product frame's G = 2
+``iterate`` is the round loop of both schemes, one call per decode.  A stack's
+component words are the rows of one group-major (G, S, R, n) array, so each
+bit is held twice, once in each of its two lines.  A flipped bit travels as
+one flat index into its group's block, from the verdict rule (``line_flips``)
+to the write-back, where the scheme's ``copies`` gives the flat indices of
+both its copies.  Each line's syndrome word is kept exact from the bits that
+change: only lines with a nonzero word reach BDD, an item stops once all its
+words are zero, and a decode ends at a weight-free round that changes no bit,
+a fixed point (with an observer, every round runs).  A product frame's G = 2
 groups are its rows and its columns: bit (s, r, c) of the one is bit
 (s, c, r) of the other.  The three decoders differ only in the verdict rule
 that makes a component word the next binary message:
@@ -181,55 +181,56 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
 
 def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, hard=None,
             genie=None, observer=None):
-    """The round loop of both schemes: ``iters`` rounds over groups lo..hi-1.
+    """The round loop of both schemes: one decode, ``iters`` rounds over lo..hi-1.
 
-    ``words`` (G, S, R, n) holds S items' component words group-major, each
-    bit in two lines, and ``synd`` (G, S, R) their syndrome words; both are
-    C-contiguous.  A round passes each group g through ``line_flips`` with
-    weight ``weights[g - lo][round]`` and the blocks ``llr[g]``, ``hard[g]``
-    or ``genie[g]``.  ``copies(lo, g, x)`` turns the flat indices ``x`` of
-    the bits flipped in block g into the flat indices into ``words`` of all
-    their copies: one XOR flips them, and one more XORs each position's
-    ``comp.position_keys`` entry into its line's word.  An item whose
-    groups are all codewords at the top of a round is done for the call,
-    and the call after a round without ``weights`` that changes no bit (its
-    syndrome words come back and its writes cancel in pairs), as every later
-    round would repeat it.  ``observer(g, round)`` follows every group that
-    decodes any item; with it, every round runs.
+    ``words`` (G, S, R, n) holds S items' component words group-major, each bit
+    in two lines, and ``synd`` (G, S, R) their syndrome words; both are
+    C-contiguous.  A round passes each group g through ``line_flips``, the
+    first ``len(weights[0])`` with weight ``weights[g - lo][round]`` and the
+    blocks ``llr[g]`` and ``hard[g]``, the rest weight-free, with ``genie[g]``
+    if given.  ``copies(lo, g, x)`` turns the flat indices ``x`` of the bits
+    flipped in block g into the flat indices into ``words`` of all their
+    copies: one XOR flips them, and one more XORs each position's
+    ``comp.position_keys`` entry into its line's word.  An item whose groups
+    are all codewords at the top of a round is done for the call, and the call
+    after a weight-free round that changes no bit (its syndrome words come back
+    and its writes cancel in pairs), as every later round would repeat it.
+    ``observer(g, round)`` follows every group that decodes any item,
+    weight-free rounds counted from 0 again; with it, every round runs.
     """
-    if iters < 0:
-        raise ValueError(f"iteration count must be nonnegative, got {iters}")
+    scaled = 0 if weights is None else len(weights[0])
+    if iters < scaled:  # a negative weight-free tail
+        raise ValueError(f"iteration count must be nonnegative, got {iters - scaled}")
     bits, keys = words.reshape(-1, copy=False), synd.reshape(-1, copy=False)
-    stall = weights is None and observer is None  # else every round runs
     for ell in range(iters):
         # a dropped item gets no flip in this call, so its words stay zero
         act = np.flatnonzero(synd[lo:hi].any(axis=(0, 2)))
         if not len(act):
             return
-        before, written = synd[lo:hi].copy() if stall else None, []
+        free = ell >= scaled  # weight-free: unless observed, a round that changes nothing ends it
+        before, written = synd[lo:hi].copy() if free and observer is None else None, []
         for g in range(lo, hi):
-            x = copies(lo, g, line_flips(
-                comp, words[g], synd[g], act, None if weights is None else weights[g - lo][ell],
-                *(None if a is None else a[g] for a in (llr, hard, genie))))
+            weigh = (None,) * 3 if free else (weights[g - lo][ell], llr[g], hard[g])
+            x = copies(lo, g, line_flips(comp, words[g], synd[g], act, *weigh,
+                                         None if genie is None else genie[g]))
             bits[x] ^= 1
             line, pos = np.divmod(x, words.shape[-1])
             np.bitwise_xor.at(keys, line, comp.position_keys[pos])
             written.append(x)
             if observer is not None:
-                observer(g, ell)
-        if stall and np.array_equal(before, synd[lo:hi]):
+                observer(g, ell - scaled if free else ell)
+        if before is not None and np.array_equal(before, synd[lo:hi]):
             x = np.sort(np.concatenate(written))  # each bit written an even number of times
             if np.array_equal(x[::2], x[1::2]):
                 return
 
 
-def _decode(code, hard, observer, *runs):
+def _decode(code, hard, observer, iters, weights=None, llr=None, genie=None):
     """Rows, then columns, of one (n, n) array or a (B, n, n) stack, held as
-    the groups of (2, B, n, n); the result and the observer's arrays have the
-    shape given.  Each run ``(iterations, weights, llr, genie)`` is one
-    ``iterate`` call: the row and column weights with the stacked ``llr``,
-    whose hard decision is ``hard``, or the transmitted stack ``genie``,
-    select the verdict."""
+    the groups of (2, B, n, n), in one ``iterate`` call; the result and the
+    observer's arrays have the shape given.  The row and column ``weights``
+    with the stacked ``llr``, whose hard decision is ``hard``, or the
+    transmitted stack ``genie``, select the verdict."""
     psi = np.array(hard, dtype=np.uint8, ndmin=3, copy=None)  # only read: words is a new stack
     if psi.ndim != 3 or psi.shape[1:] != (code.n, code.n):
         raise ValueError(f"expected an ({code.n}, {code.n}) array or a stack of them")
@@ -246,10 +247,9 @@ def _decode(code, hard, observer, *runs):
 
     watch = None if observer is None else (
         lambda g, ell: observer(("row", "col")[g], ell + 1, out))
-    for iters, weights, llr, genie in runs:
-        rows = (llr, None if llr is None else psi, genie)
-        iterate(comp, words, synd, copies, iters, 0, 2, weights,
-                *(None if a is None else (a, a.transpose(0, 2, 1)) for a in rows), watch)
+    rows = (llr, None if llr is None else psi, genie)
+    iterate(comp, words, synd, copies, iters, 0, 2, weights,
+            *(None if a is None else (a, a.transpose(0, 2, 1)) for a in rows), watch)
     return out.copy()
 
 
@@ -280,8 +280,9 @@ def ibdd_sr_decode(
             f"schedule covers {schedule.iterations} iterations, need {sr_iters}"
         )
     llr = np.asarray(llr, dtype=float)
-    scaled = (sr_iters, (schedule.w_row, schedule.w_col), llr.reshape(-1, *llr.shape[-2:]), None)
-    return _decode(code, harden(llr), observer, scaled, (plain_iters, None, None, None))
+    weights = schedule.w_row[:sr_iters], schedule.w_col[:sr_iters]
+    return _decode(code, harden(llr), observer, sr_iters + plain_iters, weights,
+                   llr.reshape(-1, *llr.shape[-2:]))
 
 
 def ibdd_decode(
@@ -293,7 +294,7 @@ def ibdd_decode(
     input, failures leave it untouched.  A frame stops once it is a codeword.
     ``r`` must hold only 0 and 1 (else ValueError).
     """
-    return _decode(code, _binary(r, "r"), observer, (iters, None, None, None))
+    return _decode(code, _binary(r, "r"), observer, iters)
 
 
 def ideal_ibdd_decode(
@@ -311,4 +312,4 @@ def ideal_ibdd_decode(
     r, tx = _binary(r, "r"), _binary(transmitted, "transmitted")
     if tx.shape != r.shape:
         raise ValueError(f"transmitted shape {tx.shape} differs from r's {r.shape}")
-    return _decode(code, r, None, (iters, None, None, np.array(tx, np.uint8, ndmin=3, copy=None)))
+    return _decode(code, r, None, iters, genie=np.array(tx, np.uint8, ndmin=3, copy=None))

@@ -16,9 +16,9 @@ emits the oldest block as final and advances by one block.
 (N, S, h, 2h), are its groups, and bit (r, c) of block i >= 1 is position h+c
 of row r of pair i-1 and position r of row c of pair i, so a flat index steps
 to its partner by a table offset per (row, position).  Each window position
-runs the scaled rounds, then the weight-free ones, as one call in the plain
-and genie modes; a stream whose window pairs are all codewords is done for
-that position, and a weight-free round that changes no bit ends the call.
+is one call, in every mode: the scaled rounds, then the weight-free ones.  A
+stream whose window pairs are all codewords is done for that position, and a
+weight-free round that changes no bit ends the call.
 
 Scaled-reliability decoding consumes a per-pair, per-iteration weight
 schedule (``WindowSchedule``): row j of a slide's (U, iterations) array
@@ -241,13 +241,11 @@ def window_decode(
         y = x + partner[x % (half * width)]
         return np.concatenate([x, y[y < pairs.size]])
 
-    scaled = cfg.sr_iters if mode == "ibdd_sr" else 0  # the other modes weigh no round
     for b in range(1, n_blocks + 1):
         # pair p joins blocks p and p+1; slot 0 (pair b-1) joins the frozen block b-1
         lo, hi = b - 1, min(b - 1 + cfg.window_blocks, n_blocks)
         weights = None if llr_pairs is None else cfg.schedule.weights_for_slide(b)
-        iterate(comp, pairs, synd, copies, scaled, lo, hi, weights, llr_pairs, hard_pairs, genie)
-        iterate(comp, pairs, synd, copies, cfg.sr_iters + cfg.plain_iters - scaled, lo, hi,
-                genie=genie)
+        iterate(comp, pairs, synd, copies, cfg.sr_iters + cfg.plain_iters, lo, hi, weights,
+                llr_pairs, hard_pairs, genie)
     # block b is emitted after slide b: no later flip reaches it
     return np.ascontiguousarray(pairs[..., half:].swapaxes(0, 1)).reshape(shape)

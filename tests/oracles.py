@@ -501,17 +501,20 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     """``product.iterate`` on item-major (S, G, R, n) words and (S, G, R, t)
     odd syndromes: each (line, position) index pair that ``copies(lo, g, s,
     r, c)`` lists for the flipped bits (s, g, r, c) is flipped, and the
-    position's odd syndromes XORed into the line's."""
+    position's odd syndromes XORed into the line's.  The first
+    ``len(weights[0])`` rounds are scaled, the rest weight-free, and every
+    round runs until all items are codewords: no fixed-point exit."""
     position = syndrome_powers(comp)[::2].T
+    scaled = 0 if weights is None else len(weights[0])  # then weight-free rounds
     act = np.arange(len(words))
     for ell in range(iters):
         act = act[synd[act, lo:hi].any(axis=(1, 2, 3))]
         if not len(act):
             return
         for g in range(lo, hi):
-            s, r, c = line_flips(comp, words[:, g], synd[:, g], act,
-                                 None if weights is None else weights[g - lo][ell],
-                                 *(None if a is None else a[g] for a in (llr, hard, genie)))
+            weigh = (weights[g - lo][ell], llr[g], hard[g]) if ell < scaled else (None,) * 3
+            s, r, c = line_flips(comp, words[:, g], synd[:, g], act, *weigh,
+                                 None if genie is None else genie[g])
             for line, pos in copies(lo, g, s, r, c):
                 words[(*line, pos)] ^= 1
                 np.bitwise_xor.at(synd, line, position[pos])

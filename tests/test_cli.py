@@ -91,6 +91,17 @@ def test_de_threshold_bad_bracket(capsys):
     assert "diagnostics" in err
 
 
+def test_de_threshold_reversed_bracket(tmp_path, capsys):
+    """Ends given high first, 5 3 around the 3.88 dB toy threshold, are no
+    bracket: one error line and exit 1, not the numeric failure's exit 2."""
+    rc = main(["de-threshold", "--ensemble", "gldpc", "--m", "4", "--t", "1",
+               "--bracket", "5", "3", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "error" in err and "lo < hi" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_de_threshold_default_bracket(capsys):
     """With no --bracket the default bracket is bisected to the toy threshold."""
     assert main(["de-threshold", "--ensemble", "gldpc", "--m", "4", "--t", "1"]) == 0
@@ -470,6 +481,60 @@ def test_sim_interrupt_keeps_finished_points(tmp_path, capsys, monkeypatch):
     assert [(p["mode"], p["ebn0_db"]) for p in blob["points"]] == [("ibdd", 4.0), ("ideal", 4.0)]
     manifest = json.loads((tmp_path / "cut.manifest.json").read_text())
     assert manifest["outputs"] == [f"{prefix}.json"]
+
+
+_TOY_SIM = ["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--modes", "ibdd,ideal",
+            "--ebn0", "4.0", "4.5", "5.0", "--max-frames", "100"]
+
+
+@pytest.mark.parametrize("argv", [
+    _TOY_SIM,
+    ["de-threshold", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--bracket", "3", "5"],
+    ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "4"],
+    ["plotdata", "--in", "IN"],
+], ids=["sim", "de-threshold", "de-schedule", "plotdata"])
+def test_unwritable_out_exits_one(argv, tmp_path, capsys, monkeypatch):
+    """An --out in a missing directory ends in one error line naming the
+    command and exit 1, not a traceback; ``sim`` finds out before it decodes
+    any point."""
+    from ibddlab import sim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sim decoded a point it cannot write")
+
+    monkeypatch.setattr(sim, "run_point", refuse)
+    src = tmp_path / "in.json"
+    _write_results(src, [_mk_point("ibdd", 4.0, 1e-3)])
+    argv = [str(src) if a == "IN" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ibddlab {argv[0]}: error: ") and len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+def test_sim_keeps_each_finished_point(tmp_path, capsys, monkeypatch):
+    """``sim`` rewrites its results JSON and manifest after every grid point,
+    whole: a process that ends during the second point (here ``SystemExit``,
+    which the command does not catch) leaves the first point's rows and no
+    temporary file."""
+    from ibddlab import sim
+
+    real_run_point = sim.run_point
+
+    def exit_at_second(cfg, ebn0_db, modes=None):
+        if ebn0_db == cfg.ebn0_grid[1]:
+            raise SystemExit(9)
+        return real_run_point(cfg, ebn0_db, modes=modes)
+
+    monkeypatch.setattr(sim, "run_point", exit_at_second)
+    prefix = tmp_path / "cut"
+    with pytest.raises(SystemExit):
+        main(_TOY_SIM + ["--out", str(prefix)])
+    blob = json.loads((tmp_path / "cut.json").read_text())
+    assert [(p["mode"], p["ebn0_db"]) for p in blob["points"]] == [("ibdd", 4.0), ("ideal", 4.0)]
+    manifest = json.loads((tmp_path / "cut.manifest.json").read_text())
+    assert manifest["outputs"] == [f"{prefix}.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.json", "cut.manifest.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,16 @@ def test_threshold_search_rejects_bad_tolerance(prof_15_11, tol_db, monkeypatch)
         threshold_search("gldpc", prof_15_11, 1 - 2 * 4 / 15, tol_db=tol_db, bracket=(3.0, 5.0))
 
 
+@pytest.mark.parametrize("bracket", [(5.0, 3.0), (4.0, 4.0), (math.nan, 5.0)])
+def test_threshold_search_rejects_unordered_bracket(prof_15_11, bracket, monkeypatch):
+    """Ends given high first straddle the threshold but bracket nothing: like
+    an empty or NaN bracket, they fail before any recursion runs rather than
+    as a BracketError."""
+    monkeypatch.setattr(de, "run_gldpc", None)
+    with pytest.raises(ValueError, match="lo < hi"):
+        threshold_search("gldpc", prof_15_11, 1 - 2 * 4 / 15, bracket=bracket)
+
+
 @pytest.mark.parametrize("window", [None, 0, -1])
 def test_threshold_search_rejects_bad_window(prof_15_11, window, monkeypatch):
     monkeypatch.setattr(de, "run_sc_window", None)

@@ -474,6 +474,22 @@ def test_flat_kernel_matches_triple_oracle(monkeypatch, batched, m, t, snrs, fra
     assert any(partial for *_, partial, _ in calls)
 
 
+@pytest.mark.parametrize("batched", [d[1] for d in _DECODERS], ids=[d[0] for d in _DECODERS])
+def test_one_iterate_call_per_decode(pc_15_7, monkeypatch, batched):
+    """A stack's whole decode is one ``iterate`` call in every mode: iBDD-SR's
+    10 scaled rounds and 2 plain ones are one call of 12 rounds."""
+    tx, llr = _channel_stack(pc_15_7, 3.0, 20, seed=5)
+    real, rounds = product.iterate, []
+
+    def spy(*args, **kwargs):
+        rounds.append(args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(product, "iterate", spy)
+    batched(pc_15_7, llr, tx)
+    assert rounds == [12]
+
+
 @pytest.mark.parametrize("m,t,snr", [(4, 1, 3.0), (4, 2, 2.0), (4, 2, 3.0)])
 def test_sr_ties_zeros_and_infinities_match_frame_oracle(m, t, snr):
     """With LLRs and weights on one 0.5 grid, and LLRs of +-0 and +-inf, the

@@ -2,6 +2,7 @@
 result serialization."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -312,6 +313,34 @@ def test_random_streams_are_pinned():
         [979, 904, 563, 789], [930, 453, 319, 277]]
     assert np.random.default_rng([11, 0xD1FF]).integers(0, 1000, (2, 4)).tolist() == [
         [553, 488, 333, 718], [369, 584, 464, 881]]
+
+
+# SHA-256 prefixes of repr(stat_key()) per mode (ibdd, ibdd_sr, ideal): the
+# (15,11)^2 code at 4.0 dB, 400 frames, all-zero and random information; the
+# (30,20) staircase, W = 4, two streams at 4.0 dB; two (255,231)^2 frames at 4.5 dB
+_PINNED = [
+    (dict(scheme="pc", component=TOY, max_frames=400), 4.0,
+     ("03bd421c7075495a", "82c644bf79167635", "65516810236738a1")),
+    (dict(scheme="pc", component=TOY, max_frames=400, random_info=True), 4.0,
+     ("ac651c6c329d8ec9", "dcf880a724fa328a", "9e4d692590f5a84a")),
+    (dict(scheme="staircase", component=ComponentSpec(5, 2, 1), window_blocks=4,
+          max_frames=28), 4.0,
+     ("31db1181ad633c0c", "8287f8262741dad0", "ff34ab0ebf834485")),
+    (dict(scheme="pc", component=ComponentSpec(8, 3), max_frames=2), 4.5,
+     ("041b6f51aca1cf6e", "16b925d4f6ac2394", "5a269a7728d75de9")),
+]
+
+
+def test_statistics_are_pinned():
+    """Every statistic of each mode at four points, as digest literals: the
+    syndrome table, the closed-form locator, the genie and the window
+    decoder all feed them.  A change meant to keep the numbers must keep
+    these; one that moves them must say which and why."""
+    for over, ebn0, want in _PINNED:
+        cfg = SimConfig(ebn0_grid=(ebn0,), min_error_events=10**9, **over)
+        got = run_point(cfg, ebn0)
+        assert tuple(hashlib.sha256(repr(got[m].stat_key()).encode()).hexdigest()[:16]
+                     for m in sim.MODES) == want, over
 
 
 @pytest.mark.parametrize("seed,indices", [(-1, [0]), (2**64, [0]), (1, [-1]), (1, [2**32])])

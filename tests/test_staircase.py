@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ibddlab import product
+from ibddlab import product, staircase
 from ibddlab.bch import build_bch
 from ibddlab.channel import harden, make_params, transmit
 from ibddlab.sim import ScheduleUnavailable, schedule_for_window
@@ -489,6 +489,26 @@ def test_stalled_stream_stops_each_slide_at_its_fixed_point(sc_30_20, toy_schedu
         assert got.sum() == 9  # stuck where it started
         if mode != "ibdd_sr":
             assert len(calls) == 4 + 4 + 4 + 3  # one round of each window's pairs
+
+
+def test_one_iterate_call_per_window_position(sc_30_20, toy_schedule, rng, monkeypatch):
+    """Each window position of a 2-stream, N-block stack is one ``iterate``
+    call in every mode, the scaled and the weight-free rounds together."""
+    n_blocks = 8
+    streams = [_noisy_stream(sc_30_20, rng, n_blocks, 4.0) for _ in range(2)]
+    llr = np.array([s[1] for s in streams])
+    tx = np.array([s[0][1:] for s in streams])
+    real, calls = staircase.iterate, []
+
+    def spy(comp, words, synd, copies, iters, lo, hi, *args, **kwargs):
+        calls.append((lo, iters))
+        return real(comp, words, synd, copies, iters, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(staircase, "iterate", spy)
+    for mode in ("ibdd", "ibdd_sr", "ideal"):
+        calls.clear()
+        window_decode(sc_30_20, llr, _default_cfg(toy_schedule), mode=mode, transmitted=tx)
+        assert calls == [(lo, 12) for lo in range(n_blocks)], mode
 
 
 def test_kept_pair_syndromes_are_exact(sc_30_20, toy_schedule, rng, monkeypatch):
