@@ -13,7 +13,8 @@ what it finished.  Every output goes through a temporary file beside it that
 ``os.replace`` renames, so no file is ever half written.
 
 Each ``sim`` flag's dest is the ``SimConfig`` field it sets, ``--config`` holds
-the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1).
+the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1;
+a larger count is capped at the CPUs the process may use).
 
 Exit codes: 0 success, 1 usage error or an output that cannot be written (one
 stderr line; ``sim`` finds out before it decodes), 2 numeric failure (the
@@ -384,7 +385,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-frames", type=int,
                    help="frame budget per point: product arrays, or counted "
                         "staircase blocks (not streams)")
-    p.add_argument("--workers", type=int, help="worker processes (default 1)")
+    p.add_argument("--workers", type=int,
+                   help="worker processes (default 1; at most one per usable CPU)")
     p.add_argument("--random-info", action="store_true",
                    help="encode random information (default all-zero frames)")
     p.add_argument("--fixed-weight", type=float,

@@ -11,11 +11,11 @@ one flat index into its group's block, from the verdict rule (``line_flips``)
 to the write-back, where the scheme's ``copies`` gives the flat indices of
 both its copies.  Each line's syndrome word is kept exact from the bits that
 change: only lines with a nonzero word reach BDD, an item stops once all its
-words are zero, and a decode ends at a weight-free round that changes no bit,
-a fixed point (with an observer, every round runs).  A product frame's G = 2
-groups are its rows and its columns: bit (s, r, c) of the one is bit
-(s, c, r) of the other.  The three decoders differ only in the verdict rule
-that makes a component word the next binary message:
+words are zero, and a decode ends at a round that changes no bit when every
+later round weighs as it does, a fixed point, observed or not.  A product
+frame's G = 2 groups are its rows and its columns: bit (s, r, c) of the one
+is bit (s, c, r) of the other.  The three decoders differ only in the verdict
+rule that makes a component word the next binary message:
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
@@ -193,22 +193,25 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     copies: one XOR flips them, and one more XORs each position's
     ``comp.position_keys`` entry into its line's word.  An item whose groups
     are all codewords at the top of a round is done for the call, and the call
-    after a weight-free round that changes no bit (its syndrome words come back
-    and its writes cancel in pairs), as every later round would repeat it.
-    ``observer(g, round)`` follows every group that decodes any item,
-    weight-free rounds counted from 0 again; with it, every round runs.
+    after a round that changes no bit (its syndrome words come back and its
+    writes cancel in pairs) if each group weighs every later round as it did
+    this one, as each would repeat it.  ``observer(g, round)`` follows every
+    group that decodes any item, weight-free rounds counted from 0 again.
     """
     scaled = 0 if weights is None else len(weights[0])
     if iters < scaled:  # a negative weight-free tail
         raise ValueError(f"iteration count must be nonnegative, got {iters - scaled}")
+    # rounds from ``settle`` on weigh alike: the weight-free tail, else each group's last weights
+    settle = scaled if iters > scaled else max([0] + [i for g in range(lo, hi) for i in range(
+        1, scaled) if weights[g - lo][i] != weights[g - lo][i - 1]])
     bits, keys = words.reshape(-1, copy=False), synd.reshape(-1, copy=False)
     for ell in range(iters):
         # a dropped item gets no flip in this call, so its words stay zero
         act = np.flatnonzero(synd[lo:hi].any(axis=(0, 2)))
         if not len(act):
             return
-        free = ell >= scaled  # weight-free: unless observed, a round that changes nothing ends it
-        before, written = synd[lo:hi].copy() if free and observer is None else None, []
+        free = ell >= scaled  # weight-free
+        before, written = synd[lo:hi].copy() if ell >= settle else None, []  # a fixed point ends it
         for g in range(lo, hi):
             weigh = (None,) * 3 if free else (weights[g - lo][ell], llr[g], hard[g])
             x = copies(lo, g, line_flips(comp, words[g], synd[g], act, *weigh,

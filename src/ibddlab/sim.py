@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache
@@ -134,6 +136,10 @@ class SimConfig:
     ber_floor: float = 1e-7
 
     def __post_init__(self):
+        for name in ("ebn0_grid", "modes"):  # a str would pass as its characters
+            value = getattr(self, name)
+            if isinstance(value, str) or not (isinstance(value, Sequence) or np.ndim(value) == 1):
+                raise ValueError(f"{name} must be a sequence, got {value!r}")
         object.__setattr__(self, "ebn0_grid", tuple(_real(e, "ebn0_grid") for e in self.ebn0_grid))
         object.__setattr__(self, "modes", tuple(self.modes))
         if self.scheme not in _SCHEMES:
@@ -550,7 +556,9 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
     frames is a deterministic function of (cfg, ebn0_db, modes): batches are
     scheduled by a fixed plan and the stop rule consults only aggregated
     counts, so worker parallelism cannot change any statistic.  Batches
-    between which the stop rule provably cannot fire decode together.
+    between which the stop rule provably cannot fire decode together.  A
+    pool starts all its processes at once, so it holds at most one per CPU
+    this process may use, whatever ``cfg.workers`` asks for.
     """
     if modes is not None:  # checked by SimConfig's rules
         cfg = replace(cfg, modes=modes)
@@ -569,10 +577,12 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
     next_index = 0
     plan = _batch_plan(engine.units_per_frame)
     executor = None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.workers, cpus or 1)
     try:
-        if cfg.workers > 1 and active:
+        if workers > 1 and active:
             executor = ProcessPoolExecutor(
-                max_workers=cfg.workers,
+                max_workers=workers,
                 initializer=_init_worker,
                 initargs=(cfg, ebn0_db, modes),
             )
@@ -589,7 +599,7 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
             if not n_frames:
                 break
             stop = next_index + n_frames
-            size = min(engine.frames_per_call, math.ceil(n_frames / cfg.workers))
+            size = min(engine.frames_per_call, math.ceil(n_frames / workers))
             calls = [range(lo, min(lo + size, stop)) for lo in range(next_index, stop, size)]
             next_index = stop
             for fr in (map(engine.run_frames, calls) if executor is None

@@ -18,7 +18,7 @@ of row r of pair i-1 and position r of row c of pair i, so a flat index steps
 to its partner by a table offset per (row, position).  Each window position
 is one call, in every mode: the scaled rounds, then the weight-free ones.  A
 stream whose window pairs are all codewords is done for that position, and a
-weight-free round that changes no bit ends the call.
+round that changes no bit ends the call if each pair weighs later rounds alike.
 
 Scaled-reliability decoding consumes a per-pair, per-iteration weight
 schedule (``WindowSchedule``): row j of a slide's (U, iterations) array

@@ -351,6 +351,28 @@ def test_config_file_bad_fields_exit_one(config, message, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"ebn0_grid": 4.0}, "ebn0_grid must be a sequence, got 4.0"),
+    ({"ebn0_grid": "4.0"}, "ebn0_grid must be a sequence, got '4.0'"),
+    ({"modes": 3}, "modes must be a sequence, got 3"),
+    ({"modes": {"ibdd": 1}}, "modes must be a sequence, got {'ibdd': 1}"),
+], ids=["grid-number", "grid-string", "modes-number", "modes-object"])
+def test_config_file_non_sequence_fields_exit_one(config, message, tmp_path, capsys):
+    """A config file's grid or modes that is no JSON list ends in one error
+    line naming the key and exit 1, not in "'float' object is not iterable";
+    a comma string of modes is still split."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"scheme": "pc", "component": {"m": 4, "t": 1},
+                                    "ebn0_grid": [4.0], **config}))
+    assert main(["sim", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    cfg_file.write_text(json.dumps({"scheme": "pc", "component": {"m": 4, "t": 1},
+                                    "ebn0_grid": [4.0], "modes": "ibdd, ideal"}))
+    assert _sim_config(argparse.Namespace(config=str(cfg_file))).modes == ("ibdd", "ideal")
+
+
 def _sim_parser():
     [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return sub.choices["sim"]

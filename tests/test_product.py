@@ -531,18 +531,26 @@ def test_kept_syndromes_are_exact(monkeypatch, m, t, snr, frames):
 
 
 def test_frame_observer_trace_matches_oracle(pc_15_7):
-    """For one (n, n) frame the observer sees the same (stage, iteration,
-    array) calls as the per-frame loop, arrays in the caller's shape."""
+    """For one (n, n) frame the observer sees a prefix of the per-frame loop's
+    (stage, iteration, array) calls, arrays in the caller's shape: the loop
+    runs every round, the decoder stops at a fixed point, and every later
+    call of the loop repeats the decoder's last array for its stage."""
     _, llr = _channel_stack(pc_15_7, 3.0, 20, seed=3)
+    stopped = 0
     for frame in llr:
         for name, batched, oracle in _DECODERS[:2]:
             got, want = [], []
             batched(pc_15_7, frame, None, observer=lambda s, i, p: got.append((s, i, p.copy())))
             oracle(pc_15_7, frame, None, observer=lambda s, i, p: want.append((s, i, p.copy())))
-            assert [g[:2] for g in got] == [w[:2] for w in want], name
+            assert [g[:2] for g in got] == [w[:2] for w in want[:len(got)]], name
             for (_, _, a), (_, _, b) in zip(got, want):
                 assert a.shape == (15, 15)
                 np.testing.assert_array_equal(a, b)
+            last = {s: p for s, _, p in got}
+            for s, _, p in want[len(got):]:
+                np.testing.assert_array_equal(p, last[s])
+            stopped += len(want) > len(got)
+    assert stopped  # some frame stopped at a fixed point before the loop did
 
 
 def test_sr_trace_crosses_into_plain_tail(pc_15_7):
@@ -561,7 +569,8 @@ def test_sr_trace_crosses_into_plain_tail(pc_15_7):
 
 
 # ---------------------------------------------------------------------------
-# the fixed-point exit: a weight-free round that changes no bit ends the call
+# the fixed-point exit: a round that changes no bit ends the call when every
+# later round weighs as it does
 
 # seven errors on a (15,11)^2 frame, found by a seeded search: from round 2 on,
 # the columns flip back the six bits the rows flip
@@ -620,12 +629,83 @@ def test_scaled_round_that_flips_nothing_does_not_stop(pc_15_11, monkeypatch):
     assert not got.any()  # the second weight corrected all three
 
 
+@pytest.mark.parametrize("sched", [ScalingSchedule([0.0, 0.0, 8.0], [0.0, 0.0, 8.0]),
+                                   ScalingSchedule([0.0, 0.0, 0.0], [0.0, 0.0, 8.0])],
+                         ids=["both", "columns"])
+def test_no_change_before_the_last_weight_change_does_not_stop(pc_15_11, monkeypatch, sched):
+    """With no plain tail, rounds 1 and 2 keep the channel and change no bit,
+    but a later weight differs, in both groups or in the columns only: the
+    call runs on, and round 3's weight 8 corrects the three errors."""
+    llr = np.full((15, 15), 3.0)
+    llr[[2, 7, 11], [4, 9, 0]] = -1.0  # three weak errors, one per row and column
+    sizes = _spy_flips(monkeypatch)
+    got = ibdd_sr_decode(pc_15_11, llr, sched, sr_iters=3, plain_iters=0)
+    np.testing.assert_array_equal(got, oracles.frame_ibdd_sr(pc_15_11, llr, sched, 3, 0))
+    assert sizes[:4] == [0, 0, 0, 0] and sum(sizes[4:]) > 0
+    assert not got.any()
+
+
+@pytest.mark.parametrize("weight,rounds", [(2.0, 1), (4.0, 2)])
+def test_stalled_frame_stops_in_constant_weights(pc_15_11, monkeypatch, weight, rounds):
+    """With constant weights and no plain tail every later round weighs as
+    this one, so a stalled frame stops after its first round that changes no
+    bit, as the per-frame loop decodes it: weight 2 keeps the channel from
+    round 1, and weight 4 outvotes it, so the oscillating frame flips its six
+    bits back from round 2."""
+    rx = np.zeros((15, 15), dtype=np.uint8)
+    rx[tuple(np.transpose(_OSCILLATING))] = 1
+    llr = 3.0 * (1.0 - 2.0 * rx)
+    sched = ScalingSchedule.constant(weight, 8)
+    sizes = _spy_flips(monkeypatch)
+    got = ibdd_sr_decode(pc_15_11, llr, sched, sr_iters=8, plain_iters=0)
+    np.testing.assert_array_equal(got, oracles.frame_ibdd_sr(pc_15_11, llr, sched, 8, 0))
+    assert len(sizes) == 2 * rounds and not pc_15_11.is_codeword(got)
+
+
+# (mode, rounds, decode(code, llr, **kw)) for every mode that takes an observer
+_OBSERVED = (
+    ("ibdd", 12, lambda pc, llr, **kw: ibdd_decode(pc, harden(llr), **kw)),
+    ("ibdd_sr", 14, lambda pc, llr, **kw: ibdd_sr_decode(
+        pc, llr, ScalingSchedule(np.linspace(0.5, 5.0, 10), np.linspace(1.0, 5.5, 10)),
+        plain_iters=4, **kw)),
+    ("ibdd_sr_constant", 10, lambda pc, llr, **kw: ibdd_sr_decode(
+        pc, llr, ScalingSchedule.constant(4.0, 10), plain_iters=0, **kw)),
+)
+
+
+@pytest.mark.parametrize("rounds,decode", [d[1:] for d in _OBSERVED],
+                         ids=[d[0] for d in _OBSERVED])
+def test_observer_changes_no_round(pc_15_11, monkeypatch, rounds, decode):
+    """On a stack that holds a stalled frame, a decode makes the same
+    ``line_flips`` calls and returns the same array with and without an
+    observer, which follows each group call once; the stack stops at its
+    fixed point, before the last round."""
+    _, llr = _channel_stack(pc_15_11, 4.5, 20, seed=8)
+    rx = np.zeros((15, 15), dtype=np.uint8)
+    rx[tuple(np.transpose(_OSCILLATING))] = 1
+    llr = np.concatenate([llr, 8.0 * (1.0 - 2.0 * rx)[None]])  # it outvotes every weight
+    rule, calls = product.line_flips, []
+
+    def spy(comp, words, synd, act, *args):
+        flips = rule(comp, words, synd, act, *args)
+        calls.append((act.tolist(), np.sort(flips).tolist()))
+        return flips
+
+    monkeypatch.setattr(product, "line_flips", spy)
+    plain = decode(pc_15_11, llr)
+    unobserved, calls[:], seen = calls[:], [], []
+    got = decode(pc_15_11, llr, observer=lambda s, i, p: seen.append((s, i)))
+    np.testing.assert_array_equal(got, plain)
+    assert calls == unobserved and len(seen) == len(calls)
+    assert not pc_15_11.is_codeword(got[-1]) and len(calls) < 2 * rounds
+
+
 def test_round_that_restores_syndromes_but_not_bits_does_not_stop(code_15_11):
     """Syndrome words that come back are not enough: the bits written must
     cancel in pairs.  Here the one line's error at position 0 is flipped
     together with u and v, where 0, u, v span a weight-3 codeword, so every
     round keeps the syndrome and moves the bits; two rounds restore the
-    input, as when an observer keeps every round running."""
+    input, observed or not."""
     keys, n = code_15_11.position_keys, code_15_11.n
     u, v = next((u, v) for u in range(1, n) for v in range(u + 1, n)
                 if keys[0] ^ keys[u] ^ keys[v] == 0)
@@ -642,16 +722,21 @@ def test_round_that_restores_syndromes_but_not_bits_does_not_stop(code_15_11):
         np.testing.assert_array_equal(words, start)
 
 
-def test_observer_sees_every_round_of_a_stalled_frame(pc_15_11):
-    """With an observer every round runs, so a stalled frame still reports
-    2 * iters half-iterations, as the per-frame loop does."""
+def test_observer_sees_the_rounds_that_run_on_a_stalled_frame(pc_15_11, monkeypatch):
+    """An observer changes no round: a stalled frame stops after its first
+    round that changes nothing, observed or not, with the same ``line_flips``
+    calls, so the observer sees 2 rounds of the 5 the per-frame loop runs."""
     rx = np.zeros((15, 15), dtype=np.uint8)
     rx[tuple(np.transpose(_OSCILLATING))] = 1
-    got, want = [], []
+    sizes = _spy_flips(monkeypatch)
+    plain = ibdd_decode(pc_15_11, rx, iters=5)
+    unobserved, sizes[:] = sizes[:], []
+    got = []
     out = ibdd_decode(pc_15_11, rx, iters=5, observer=lambda s, i, p: got.append((s, i)))
-    ref = oracles.frame_ibdd(pc_15_11, rx, iters=5, observer=lambda s, i, p: want.append((s, i)))
-    np.testing.assert_array_equal(out, ref)
-    assert got == want and len(got) == 2 * 5
+    np.testing.assert_array_equal(out, plain)
+    np.testing.assert_array_equal(out, oracles.frame_ibdd(pc_15_11, rx, iters=5))
+    assert sizes == unobserved and len(sizes) == 4
+    assert got == [("row", 1), ("col", 1), ("row", 2), ("col", 2)]
 
 
 def test_decoders_leave_inputs_unchanged(pc_15_7):

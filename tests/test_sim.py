@@ -134,6 +134,21 @@ def test_config_random_info_takes_only_bools():
             toy_cfg(random_info=value)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("ebn0_grid", 4.0), ("ebn0_grid", "4.0"), ("ebn0_grid", {4.0}), ("ebn0_grid", np.float64(4)),
+    ("modes", 3), ("modes", "ibdd"), ("modes", iter(["ibdd"])),
+], ids=["grid-number", "grid-string", "grid-set", "grid-0d", "modes-number", "modes-string",
+        "modes-iterator"])
+def test_config_refuses_non_sequence_grid_and_modes(field, value):
+    """A grid or modes that is no sequence, or is a str, is refused by name:
+    not as "'float' object is not iterable", and "ibdd" not as the modes
+    ('i', 'b', 'd', 'd').  A list or a 1-D array is a sequence."""
+    with pytest.raises(ValueError, match=f"^{field} must be a sequence, got "):
+        toy_cfg(**{field: value})
+    cfg = toy_cfg(ebn0_grid=np.array([4.0, 4.5]), modes=["ibdd", "ideal"])
+    assert (cfg.ebn0_grid, cfg.modes) == ((4.0, 4.5), ("ibdd", "ideal"))
+
+
 @pytest.mark.parametrize("grid", [(), (4.0, 4.0), (3.0, 4.0, 4.0)], ids=["empty", "pair", "tail"])
 def test_config_refuses_empty_or_repeated_grid(grid):
     """An empty grid would write a results file with no point, and a repeated
@@ -498,6 +513,40 @@ def test_call_size_never_enters_statistics(monkeypatch, name):
         monkeypatch.setattr(sim, "DECODE_CALL_BITS", bits)
         keys.append({m: pt.stat_key() for m, pt in run_point(cfg, ebn0_db).items()})
     assert keys[0] == keys[1]
+
+
+@pytest.mark.parametrize("cpus", [None, 3], ids=["this-machine", "three"])
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
+    """A pool starts all its processes at once, so ``workers`` far above the
+    CPUs this process may use builds one of at most that many, with
+    workers=1's statistics.  The pool is a fake that runs its initializer
+    and maps in this process: no process is started."""
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            built.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, calls):
+            return map(fn, calls)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sim, "_ENGINE", None)
+    if cpus is not None:
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    usable = len(sim.os.sched_getaffinity(0)) if hasattr(sim.os, "sched_getaffinity") else (
+        sim.os.cpu_count() or 1)
+    cfg = toy_cfg(max_frames=600)
+    want = {m: pt.stat_key() for m, pt in run_point(cfg, 4.0).items()}
+    assert built == []
+    got = run_point(dataclasses.replace(cfg, workers=10**6), 4.0)
+    assert built == ([usable] if usable > 1 else [])
+    assert {m: pt.stat_key() for m, pt in got.items()} == want
 
 
 def test_pc255_decodes_four_frames_per_call():

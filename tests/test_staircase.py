@@ -491,6 +491,36 @@ def test_stalled_stream_stops_each_slide_at_its_fixed_point(sc_30_20, toy_schedu
             assert len(calls) == 4 + 4 + 4 + 3  # one round of each window's pairs
 
 
+def test_scaled_window_stops_in_its_equal_weights(sc_30_20, rng, monkeypatch):
+    """With no plain tail a window position stops at a scaled round that
+    changes no bit once each of its pairs weighs every later round alike.
+    The steady schedule keeps the channel for two rounds (weight 0 changes
+    no bit) and ends in three equal columns, a different weight per pair: a
+    stack decodes as the per-stream loop, and a stalled stream's four slides
+    each stop after round 4 of 6."""
+    steady = np.array([[0, 0, w, v, v, v] for w, v in [(2, 3), (5, 4), (3, 6), (6, 5)]], float)
+    sched = WindowSchedule(early=(), steady=steady, steady_slide=1, ebn0_db=4.0,
+                           rate=sc_30_20.rate)
+    cfg = _default_cfg(sched, sr_iters=6, plain_iters=0)
+    llr = np.array([_noisy_stream(sc_30_20, rng, 10, e)[1] for e in np.linspace(3.5, 5.0, 6)])
+    got = window_decode(sc_30_20, llr, cfg)
+    np.testing.assert_array_equal(got, np.array([oracles.window_decode(sc_30_20, lf, cfg)
+                                                 for lf in llr]))
+    assert np.any(got != harden(llr))  # it decoded
+    stalled = np.full((6, 15, 15), 8.0)
+    stalled[2][np.ix_([0, 1, 2], [0, 1, 2])] = -8.0  # t+1 errors in every affected word
+    rule, calls = product.line_flips, []
+
+    def spy(*args):
+        calls.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(product, "line_flips", spy)
+    got = window_decode(sc_30_20, stalled, cfg)
+    np.testing.assert_array_equal(got, oracles.window_decode(sc_30_20, stalled, cfg))
+    assert got.sum() == 9 and len(calls) == 4 * (4 + 4 + 4 + 3)
+
+
 def test_one_iterate_call_per_window_position(sc_30_20, toy_schedule, rng, monkeypatch):
     """Each window position of a 2-stream, N-block stack is one ``iterate``
     call in every mode, the scaled and the weight-free rounds together."""
