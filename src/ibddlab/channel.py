@@ -4,20 +4,21 @@ Bits map to antipodal symbols (0 -> +1, 1 -> -1); the noise variance follows
 from Eb/N0 and the code rate as sigma^2 = (2 * R * 10^(EbN0_dB/10))^-1.
 ``noise_to_llr`` holds the LLR formula; ``transmit`` and the simulation
 engine, which draws a whole stack of frames at once, both go through it.
+Q(x) comes from the standard library's ``math.erfc``, one value at a time.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 _SQRT2 = math.sqrt(2.0)
+_Q = np.frompyfunc(lambda v: 0.5 * math.erfc(v / _SQRT2), 1, 1)
 
 
 def q_function(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
+    """Gaussian tail probability Q(x) = P(N(0,1) > x), elementwise, in x's shape."""
+    return np.asarray(_Q(x), dtype=np.float64)[()]
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,19 @@ class ChannelParams:
 
 
 def make_params(ebn0_db: float, rate: float) -> ChannelParams:
+    """Channel at ``ebn0_db`` for a code of ``rate``.  Raises ValueError on a
+    rate outside (0, 1] and on an Eb/N0 that is not finite or so far out
+    (beyond about +-3080 dB) that sigma^2 is not a finite positive float."""
     if not math.isfinite(ebn0_db):
         raise ValueError(f"Eb/N0 must be finite, got {ebn0_db}")
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    ebn0 = 10.0 ** (ebn0_db / 10.0)
-    sigma2 = 1.0 / (2.0 * rate * ebn0)
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not (math.isfinite(sigma2) and sigma2 > 0.0):
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no finite, positive noise variance")
     return ChannelParams(ebn0_db=ebn0_db, rate=rate, sigma2=sigma2)
 
 

@@ -13,7 +13,8 @@ The per-iteration reliability weights used by the scaled-reliability decoders
 fall out of the same recursion as log-ratios of the correct/error transition
 probabilities, evaluated at the current message error rate.  Both recursions
 advance by one half-step, ``TransitionKernels.step``: that weight, then the
-bit-node update at it.
+bit-node update at it, with binomial weights from ``math.lgamma``,
+``np.log`` and ``np.log1p``.
 """
 
 import math
@@ -22,13 +23,13 @@ from fractions import Fraction
 from functools import cache
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .bch import EXACT_MAX_K, weight_enumerator_approx, weight_enumerator_exact
 from .channel import ChannelParams, make_params, q_function
 
 DEFAULT_WEIGHT_CAP = 64.0
 DEFAULT_TARGET = 1e-9
+_LOG0 = -1e100  # finite stand-in for log 0 in the pmf exponent, so that 0 * log 0 = 0
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,8 @@ class TransitionKernels:
         )
         self._i = np.arange(profile.n, dtype=np.float64)
         self._rest = (profile.n - 1) - self._i
-        self._logbin = gammaln(profile.n) - gammaln(self._i + 1) - gammaln(self._rest + 1)
+        lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+        self._logbin = lgamma(profile.n) - lgamma(self._i + 1) - lgamma(self._rest + 1)
 
     def eval(self, x) -> np.ndarray:
         """The transition functions (f_e, f_c, f_qe, f_pc) at message error
@@ -152,7 +154,9 @@ class TransitionKernels:
         same shape; the Binomial(n-1, x) weights are exact at x = 0 and 1.
         """
         x = np.asarray(x, dtype=np.float64)[..., None]
-        pmf = np.exp(self._logbin + xlogy(self._i, x) + xlog1py(self._rest, -x))
+        with np.errstate(divide="ignore"):
+            logx, log1mx = np.maximum(np.log(x), _LOG0), np.maximum(np.log1p(-x), _LOG0)
+        pmf = np.exp(self._logbin + self._i * logx + self._rest * log1mx)
         values = pmf @ self._kernels  # one column per transition function
         return values.transpose(-1, *range(values.ndim - 1))
 
@@ -410,7 +414,8 @@ def threshold_search(
     when the bracket endpoints do not straddle the threshold, and ValueError,
     before any recursion runs, on an unknown ensemble, a ``tol_db`` that is
     not finite and positive, a bracket (lo, hi) without lo < hi, or an sc
-    ``window`` below 1.
+    ``window`` below 1.  A ``tol_db`` finer than the float spacing at the
+    threshold ends the bisection where lo and hi are adjacent floats.
     """
     if ensemble not in ("gldpc", "sc"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
@@ -434,8 +439,8 @@ def threshold_search(
             {"lo": lo, "hi": hi, "lo_ok": lo_ok, "hi_ok": hi_ok},
         )
 
-    while hi - lo > tol_db:
-        mid = 0.5 * (lo + hi)
+    # ends, too, once lo and hi are adjacent floats: mid would repeat one of them
+    while hi - lo > tol_db and lo < (mid := 0.5 * (lo + hi)) < hi:
         if success(mid):
             hi = mid
         else:

@@ -38,17 +38,21 @@ position's row of odd syndromes; ``kernel_spy`` runs them beside the
 package's loop.  ``word_syndromes`` sums a word's odd syndromes from
 ``syndrome_powers``, and ``pack_syndromes`` and ``unpack_syndromes`` move
 them between that layout and the package's int64 syndrome words.
+``q_function_scipy`` and ``TransitionKernelsScipy`` are the Q-function and
+the transition functions' binomial weights as they were built from scipy's
+``erfc``, ``gammaln``, ``xlogy`` and ``xlog1py``, before the package took
+them from ``math`` and numpy alone.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import erfc, gammaln, xlog1py, xlogy
 
 from ibddlab import product, staircase
 from ibddlab.bch import BchCode, _locate_errors, bdd_decode_matrix, ideal_decode_matrix
 from ibddlab.channel import harden, make_params, q_function
-from ibddlab.de import BracketError, threshold_run
+from ibddlab.de import BracketError, TransitionKernels, threshold_run
 from ibddlab.product import ProductCode, combine_decision, pc_encode
 from ibddlab.sim import N_BOOT, _batch_plan, _build_engine
 from ibddlab.staircase import StaircaseCode, WindowConfig, encode_stream
@@ -775,6 +779,32 @@ def log_space_model_tables(code) -> tuple:
     peps = np.maximum(0.0, 1.0 - pe - pc)
     qeps = np.maximum(0.0, 1.0 - qe - qc)
     return pe, pc, peps, qe, qc, qeps
+
+
+def q_function_scipy(x):
+    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
+    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+
+
+class TransitionKernelsScipy(TransitionKernels):
+    """``de.TransitionKernels`` with its binomial weights from scipy's
+    ``gammaln``, ``xlogy`` and ``xlog1py``."""
+
+    def __init__(self, profile, params):
+        super().__init__(profile, params)
+        self._logbin = gammaln(profile.n) - gammaln(self._i + 1) - gammaln(self._rest + 1)
+
+    def eval(self, x) -> np.ndarray:
+        """The transition functions (f_e, f_c, f_qe, f_pc) at message error
+        rate(s) x in [0, 1], stacked on the first axis.
+
+        A scalar x gives four scalars, an array of rates four arrays of the
+        same shape; the Binomial(n-1, x) weights are exact at x = 0 and 1.
+        """
+        x = np.asarray(x, dtype=np.float64)[..., None]
+        pmf = np.exp(self._logbin + xlogy(self._i, x) + xlog1py(self._rest, -x))
+        values = pmf @ self._kernels  # one column per transition function
+        return values.transpose(-1, *range(values.ndim - 1))
 
 
 def transition_values(profile, x: float, p_ch: float) -> tuple:

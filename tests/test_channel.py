@@ -1,5 +1,7 @@
 """BI-AWGN channel model: parameters, LLR generation, hard decisions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,20 @@ def test_q_function_reference_values():
     assert q_function(-1.0) == pytest.approx(1 - 0.158655253931457, abs=1e-12)
 
 
+def test_q_function_matches_scipy_oracle():
+    """math.erfc agrees with scipy's erfc to 1e-13 relative wherever Q is at
+    least 1e-290, and Q keeps the shape of its argument."""
+    x = np.linspace(-5.0, 40.0, 4501)
+    got, want = q_function(x), oracles.q_function_scipy(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    normal = want >= 1e-290
+    assert normal.sum() > 4000
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+    assert np.all((got[~normal] >= 0) & (got[~normal] < 1e-289))
+    assert np.ndim(q_function(1.0)) == 0 and np.ndim(q_function(np.float64(-2.0))) == 0
+    assert q_function(np.full((2, 3), 0.5)).shape == (2, 3)
+
+
 def test_params_at_zero_db_rate_half():
     p = make_params(0.0, 0.5)
     assert p.sigma2 == pytest.approx(1.0, abs=1e-14)
@@ -24,6 +40,21 @@ def test_params_at_zero_db_rate_half():
 def test_params_reject_non_finite_ebn0(ebn0_db):
     with pytest.raises(ValueError, match="finite"):
         make_params(ebn0_db, 0.5)
+
+
+@pytest.mark.parametrize("ebn0_db", [3082.6, 4000.0, -3090.0, -3100.0, -3300.0, -4000.0])
+def test_params_reject_ebn0_without_finite_positive_variance(ebn0_db):
+    """Beyond about +-3080 dB sigma^2 overflows, underflows to zero or
+    divides by zero: a ValueError naming Eb/N0, not an OverflowError,
+    a ZeroDivisionError or an infinite sigma^2."""
+    with pytest.raises(ValueError, match="Eb/N0"):
+        make_params(ebn0_db, 0.5)
+
+
+@pytest.mark.parametrize("ebn0_db", [3082.4, -3080.0])
+def test_params_keep_extreme_finite_variance(ebn0_db):
+    sigma2 = make_params(ebn0_db, 0.5).sigma2
+    assert math.isfinite(sigma2) and sigma2 > 0.0
 
 
 @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5, float("nan")])

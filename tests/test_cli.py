@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ibddlab
-from ibddlab import __version__
+from ibddlab import __version__, de
 from ibddlab.bch import build_bch
 from ibddlab.cli import _build_parser, _sim_config, main
 from ibddlab.de import auto_profile, run_gldpc
@@ -106,6 +106,42 @@ def test_de_threshold_default_bracket(capsys):
     """With no --bracket the default bracket is bisected to the toy threshold."""
     assert main(["de-threshold", "--ensemble", "gldpc", "--m", "4", "--t", "1"]) == 0
     assert capsys.readouterr().out == "3.8789 dB\n"
+
+
+def test_de_threshold_tolerance_below_float_spacing(capsys, monkeypatch):
+    """A --tol-db finer than any float spacing ends at adjacent floats
+    with one result line, instead of bisecting forever."""
+    runs, run = [], de.threshold_run
+
+    def bounded(*args):  # a bisection that never ends fails here instead of hanging
+        runs.append(args)
+        assert len(runs) <= 100
+        return run(*args)
+
+    monkeypatch.setattr(de, "threshold_run", bounded)
+    argv = ["de-threshold", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--tol-db", "1e-300"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and out.endswith(" dB\n")
+    assert float(out.split()[0]) == pytest.approx(3.8789, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["de-threshold", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--bracket", "0", "4000"],
+        ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "4000"],
+        ["de-schedule", "--ensemble", "gldpc", "--m", "4", "--t", "1", "--ebn0-db", "-4000"],
+    ],
+    ids=["threshold-bracket", "schedule-high", "schedule-low"],
+)
+def test_de_extreme_ebn0_exits_one(argv, tmp_path, capsys):
+    """An Eb/N0 so far out that sigma^2 is not a finite positive float ends
+    in one error line naming Eb/N0 and exit 1, not a traceback."""
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "error" in err and "Eb/N0" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,24 @@ def test_kernels_match_transition_fns(prof_15_7):
     assert grid_fc.shape == (2, 3)
 
 
+@pytest.mark.parametrize(
+    "prof_fixture,ebn0,rate,rtol",
+    [("prof_255_231", 4.1, 1 - 2 * 24 / 255, 5e-13), ("prof_15_11", 3.5, 1 - 2 * 4 / 15, 1e-15)],
+    ids=["255_231", "15_11"],
+)
+def test_kernels_match_scipy_oracle(prof_fixture, ebn0, rate, rtol, request):
+    """The pmf from math.lgamma, np.log and np.log1p matches the one from
+    scipy's gammaln, xlogy and xlog1py: exactly at x = 0 and x = 1, and to
+    ``rtol`` (zero for zero) at every rate between, down to 1e-300."""
+    prof = request.getfixturevalue(prof_fixture)
+    params = make_params(ebn0, rate)
+    xs = np.concatenate([[0.0, 1.0, 1e-300, 1e-70], np.logspace(-12, -0.01)])
+    got = TransitionKernels(prof, params).eval(xs)
+    want = oracles.TransitionKernelsScipy(prof, params).eval(xs)
+    np.testing.assert_array_equal(got[:, :2], want[:, :2])
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
 def test_pmf_normalization(prof_15_7):
     """The binomial weights sum to one, and x = 0 / x = 1 put all mass on
     the first / last table entry."""
@@ -335,7 +353,7 @@ def test_early_stop_at_fixed_point_is_exact(ebn0, prof_fixture, request):
         part, whole = getattr(short, name), getattr(full, name)
         np.testing.assert_array_equal(part, whole[: len(part)])
     if ebn0 == 4.1640625:
-        assert short.iterations_run <= 257
+        assert short.iterations_run <= 262
 
 
 def test_threshold_search_kernel_evals(prof_255_231, monkeypatch):
@@ -351,7 +369,30 @@ def test_threshold_search_kernel_evals(prof_255_231, monkeypatch):
     monkeypatch.setattr(TransitionKernels, "eval", spy)
     thr = threshold_search("gldpc", prof_255_231, RATE_BIG, bracket=(3.5, 4.5), tol_db=0.01)
     assert thr == 4.16796875
-    assert len(calls) == 1064
+    assert len(calls) == 1074
+
+
+def test_threshold_search_ends_at_adjacent_floats(prof_15_11, monkeypatch):
+    """A tolerance finer than the float spacing ends the bisection once lo
+    and hi are adjacent floats, about 50 halvings of a 2-dB bracket, where
+    the midpoint would repeat one of them forever."""
+    calls = []  # (Eb/N0, decodes)
+    run = de.threshold_run
+
+    def spy(*args):
+        if len(calls) == 100:
+            raise AssertionError("bisection does not end")
+        res = run(*args)
+        calls.append((args[1], res.converged))
+        return res
+
+    monkeypatch.setattr(de, "threshold_run", spy)
+    rate = 1 - 2 * 4 / 15
+    thr = threshold_search("gldpc", prof_15_11, rate, tol_db=1e-300, bracket=(3.0, 5.0))
+    assert len({e for e, _ in calls}) == len(calls)  # no point is decoded twice
+    lo = max(e for e, ok in calls if not ok)
+    hi = min(e for e, ok in calls if ok)
+    assert np.nextafter(lo, np.inf) == hi and thr in (lo, hi)
 
 
 @pytest.mark.parametrize("tol_db", [0.01, 0.5])
