@@ -64,8 +64,10 @@ def noise_to_llr(noise: np.ndarray, bits: np.ndarray, params: ChannelParams) -> 
     LLRs are bit-identical to it.
     """
     noise *= params.sigma
-    np.add(noise, 1.0, out=noise, where=bits == 0)
-    np.subtract(noise, 1.0, out=noise, where=bits != 0)
+    symbols = np.array(bits, dtype=np.int8)  # a copy: s = 1 - 2b as int8
+    symbols *= -2
+    symbols += 1
+    noise += symbols  # x + (-1) is x - 1.0 exactly
     noise *= 2.0
     noise /= params.sigma2
     return noise

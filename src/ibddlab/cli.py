@@ -16,13 +16,13 @@ Each ``sim`` flag's dest is the ``SimConfig`` field it sets, ``--config`` holds
 the same keys, and unset fields keep SimConfig's defaults (``--workers`` 1;
 a larger count is capped at the CPUs the process may use).
 
-Exit codes: 0 success, 1 usage error or an output that cannot be written (one
-stderr line; ``sim`` finds out before it decodes), 2 numeric failure (the
-threshold bracket does not straddle the threshold), 3 a ``sim`` grid point
-failed (the finished points stay in the results JSON and manifest; the
-failed E_b/N_0 and the error go to stderr on one line), 130 a ``sim`` run
-interrupted (SIGINT, Ctrl-C): the finished points stay as for 3, and stderr
-names the E_b/N_0 left unfinished.
+Exit codes: 0 success; 1 bad input, any ``ValueError`` or ``OSError`` (a usage
+error, a malformed file, parameters that give no code, an output that cannot
+be written: ``sim`` finds out before it decodes); 2 a ``BracketError`` (the
+bracket does not straddle the threshold) -- ``main`` decides both; 3 a ``sim``
+grid point failed and 130 a ``sim`` run interrupted (Ctrl-C), each at the
+E_b/N_0 named, the finished points kept.  ``_fail`` prints every failure line:
+one stderr line ``ibddlab <command>: …``.  Any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bch import CodeConstructionError, FieldConstructionError, build_bch
+from .bch import build_bch
 from .de import (
     BracketError,
     auto_profile,
@@ -70,6 +70,13 @@ class _Parser(argparse.ArgumentParser):
 def _design_rate(n: int, k: int) -> float:
     # ensemble design rate shared by both graph families: 1 - 2(n-k)/n
     return 1.0 - 2.0 * (n - k) / n
+
+
+def _fail(command: str, code: int, message: str) -> int:
+    """Print ``message`` on one stderr line prefixed ``ibddlab <command>: ``
+    and return the exit code ``code``."""
+    print(f"ibddlab {command}: {message}".replace("\n", " "), file=sys.stderr)
+    return code
 
 
 def _utc_now() -> str:
@@ -122,15 +129,6 @@ def _write_profile(args, argv, code, result, threshold, rate: float, started: st
                     [args.out], started)
 
 
-def _component(args):
-    """The code of --m/--t/--shorten, or None once a one-line error is printed."""
-    try:
-        return build_bch(args.m, args.t, shorten=args.shorten)
-    except (FieldConstructionError, CodeConstructionError) as exc:
-        print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
-        return None
-
-
 def _add_component_args(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True, help="GF(2^m) field degree")
     p.add_argument("--t", type=int, required=True, help="error-correction radius")
@@ -143,24 +141,13 @@ def _add_component_args(p: _Parser) -> None:
 
 def _cmd_de_threshold(args, argv) -> int:
     started = _utc_now()
-    code = _component(args)
-    if code is None:
-        return 1
+    code = build_bch(args.m, args.t, shorten=args.shorten)
     profile = auto_profile(code)
     rate = _design_rate(code.n, code.k)
     window = args.window if args.ensemble == "sc" else None
     bracket = {"bracket": tuple(args.bracket)} if args.bracket else {}
-    try:
-        thr = threshold_search(args.ensemble, profile, rate, tol_db=args.tol_db,
-                               window=window, **bracket)
-    except ValueError as exc:
-        print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except BracketError as exc:
-        print(f"threshold search failed: {exc}", file=sys.stderr)
-        if exc.diagnostics:
-            print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
-        return 2
+    thr = threshold_search(args.ensemble, profile, rate, tol_db=args.tol_db,
+                           window=window, **bracket)
     print(f"{thr:.4f} dB")
     if args.out:
         res = threshold_run(profile, thr, rate, window)
@@ -173,30 +160,24 @@ def _cmd_de_threshold(args, argv) -> int:
 
 def _cmd_de_schedule(args, argv) -> int:
     started = _utc_now()
-    code = _component(args)
-    if code is None:
-        return 1
+    code = build_bch(args.m, args.t, shorten=args.shorten)
     profile = auto_profile(code)
     rate = args.rate if args.rate is not None else _design_rate(code.n, code.k)
-    try:
-        if args.ensemble == "gldpc":
-            res = run_gldpc(profile, args.ebn0_db, rate, iterations=args.iters,
-                            stop_early=False)
-            print(
-                f"gldpc schedule at {args.ebn0_db} dB: {len(res.w_row)} iterations, "
-                f"w_row[0]={res.w_row[0]:.3f} .. w_row[-1]={res.w_row[-1]:.3f}, "
-                f"converged={res.converged}"
-            )
-        else:
-            res = sc_schedule_run(profile, args.ebn0_db, rate, args.window, args.iters)
-            print(
-                f"sc schedule at {args.ebn0_db} dB: window {args.window}, "
-                f"{args.iters} iterations/slide, steady at slide "
-                f"{res.steady_slide}, converged={res.converged}"
-            )
-    except ValueError as exc:
-        print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+    if args.ensemble == "gldpc":
+        res = run_gldpc(profile, args.ebn0_db, rate, iterations=args.iters,
+                        stop_early=False)
+        print(
+            f"gldpc schedule at {args.ebn0_db} dB: {len(res.w_row)} iterations, "
+            f"w_row[0]={res.w_row[0]:.3f} .. w_row[-1]={res.w_row[-1]:.3f}, "
+            f"converged={res.converged}"
+        )
+    else:
+        res = sc_schedule_run(profile, args.ebn0_db, rate, args.window, args.iters)
+        print(
+            f"sc schedule at {args.ebn0_db} dB: window {args.window}, "
+            f"{args.iters} iterations/slide, steady at slide "
+            f"{res.steady_slide}, converged={res.converged}"
+        )
     if args.out:
         _write_profile(args, argv, code, res, None, rate, started)
     return 0
@@ -237,14 +218,9 @@ def _sim_config(args) -> SimConfig:
 
 def _cmd_sim(args, argv) -> int:
     started = _utc_now()
-    try:
-        cfg = _sim_config(args)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"ibddlab sim: error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _sim_config(args)
     json_path, manifest_path = args.out + ".json", args.out + ".manifest.json"
     rows = []
-    failure = None  # (exit code, stderr line)
 
     def save():
         """Both files as of the points finished so far."""
@@ -259,11 +235,9 @@ def _cmd_sim(args, argv) -> int:
         try:
             step = next(curve, None)
         except KeyboardInterrupt:  # the finished points are already written
-            failure = 130, f"interrupted at {ebn0} dB"
-            break
+            return _fail("sim", 130, f"interrupted at {ebn0} dB")
         except Exception as exc:
-            failure = 3, f"point failed at {ebn0} dB: {type(exc).__name__}: {exc}"
-            break
+            return _fail("sim", 3, f"point failed at {ebn0} dB: {type(exc).__name__}: {exc}")
         if step is None:  # every mode retired below the BER floor
             break
         for pt in step[1].values():  # in cfg.modes order
@@ -277,9 +251,6 @@ def _cmd_sim(args, argv) -> int:
             else:
                 print(f"{ebn0:6.2f} dB {pt.mode:8s} skipped: {pt.reason}")
         save()
-    if failure is not None:
-        print(f"ibddlab sim: {failure[1]}".replace("\n", " "), file=sys.stderr)
-        return failure[0]
     print(f"wrote {json_path} in {time.perf_counter()-t0:.1f}s")
     return 0
 
@@ -293,18 +264,17 @@ def _read_points(path: str) -> list:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "points" not in doc:
         raise ValueError(f"{path} is not a sim results JSON: no 'points'")
-    return [BerPoint(**{k: v for k, v in p.items() if k != "skipped"})
-            for p in doc["points"] if not p["skipped"]]
+    try:
+        return [BerPoint(**{k: v for k, v in p.items() if k != "skipped"})
+                for p in doc["points"] if not p["skipped"]]
+    except (KeyError, TypeError) as exc:  # a malformed point record
+        raise ValueError(f"{path} is not a sim results JSON: bad point ({exc!r})") from None
 
 
 def _cmd_plotdata(args, argv) -> int:
-    try:
-        if args.target_ber is not None and not 0 < args.target_ber < 1:
-            raise ValueError(f"--target-ber must lie in (0, 1), got {args.target_ber:g}")
-        points = _read_points(args.infile)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"ibddlab plotdata: error: {exc}", file=sys.stderr)
-        return 1
+    if args.target_ber is not None and not 0 < args.target_ber < 1:
+        raise ValueError(f"--target-ber must lie in (0, 1), got {args.target_ber:g}")
+    points = _read_points(args.infile)
     by_mode: dict = {}
     for pt in points:
         by_mode.setdefault(pt.mode, []).append(pt)
@@ -416,9 +386,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, argv)
-    except OSError as exc:  # an output file that cannot be written
-        print(f"ibddlab {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+    except BracketError as exc:
+        diagnostics = f"; diagnostics: {exc.diagnostics}" if exc.diagnostics else ""
+        return _fail(args.command, 2, f"threshold search failed: {exc}{diagnostics}")
+    except (OSError, ValueError) as exc:  # bad input, or an output that cannot be written
+        return _fail(args.command, 1, f"error: {exc}")
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be a sequence, got {value!r}")
         object.__setattr__(self, "ebn0_grid", tuple(_real(e, "ebn0_grid") for e in self.ebn0_grid))
         object.__setattr__(self, "modes", tuple(self.modes))
-        if self.scheme not in _SCHEMES:
+        if not isinstance(self.scheme, str) or self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.modes or any(m not in MODES for m in self.modes) or (
                 len(set(self.modes)) < len(self.modes)):  # a repeat counts each frame twice

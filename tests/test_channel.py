@@ -102,6 +102,12 @@ def test_noise_to_llr_in_place():
     out = noise_to_llr(noise, bits, params)
     assert out is noise
     np.testing.assert_array_equal(out, want)
+    # random bits: every entry exactly as the formula, on both BPSK points
+    rng = np.random.default_rng(4)
+    noise = rng.standard_normal((4, 160, 160))
+    bits = rng.integers(0, 2, noise.shape, dtype=np.uint8)
+    want = 2.0 * ((1.0 - 2.0 * bits) + params.sigma * noise) / params.sigma2
+    np.testing.assert_array_equal(noise_to_llr(noise, bits, params), want)
 
 
 def test_transmit_llr_statistics():

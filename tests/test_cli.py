@@ -89,6 +89,8 @@ def test_de_threshold_bad_bracket(capsys):
     err = capsys.readouterr().err
     assert "bracket" in err
     assert "diagnostics" in err
+    [line] = err.splitlines()  # the diagnostics ride on the one failure line
+    assert line.startswith("ibddlab de-threshold: threshold search failed:")
 
 
 def test_de_threshold_reversed_bracket(tmp_path, capsys):
@@ -372,13 +374,16 @@ def test_config_file_non_integer_counts_exit_one(config, message, tmp_path, caps
      ({"component": {"m": 4, "t": 1}, "ebn0_grid": []}, "ebn0_grid must be nonempty"),
      ({"component": {"m": 4, "t": 1}, "ebn0_grid": [4.0, 4.0]}, "strictly ascending"),
      ({"component": {"m": 4}}, "component --m and --t are required"),
-     ({"component": {"t": 1}}, "component --m and --t are required")],
-    ids=["random-info-string", "grid-empty", "grid-repeated", "no-t", "no-m"],
+     ({"component": {"t": 1}}, "component --m and --t are required"),
+     ({"component": {"m": 4, "t": 1}, "scheme": ["pc"]}, "unknown scheme ['pc']")],
+    ids=["random-info-string", "grid-empty", "grid-repeated", "no-t", "no-m",
+         "scheme-list"],
 )
 def test_config_file_bad_fields_exit_one(config, message, tmp_path, capsys):
     """A config file whose ``random_info`` is no bool (the string "false" is
-    truthy), whose grid is empty or repeats a point, or whose component lacks
-    m or t ends in one error line naming it and exit 1, with no output file."""
+    truthy), whose grid is empty or repeats a point, whose component lacks
+    m or t, or whose scheme is no string ends in one error line naming it and
+    exit 1, with no output file."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"scheme": "pc", "ebn0_grid": [4.0], **config}))
     assert main(["sim", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 1
@@ -675,6 +680,19 @@ def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in err[0]
     assert "not a sim results JSON" in err[0]
+    # a malformed point record: one such line too, not a raw exception text
+    _write_results(src, [_mk_point("ibdd", 4.0, 1e-3)])
+    [good] = json.loads(src.read_text())["points"]
+    for points in (5, "ibdd", [[4.0, 1e-3]], [7],
+                   [{k: v for k, v in good.items() if k != "skipped"}],
+                   [good | {"color": "red"}],
+                   [{k: v for k, v in good.items() if k != "ber"}]):
+        src.write_text(json.dumps({"points": points}))
+        assert main(["plotdata", "--in", str(src)]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"ibddlab plotdata: error: {src} is not a sim results JSON")
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("target", ["0", "-1", "nan", "2", "1"])
@@ -708,6 +726,21 @@ def test_sim_results_round_trip_through_plotdata(tmp_path, capsys):
                 f"{p['ber_ci95'][0]:.6e} {p['ber_ci95'][1]:.6e} "
                 f"{p['frames']} {p['frame_errors']}") in text
     assert "# gain_db[ideal over ibdd]@0.001 = " in text
+
+
+def test_programming_errors_are_not_usage_errors(tmp_path, monkeypatch):
+    """Only bad input (a ValueError or OSError) exits 1: any other exception
+    is a bug, and ``main`` lets it out as a traceback, not an error line."""
+    from ibddlab import cli
+
+    def broken(**kwargs):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "SimConfig", broken)
+    with pytest.raises(TypeError, match="a bug, not bad input"):
+        main(["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--ebn0", "4.0",
+              "--out", str(tmp_path / "x")])
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

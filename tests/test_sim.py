@@ -74,7 +74,7 @@ def test_config_validation():
                 {"ebn0_grid": (4.0, float("nan"))}, {"ebn0_grid": (float("nan"),)},
                 {"ebn0_grid": (4.0, float("inf"))}, {"ebn0_grid": (-float("inf"), 4.0)},
                 {"ber_floor": float("nan")}, {"ber_floor": -1e-7},
-                {"ber_floor": float("inf")}, {"ber_floor": 1.0}):
+                {"ber_floor": float("inf")}, {"ber_floor": 1.0}, {"scheme": ["pc"]}):
         with pytest.raises(ValueError):
             toy_cfg(**bad)
     # the extremes of the seed and frame budget ranges are valid
