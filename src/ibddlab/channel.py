@@ -40,7 +40,8 @@ class ChannelParams:
 def make_params(ebn0_db: float, rate: float) -> ChannelParams:
     """Channel at ``ebn0_db`` for a code of ``rate``.  Raises ValueError on a
     rate outside (0, 1] and on an Eb/N0 that is not finite or so far out
-    (beyond about +-3080 dB) that sigma^2 is not a finite positive float."""
+    (beyond about +-3080 dB) that sigma^2 is not a finite positive float or
+    the LLR scale 2/sigma^2 is not finite."""
     if not math.isfinite(ebn0_db):
         raise ValueError(f"Eb/N0 must be finite, got {ebn0_db}")
     if not 0.0 < rate <= 1.0:
@@ -49,8 +50,9 @@ def make_params(ebn0_db: float, rate: float) -> ChannelParams:
         sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
     except (OverflowError, ZeroDivisionError):
         sigma2 = math.nan
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no finite, positive noise variance")
+    if not (math.isfinite(sigma2) and sigma2 > 0.0 and math.isfinite(2.0 / sigma2)):
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no finite, positive noise variance "
+                         "with finite LLRs")
     return ChannelParams(ebn0_db=ebn0_db, rate=rate, sigma2=sigma2)
 
 

@@ -267,7 +267,7 @@ def _read_points(path: str) -> list:
     try:
         return [BerPoint(**{k: v for k, v in p.items() if k != "skipped"})
                 for p in doc["points"] if not p["skipped"]]
-    except (KeyError, TypeError) as exc:  # a malformed point record
+    except (KeyError, TypeError, ValueError) as exc:  # a malformed point record
         raise ValueError(f"{path} is not a sim results JSON: bad point ({exc!r})") from None
 
 

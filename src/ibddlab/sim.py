@@ -18,14 +18,18 @@ interval and BER a per-unit bootstrap interval.  A staircase stream carries
 ``blocks_per_stream`` encoded blocks after the all-zero terminator; its
 first and last window_blocks-1 blocks (warm-up and flush) are not counted.
 
-Stopping is frame-error driven: a point runs until every active mode has
-accumulated ``min_error_events`` unit errors, or the budget of
-``max_frames`` counted units is exhausted.  The batches that no stop check
-separates share calls of at most ``DECODE_CALL_BITS`` bits, four (255,231)^2
-frames: a product mode decodes a call's frames as one (B, n, n) stack, a
-staircase mode its streams as one (S, N, h, h) stack.  Each frame decodes as
-it would alone, so the call size never moves a statistic.  ``results_json``
-is the result record that ``ibddlab plotdata`` reads back.
+Stopping is frame-error driven.  Frames come in the batches of a fixed plan,
+and each stop check has one bound, ``reach``: the fewer of the counted units
+left in the budget of ``max_frames`` and ``min_error_events`` less the fewest
+unit errors of any running mode.  At ``reach <= 0`` the point is done.
+Otherwise the plan batches that cover ``reach`` decode together, clipped to
+the budget: a counted unit adds at most one error event, so no check between
+them could fire.  They share calls of at most ``DECODE_CALL_BITS`` bits,
+four (255,231)^2 frames: a product mode decodes a call's frames as one
+(B, n, n) stack, a staircase mode its streams as one (S, N, h, h) stack.
+Each frame decodes as it would alone, so the call size never moves a
+statistic.  ``results_json`` is the result record that ``ibddlab plotdata``
+reads back.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import warnings
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cache
+from functools import cache, partial
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -78,13 +83,14 @@ def _real(value, name: str) -> float:
 
 
 def _check_numbers(config) -> None:
-    """Store each ``int`` field of a config dataclass as an int (``bch._integer``),
-    each ``float`` field but a None as a float (``_real``) and each ``bool`` as a bool."""
+    """Store each ``int`` field of a dataclass as an int (``bch._integer``),
+    each ``float`` field, and each ``float | None`` field but a None, as a float
+    (``_real``) and each ``bool`` as a bool."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "int":
             object.__setattr__(config, f.name, _integer(value, f.name, ValueError))
-        elif f.type.startswith("float") and value is not None:
+        elif f.type == "float" or (f.type == "float | None" and value is not None):
             object.__setattr__(config, f.name, _real(value, f.name))
         elif f.type == "bool":
             if not isinstance(value, (bool, np.bool_)):
@@ -194,6 +200,16 @@ class BerPoint:
     seed: int
     wall_seconds: float
     frame_bit_errors: tuple = field(repr=False, default=())
+
+    def __post_init__(self):  # a results file read back must hold what run_point writes
+        _check_numbers(self)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("wilson_ci95", "ber_ci95"):
+            value = getattr(self, name)
+            if not isinstance(value, Sequence) or len(value) != 2:  # a str fails _real
+                raise ValueError(f"{name} must be two real numbers, got {value!r}")
+            object.__setattr__(self, name, tuple(_real(v, name) for v in value))
 
     def stat_key(self) -> tuple:
         """Everything reproducible: every field but wall time, in field order."""
@@ -552,67 +568,57 @@ def _batch_plan(units_per_frame: int):
 def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
     """Simulate one grid point; returns {mode: BerPoint | SkippedPoint}.
 
-    All returned modes share the same frames and noise.  The number of
-    frames is a deterministic function of (cfg, ebn0_db, modes): batches are
-    scheduled by a fixed plan and the stop rule consults only aggregated
-    counts, so worker parallelism cannot change any statistic.  Batches
-    between which the stop rule provably cannot fire decode together.  A
-    pool starts all its processes at once, so it holds at most one per CPU
-    this process may use, whatever ``cfg.workers`` asks for.
+    All modes share the same frames and noise.  Each stop check has one
+    bound, ``reach``: the fewer of the counted units left in ``max_frames``
+    and ``min_error_events`` less the fewest unit errors of any mode.  At
+    ``reach <= 0`` the point is done; else the plan batches covering ``reach``
+    decode together, clipped to the budget.  Only counts steer this, so
+    workers move no statistic; a pool has at most one process per usable CPU.
     """
     if modes is not None:  # checked by SimConfig's rules
         cfg = replace(cfg, modes=modes)
-    modes = cfg.modes
     t0 = time.perf_counter()
-    engine = _build_engine(cfg, ebn0_db, modes)
+    engine = _build_engine(cfg, ebn0_db, cfg.modes)
     result: dict = {}
-    active = engine.modes
     if engine.skip_reason is not None:
         warnings.warn(f"ibdd_sr skipped at {ebn0_db} dB: {engine.skip_reason}")
         result["ibdd_sr"] = SkippedPoint(cfg.scheme, cfg.component.label, "ibdd_sr",
                                          ebn0_db, cfg.seed, engine.skip_reason)
 
-    counts = {m: [] for m in active}
-    events = {m: 0 for m in active}
-    next_index = 0
+    counts = {m: [] for m in engine.modes}
+    events = {m: 0 for m in engine.modes}
+    done = 0  # frames decoded
     plan = _batch_plan(engine.units_per_frame)
-    executor = None
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cfg.workers, cpus or 1)
+    decode, pool = partial(map, engine.run_frames), None
+    if workers > 1 and engine.modes:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(cfg, ebn0_db, cfg.modes),
+        )
+        decode = partial(pool.map, _worker_frames)
     try:
-        if workers > 1 and active:
-            executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(cfg, ebn0_db, modes),
-            )
-        while active:
-            # the stop check, then plan batches join this one while it provably
-            # cannot fire between them: a gathered unit adds at most one event
-            units_done, n_frames, gathered = next_index * engine.units_per_frame, 0, 0
-            while units_done + gathered < cfg.max_frames and any(
-                events[m] + gathered < cfg.min_error_events for m in active
-            ):
-                left = cfg.max_frames - units_done - gathered
-                n_frames += min(next(plan), math.ceil(left / engine.units_per_frame))
-                gathered = n_frames * engine.units_per_frame
-            if not n_frames:
+        while engine.modes:  # none when the only mode asked for is skipped
+            left = cfg.max_frames - done * engine.units_per_frame  # counted units
+            reach = min(left, cfg.min_error_events - min(events.values()))
+            if reach <= 0:
                 break
-            stop = next_index + n_frames
-            size = min(engine.frames_per_call, math.ceil(n_frames / workers))
-            calls = [range(lo, min(lo + size, stop)) for lo in range(next_index, stop, size)]
-            next_index = stop
-            for fr in (map(engine.run_frames, calls) if executor is None
-                       else executor.map(_worker_frames, calls)):
-                for m in active:
+            n_frames = next(n for n in accumulate(plan) if n * engine.units_per_frame >= reach)
+            batch = range(done, done + min(n_frames, math.ceil(left / engine.units_per_frame)))
+            done = batch.stop
+            size = min(engine.frames_per_call, math.ceil(len(batch) / workers))
+            for fr in decode([batch[lo : lo + size] for lo in range(0, len(batch), size)]):
+                for m in engine.modes:
                     counts[m].append(fr[m].ravel())
                     events[m] += int(np.count_nonzero(fr[m]))
     finally:
-        if executor is not None:
-            executor.shutdown()
+        if pool is not None:
+            pool.shutdown()
 
     wall = time.perf_counter() - t0
-    for m in active:
+    for m in engine.modes:
         per_unit = np.concatenate(counts[m])  # every active mode decodes at least one call
         frames = len(per_unit)
         frame_errors = int(np.count_nonzero(per_unit))
@@ -635,7 +641,7 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
             wall_seconds=wall,
             frame_bit_errors=tuple(per_unit.tolist()),
         )
-    return {m: result[m] for m in modes if m in result}
+    return {m: result[m] for m in cfg.modes if m in result}
 
 
 def run_curve(cfg: SimConfig):

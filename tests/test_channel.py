@@ -42,19 +42,31 @@ def test_params_reject_non_finite_ebn0(ebn0_db):
         make_params(ebn0_db, 0.5)
 
 
-@pytest.mark.parametrize("ebn0_db", [3082.6, 4000.0, -3090.0, -3100.0, -3300.0, -4000.0])
+@pytest.mark.parametrize("ebn0_db", [3082.4, 3082.6, 4000.0, -3090.0, -3100.0, -3300.0, -4000.0])
 def test_params_reject_ebn0_without_finite_positive_variance(ebn0_db):
     """Beyond about +-3080 dB sigma^2 overflows, underflows to zero or
-    divides by zero: a ValueError naming Eb/N0, not an OverflowError,
-    a ZeroDivisionError or an infinite sigma^2."""
+    divides by zero, or the LLR scale 2/sigma^2 overflows (3082.4 dB: sigma^2
+    is the subnormal 5.75e-309): a ValueError naming Eb/N0, not an
+    OverflowError, a ZeroDivisionError, an infinite sigma^2 or infinite LLRs."""
     with pytest.raises(ValueError, match="Eb/N0"):
         make_params(ebn0_db, 0.5)
 
 
-@pytest.mark.parametrize("ebn0_db", [3082.4, -3080.0])
+def test_params_reject_overflowing_llr_scale_at_high_rate():
+    """At rate 0.9, 3077 dB gives sigma^2 = 1.1e-308, finite and positive,
+    but 2/sigma^2 overflows, so ``transmit`` would return +-inf."""
+    with pytest.raises(ValueError, match="Eb/N0 of 3077.0 dB"):
+        make_params(3077.0, 0.9)
+
+
+@pytest.mark.parametrize("ebn0_db", [3079.0, -3080.0])
 def test_params_keep_extreme_finite_variance(ebn0_db):
-    sigma2 = make_params(ebn0_db, 0.5).sigma2
-    assert math.isfinite(sigma2) and sigma2 > 0.0
+    """The extremes still accepted keep finite LLRs: at 3079 dB, 2/sigma^2
+    is 1.59e308."""
+    params = make_params(ebn0_db, 0.5)
+    assert math.isfinite(params.sigma2) and params.sigma2 > 0.0
+    llr = transmit(np.array([0, 1, 0, 1]), params, np.random.default_rng(7))
+    assert np.isfinite(llr).all()
 
 
 @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5, float("nan")])

@@ -670,8 +670,9 @@ def test_plotdata_missing_file_exits_one(tmp_path, capsys):
 
 
 def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
-    """A file that is no sim results JSON -- a CSV, or JSON without
-    ``points`` -- ends in one error line and exit 1."""
+    """A file that is no sim results JSON -- a CSV, JSON without ``points``,
+    or a point record with a missing, extra or wrong-typed field -- ends in
+    one error line and exit 1."""
     for name, text in (("in.csv", "a,b,c\n1,2,3\n"), ("in.json", '{"config": {}}')):
         src = tmp_path / name
         src.write_text(text)
@@ -686,13 +687,18 @@ def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
     for points in (5, "ibdd", [[4.0, 1e-3]], [7],
                    [{k: v for k, v in good.items() if k != "skipped"}],
                    [good | {"color": "red"}],
-                   [{k: v for k, v in good.items() if k != "ber"}]):
+                   [{k: v for k, v in good.items() if k != "ber"}],
+                   # right keys, wrong values
+                   [good | {"ber": "x"}], [good | {"ber_ci95": [1e-3]}], [good | {"ber": None}],
+                   [good, good | {"ebn0_db": "5"}], [good | {"frames": "10"}],
+                   [good | {"mode": 3}]):
         src.write_text(json.dumps({"points": points}))
         assert main(["plotdata", "--in", str(src)]) == 1
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()
         assert line.startswith(f"ibddlab plotdata: error: {src} is not a sim results JSON")
         assert captured.out == ""
+    assert "bad point (ValueError(\"mode must be one of" in line
 
 
 @pytest.mark.parametrize("target", ["0", "-1", "nan", "2", "1"])

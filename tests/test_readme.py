@@ -1,11 +1,14 @@
-"""README's library example runs as printed: a renamed function or a changed
-signature fails here instead of in a reader's first session."""
+"""README's examples run as printed: a renamed function, a changed
+signature or a moved threshold fails here instead of in a reader's first
+session."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
+from ibddlab.cli import main
 from ibddlab.de import threshold_search
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,3 +29,15 @@ def test_library_example_runs(capsys):
     decoded = namespace["decoded"]
     assert decoded.shape == (255, 255)
     assert np.isin(decoded, (0, 1)).all()
+
+
+def test_de_threshold_examples_print_readme_values(capsys):
+    """Each ``ibddlab de-threshold`` line of that section's sh block prints
+    the ``# … dB`` comment under it."""
+    section = README.read_text().split("\n### `de-threshold`", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```$", section, re.S | re.M).group(1)
+    examples = re.findall(r"^(ibddlab de-threshold .*)\n# (.*)$", block, re.M)
+    assert len(examples) == 2
+    for command, printed in examples:
+        assert main(shlex.split(command)[1:]) == 0
+        assert capsys.readouterr().out == f"{printed}\n"

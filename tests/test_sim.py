@@ -565,6 +565,12 @@ _STEPWISE_POINTS = {
     "sc30-3.6dB-2workers": (SimConfig(scheme="staircase", component=ComponentSpec(5, 2, 1),
                                       ebn0_grid=(3.6,), min_error_events=80, max_frames=5000,
                                       workers=2, window_blocks=4), 3.6),
+    # budget-capped: the last call is clipped to the 300-frame budget
+    "pc15-3.5dB-300frames": (toy_cfg(ebn0_grid=(3.5,), max_frames=300, seed=3), 3.5),
+    # a budget of 20 counted blocks, not a multiple of a stream's 14: two streams
+    "sc30-20blocks": (SimConfig(scheme="staircase", component=ComponentSpec(5, 2, 1),
+                                ebn0_grid=(4.0,), min_error_events=10**9, max_frames=20,
+                                window_blocks=4), 4.0),
 }
 
 
@@ -595,7 +601,9 @@ def test_unseparated_batches_share_calls(monkeypatch):
     """Plan batches that no stop check separates share decode calls: the sc30
     point's six streams decode in one call, the pc15 point's first three
     batches (32 + 64 + 128 frames, below its 100 errors) in one, and the
-    10-frame pc255 point, already one batch, in calls of 4, 4 and 2."""
+    10-frame pc255 point, already one batch, in calls of 4, 4 and 2.  A
+    budget clips the batch that reaches it: 300 pc15 frames end in a call
+    of 76, and 20 sc30 blocks take the two streams that cover them."""
     sizes = []
     run_frames = sim._Engine.run_frames
 
@@ -607,12 +615,14 @@ def test_unseparated_batches_share_calls(monkeypatch):
 
     def calls(name):
         sizes.clear()
-        run_point(*_PEAK_POINTS[name])
+        run_point(*_STEPWISE_POINTS[name])
         return list(sizes)
 
     assert calls("sc30") == [6]
-    assert calls("pc15")[0] == 224
+    assert calls("pc15") == [224, 256, 512, 1024]
     assert calls("pc255") == [4, 4, 2]
+    assert calls("pc15-3.5dB-300frames") == [96, 128, 76]
+    assert calls("sc30-20blocks") == [2]
 
 
 def test_library_writes_nothing_to_stdout(capfd, prof_255_231):
@@ -641,6 +651,20 @@ def _mk_point(mode, ebn0, ber):
         seed=1, wall_seconds=0.0,
         frame_bit_errors=(),
     )
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("ber", "x", "ber must be a real number"),
+    ("frames", "10", "frames must be an integer"),
+    ("mode", "bogus", "mode must be one of"),
+    ("ber_ci95", (1e-3,), "ber_ci95 must be two real numbers"),
+    ("wilson_ci95", ("a", "b"), "wilson_ci95 must be a real number"),
+], ids=["ber", "frames", "mode", "ber_ci95", "wilson_ci95"])
+def test_ber_point_refuses_wrong_values(field, value, message):
+    """A BerPoint holds only what run_point writes, so a results file read
+    back with a wrong-typed value is refused with a ValueError naming the field."""
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(_mk_point("ibdd", 4.0, 1e-3), **{field: value})
 
 
 def test_interpolate_log_linear_hand_case():
