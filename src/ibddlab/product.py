@@ -11,8 +11,11 @@ one flat index into its group's block, from the verdict rule (``line_flips``)
 to the write-back, where the scheme's ``copies`` gives the flat indices of
 both its copies.  Each line's syndrome word is kept exact from the bits that
 change: only lines with a nonzero word reach BDD, an item stops once all its
-words are zero, and a decode ends at a round that changes no bit when every
-later round weighs as it does, a fixed point, observed or not.  A product
+words are zero, and a round that changes no bit, a fixed point, skips every
+next round that weighs as it does, ending the decode if they reach its last
+round.  Weights above the stack's largest channel |LLR| all weigh as inf
+(``decisive_weights``), and an observer sees each skipped round replayed,
+so it changes no round that runs.  A product
 frame's G = 2 groups are its rows and its columns: bit (s, r, c) of the one
 is bit (s, c, r) of the other.  The three decoders differ only in the verdict
 rule that makes a component word the next binary message:
@@ -192,40 +195,71 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     flipped in block g into the flat indices into ``words`` of all their
     copies: one XOR flips them, and one more XORs each position's
     ``comp.position_keys`` entry into its line's word.  An item whose groups
-    are all codewords at the top of a round is done for the call, and the call
-    after a round that changes no bit (its syndrome words come back and its
-    writes cancel in pairs) if each group weighs every later round as it did
-    this one, as each would repeat it.  ``observer(g, round)`` follows every
-    group that decodes any item, weight-free rounds counted from 0 again.
+    are all codewords at the top of a round is done for the call.
+
+    A round that changes no bit (its syndrome words come back and its writes
+    cancel in pairs) is repeated by every next round that weighs as it does,
+    so those rounds are skipped, and the call ends if they reach the last
+    round.  Weight-free rounds weigh alike, and scaled ones when each group's
+    weights are equal: the decoders pass ``decisive_weights``, which reads
+    every weight above the stack's largest channel |LLR| as inf, so weights
+    that decide every bit alike are equal.  ``observer(g, round)`` follows
+    every group that decodes any item, weight-free rounds counted from 0
+    again, up to where the call ends: each skipped round is replayed for it,
+    the writes of the round that changed nothing redone group by group.
     """
     scaled = 0 if weights is None else len(weights[0])
     if iters < scaled:  # a negative weight-free tail
         raise ValueError(f"iteration count must be nonnegative, got {iters - scaled}")
-    # rounds from ``settle`` on weigh alike: the weight-free tail, else each group's last weights
-    settle = scaled if iters > scaled else max([0] + [i for g in range(lo, hi) for i in range(
-        1, scaled) if weights[g - lo][i] != weights[g - lo][i - 1]])
+    # each round's key: every group's weight, or None for a weight-free round
+    rounds = [] if weights is None else np.transpose(weights[:hi - lo]).tolist()
+    rounds += [None] * (iters - scaled)
     bits, keys = words.reshape(-1, copy=False), synd.reshape(-1, copy=False)
-    for ell in range(iters):
+
+    def write(x):
+        bits[x] ^= 1
+        line, pos = np.divmod(x, words.shape[-1])
+        np.bitwise_xor.at(keys, line, comp.position_keys[pos])
+
+    ell = 0
+    while ell < iters:
         # a dropped item gets no flip in this call, so its words stay zero
         act = np.flatnonzero(synd[lo:hi].any(axis=(0, 2)))
         if not len(act):
             return
         free = ell >= scaled  # weight-free
-        before, written = synd[lo:hi].copy() if ell >= settle else None, []  # a fixed point ends it
+        # rounds ell + 1 .. end - 1 weigh as this one
+        end = next((i for i in range(ell + 1, iters) if rounds[i] != rounds[ell]), iters)
+        before, written = synd[lo:hi].copy() if end > ell + 1 else None, []
         for g in range(lo, hi):
             weigh = (None,) * 3 if free else (weights[g - lo][ell], llr[g], hard[g])
             x = copies(lo, g, line_flips(comp, words[g], synd[g], act, *weigh,
                                          None if genie is None else genie[g]))
-            bits[x] ^= 1
-            line, pos = np.divmod(x, words.shape[-1])
-            np.bitwise_xor.at(keys, line, comp.position_keys[pos])
+            write(x)
             written.append(x)
             if observer is not None:
                 observer(g, ell - scaled if free else ell)
+        ell += 1
         if before is not None and np.array_equal(before, synd[lo:hi]):
             x = np.sort(np.concatenate(written))  # each bit written an even number of times
             if np.array_equal(x[::2], x[1::2]):
-                return
+                if end == iters:
+                    return
+                if observer is not None:  # the skipped rounds' writes cancel as this one's
+                    for r in range(ell, end):
+                        for g, x in zip(range(lo, hi), written):
+                            write(x)
+                            observer(g, r - scaled if free else r)
+                ell = end
+
+
+def decisive_weights(weights, top):
+    """A copy of the (groups, rounds) ``weights`` with each weight above
+    ``top``, the largest |LLR| of a stack, read as inf, which decides as it
+    does: w > |L| holds for every finite L of the stack and for no infinite
+    one.  A decoder finds ``top`` once, as ``max(llr.max(initial=0),
+    -llr.min(initial=0))``, with no temporary the size of the stack."""
+    return np.where(np.greater(weights, top), np.inf, weights)
 
 
 def _decode(code, hard, observer, iters, weights=None, llr=None, genie=None):
@@ -283,7 +317,8 @@ def ibdd_sr_decode(
             f"schedule covers {schedule.iterations} iterations, need {sr_iters}"
         )
     llr = np.asarray(llr, dtype=float)
-    weights = schedule.w_row[:sr_iters], schedule.w_col[:sr_iters]
+    weights = decisive_weights((schedule.w_row[:sr_iters], schedule.w_col[:sr_iters]),
+                               max(llr.max(initial=0), -llr.min(initial=0)))
     return _decode(code, harden(llr), observer, sr_iters + plain_iters, weights,
                    llr.reshape(-1, *llr.shape[-2:]))
 

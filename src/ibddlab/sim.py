@@ -76,10 +76,13 @@ DECODE_CALL_BITS = 1 << 18
 
 def _real(value, name: str) -> float:
     """``value`` as a float, numpy reals too; ValueError naming ``name`` for a
-    bool or a non-real."""
+    bool, a non-real or an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number within the float range") from None
 
 
 def _check_numbers(config) -> None:
@@ -178,7 +181,9 @@ class SimConfig:
             raise ValueError(f"ber_floor must lie in [0, 1), got {self.ber_floor}")
         if self.fixed_weight is not None:
             check_weights(self.fixed_weight)
-        _SCHEMES[self.scheme](self)  # raises on parameters that give no code
+        rate = _SCHEMES[self.scheme](self).code.rate  # raises on parameters that give no code
+        for e in self.ebn0_grid:  # and on a point that gives no channel
+            make_params(e, rate)
 
 
 @dataclass(frozen=True)

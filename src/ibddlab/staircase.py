@@ -18,7 +18,8 @@ of row r of pair i-1 and position r of row c of pair i, so a flat index steps
 to its partner by a table offset per (row, position).  Each window position
 is one call, in every mode: the scaled rounds, then the weight-free ones.  A
 stream whose window pairs are all codewords is done for that position, and a
-round that changes no bit ends the call if each pair weighs later rounds alike.
+round that changes no bit skips the next rounds in which each pair weighs as
+it does, weights above the stack's largest channel |LLR| weighing as inf.
 
 Scaled-reliability decoding consumes a per-pair, per-iteration weight
 schedule (``WindowSchedule``): row j of a slide's (U, iterations) array
@@ -35,7 +36,7 @@ import numpy as np
 
 from .bch import BchCode, _binary
 from .channel import harden
-from .product import check_weights, iterate
+from .product import check_weights, decisive_weights, iterate
 
 
 @dataclass(frozen=True)
@@ -221,6 +222,7 @@ def window_decode(
     llr_pairs = hard_pairs = genie = None  # indexed by pair, like ``pairs``
     if mode == "ibdd_sr":  # block 0's LLRs: perfectly known zeros
         llr_pairs, hard_pairs = _pairs(llr, np.inf), pairs.copy()  # the channel's LLRs, bits
+        top = max(llr.max(initial=0), -llr.min(initial=0))  # block 0's inf is no channel LLR
     if mode == "ideal":
         genie = _pairs(_binary(transmitted, "transmitted").astype(np.uint8).reshape(llr.shape), 0)
 
@@ -244,7 +246,8 @@ def window_decode(
     for b in range(1, n_blocks + 1):
         # pair p joins blocks p and p+1; slot 0 (pair b-1) joins the frozen block b-1
         lo, hi = b - 1, min(b - 1 + cfg.window_blocks, n_blocks)
-        weights = None if llr_pairs is None else cfg.schedule.weights_for_slide(b)
+        weights = None if llr_pairs is None else decisive_weights(
+            cfg.schedule.weights_for_slide(b), top)
         iterate(comp, pairs, synd, copies, cfg.sr_iters + cfg.plain_iters, lo, hi, weights,
                 llr_pairs, hard_pairs, genie)
     # block b is emitted after slide b: no later flip reaches it

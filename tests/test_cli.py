@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output files, manifests, precedence."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -10,13 +12,16 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ibddlab
 from ibddlab import __version__, de
 from ibddlab.bch import build_bch
 from ibddlab.cli import _build_parser, _sim_config, main
 from ibddlab.de import auto_profile, run_gldpc
-from ibddlab.sim import BerPoint, ComponentSpec, SimConfig, SkippedPoint, results_json
+from ibddlab.sim import (BerPoint, ComponentSpec, SimConfig, SkippedPoint, point_dict,
+                          results_json)
 
 
 def test_help_exits_zero(capsys):
@@ -263,6 +268,18 @@ def test_sim_missing_required_exits_one(tmp_path, capsys):
                "--out", str(tmp_path / "x")])  # no grid
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_sim_refuses_a_point_with_no_channel(tmp_path, capsys):
+    """A grid point at 3200 dB has no finite noise variance: ``sim`` ends in
+    one error line naming it and exit 1, before it decodes the 4.0 dB point
+    and before any output file is opened."""
+    assert main(["sim", "--scheme", "pc", "--m", "4", "--t", "1", "--ebn0", "4.0", "3200",
+                 "--max-frames", "10", "--out", str(tmp_path / "x")]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("ibddlab sim: error: Eb/N0 of 3200.0 dB gives no finite")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_sim_rejects_repeated_mode(tmp_path, capsys):
@@ -691,7 +708,7 @@ def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
                    # right keys, wrong values
                    [good | {"ber": "x"}], [good | {"ber_ci95": [1e-3]}], [good | {"ber": None}],
                    [good, good | {"ebn0_db": "5"}], [good | {"frames": "10"}],
-                   [good | {"mode": 3}]):
+                   [good | {"ber": 10**400}], [good | {"mode": 3}]):
         src.write_text(json.dumps({"points": points}))
         assert main(["plotdata", "--in", str(src)]) == 1
         captured = capsys.readouterr()
@@ -712,6 +729,41 @@ def test_plotdata_rejects_target_ber_outside_unit_interval(target, tmp_path, cap
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "error" in err[0] and "--target-ber" in err[0]
     assert captured.out == ""
+
+
+# any JSON value, as json.load reads it: NaN and +-Infinity among the floats, and
+# integers beyond the float range
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**1100), 2**1100) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_RECORD_KEYS = [f.name for f in fields(BerPoint) if f.name != "frame_bit_errors"] + ["skipped"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(0, 2), key=st.sampled_from(_RECORD_KEYS), value=_JSON_VALUES,
+       target=st.sampled_from([None, "1e-3"]))
+def test_plotdata_reads_any_value_in_a_point_record(tmp_path_factory, index, key, value, target):
+    """Valid point records, one field of one replaced by any JSON value: plotdata
+    prints its columns and exits 0, or prints one ``ibddlab plotdata:`` line
+    and exits 1, with or without crossings, and never raises."""
+    points = [point_dict(_mk_point(m, e, b)) for m, e, b in (
+        ("ibdd", 4.0, 1e-2), ("ibdd", 5.0, 1e-4), ("ibdd_sr", 4.0, 1e-3))]
+    points[index][key] = value
+    src = tmp_path_factory.mktemp("plotdata") / "in.json"
+    src.write_text(json.dumps({"points": points}))
+    argv = ["plotdata", "--in", str(src)] + ([] if target is None else ["--target-ber", target])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("# columns:")
+    else:
+        assert rc == 1 and out.getvalue() == ""
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(f"ibddlab plotdata: error: {src} is not a sim results JSON")
 
 
 def test_sim_results_round_trip_through_plotdata(tmp_path, capsys):

@@ -629,19 +629,25 @@ def test_scaled_round_that_flips_nothing_does_not_stop(pc_15_11, monkeypatch):
     assert not got.any()  # the second weight corrected all three
 
 
-@pytest.mark.parametrize("sched", [ScalingSchedule([0.0, 0.0, 8.0], [0.0, 0.0, 8.0]),
-                                   ScalingSchedule([0.0, 0.0, 0.0], [0.0, 0.0, 8.0])],
-                         ids=["both", "columns"])
-def test_no_change_before_the_last_weight_change_does_not_stop(pc_15_11, monkeypatch, sched):
-    """With no plain tail, rounds 1 and 2 keep the channel and change no bit,
-    but a later weight differs, in both groups or in the columns only: the
-    call runs on, and round 3's weight 8 corrects the three errors."""
+@pytest.mark.parametrize("sched,flips", [
+    (ScalingSchedule([0.0, 0.0, 8.0], [0.0, 0.0, 8.0]), [0, 0, 3, 0]),
+    (ScalingSchedule([0.0, 0.0, 0.0], [0.0, 0.0, 8.0]), [0, 0, 0, 3]),
+], ids=["both", "columns"])
+def test_no_change_before_the_last_weight_change_does_not_stop(pc_15_11, monkeypatch, sched,
+                                                                flips):
+    """With no plain tail, round 1 keeps the channel and changes no bit, and
+    round 2 weighs as it does, so it is skipped.  A later weight differs, in
+    both groups or in the columns only: the call runs on, and round 3's
+    weight 8 corrects the three errors.  So 2 rounds make 4 group calls:
+    round 1's rows and columns flip nothing, then round 3 flips the three bits
+    in its rows, leaving its columns clean, or its rows keep the channel at
+    weight 0 and its columns flip them."""
     llr = np.full((15, 15), 3.0)
     llr[[2, 7, 11], [4, 9, 0]] = -1.0  # three weak errors, one per row and column
     sizes = _spy_flips(monkeypatch)
     got = ibdd_sr_decode(pc_15_11, llr, sched, sr_iters=3, plain_iters=0)
     np.testing.assert_array_equal(got, oracles.frame_ibdd_sr(pc_15_11, llr, sched, 3, 0))
-    assert sizes[:4] == [0, 0, 0, 0] and sum(sizes[4:]) > 0
+    assert sizes == flips
     assert not got.any()
 
 
@@ -739,6 +745,50 @@ def test_observer_sees_the_rounds_that_run_on_a_stalled_frame(pc_15_11, monkeypa
     assert got == [("row", 1), ("col", 1), ("row", 2), ("col", 2)]
 
 
+@pytest.mark.parametrize("weights,where,value,rounds", [
+    ([4.0, 4.0, 3.0, 4.0, 4.0, 4.0], None, None, 6),
+    ([4.0, 4.5, 5.0, 6.0, 7.0, 8.0], None, None, 3),
+    ([4.0, 4.5, 5.0, 6.0, 7.0, 8.0], (1, 0, 0), np.inf, 7),
+    ([4.0, 4.5, 5.0, 6.0, 7.0, 8.0], (0, 1, 1), -np.inf, 7),
+], ids=["tie", "above", "plus-inf", "minus-inf"])
+def test_weights_above_the_largest_llr_decide_alike(pc_15_11, monkeypatch, weights, where,
+                                                    value, rounds):
+    """A stack of the oscillating frame and a clean one, every |LLR| 3, with
+    6 scaled rounds and 2 plain ones.  Any weight above 3 outvotes the
+    channel: round 1 flips bits, and in round 2 the columns flip back the
+    bits the rows flip, a round that changes no bit.  Weights above the stack's largest |LLR| decide
+    every bit alike, so that round skips the later scaled rounds of such
+    weights, and plain round 1, which changes no bit, skips plain round 2:
+    above: rounds 1, 2 and plain 1 run.  tie: weight 3 ties every |LLR|,
+    which keeps the channel, so round 3 runs, then rounds 4 and 5 as 1 and 2,
+    round 6 is skipped, and plain round 1 runs: 6 rounds.  An infinite LLR,
+    +inf on a bit of the clean frame or -inf on an error, makes the largest
+    |LLR| inf and merges nothing: the 6 scaled rounds and plain round 1 run.
+    Each round is 2 group calls.  Each frame decodes as the per-frame loop,
+    and an observer changes no call and sees the oscillating frame as the
+    loop does in every round, skipped ones replayed, up to where it stops."""
+    rx = np.zeros((15, 15), dtype=np.uint8)
+    rx[tuple(np.transpose(_OSCILLATING))] = 1
+    llr = np.stack([3.0 * (1.0 - 2.0 * rx), np.full((15, 15), 3.0)])
+    if where is not None:
+        llr[where] = value
+    sched = ScalingSchedule(weights, weights)
+    sizes = _spy_flips(monkeypatch)
+    got = ibdd_sr_decode(pc_15_11, llr, sched, sr_iters=6, plain_iters=2)
+    np.testing.assert_array_equal(
+        got, np.stack([oracles.frame_ibdd_sr(pc_15_11, frame, sched, 6, 2) for frame in llr]))
+    assert len(sizes) == 2 * rounds
+    unobserved, sizes[:], seen, want = sizes[:], [], [], []
+    ibdd_sr_decode(pc_15_11, llr, sched, 6, 2,
+                   observer=lambda s, i, p: seen.append((s, i, p[0].copy())))
+    oracles.frame_ibdd_sr(pc_15_11, llr[0], sched, 6, 2,
+                          observer=lambda s, i, p: want.append((s, i, p.copy())))
+    assert sizes == unobserved and len(seen) == 2 * 7  # plain round 2 ends the call
+    for (stage, it, a), (w_stage, w_it, b) in zip(seen, want):
+        assert (stage, it) == (w_stage, w_it)
+        np.testing.assert_array_equal(a, b)
+
+
 def test_decoders_leave_inputs_unchanged(pc_15_7):
     """The decoders read ``r``, ``llr`` and ``transmitted`` without copying
     them, one frame or a stack: none is written, and the decoded array
@@ -758,10 +808,12 @@ def test_decoders_leave_inputs_unchanged(pc_15_7):
 
 def test_stack_shapes(pc_15_11):
     """A (B, n, n) stack comes back as a stack, the observer sees the stack,
-    and an array of the wrong size is refused."""
+    an empty stack comes back empty, and an array of the wrong size is
+    refused."""
     _, llr = _channel_stack(pc_15_11, 3.0, 5, seed=4)
     shapes = []
     out = ibdd_decode(pc_15_11, harden(llr), observer=lambda s, i, p: shapes.append(p.shape))
     assert out.shape == (5, 15, 15) and set(shapes) == {(5, 15, 15)}
+    assert ibdd_sr_decode(pc_15_11, llr[:0], _SCHED).shape == (0, 15, 15)
     with pytest.raises(ValueError, match="15, 15"):
         ibdd_decode(pc_15_11, np.zeros((14, 14), dtype=np.uint8))

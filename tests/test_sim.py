@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ibddlab import bch, de, sim
+from ibddlab import bch, de, product, sim
 from ibddlab.sim import (
     BerPoint,
     ComponentSpec,
@@ -155,6 +155,17 @@ def test_config_refuses_empty_or_repeated_grid(grid):
     point decodes the same frames twice under the same seed."""
     with pytest.raises(ValueError, match="^ebn0_grid must be nonempty and strictly ascending"):
         toy_cfg(ebn0_grid=grid)
+
+
+@pytest.mark.parametrize("grid,point", [((4.0, 3200.0), 3200.0), ((-3200.0, 4.0), -3200.0)],
+                         ids=["high", "low"])
+@pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
+def test_config_refuses_a_point_with_no_channel(scheme, spec, grid, point):
+    """A grid point whose E_b/N_0 gives no finite noise variance or LLR scale
+    at the code's rate is refused with the config, naming the point, and not
+    once the points before it have decoded."""
+    with pytest.raises(ValueError, match=f"^Eb/N0 of {point} dB gives no finite"):
+        toy_cfg(scheme=scheme, component=spec, ebn0_grid=grid)
 
 
 @pytest.mark.parametrize("scheme,spec", [("pc", TOY), ("staircase", ComponentSpec(5, 2, 1))])
@@ -356,6 +367,32 @@ def test_statistics_are_pinned():
         got = run_point(cfg, ebn0)
         assert tuple(hashlib.sha256(repr(got[m].stat_key()).encode()).hexdigest()[:16]
                      for m in sim.MODES) == want, over
+
+
+# ``product.line_flips`` calls of (ibdd, ibdd_sr, ideal) at each _PINNED point
+_PINNED_CALLS = [(8, 24, 8), (8, 24, 12), (258, 609, 286), (14, 8, 6)]
+
+
+def test_group_calls_are_pinned(monkeypatch):
+    """How many group calls each mode makes at the _PINNED points, decoding
+    alone the frames it decodes beside the others: a timing-free record of
+    the rounds that run.  A change that keeps the statistics but runs more
+    or fewer rounds shows here as a count."""
+    rule, calls = product.line_flips, []
+
+    def spy(*args):
+        calls.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(product, "line_flips", spy)
+    for (over, ebn0, _), want in zip(_PINNED, _PINNED_CALLS, strict=True):
+        cfg = SimConfig(ebn0_grid=(ebn0,), min_error_events=10**9, **over)
+        got = []
+        for m in sim.MODES:
+            calls.clear()
+            run_point(cfg, ebn0, modes=(m,))
+            got.append(len(calls))
+        assert tuple(got) == want, over
 
 
 @pytest.mark.parametrize("seed,indices", [(-1, [0]), (2**64, [0]), (1, [-1]), (1, [2**32])])

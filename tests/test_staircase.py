@@ -492,12 +492,16 @@ def test_stalled_stream_stops_each_slide_at_its_fixed_point(sc_30_20, toy_schedu
 
 
 def test_scaled_window_stops_in_its_equal_weights(sc_30_20, rng, monkeypatch):
-    """With no plain tail a window position stops at a scaled round that
-    changes no bit once each of its pairs weighs every later round alike.
+    """With no plain tail a window position skips the scaled rounds that weigh
+    as a round that changes no bit, and stops once they reach the last one.
     The steady schedule keeps the channel for two rounds (weight 0 changes
     no bit) and ends in three equal columns, a different weight per pair: a
-    stack decodes as the per-stream loop, and a stalled stream's four slides
-    each stop after round 4 of 6."""
+    stack decodes as the per-stream loop.  On a stalled stream (|LLR| 8, above
+    every weight) each of the four slides whose window holds block 3 runs 3
+    of its 6 rounds: round 1 changes nothing and round 2 weighs as it does;
+    round 3 runs, as round 4 weighs otherwise; round 4 changes nothing and
+    rounds 5 and 6 weigh as it does, so the call ends.  Its windows hold 4, 4,
+    4 and 3 pairs: 3 * (4 + 4 + 4 + 3) = 45 group calls."""
     steady = np.array([[0, 0, w, v, v, v] for w, v in [(2, 3), (5, 4), (3, 6), (6, 5)]], float)
     sched = WindowSchedule(early=(), steady=steady, steady_slide=1, ebn0_db=4.0,
                            rate=sc_30_20.rate)
@@ -518,7 +522,48 @@ def test_scaled_window_stops_in_its_equal_weights(sc_30_20, rng, monkeypatch):
     monkeypatch.setattr(product, "line_flips", spy)
     got = window_decode(sc_30_20, stalled, cfg)
     np.testing.assert_array_equal(got, oracles.window_decode(sc_30_20, stalled, cfg))
-    assert got.sum() == 9 and len(calls) == 4 * (4 + 4 + 4 + 3)
+    assert got.sum() == 9 and len(calls) == 3 * (4 + 4 + 4 + 3)
+
+
+@pytest.mark.parametrize("weights,where,value,rounds", [
+    ([9.0, 8.0, 9.0, 10.0, 11.0, 12.0], None, None, 4),
+    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], None, None, 2),
+    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], (1, 4, 5, 6), np.inf, 7),
+    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], (0, 2, 0, 0), -np.inf, 7),
+], ids=["tie", "above", "plus-inf", "minus-inf"])
+def test_weights_above_the_largest_llr_decide_alike(sc_30_20, monkeypatch, weights, where,
+                                                    value, rounds):
+    """A stack of a stalled stream and a clean one, every |LLR| 8, with 6
+    scaled rounds and 2 plain ones; pair j weighs ``weights`` + j/2.  No round
+    changes a bit.  Weights above the stack's largest |LLR| decide every bit
+    alike, so round 1 skips the later scaled rounds of such weights, and plain
+    round 1 skips plain round 2: above: round 1 and plain round 1 run.  tie:
+    slot 0's weight 8 in round 2 ties every |LLR|, which keeps the channel,
+    so rounds 2 and 3 run, round 3 skips rounds 4-6, and plain round 1 runs:
+    4 rounds.  An infinite LLR, +inf on a bit of the clean stream or -inf on
+    an error, makes the largest |LLR| inf and merges nothing: all 6 scaled
+    rounds and plain round 1 run.  Each round is one group call per pair of
+    the four slides whose window holds block 3, of 4, 4, 4 and 3 pairs, and
+    each stream decodes as the per-stream loop."""
+    steady = np.array(weights) + np.arange(4)[:, None] / 2
+    sched = WindowSchedule(early=(), steady=steady, steady_slide=1, ebn0_db=4.0,
+                           rate=sc_30_20.rate)
+    cfg = _default_cfg(sched, sr_iters=6, plain_iters=2)
+    llr = np.full((2, 6, 15, 15), 8.0)
+    llr[0, 2][np.ix_([0, 1, 2], [0, 1, 2])] = -8.0  # t+1 errors in every affected word
+    if where is not None:
+        llr[where] = value
+    rule, calls = product.line_flips, []
+
+    def spy(*args):
+        calls.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(product, "line_flips", spy)
+    got = window_decode(sc_30_20, llr, cfg)
+    np.testing.assert_array_equal(got, np.array([oracles.window_decode(sc_30_20, lf, cfg)
+                                                 for lf in llr]))
+    assert got.sum() == 9 and len(calls) == rounds * (4 + 4 + 4 + 3)
 
 
 def test_one_iterate_call_per_window_position(sc_30_20, toy_schedule, rng, monkeypatch):
