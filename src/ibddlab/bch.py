@@ -52,14 +52,6 @@ DEFAULT_PRIMITIVE_POLY = {
 }
 
 
-class FieldConstructionError(ValueError):
-    """Raised for a field degree outside the supported range."""
-
-
-class CodeConstructionError(ValueError):
-    """Raised when the requested code parameters are inconsistent."""
-
-
 class GaloisField:
     """GF(2^m) arithmetic backed by log/antilog tables.
 
@@ -69,9 +61,9 @@ class GaloisField:
     """
 
     def __init__(self, m: int):
-        m = _integer(m, "field degree m", FieldConstructionError)
+        m = _integer(m, "field degree m")
         if not 2 <= m <= 16:
-            raise FieldConstructionError(f"field degree must be in [2, 16], got {m}")
+            raise ValueError(f"field degree must be in [2, 16], got {m}")
         self.m = m
         self.order = (1 << m) - 1  # size of the multiplicative group
         self.primitive_poly = DEFAULT_PRIMITIVE_POLY[m]
@@ -135,12 +127,12 @@ class BchCode:
     """
 
     def __init__(self, field: GaloisField, t: int, shorten: int = 0):
-        t = _integer(t, "t", CodeConstructionError)
-        shorten = _integer(shorten, "shorten", CodeConstructionError)
+        t = _integer(t, "t")
+        shorten = _integer(shorten, "shorten")
         if t < 1:
-            raise CodeConstructionError(f"t must be >= 1, got {t}")
+            raise ValueError(f"t must be >= 1, got {t}")
         if field.m * t > 63:  # before any table: the syndrome word is one int64
-            raise CodeConstructionError(f"m*t = {field.m * t} syndrome bits exceed an int64's 63")
+            raise ValueError(f"m*t = {field.m * t} syndrome bits exceed an int64's 63")
         self.field = field
         self.t = t
         self.n_parent = field.order
@@ -148,13 +140,9 @@ class BchCode:
         self.generator_poly = generator_poly(field, t)
         k_parent = self.n_parent - (self.generator_poly.bit_length() - 1)
         if k_parent <= 0:
-            raise CodeConstructionError(
-                f"t={t} leaves no information positions at length {self.n_parent}"
-            )
+            raise ValueError(f"t={t} leaves no information positions at length {self.n_parent}")
         if not 0 <= shorten < k_parent:
-            raise CodeConstructionError(
-                f"shorten must be in [0, {k_parent}), got {shorten}"
-            )
+            raise ValueError(f"shorten must be in [0, {k_parent}), got {shorten}")
         self.shorten = shorten
         self.n = self.n_parent - shorten
         self.k = k_parent - shorten
@@ -265,9 +253,6 @@ class BchCode:
             np.matmul(counts.astype(np.int64) & 1, self._bit_values, out=out[lo : lo + step])
         return out.reshape(words.shape[:-1])
 
-    def is_codeword(self, words: np.ndarray) -> np.ndarray | bool:
-        return self.syndromes(words) == 0
-
     def __repr__(self):
         return (
             f"BchCode(n={self.n}, k={self.k}, t={self.t}, m={self.field.m}, "
@@ -279,11 +264,11 @@ def build_bch(m: int, t: int, shorten: int = 0) -> BchCode:
     return BchCode(GaloisField(m), t, shorten)
 
 
-def _integer(value, name: str, error: type) -> int:
-    """``value`` as an int, numpy integers too; ``error`` naming ``name``
+def _integer(value, name: str) -> int:
+    """``value`` as an int, numpy integers too; ValueError naming ``name``
     for a bool or a non-integer."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
 
 

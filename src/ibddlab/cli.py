@@ -265,6 +265,9 @@ def _read_points(path: str) -> list:
     if not isinstance(doc, dict) or "points" not in doc:
         raise ValueError(f"{path} is not a sim results JSON: no 'points'")
     try:
+        for p in doc["points"]:
+            if not isinstance(p["skipped"], bool):  # else a truthy string drops a point
+                raise ValueError(f"skipped must be true or false, got {p['skipped']!r}")
         return [BerPoint(**{k: v for k, v in p.items() if k != "skipped"})
                 for p in doc["points"] if not p["skipped"]]
     except (KeyError, TypeError, ValueError) as exc:  # a malformed point record

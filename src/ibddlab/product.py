@@ -13,12 +13,12 @@ both its copies.  Each line's syndrome word is kept exact from the bits that
 change: only lines with a nonzero word reach BDD, an item stops once all its
 words are zero, and a round that changes no bit, a fixed point, skips every
 next round that weighs as it does, ending the decode if they reach its last
-round.  Weights above the stack's largest channel |LLR| all weigh as inf
-(``decisive_weights``), and an observer sees each skipped round replayed,
-so it changes no round that runs.  A product
-frame's G = 2 groups are its rows and its columns: bit (s, r, c) of the one
-is bit (s, c, r) of the other.  The three decoders differ only in the verdict
-rule that makes a component word the next binary message:
+round.  Weights above the largest channel |LLR| that a call reads all weigh
+as inf, and an observer sees each skipped round replayed, so it changes no
+round that runs.  A product frame's G = 2 groups are its rows and its
+columns: bit (s, r, c) of the one is bit (s, c, r) of the other.  The three
+decoders differ only in the verdict rule that makes a component word the next
+binary message:
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
@@ -59,9 +59,7 @@ class ProductCode:
 
     def is_codeword(self, arr: np.ndarray) -> bool:
         comp = self.component
-        return bool(
-            np.all(comp.is_codeword(arr)) and np.all(comp.is_codeword(arr.T))
-        )
+        return bool(np.all(comp.syndromes(arr) == 0) and np.all(comp.syndromes(arr.T) == 0))
 
     def __repr__(self):
         return f"ProductCode(({self.n},{self.k})^2, rate={self.rate:.4f})"
@@ -201,18 +199,25 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     cancel in pairs) is repeated by every next round that weighs as it does,
     so those rounds are skipped, and the call ends if they reach the last
     round.  Weight-free rounds weigh alike, and scaled ones when each group's
-    weights are equal: the decoders pass ``decisive_weights``, which reads
-    every weight above the stack's largest channel |LLR| as inf, so weights
-    that decide every bit alike are equal.  ``observer(g, round)`` follows
+    weights are equal, every weight above the largest |LLR| of groups
+    lo..hi-1 read as inf: w > |L| holds for every finite L the call reads and
+    for no infinite one, so such weights decide every bit alike.  ``weights``
+    with no scaled round are refused.  ``observer(g, round)`` follows
     every group that decodes any item, weight-free rounds counted from 0
     again, up to where the call ends: each skipped round is replayed for it,
     the writes of the round that changed nothing redone group by group.
     """
     scaled = 0 if weights is None else len(weights[0])
+    if weights is not None and not scaled:  # else it would silently decode plain
+        raise ValueError("ibdd_sr needs sr_iters >= 1, got sr_iters=0")
     if iters < scaled:  # a negative weight-free tail
         raise ValueError(f"iteration count must be nonnegative, got {iters - scaled}")
     # each round's key: every group's weight, or None for a weight-free round
-    rounds = [] if weights is None else np.transpose(weights[:hi - lo]).tolist()
+    rounds = []
+    if scaled:  # the largest |LLR| read, with no temporary the size of a group
+        top = max(max(x.max(initial=0), -x.min(initial=0)) for x in llr[lo:hi])
+        w = weights[:hi - lo]
+        rounds = np.where(np.greater(w, top), np.inf, w).T.tolist()
     rounds += [None] * (iters - scaled)
     bits, keys = words.reshape(-1, copy=False), synd.reshape(-1, copy=False)
 
@@ -251,15 +256,6 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
                             write(x)
                             observer(g, r - scaled if free else r)
                 ell = end
-
-
-def decisive_weights(weights, top):
-    """A copy of the (groups, rounds) ``weights`` with each weight above
-    ``top``, the largest |LLR| of a stack, read as inf, which decides as it
-    does: w > |L| holds for every finite L of the stack and for no infinite
-    one.  A decoder finds ``top`` once, as ``max(llr.max(initial=0),
-    -llr.min(initial=0))``, with no temporary the size of the stack."""
-    return np.where(np.greater(weights, top), np.inf, weights)
 
 
 def _decode(code, hard, observer, iters, weights=None, llr=None, genie=None):
@@ -310,16 +306,12 @@ def ibdd_sr_decode(
     ``observer(stage, iteration, psi)`` is called after every half-iteration
     that decodes any frame, when given.
     """
-    if sr_iters < 1:  # with no scaled iteration it would silently decode plain
-        raise ValueError(f"ibdd_sr needs sr_iters >= 1, got {sr_iters=}")
-    if schedule.iterations < sr_iters:
-        raise ValueError(
-            f"schedule covers {schedule.iterations} iterations, need {sr_iters}"
-        )
+    if not 0 <= sr_iters <= schedule.iterations:  # a negative count would slice from the end
+        raise ValueError(f"sr_iters must be nonnegative and within the schedule's "
+                         f"{schedule.iterations} iterations, got {sr_iters}")
     llr = np.asarray(llr, dtype=float)
-    weights = decisive_weights((schedule.w_row[:sr_iters], schedule.w_col[:sr_iters]),
-                               max(llr.max(initial=0), -llr.min(initial=0)))
-    return _decode(code, harden(llr), observer, sr_iters + plain_iters, weights,
+    return _decode(code, harden(llr), observer, sr_iters + plain_iters,
+                   (schedule.w_row[:sr_iters], schedule.w_col[:sr_iters]),
                    llr.reshape(-1, *llr.shape[-2:]))
 
 

@@ -92,7 +92,7 @@ def _check_numbers(config) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "int":
-            object.__setattr__(config, f.name, _integer(value, f.name, ValueError))
+            object.__setattr__(config, f.name, _integer(value, f.name))
         elif f.type == "float" or (f.type == "float | None" and value is not None):
             object.__setattr__(config, f.name, _real(value, f.name))
         elif f.type == "bool":
@@ -215,6 +215,18 @@ class BerPoint:
             if not isinstance(value, Sequence) or len(value) != 2:  # a str fails _real
                 raise ValueError(f"{name} must be two real numbers, got {value!r}")
             object.__setattr__(self, name, tuple(_real(v, name) for v in value))
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
+        for errors, total in (("frame_errors", "frames"), ("bit_errors", "bits_simulated")):
+            if not 0 <= getattr(self, errors) <= getattr(self, total):
+                raise ValueError(f"need 0 <= {errors} <= {total}, got "
+                                 f"{getattr(self, errors)} and {getattr(self, total)}")
+        for name in ("ber", "fer", "wilson_ci95", "ber_ci95"):
+            value = getattr(self, name)
+            lo, hi = value if isinstance(value, tuple) else (value, value)
+            if not 0 <= lo <= hi <= 1:  # NaN fails too
+                raise ValueError(f"{name} must lie in [0, 1], an interval's low end "
+                                 f"first, got {value!r}")
 
     def stat_key(self) -> tuple:
         """Everything reproducible: every field but wall time, in field order."""

@@ -19,7 +19,9 @@ to its partner by a table offset per (row, position).  Each window position
 is one call, in every mode: the scaled rounds, then the weight-free ones.  A
 stream whose window pairs are all codewords is done for that position, and a
 round that changes no bit skips the next rounds in which each pair weighs as
-it does, weights above the stack's largest channel |LLR| weighing as inf.
+it does, weights above the window's largest channel |LLR| weighing as inf.
+Block 0's bits are read as 0 with LLR 0: it sits only in the left half of
+pair 0, the window's oldest pair at slide 1, whose left half takes no flip.
 
 Scaled-reliability decoding consumes a per-pair, per-iteration weight
 schedule (``WindowSchedule``): row j of a slide's (U, iterations) array
@@ -36,7 +38,7 @@ import numpy as np
 
 from .bch import BchCode, _binary
 from .channel import harden
-from .product import check_weights, decisive_weights, iterate
+from .product import check_weights, iterate
 
 
 @dataclass(frozen=True)
@@ -168,14 +170,14 @@ class WindowConfig:
                 )
 
 
-def _pairs(blocks, first):
+def _pairs(blocks):
     """The component words [B_i^T, B_{i+1}] of pairs i = 0..N-1, as rows of a
     C-contiguous pair-major (N, S, h, 2h) array, from the stacked blocks
-    B_1..B_N (S, N, h, h) and the value ``first`` of every bit of B_0."""
+    B_1..B_N (S, N, h, h), every bit of B_0 read as 0."""
     half = blocks.shape[-1]
     out = np.empty((blocks.shape[1], len(blocks), half, 2 * half), dtype=blocks.dtype)
     out[..., half:] = blocks.swapaxes(0, 1)
-    out[0, ..., :half] = first
+    out[:1, ..., :half] = 0  # no pair 0 in a stream of no blocks
     out[1:, ..., :half] = out[:-1, ..., half:].swapaxes(2, 3)
     return out
 
@@ -202,8 +204,6 @@ def window_decode(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "ibdd_sr" and cfg.schedule is None:
         raise ValueError("ibdd_sr needs a weight schedule")
-    if mode == "ibdd_sr" and cfg.sr_iters < 1:  # else it would silently decode plain
-        raise ValueError(f"ibdd_sr needs sr_iters >= 1, got sr_iters={cfg.sr_iters}")
     if mode == "ideal" and transmitted is None:
         raise ValueError("ideal mode needs the transmitted blocks")
 
@@ -215,28 +215,28 @@ def window_decode(
     shape = llr.shape
     if transmitted is not None and np.shape(transmitted) != shape:
         raise ValueError("transmitted blocks must align with llr blocks")
-    llr = llr.reshape(-1, *shape[-3:])
+    llr = llr if llr.ndim == 4 else llr[None]
     n_blocks = llr.shape[1]
-    pairs = _pairs(harden(llr), 0)
+    pairs = _pairs(harden(llr))
     synd = comp.syndromes(pairs)  # (N, S, h) syndrome words, kept exact from here on
     llr_pairs = hard_pairs = genie = None  # indexed by pair, like ``pairs``
-    if mode == "ibdd_sr":  # block 0's LLRs: perfectly known zeros
-        llr_pairs, hard_pairs = _pairs(llr, np.inf), pairs.copy()  # the channel's LLRs, bits
-        top = max(llr.max(initial=0), -llr.min(initial=0))  # block 0's inf is no channel LLR
+    if mode == "ibdd_sr":
+        llr_pairs, hard_pairs = _pairs(llr), pairs.copy()  # the channel's LLRs, bits
     if mode == "ideal":
-        genie = _pairs(_binary(transmitted, "transmitted").astype(np.uint8).reshape(llr.shape), 0)
+        genie = _pairs(_binary(transmitted, "transmitted").astype(np.uint8).reshape(llr.shape))
 
     # bit (r, c) of a pair is also bit (c, h + r) of the pair before if c < h, else
     # bit (c - h, r) of the pair after: the step between their flat indices, per (r, c)
-    width, size = 2 * half, pairs[0].size
+    width = 2 * half
+    size = len(llr) * half * width  # one pair's bits
     r, c = np.divmod(np.arange(half * width), width)
     partner = r - r * width - c + np.where(c < half, c * width + half - size,
                                            (c - half) * width + size)
 
     def copies(lo, p, x):
         """Both copies of the bits ``x`` flipped in pair p, as flat indices
-        into ``pairs``: pair lo's left half, the frozen emitted block, is
-        kept, and block N's bits have no second copy."""
+        into ``pairs``: pair lo's left half, the frozen emitted block or
+        block 0, is kept, and block N's bits have no second copy."""
         if p == lo:
             x = x[x % width >= half]
         x = x + p * size
@@ -246,8 +246,7 @@ def window_decode(
     for b in range(1, n_blocks + 1):
         # pair p joins blocks p and p+1; slot 0 (pair b-1) joins the frozen block b-1
         lo, hi = b - 1, min(b - 1 + cfg.window_blocks, n_blocks)
-        weights = None if llr_pairs is None else decisive_weights(
-            cfg.schedule.weights_for_slide(b), top)
+        weights = None if llr_pairs is None else cfg.schedule.weights_for_slide(b)
         iterate(comp, pairs, synd, copies, cfg.sr_iters + cfg.plain_iters, lo, hi, weights,
                 llr_pairs, hard_pairs, genie)
     # block b is emitted after slide b: no later flip reaches it

@@ -653,7 +653,7 @@ def window_decode(
         weights = cfg.schedule.weights_for_slide(b) if mode == "ibdd_sr" else None
 
         for ell in range(total_rounds):
-            if all(np.all(comp.is_codeword(_pair(hard, i))) for i in pairs):
+            if all(np.all(comp.syndromes(_pair(hard, i)) == 0) for i in pairs):
                 break
             scaled = ell < sr_rounds
             for j, i in enumerate(pairs):

@@ -13,8 +13,6 @@ import oracles
 from ibddlab import bch
 from ibddlab.bch import (
     DEFAULT_PRIMITIVE_POLY,
-    CodeConstructionError,
-    FieldConstructionError,
     GaloisField,
     bdd_decode_matrix,
     build_bch,
@@ -79,12 +77,12 @@ def test_parity_matches_oracle(fixture, request):
 
 
 def test_bad_construction_raises():
-    with pytest.raises(CodeConstructionError):
+    with pytest.raises(ValueError, match="t must be >= 1"):
         build_bch(4, 0)
-    with pytest.raises(CodeConstructionError):
+    with pytest.raises(ValueError, match="shorten must be in"):
         build_bch(4, 1, shorten=11)  # would leave k <= 0
     for m in (1, 17):
-        with pytest.raises(FieldConstructionError):
+        with pytest.raises(ValueError, match="field degree must be in"):
             GaloisField(m)
 
 
@@ -94,15 +92,15 @@ def test_construction_takes_integers():
     code = build_bch(np.int64(4), np.uint8(2), shorten=np.int32(1))
     assert (code.n, code.k, code.t, code.field.m) == (14, 6, 2, 4)
     assert all(type(v) is int for v in (code.n, code.k, code.t, code.field.m, code.shorten))
-    for m, t, shorten, error, name in [
-        (4, 1, True, CodeConstructionError, "shorten"),
-        (4, 2.0, 0, CodeConstructionError, "t"),
-        (4, True, 0, CodeConstructionError, "t"),
-        (4.0, 1, 0, FieldConstructionError, "m"),
-        (np.True_, 1, 0, FieldConstructionError, "m"),
-        ("4", 1, 0, FieldConstructionError, "m"),
+    for m, t, shorten, name in [
+        (4, 1, True, "shorten"),
+        (4, 2.0, 0, "t"),
+        (4, True, 0, "t"),
+        (4.0, 1, 0, "m"),
+        (np.True_, 1, 0, "m"),
+        ("4", 1, 0, "m"),
     ]:
-        with pytest.raises(error, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             build_bch(m, t, shorten=shorten)
 
 
@@ -110,7 +108,7 @@ def test_syndrome_word_must_fit_int64():
     """A code whose t odd syndromes take more than 63 bits is refused before
     any table is built; (255,199,7), at 56 bits, still builds and decodes
     through the top field element of its words."""
-    with pytest.raises(CodeConstructionError, match="m\\*t = 64"):
+    with pytest.raises(ValueError, match="m\\*t = 64"):
         build_bch(16, 4)
     code = build_bch(8, 7)
     assert code.position_keys.max() >> 48 and code.position_keys.max() < 1 << 56
@@ -145,13 +143,13 @@ def test_encode_systematic_and_linear(code_15_7, rng):
     np.testing.assert_array_equal(
         code_15_7.encode(a ^ b), code_15_7.encode(a) ^ code_15_7.encode(b)
     )
-    assert np.all(code_15_7.is_codeword(words))
+    assert np.all(code_15_7.syndromes(words) == 0)
 
 
 def test_unit_info_rows_are_codewords(code_15_11):
     eye = np.eye(code_15_11.k, dtype=np.uint8)
     words = code_15_11.encode(eye)
-    assert np.all(code_15_11.is_codeword(words))
+    assert np.all(code_15_11.syndromes(words) == 0)
     # the all-zero word encodes to all zeros
     z = code_15_11.encode(np.zeros(code_15_11.k, dtype=np.uint8))
     assert not z.any()
@@ -165,7 +163,7 @@ def test_shortened_embeds_into_parent(code_30_20):
     embedded = np.concatenate(
         [np.zeros((6, 1), dtype=np.uint8), words], axis=1
     )
-    assert np.all(parent.is_codeword(embedded))
+    assert np.all(parent.syndromes(embedded) == 0)
 
 
 def test_syndromes_zero_iff_codeword(code_15_7, rng):
@@ -574,7 +572,7 @@ def test_bdd_single_and_double_flip(code_15_7, rng):
     _, dec, ok = bdd_decode_matrix(code_15_7, rx[None, :])
     if ok[0]:
         assert not np.array_equal(dec[0], tx)
-        assert code_15_7.is_codeword(dec[0])
+        assert code_15_7.syndromes(dec[0]) == 0
 
 
 def test_bdd_ternary_scalar_outcomes(code_15_7):
@@ -599,12 +597,12 @@ def test_bit_inputs_reject_non_binary(code_15_7, bad):
 
 @pytest.mark.parametrize("bad", [2, 257, -1, np.uint8(2)], ids=["2", "257", "-1", "uint8-2"])
 def test_syndromes_reject_non_binary(code_15_7, bad):
-    """``syndromes`` and both codeword checks refuse any entry but 0 and 1,
-    whatever the dtype: a word of 2s is not a codeword with zero syndromes,
-    and 257 does not count as 1."""
+    """``syndromes`` and the product codeword check refuse any entry but 0
+    and 1, whatever the dtype: a word of 2s is not a codeword with zero
+    syndromes, and 257 does not count as 1."""
     word = np.full(code_15_7.n, bad)
     frame = np.full((code_15_7.n, code_15_7.n), bad)
-    for call in (lambda: code_15_7.syndromes(word), lambda: code_15_7.is_codeword(word),
+    for call in (lambda: code_15_7.syndromes(word),
                  lambda: ProductCode(code_15_7).is_codeword(frame)):
         with pytest.raises(ValueError, match="only 0 and 1"):
             call()

@@ -688,8 +688,8 @@ def test_plotdata_missing_file_exits_one(tmp_path, capsys):
 
 def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
     """A file that is no sim results JSON -- a CSV, JSON without ``points``,
-    or a point record with a missing, extra or wrong-typed field -- ends in
-    one error line and exit 1."""
+    or a point record with a missing, extra or wrong-typed field, or a value
+    out of its range -- ends in one error line and exit 1."""
     for name, text in (("in.csv", "a,b,c\n1,2,3\n"), ("in.json", '{"config": {}}')):
         src = tmp_path / name
         src.write_text(text)
@@ -708,7 +708,12 @@ def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
                    # right keys, wrong values
                    [good | {"ber": "x"}], [good | {"ber_ci95": [1e-3]}], [good | {"ber": None}],
                    [good, good | {"ebn0_db": "5"}], [good | {"frames": "10"}],
-                   [good | {"ber": 10**400}], [good | {"mode": 3}]):
+                   [good | {"ber": 10**400}],
+                   # right types, values run_point cannot write
+                   [good | {"ber": float("nan")}], [good | {"frames": -3}], [good | {"fer": 2.0}],
+                   [good | {"frame_errors": 500, "frames": 100}],
+                   [good | {"ebn0_db": float("inf")}], [good | {"skipped": "yes"}],
+                   [good | {"mode": 3}]):
         src.write_text(json.dumps({"points": points}))
         assert main(["plotdata", "--in", str(src)]) == 1
         captured = capsys.readouterr()

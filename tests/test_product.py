@@ -96,8 +96,8 @@ def test_pc_encode_rows_and_cols_are_codewords(pc_15_11, rng):
     info = rng.integers(0, 2, size=(comp.k, comp.k), dtype=np.uint8)
     word = pc_encode(pc_15_11, info)
     assert word.shape == (15, 15)
-    assert np.all(comp.is_codeword(word))
-    assert np.all(comp.is_codeword(np.ascontiguousarray(word.T)))
+    assert np.all(comp.syndromes(word) == 0)
+    assert np.all(comp.syndromes(np.ascontiguousarray(word.T)) == 0)
     assert pc_15_11.is_codeword(word)
     np.testing.assert_array_equal(word[: comp.k, : comp.k], info)
 
@@ -295,6 +295,7 @@ def test_decoders_reject_negative_iterations(pc_15_11):
         lambda: ibdd_decode(pc_15_11, r, iters=-3),
         lambda: ideal_ibdd_decode(pc_15_11, r, np.zeros_like(r), iters=-1),
         lambda: ibdd_sr_decode(pc_15_11, llr, ScalingSchedule.constant(2.0, 4), 4, -1),
+        lambda: ibdd_sr_decode(pc_15_11, llr, ScalingSchedule.constant(2.0, 4), -1, 20),
     ):
         with pytest.raises(ValueError, match="nonnegative"):
             decode()

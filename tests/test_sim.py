@@ -370,14 +370,24 @@ def test_statistics_are_pinned():
 
 
 # ``product.line_flips`` calls of (ibdd, ibdd_sr, ideal) at each _PINNED point
-_PINNED_CALLS = [(8, 24, 8), (8, 24, 12), (258, 609, 286), (14, 8, 6)]
+_PINNED_CALLS = [(8, 24, 8), (8, 24, 12), (258, 604, 286), (14, 8, 6)]
 
 
 def test_group_calls_are_pinned(monkeypatch):
     """How many group calls each mode makes at the _PINNED points, decoding
     alone the frames it decodes beside the others: a timing-free record of
     the rounds that run.  A change that keeps the statistics but runs more
-    or fewer rounds shows here as a count."""
+    or fewer rounds shows here as a count.
+
+    Staircase ibdd_sr, 10 scaled rounds and 2 plain ones, makes 604 calls:
+    609 if each window read the whole stack's largest |LLR|, 13.37, less 2
+    at slide 19 and 3 at slide 20, whose windows read only 10.42, so every
+    weight above 10.42 decides as inf.  Slide 20's one pair weighs 64, 64,
+    10.98, 11.81, 14.91 and more: round 1 changes no bit and now skips all
+    nine later scaled rounds, then plain round 1 runs, 2 calls; at 13.37,
+    rounds 3, 4 and 5 ran too, 5 calls.  Slide 19's second pair weighs 11.84
+    in round 5 and the first 14.91, now both inf like every weight of rounds
+    6-10, so round 5 skips round 6, which ran at 13.37: two pairs' calls fewer."""
     rule, calls = product.line_flips, []
 
     def spy(*args):
@@ -696,10 +706,18 @@ def _mk_point(mode, ebn0, ber):
     ("mode", "bogus", "mode must be one of"),
     ("ber_ci95", (1e-3,), "ber_ci95 must be two real numbers"),
     ("wilson_ci95", ("a", "b"), "wilson_ci95 must be a real number"),
-], ids=["ber", "frames", "mode", "ber_ci95", "wilson_ci95"])
+    ("ebn0_db", float("nan"), "ebn0_db must be finite"),
+    ("bits_simulated", -1, "bit_errors <= bits_simulated"),
+    ("bit_errors", 225_001, "bit_errors <= bits_simulated"),
+    ("ber", -0.0625, "ber must lie in"),
+    ("ber_ci95", (2e-3, 1e-3), "ber_ci95 must lie in"),
+    ("wilson_ci95", (float("nan"), 0.5), "wilson_ci95 must lie in"),
+], ids=["ber", "frames", "mode", "ber_ci95", "wilson_ci95", "ebn0-nan", "bits-negative",
+        "bit-errors-above", "ber-negative", "ci-reversed", "wilson-nan"])
 def test_ber_point_refuses_wrong_values(field, value, message):
     """A BerPoint holds only what run_point writes, so a results file read
-    back with a wrong-typed value is refused with a ValueError naming the field."""
+    back with a wrong-typed or out-of-range value is refused with a
+    ValueError naming the field."""
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(_mk_point("ibdd", 4.0, 1e-3), **{field: value})
 

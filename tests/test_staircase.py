@@ -80,7 +80,7 @@ def test_encode_block_makes_codeword_rows(sc_30_20, rng):
     blk = staircase_encode_block(sc_30_20, prev, info)
     assert blk.shape == (b, b)
     rows = np.concatenate([prev.T, blk], axis=1)
-    assert np.all(comp.is_codeword(rows))
+    assert np.all(comp.syndromes(rows) == 0)
     # systematic: the info columns appear verbatim
     np.testing.assert_array_equal(blk[:, : sc_30_20.info_cols], info)
 
@@ -94,7 +94,7 @@ def test_encode_stream_chains(sc_30_20, rng):
     comp = sc_30_20.component
     for prev, cur in zip(blocks, blocks[1:]):
         rows = np.concatenate([prev.T, cur], axis=1)
-        assert np.all(comp.is_codeword(rows))
+        assert np.all(comp.syndromes(rows) == 0)
 
 
 def test_encode_block_validates_shapes(sc_30_20, rng):
@@ -260,6 +260,16 @@ def test_short_stream_below_window(sc_30_20, toy_schedule, rng):
     assert len(out) == 2
     for got, want in zip(out, blocks[1:]):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(0, 15, 15), (2, 0, 15, 15), (0, 6, 15, 15)])
+@pytest.mark.parametrize("mode", ["ibdd", "ibdd_sr", "ideal"])
+def test_empty_streams_decode_empty(sc_30_20, toy_schedule, shape, mode):
+    """A stream of no blocks, a stack of such streams and a stack of no
+    streams each emit zero blocks, in the shape given."""
+    out = window_decode(sc_30_20, np.zeros(shape), _default_cfg(toy_schedule), mode,
+                        np.zeros(shape, dtype=np.uint8))
+    assert out.shape == shape and out.dtype == np.uint8
 
 
 def test_emitted_blocks_are_final(sc_30_20, toy_schedule, rng):
@@ -525,26 +535,29 @@ def test_scaled_window_stops_in_its_equal_weights(sc_30_20, rng, monkeypatch):
     assert got.sum() == 9 and len(calls) == 3 * (4 + 4 + 4 + 3)
 
 
-@pytest.mark.parametrize("weights,where,value,rounds", [
-    ([9.0, 8.0, 9.0, 10.0, 11.0, 12.0], None, None, 4),
-    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], None, None, 2),
-    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], (1, 4, 5, 6), np.inf, 7),
-    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], (0, 2, 0, 0), -np.inf, 7),
+@pytest.mark.parametrize("weights,where,value,calls", [
+    ([9.0, 8.0, 9.0, 10.0, 11.0, 12.0], None, None, 4 * (4 + 4 + 4 + 3)),
+    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], None, None, 2 * (4 + 4 + 4 + 3)),
+    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], (1, 4, 5, 6), np.inf, 2 * 4 + 7 * (4 + 4 + 3)),
+    ([9.0, 10.0, 11.0, 12.0, 13.0, 14.0], (0, 2, 0, 0), -np.inf, 7 * (4 + 4 + 4 + 3)),
 ], ids=["tie", "above", "plus-inf", "minus-inf"])
 def test_weights_above_the_largest_llr_decide_alike(sc_30_20, monkeypatch, weights, where,
-                                                    value, rounds):
+                                                    value, calls):
     """A stack of a stalled stream and a clean one, every |LLR| 8, with 6
     scaled rounds and 2 plain ones; pair j weighs ``weights`` + j/2.  No round
-    changes a bit.  Weights above the stack's largest |LLR| decide every bit
+    changes a bit.  Weights above the window's largest |LLR| decide every bit
     alike, so round 1 skips the later scaled rounds of such weights, and plain
     round 1 skips plain round 2: above: round 1 and plain round 1 run.  tie:
     slot 0's weight 8 in round 2 ties every |LLR|, which keeps the channel,
     so rounds 2 and 3 run, round 3 skips rounds 4-6, and plain round 1 runs:
-    4 rounds.  An infinite LLR, +inf on a bit of the clean stream or -inf on
-    an error, makes the largest |LLR| inf and merges nothing: all 6 scaled
-    rounds and plain round 1 run.  Each round is one group call per pair of
-    the four slides whose window holds block 3, of 4, 4, 4 and 3 pairs, and
-    each stream decodes as the per-stream loop."""
+    4 rounds.  A window that reads an infinite LLR merges nothing: all 6
+    scaled rounds and plain round 1 run.  Each round is one group call per
+    pair of the four slides whose window holds block 3, of 4, 4, 4 and 3
+    pairs.  The -inf lies on an error of block 3, which each of them reads:
+    7 rounds each.  The +inf lies on block 5 of the clean stream, which the
+    windows of slides 2-4 read (7 rounds each) and slide 1's, blocks 0-4, does
+    not: it decides as above, 2 rounds.  Each stream decodes as the
+    per-stream loop."""
     steady = np.array(weights) + np.arange(4)[:, None] / 2
     sched = WindowSchedule(early=(), steady=steady, steady_slide=1, ebn0_db=4.0,
                            rate=sc_30_20.rate)
@@ -553,17 +566,17 @@ def test_weights_above_the_largest_llr_decide_alike(sc_30_20, monkeypatch, weigh
     llr[0, 2][np.ix_([0, 1, 2], [0, 1, 2])] = -8.0  # t+1 errors in every affected word
     if where is not None:
         llr[where] = value
-    rule, calls = product.line_flips, []
+    rule, counted = product.line_flips, []
 
     def spy(*args):
-        calls.append(1)
+        counted.append(1)
         return rule(*args)
 
     monkeypatch.setattr(product, "line_flips", spy)
     got = window_decode(sc_30_20, llr, cfg)
     np.testing.assert_array_equal(got, np.array([oracles.window_decode(sc_30_20, lf, cfg)
                                                  for lf in llr]))
-    assert got.sum() == 9 and len(calls) == rounds * (4 + 4 + 4 + 3)
+    assert got.sum() == 9 and len(counted) == calls
 
 
 def test_one_iterate_call_per_window_position(sc_30_20, toy_schedule, rng, monkeypatch):
