@@ -26,6 +26,7 @@ flip, none for a zero word, so its cost follows the rows and their errors;
 """
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 
@@ -96,8 +97,7 @@ def generator_poly(field: GaloisField, t: int) -> int:
     union is closed under squaring, so every coefficient lies in GF(2).
     """
     log, alog, order = field.log_table, field.antilog_table, field.order
-    odd = np.arange(1, 2 * t, 2, dtype=np.int64)
-    roots = np.unique((odd[:, None] << np.arange(field.m)) % order)
+    roots = sorted({(i << s) % order for i in range(1, 2 * t, 2) for s in range(field.m)})
     coef = np.zeros(len(roots) + 1, dtype=np.int32)  # coef[i]: coefficient of x^i
     coef[0] = 1
     for j in roots:  # multiply by (x + alpha^j)
@@ -270,6 +270,17 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float, numpy reals too; ValueError naming ``name`` for a
+    bool, a non-real or an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number within the float range") from None
 
 
 def _binary(bits, name):

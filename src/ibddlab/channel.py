@@ -4,7 +4,8 @@ Bits map to antipodal symbols (0 -> +1, 1 -> -1); the noise variance follows
 from Eb/N0 and the code rate as sigma^2 = (2 * R * 10^(EbN0_dB/10))^-1.
 ``noise_to_llr`` holds the LLR formula; ``transmit`` and the simulation
 engine, which draws a whole stack of frames at once, both go through it.
-Q(x) comes from the standard library's ``math.erfc``, one value at a time.
+Q(x) comes from the standard library's ``math.erfc``, one value at a time
+(``q_float``).
 """
 
 import math
@@ -13,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_Q = np.frompyfunc(lambda v: 0.5 * math.erfc(v / _SQRT2), 1, 1)
+
+
+def q_float(v: float) -> float:
+    """Gaussian tail probability Q(v) of one float, as a Python float."""
+    return 0.5 * math.erfc(v / _SQRT2)
+
+
+_Q = np.frompyfunc(q_float, 1, 1)
 
 
 def q_function(x):

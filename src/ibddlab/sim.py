@@ -35,12 +35,10 @@ reads back.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 import warnings
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
 from itertools import accumulate
@@ -48,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bch import BchCode, _integer, build_bch
+from .bch import BchCode, _integer, _real, build_bch
 from .channel import harden, make_params, noise_to_llr
 from .de import ComponentProfile, auto_profile, run_gldpc, sc_schedule_run
 from .product import (
@@ -72,17 +70,6 @@ MODES = ("ibdd", "ibdd_sr", "ideal")
 _Z95 = 1.959963984540054
 # bits per decode call (or one frame), as test_batched_decoding_memory_bounded sizes it
 DECODE_CALL_BITS = 1 << 18
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a float, numpy reals too; ValueError naming ``name`` for a
-    bool, a non-real or an integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be a real number within the float range") from None
 
 
 def _check_numbers(config) -> None:
@@ -610,6 +597,8 @@ def run_point(cfg: SimConfig, ebn0_db: float, modes=None) -> dict:
     workers = min(cfg.workers, cpus or 1)
     decode, pool = partial(map, engine.run_frames), None
     if workers > 1 and engine.modes:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pools only
+
         pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,

@@ -41,7 +41,10 @@ them between that layout and the package's int64 syndrome words.
 ``q_function_scipy`` and ``TransitionKernelsScipy`` are the Q-function and
 the transition functions' binomial weights as they were built from scipy's
 ``erfc``, ``gammaln``, ``xlogy`` and ``xlog1py``, before the package took
-them from ``math`` and numpy alone.
+them from ``math`` and numpy alone.  ``TransitionKernelsArrays`` and
+``weights`` are the density-evolution half-step as it was before ``step``
+did its per-rate arithmetic in Python floats: numpy ufuncs over arrays,
+with ``exp`` over every pmf term.
 """
 
 import math
@@ -52,7 +55,7 @@ from scipy.special import erfc, gammaln, xlog1py, xlogy
 from ibddlab import product, staircase
 from ibddlab.bch import BchCode, _locate_errors, bdd_decode_matrix, ideal_decode_matrix
 from ibddlab.channel import harden, make_params, q_function
-from ibddlab.de import BracketError, TransitionKernels, threshold_run
+from ibddlab.de import _LOG0, DEFAULT_WEIGHT_CAP, BracketError, TransitionKernels, threshold_run
 from ibddlab.product import ProductCode, combine_decision, pc_encode
 from ibddlab.sim import N_BOOT, _batch_plan, _build_engine
 from ibddlab.staircase import StaircaseCode, WindowConfig, encode_stream
@@ -805,6 +808,46 @@ class TransitionKernelsScipy(TransitionKernels):
         pmf = np.exp(self._logbin + xlogy(self._i, x) + xlog1py(self._rest, -x))
         values = pmf @ self._kernels  # one column per transition function
         return values.transpose(-1, *range(values.ndim - 1))
+
+
+def weights(fc, fe, cap: float):
+    """Reliability weight log(f_c / f_e) clamped to [0, cap], elementwise.
+
+    Saturates at the cap where the error transition vanishes and drops to
+    zero where the correct transition does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.minimum(np.maximum(np.log(fc) - np.log(fe), 0.0), cap)
+    return np.where(fc > 0.0, w, 0.0)
+
+
+class TransitionKernelsArrays(TransitionKernels):
+    """``de.TransitionKernels`` with the array-only half-step: log-binomials
+    through ``np.vectorize(math.lgamma)``, one ``eval`` path for every shape
+    that exponentiates every pmf term, and a ``step`` that takes the weight
+    from ``weights`` and the bit-node update from numpy arithmetic on
+    ``q_function``."""
+
+    def __init__(self, profile, params):
+        super().__init__(profile, params)
+        lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+        self._logbin = lgamma(profile.n) - lgamma(self._i + 1) - lgamma(self._rest + 1)
+
+    def eval(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)[..., None]
+        with np.errstate(divide="ignore"):
+            logx, log1mx = np.maximum(np.log(x), _LOG0), np.maximum(np.log1p(-x), _LOG0)
+        pmf = np.exp(self._logbin + self._i * logx + self._rest * log1mx)
+        values = pmf @ self._kernels  # one column per transition function
+        return values.transpose(-1, *range(values.ndim - 1))
+
+    def step(self, x):
+        fe, fc, fqe, fpc = self.eval(x)
+        w = weights(fc, fe, DEFAULT_WEIGHT_CAP)
+        p_ch, sigma = self._p_ch, self._sigma
+        qm = q_function(1.0 / sigma - sigma * w / 2.0)
+        qp = q_function(1.0 / sigma + sigma * w / 2.0)
+        return w, fqe * (qm - p_ch) + fpc * qp + (1.0 - fpc) * p_ch
 
 
 def transition_values(profile, x: float, p_ch: float) -> tuple:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ibddlab.channel import harden, make_params, noise_to_llr, q_function, transmit
@@ -66,6 +68,20 @@ def test_params_keep_extreme_finite_variance(ebn0_db):
     params = make_params(ebn0_db, 0.5)
     assert math.isfinite(params.sigma2) and params.sigma2 > 0.0
     llr = transmit(np.array([0, 1, 0, 1]), params, np.random.default_rng(7))
+    assert np.isfinite(llr).all()
+
+
+@settings(max_examples=500, deadline=None)
+@given(ebn0_db=st.floats(allow_nan=False, allow_infinity=False),
+       rate=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_params_refuse_or_give_finite_llrs(ebn0_db, rate):
+    """For any finite Eb/N0 and any rate in (0, 1], ``make_params`` raises
+    ValueError or ``transmit`` returns finite LLRs (and warns of no overflow)."""
+    try:
+        params = make_params(ebn0_db, rate)
+    except ValueError:
+        return
+    llr = transmit(np.array([0, 1] * 8), params, np.random.default_rng(5))
     assert np.isfinite(llr).all()
 
 

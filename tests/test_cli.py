@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibddlab
-from ibddlab import __version__, de
+from ibddlab import __version__, de, sim
 from ibddlab.bch import build_bch
 from ibddlab.cli import _build_parser, _sim_config, main
 from ibddlab.de import auto_profile, run_gldpc
@@ -769,6 +769,42 @@ def test_plotdata_reads_any_value_in_a_point_record(tmp_path_factory, index, key
         assert rc == 1 and out.getvalue() == ""
         [line] = err.getvalue().splitlines()
         assert line.startswith(f"ibddlab plotdata: error: {src} is not a sim results JSON")
+
+
+_CONFIG_KEYS = [f.name for f in fields(SimConfig)] + [
+    f"component.{f.name}" for f in fields(ComponentSpec)]
+_BASE_CONFIGS = {
+    "pc": {"scheme": "pc", "component": {"m": 4, "t": 1}, "ebn0_grid": [4.0]},
+    "staircase": {"scheme": "staircase", "component": {"m": 5, "t": 2, "shorten": 1},
+                  "ebn0_grid": [4.0], "window_blocks": 4},
+}
+
+
+def _refuse_to_decode(*args, **kwargs):
+    raise AssertionError("reading a config decoded")
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheme=st.sampled_from(sorted(_BASE_CONFIGS)), key=st.sampled_from(_CONFIG_KEYS),
+       value=_JSON_VALUES)
+def test_sim_config_reads_any_value_in_a_config_field(tmp_path_factory, scheme, key, value):
+    """A valid ``sim --config`` file with one field, or one component field,
+    replaced by any JSON value: ``_sim_config`` returns a SimConfig or raises
+    ValueError, and nothing else.  It never decodes, which a valid random
+    config could ask to do for a long time."""
+    doc = json.loads(json.dumps(_BASE_CONFIGS[scheme]))  # a fresh copy
+    where, _, name = key.rpartition(".")
+    (doc["component"] if where else doc)[name] = value
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.MonkeyPatch.context() as mp:
+        for decoder in ("run_point", "run_curve", "_build_engine"):
+            mp.setattr(sim, decoder, _refuse_to_decode)
+        try:
+            cfg = _sim_config(argparse.Namespace(config=str(path)))
+        except ValueError:
+            return
+    assert isinstance(cfg, SimConfig)
 
 
 def test_sim_results_round_trip_through_plotdata(tmp_path, capsys):

@@ -217,7 +217,7 @@ def test_weight_formula_basics(prof_255_231):
     assert 0.0 < w < DEFAULT_WEIGHT_CAP
     assert w == pytest.approx(math.log(fc / fe), abs=1e-9)
     # a lower cap clamps
-    assert de._weights(fc, fe, 1.0) == 1.0
+    assert oracles.weights(fc, fe, 1.0) == 1.0
 
 
 def test_weight_formula_agrees_with_numeric(prof_255_231):
@@ -244,7 +244,7 @@ def test_zero_weight_returns_channel_error_rate(prof_15_7):
     for x in (params.p_ch, 0.01, 1e-4):
         v = kern.eval(x)
         fe, fc, _, _ = v
-        assert de._weights(fc, fe, 0.0) == 0.0  # a zero cap forces weight 0
+        assert oracles.weights(fc, fe, 0.0) == 0.0  # a zero cap forces weight 0
         x_out = oracles.vn_update(v, 0.0, params.p_ch, params.sigma)
         assert x_out == pytest.approx(params.p_ch, rel=1e-13)
 
@@ -272,11 +272,50 @@ def test_step_is_weight_then_vn_update(prof_15_7, x):
     kern = TransitionKernels(prof_15_7, params)
     v = kern.eval(x)
     fe, fc, _, _ = v
-    want_w = de._weights(fc, fe, DEFAULT_WEIGHT_CAP)
+    want_w = oracles.weights(fc, fe, DEFAULT_WEIGHT_CAP)
     w, x_next = kern.step(x)
     np.testing.assert_array_equal(w, want_w)
     np.testing.assert_array_equal(x_next, oracles.vn_update(v, want_w, params.p_ch, params.sigma))
     assert np.shape(w) == np.shape(x_next) == np.shape(x)
+
+
+# rates at which the transition values reach their edge cases, for both codes:
+# f_e = 0 (the cap) at 0 and at 1e-300 for (255,231), f_c = 0 (weight 0) at 1,
+# a subnormal f_e at 1e-310 for (15,11) and at 1e-105 for (255,231), and NaN
+_EDGE_RATES = [0.0, 1.0, 1e-300, 1e-310, 1e-105, math.nan]
+
+
+@pytest.mark.parametrize("prof_fixture", ["prof_15_11", "prof_255_231"])
+def test_step_matches_array_oracle_bit_for_bit(prof_fixture, request):
+    """``eval`` and ``step`` against the array-only half-step: the same bits
+    for every scalar rate and every array of rates, seven (a window of six)
+    or shaped, at the edge cases and across (0, 1).  numpy's log differs
+    from ``math.log`` in the last bit about once in 600 arguments, so the
+    thousands of rates here catch a step that took one from ``math``."""
+    prof = request.getfixturevalue(prof_fixture)
+    params = make_params(*((4.1, RATE_BIG) if prof.n == 255 else (3.5, 1 - 2 * 4 / 15)))
+    kern, ref = TransitionKernels(prof, params), oracles.TransitionKernelsArrays(prof, params)
+    rng = np.random.default_rng(39)
+    xs = np.concatenate([_EDGE_RATES, 10.0 ** rng.uniform(-15, 0, 7 * 400 - len(_EDGE_RATES))])
+    fe, fc, _, _ = ref.eval(xs)
+    assert np.isnan(fc).any() and (fc == 0).any() and ((fe == 0) & (fc > 0)).any()
+    assert ((0 < fe) & (fe < np.finfo(float).tiny) & (fc > 0)).any()
+    for x in xs:
+        np.testing.assert_array_equal(kern.eval(x), ref.eval(x))
+        for got, want in zip(kern.step(x), ref.step(x)):
+            assert type(got) is float and np.array_equal(got, want, equal_nan=True), x
+    for rates in (xs.reshape(-1, 7), xs[:7], xs.reshape(-1, 7).T, xs[:0]):
+        np.testing.assert_array_equal(kern.eval(rates), ref.eval(rates))
+        for got, want in zip(kern.step(rates), ref.step(rates)):
+            assert got.shape == want.shape == rates.shape
+            np.testing.assert_array_equal(got, want)
+    # the half-step after the pmf, on transition values with f_e near f_c, so
+    # that a last-bit change in either log shows in the weight
+    fc, fqe, fpc = rng.random((3, xs.size))
+    values = np.stack([fc * rng.uniform(0.8, 1.0, xs.size), fc, fqe, fpc])
+    kern.eval = ref.eval = lambda x: values
+    for got, want in zip(kern.step(xs), ref.step(xs)):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +448,11 @@ def test_default_bracket_matches_scan(code_fixture, ensemble, tol_db, request):
     assert thr == oracles.threshold_scan(ensemble, prof, rate, tol_db=tol_db, window=window)
 
 
-@pytest.mark.parametrize("tol_db", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("tol_db", [0.0, -1.0, math.nan, math.inf, True, "0.01",
+                                    pytest.param(10**400, id="beyond-float")])
 def test_threshold_search_rejects_bad_tolerance(prof_15_11, tol_db, monkeypatch):
-    """A tolerance the bisection cannot reach fails before any recursion runs."""
+    """A tolerance the bisection cannot reach, or one that is no real number
+    (True would bisect to 1 dB), fails before any recursion runs."""
     monkeypatch.setattr(de, "run_gldpc", None)
     with pytest.raises(ValueError, match="tol_db"):
         threshold_search("gldpc", prof_15_11, 1 - 2 * 4 / 15, tol_db=tol_db, bracket=(3.0, 5.0))
@@ -427,31 +468,55 @@ def test_threshold_search_rejects_unordered_bracket(prof_15_11, bracket, monkeyp
         threshold_search("gldpc", prof_15_11, 1 - 2 * 4 / 15, bracket=bracket)
 
 
-@pytest.mark.parametrize("window", [None, 0, -1])
+@pytest.mark.parametrize("bracket", [(3.5, math.inf), (-math.inf, 4.5)])
+def test_threshold_search_rejects_infinite_bracket(prof_15_11, bracket, monkeypatch):
+    """An infinite end fails before the finite end's recursion runs, not
+    when the channel at the infinite end is refused."""
+    monkeypatch.setattr(de, "run_gldpc", None)
+    with pytest.raises(ValueError, match="bracket ends must be finite"):
+        threshold_search("gldpc", prof_15_11, 1 - 2 * 4 / 15, bracket=bracket)
+
+
+@pytest.mark.parametrize("window", [None, 0, -1, True, 2.5])
 def test_threshold_search_rejects_bad_window(prof_15_11, window, monkeypatch):
+    """True would decode as window 1 and report a BracketError."""
     monkeypatch.setattr(de, "run_sc_window", None)
     with pytest.raises(ValueError, match="window"):
         threshold_search("sc", prof_15_11, 1 - 2 * 4 / 15, bracket=(3.0, 5.0), window=window)
 
 
-@pytest.mark.parametrize("window", [0, -2])
-def test_run_sc_window_rejects_bad_window(prof_15_11, window):
+@pytest.mark.parametrize("window", [0, -2, 2.5, True])
+def test_run_sc_window_rejects_bad_window(prof_15_11, window, monkeypatch):
+    monkeypatch.setattr(de, "TransitionKernels", None)
     with pytest.raises(ValueError, match="window"):
         run_sc_window(prof_15_11, 4.0, 1 - 2 * 4 / 15, window, 10)
 
 
 @pytest.mark.parametrize(
     "kwargs,match",
-    [({"max_slides": 0}, "max_slides=0"), ({"max_slides": -3}, "max_slides=-3")]
-    + [({"steady_tol": tol}, "steady_tol") for tol in (math.nan, -1.0, 0.0, math.inf)],
-    ids=["slides-zero", "slides-negative", "tol-nan", "tol-negative", "tol-zero", "tol-inf"],
+    [({"max_slides": 0}, "max_slides=0"), ({"max_slides": -3}, "max_slides=-3"),
+     ({"max_slides": 2.5}, "max_slides must be an integer")]
+    + [({"steady_tol": tol}, "steady_tol") for tol in (math.nan, -1.0, 0.0, math.inf, True)],
+    ids=["slides-zero", "slides-negative", "slides-fraction", "tol-nan", "tol-negative",
+         "tol-zero", "tol-inf", "tol-bool"],
 )
 def test_run_sc_window_rejects_bad_slides_or_tolerance(prof_15_11, kwargs, match, monkeypatch):
-    """A slide budget below 1, or a steady tolerance no slide can meet, fails
-    before any recursion runs."""
+    """A slide budget that is no integer of at least 1, or a steady tolerance
+    no slide can meet, fails before any recursion runs."""
     monkeypatch.setattr(de, "TransitionKernels", None)
     with pytest.raises(ValueError, match=match):
         run_sc_window(prof_15_11, 4.0, 1 - 2 * 4 / 15, 3, 10, **kwargs)
+
+
+@pytest.mark.parametrize("iters", [True, 2.5, np.float64(3.0)])
+def test_iteration_budget_must_be_an_integer(prof_15_11, iters, monkeypatch):
+    """True would run one iteration; a fraction would fail inside numpy."""
+    monkeypatch.setattr(de, "TransitionKernels", None)
+    rate = 1 - 2 * 4 / 15
+    with pytest.raises(ValueError, match="iterations must be an integer"):
+        run_gldpc(prof_15_11, 4.0, rate, iterations=iters)
+    with pytest.raises(ValueError, match="iters_per_slide must be an integer"):
+        run_sc_window(prof_15_11, 4.0, rate, 3, iters)
 
 
 @pytest.mark.parametrize("iters", [0, -2])

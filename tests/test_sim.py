@@ -1,6 +1,7 @@
 """Monte-Carlo harness: statistics, reproducibility, stopping rules, and
 result serialization."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -581,7 +582,8 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", InProcessPool)
+    # run_point imports the pool class from concurrent.futures when it builds one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(sim, "_ENGINE", None)
     if cpus is not None:
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(cpus)),
