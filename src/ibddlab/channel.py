@@ -4,8 +4,8 @@ Bits map to antipodal symbols (0 -> +1, 1 -> -1); the noise variance follows
 from Eb/N0 and the code rate as sigma^2 = (2 * R * 10^(EbN0_dB/10))^-1.
 ``noise_to_llr`` holds the LLR formula; ``transmit`` and the simulation
 engine, which draws a whole stack of frames at once, both go through it.
-Q(x) comes from the standard library's ``math.erfc``, one value at a time
-(``q_float``).
+The one Gaussian tail, ``q_float``, takes Q(x) of one float from the standard
+library's ``math.erfc``.
 """
 
 import math
@@ -21,14 +21,6 @@ def q_float(v: float) -> float:
     return 0.5 * math.erfc(v / _SQRT2)
 
 
-_Q = np.frompyfunc(q_float, 1, 1)
-
-
-def q_function(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x), elementwise, in x's shape."""
-    return np.asarray(_Q(x), dtype=np.float64)[()]
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     ebn0_db: float
@@ -42,7 +34,7 @@ class ChannelParams:
     @property
     def p_ch(self) -> float:
         """Hard-decision crossover probability Q(1/sigma)."""
-        return float(q_function(1.0 / self.sigma))
+        return q_float(1.0 / self.sigma)
 
 
 def make_params(ebn0_db: float, rate: float) -> ChannelParams:

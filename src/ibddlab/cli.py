@@ -54,6 +54,7 @@ from .sim import (
     ComponentSpec,
     SimConfig,
     interpolate_ebn0_at_ber,
+    point_from_dict,
     results_json,
     run_curve,
 )
@@ -259,17 +260,13 @@ def _cmd_sim(args, argv) -> int:
 # plotdata
 
 def _read_points(path: str) -> list:
-    """The measured points of a ``sim`` results JSON; skipped points are dropped."""
+    """Every point of a ``sim`` results JSON, each read by ``point_from_dict``."""
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "points" not in doc:
-        raise ValueError(f"{path} is not a sim results JSON: no 'points'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
+        raise ValueError(f"{path} is not a sim results JSON: no 'points' list")
     try:
-        for p in doc["points"]:
-            if not isinstance(p["skipped"], bool):  # else a truthy string drops a point
-                raise ValueError(f"skipped must be true or false, got {p['skipped']!r}")
-        return [BerPoint(**{k: v for k, v in p.items() if k != "skipped"})
-                for p in doc["points"] if not p["skipped"]]
+        return [point_from_dict(p) for p in doc["points"]]
     except (KeyError, TypeError, ValueError) as exc:  # a malformed point record
         raise ValueError(f"{path} is not a sim results JSON: bad point ({exc!r})") from None
 
@@ -277,10 +274,10 @@ def _read_points(path: str) -> list:
 def _cmd_plotdata(args, argv) -> int:
     if args.target_ber is not None and not 0 < args.target_ber < 1:
         raise ValueError(f"--target-ber must lie in (0, 1), got {args.target_ber:g}")
-    points = _read_points(args.infile)
     by_mode: dict = {}
-    for pt in points:
-        by_mode.setdefault(pt.mode, []).append(pt)
+    for pt in _read_points(args.infile):
+        if isinstance(pt, BerPoint):  # a point that could not run has no statistics
+            by_mode.setdefault(pt.mode, []).append(pt)
     for mode in by_mode:
         by_mode[mode].sort(key=lambda p: p.ebn0_db)
 
@@ -288,11 +285,8 @@ def _cmd_plotdata(args, argv) -> int:
     for mode, pts in by_mode.items():
         lines.append(f'# mode={mode}')
         for p in pts:
-            lines.append(
-                f"{p.ebn0_db:g} {p.ber:.6e} {p.fer:.6e} "
-                f"{p.ber_ci95[0]:.6e} {p.ber_ci95[1]:.6e} "
-                f"{p.frames} {p.frame_errors}"
-            )
+            lines.append(f"{p.ebn0_db:g} {p.ber:.6e} {p.fer:.6e} {p.ber_ci95[0]:.6e} "
+                         f"{p.ber_ci95[1]:.6e} {p.frames} {p.frame_errors}")
         lines.append("")
         lines.append("")  # gnuplot index separator
     if args.target_ber is not None:

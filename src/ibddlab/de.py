@@ -29,9 +29,7 @@ because numpy's SIMD ``log``, ``log1p`` and ``exp`` differ from ``math``'s in
 the last bit on 1,387, 29,588 and 17,476 of 400,000 arguments (uniform in
 (0, 1), ``log1p`` at -x, ``exp`` uniform in (-745, 0)), and such a bit can
 move a weight.  So every number equals, bit for bit, that of the array-only
-half-step kept in ``tests/oracles.py``, while a scalar half-step of the
-(255,231,3) code costs about 10 us instead of 23 us and a seven-rate one
-(window 6) about 41 us instead of 54 us (2-core x86-64 VM with AVX-512).
+half-step kept in ``tests/oracles.py``.
 """
 
 import math

@@ -29,7 +29,7 @@ four (255,231)^2 frames: a product mode decodes a call's frames as one
 (B, n, n) stack, a staircase mode its streams as one (S, N, h, h) stack.
 Each frame decodes as it would alone, so the call size never moves a
 statistic.  ``results_json`` is the result record that ``ibddlab plotdata``
-reads back.
+reads back, each point through ``point_from_dict``.
 """
 
 from __future__ import annotations
@@ -173,6 +173,15 @@ class SimConfig:
             make_params(e, rate)
 
 
+def _check_point(point) -> None:
+    """Check the fields ``BerPoint`` and ``SkippedPoint`` share: types, mode, E_b/N_0."""
+    _check_numbers(point)
+    if point.mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {point.mode!r}")
+    if not math.isfinite(point.ebn0_db):
+        raise ValueError(f"ebn0_db must be finite, got {point.ebn0_db}")
+
+
 @dataclass(frozen=True)
 class BerPoint:
     """Aggregated result for one (point, mode); fully determined by config+seed."""
@@ -194,16 +203,12 @@ class BerPoint:
     frame_bit_errors: tuple = field(repr=False, default=())
 
     def __post_init__(self):  # a results file read back must hold what run_point writes
-        _check_numbers(self)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_point(self)
         for name in ("wilson_ci95", "ber_ci95"):
             value = getattr(self, name)
             if not isinstance(value, Sequence) or len(value) != 2:  # a str fails _real
                 raise ValueError(f"{name} must be two real numbers, got {value!r}")
             object.__setattr__(self, name, tuple(_real(v, name) for v in value))
-        if not math.isfinite(self.ebn0_db):
-            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
         for errors, total in (("frame_errors", "frames"), ("bit_errors", "bits_simulated")):
             if not 0 <= getattr(self, errors) <= getattr(self, total):
                 raise ValueError(f"need 0 <= {errors} <= {total}, got "
@@ -230,6 +235,9 @@ class SkippedPoint:
     ebn0_db: float
     seed: int
     reason: str
+
+    def __post_init__(self):
+        _check_point(self)
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +715,20 @@ def interpolate_ebn0_at_ber(points, target_ber: float) -> float | None:
 # result serialization
 
 def point_dict(pt) -> dict:
-    if isinstance(pt, SkippedPoint):
-        return {**asdict(pt), "skipped": True}
     d = asdict(pt)
-    d.pop("frame_bit_errors")
-    d["skipped"] = False
-    return d
+    d.pop("frame_bit_errors", None)  # a BerPoint's per-frame counts stay out
+    return {**d, "skipped": isinstance(pt, SkippedPoint)}
+
+
+def point_from_dict(record: dict):
+    """The point that ``point_dict`` wrote as ``record``, a ``BerPoint`` with no
+    per-frame counts (a record that holds some is refused); any record it could
+    not have written raises KeyError, TypeError or ValueError."""
+    skipped = record["skipped"]
+    if not isinstance(skipped, bool):  # else a truthy string would read as a skip
+        raise ValueError(f"skipped must be true or false, got {skipped!r}")
+    rest = {k: v for k, v in record.items() if k != "skipped"}
+    return SkippedPoint(**rest) if skipped else BerPoint(**rest, frame_bit_errors=())
 
 
 def results_json(cfg: SimConfig, rows, manifest: str | None = None) -> dict:

@@ -38,6 +38,8 @@ position's row of odd syndromes; ``kernel_spy`` runs them beside the
 package's loop.  ``word_syndromes`` sums a word's odd syndromes from
 ``syndrome_powers``, and ``pack_syndromes`` and ``unpack_syndromes`` move
 them between that layout and the package's int64 syndrome words.
+``q_function`` maps ``channel.q_float`` over an array, as the package's
+``channel.q_function`` did before every caller there passed one float.
 ``q_function_scipy`` and ``TransitionKernelsScipy`` are the Q-function and
 the transition functions' binomial weights as they were built from scipy's
 ``erfc``, ``gammaln``, ``xlogy`` and ``xlog1py``, before the package took
@@ -54,7 +56,7 @@ from scipy.special import erfc, gammaln, xlog1py, xlogy
 
 from ibddlab import product, staircase
 from ibddlab.bch import BchCode, _locate_errors, bdd_decode_matrix, ideal_decode_matrix
-from ibddlab.channel import harden, make_params, q_function
+from ibddlab.channel import harden, make_params, q_float
 from ibddlab.de import _LOG0, DEFAULT_WEIGHT_CAP, BracketError, TransitionKernels, threshold_run
 from ibddlab.product import ProductCode, combine_decision, pc_encode
 from ibddlab.sim import N_BOOT, _batch_plan, _build_engine
@@ -782,6 +784,16 @@ def log_space_model_tables(code) -> tuple:
     peps = np.maximum(0.0, 1.0 - pe - pc)
     qeps = np.maximum(0.0, 1.0 - qe - qc)
     return pe, pc, peps, qe, qc, qeps
+
+
+_Q = np.frompyfunc(q_float, 1, 1)
+
+
+def q_function(x):
+    """Gaussian tail probability Q(x) = P(N(0,1) > x), elementwise, in x's
+    shape: ``channel.q_float`` mapped over an array, for the array-only
+    half-step below."""
+    return np.asarray(_Q(x), dtype=np.float64)[()]
 
 
 def q_function_scipy(x):

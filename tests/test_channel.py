@@ -8,34 +8,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ibddlab.channel import harden, make_params, noise_to_llr, q_function, transmit
+from ibddlab.channel import harden, make_params, noise_to_llr, q_float, transmit
 
 
 def test_q_function_reference_values():
-    assert q_function(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert q_function(1.0) == pytest.approx(0.158655253931457, abs=1e-12)
-    assert q_function(-1.0) == pytest.approx(1 - 0.158655253931457, abs=1e-12)
+    """The Gaussian tail Q is ``q_float``, one Python float at a time."""
+    assert type(q_float(1.0)) is float
+    assert q_float(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert q_float(1.0) == pytest.approx(0.158655253931457, abs=1e-12)
+    assert q_float(-1.0) == pytest.approx(1 - 0.158655253931457, abs=1e-12)
 
 
 def test_q_function_matches_scipy_oracle():
     """math.erfc agrees with scipy's erfc to 1e-13 relative wherever Q is at
-    least 1e-290, and Q keeps the shape of its argument."""
+    least 1e-290, one value at a time."""
     x = np.linspace(-5.0, 40.0, 4501)
-    got, want = q_function(x), oracles.q_function_scipy(x)
-    assert got.shape == x.shape and got.dtype == np.float64
+    got, want = np.array([q_float(v) for v in x.tolist()]), oracles.q_function_scipy(x)
     normal = want >= 1e-290
     assert normal.sum() > 4000
     np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
     assert np.all((got[~normal] >= 0) & (got[~normal] < 1e-289))
-    assert np.ndim(q_function(1.0)) == 0 and np.ndim(q_function(np.float64(-2.0))) == 0
-    assert q_function(np.full((2, 3), 0.5)).shape == (2, 3)
+
+
+def test_array_q_oracle_maps_q_float():
+    """The oracles' array Q keeps the shape of its argument and is q_float
+    at every element."""
+    x = np.linspace(-5.0, 40.0, 4501)
+    assert np.array_equal(oracles.q_function(x), [q_float(v) for v in x.tolist()])
+    assert oracles.q_function(x).dtype == np.float64
+    assert np.ndim(oracles.q_function(1.0)) == 0
+    assert np.ndim(oracles.q_function(np.float64(-2.0))) == 0
+    assert oracles.q_function(np.full((2, 3), 0.5)).shape == (2, 3)
 
 
 def test_params_at_zero_db_rate_half():
     p = make_params(0.0, 0.5)
     assert p.sigma2 == pytest.approx(1.0, abs=1e-14)
     assert p.sigma == pytest.approx(1.0, abs=1e-14)
-    assert p.p_ch == pytest.approx(q_function(1.0), abs=1e-14)
+    assert p.p_ch == pytest.approx(q_float(1.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("ebn0_db", [-3.0, 0.0, 4.18, 10.0])
+def test_p_ch_is_q_float_of_inverse_sigma(ebn0_db):
+    p = make_params(ebn0_db, 1 - 2 * 24 / 255)
+    assert type(p.p_ch) is float and p.p_ch == q_float(1.0 / p.sigma)
 
 
 @pytest.mark.parametrize("ebn0_db", [float("nan"), float("inf"), -float("inf")])

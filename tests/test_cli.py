@@ -689,7 +689,7 @@ def test_plotdata_missing_file_exits_one(tmp_path, capsys):
 def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
     """A file that is no sim results JSON -- a CSV, JSON without ``points``,
     or a point record with a missing, extra or wrong-typed field, or a value
-    out of its range -- ends in one error line and exit 1."""
+    out of its range, measured or skipped -- ends in one error line and exit 1."""
     for name, text in (("in.csv", "a,b,c\n1,2,3\n"), ("in.json", '{"config": {}}')):
         src = tmp_path / name
         src.write_text(text)
@@ -701,6 +701,8 @@ def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
     # a malformed point record: one such line too, not a raw exception text
     _write_results(src, [_mk_point("ibdd", 4.0, 1e-3)])
     [good] = json.loads(src.read_text())["points"]
+    skip = point_dict(SkippedPoint(scheme="pc", component="n15k11t1", mode="ibdd_sr",
+                                   ebn0_db=4.0, seed=1, reason="no usable schedule"))
     for points in (5, "ibdd", [[4.0, 1e-3]], [7],
                    [{k: v for k, v in good.items() if k != "skipped"}],
                    [good | {"color": "red"}],
@@ -713,6 +715,12 @@ def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
                    [good | {"ber": float("nan")}], [good | {"frames": -3}], [good | {"fer": 2.0}],
                    [good | {"frame_errors": 500, "frames": 100}],
                    [good | {"ebn0_db": float("inf")}], [good | {"skipped": "yes"}],
+                   # per-frame counts, which point_dict drops
+                   [good | {"frame_bit_errors": [0] * 1000}],
+                   # skipped records: no fields, an extra one, a measured one, bad values
+                   [{"skipped": True}], [skip | {"color": "red"}], [good | {"skipped": True}],
+                   [good, skip | {"mode": "x"}], [skip | {"ebn0_db": float("inf")}],
+                   [skip | {"ebn0_db": float("nan")}],
                    [good | {"mode": 3}]):
         src.write_text(json.dumps({"points": points}))
         assert main(["plotdata", "--in", str(src)]) == 1

@@ -23,6 +23,7 @@ from ibddlab.sim import (
     interpolate_ebn0_at_ber,
     paired_gap_bootstrap,
     point_dict,
+    point_from_dict,
     results_json,
     run_curve,
     run_point,
@@ -895,8 +896,19 @@ def test_results_json_round_trip(toy_point):
 
 
 def test_point_dict_round_trip(toy_point):
+    """``point_from_dict`` reads back, through JSON, every point that
+    ``point_dict`` writes: a ``BerPoint`` with its per-frame counts dropped,
+    and a ``SkippedPoint`` as it was."""
     _, pts = toy_point
     d = point_dict(pts["ideal"])
     assert d["scheme"] == "pc"
     assert d["ber"] == pts["ideal"].ber
     assert isinstance(d["wilson_ci95"], list) or isinstance(d["wilson_ci95"], tuple)
+    skip = SkippedPoint(scheme="staircase", component="n254k230t3", mode="ibdd_sr",
+                        ebn0_db=1.0, seed=1, reason="no usable schedule")
+    for pt in [*pts.values(), skip]:
+        back = point_from_dict(json.loads(json.dumps(point_dict(pt))))
+        want = pt if isinstance(pt, SkippedPoint) else dataclasses.replace(pt, frame_bit_errors=())
+        assert type(back) is type(want) and back == want
+        assert all(type(getattr(back, f.name)) is type(getattr(want, f.name))
+                   for f in dataclasses.fields(want))
