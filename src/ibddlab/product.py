@@ -15,10 +15,11 @@ words are zero, and a round that changes no bit, a fixed point, skips every
 next round that weighs as it does, ending the decode if they reach its last
 round.  Weights above the largest channel |LLR| that a call reads all weigh
 as inf, and an observer sees each skipped round replayed, so it changes no
-round that runs.  A product frame's G = 2 groups are its rows and its
-columns: bit (s, r, c) of the one is bit (s, c, r) of the other.  The three
-decoders differ only in the verdict rule that makes a component word the next
-binary message:
+round that runs.  The genie skips a group that no write has reached since
+its last call, as it would flip nothing there.  A product frame's G = 2
+groups are its rows and its columns: bit (s, r, c) of the one is bit
+(s, c, r) of the other.  The three decoders differ only in the verdict rule
+that makes a component word the next binary message:
 
 * ``ibdd_decode``       -- the BDD word itself; failed component words pass
                            through unchanged.
@@ -153,19 +154,19 @@ def line_flips(comp, words, synd, act, weight=None, llr=None, hard=None, genie=N
     D iff not (decoded and s): on a bit in both, whose line decoded, exactly
     one of the two holds.
     """
-    every = len(act) == len(words)  # else the active items' blocks are gathered
-    pick = (lambda a: a) if every else (lambda a: a[act])
     n, size = words.shape[-1], words[0].size
+    every = len(act) == len(words)  # else the active items' blocks are gathered
     if genie is None:
-        lines = pick(synd).reshape(-1)
-        dirty = np.flatnonzero(lines)
+        lines = (synd if every else synd[act]).reshape(-1)
+        dirty = lines.nonzero()[0]
         row, pos, ok = _locate_errors(comp, lines[dirty])
         row = dirty[row]
     else:  # ideal_ibdd_decode weighs nothing against the channel
-        row, pos, _ = ideal_decode_matrix(comp, pick(words), pick(genie))
+        row, pos, _ = ideal_decode_matrix(comp, *((words, genie) if every
+                                                  else (words[act], genie[act])))
     flips = row * n + pos  # B, as flat indices into the (gathered) blocks
     if llr is not None:  # then D
-        differ = np.flatnonzero(pick(words) != pick(hard))
+        differ = (words != hard if every else words[act] != hard[act]).reshape(-1).nonzero()[0]
         decoded = np.ones(len(lines), dtype=bool)
         decoded[dirty] = ok
         flips = np.concatenate([flips, differ])
@@ -206,6 +207,18 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     every group that decodes any item, weight-free rounds counted from 0
     again, up to where the call ends: each skipped round is replayed for it,
     the writes of the round that changed nothing redone group by group.
+
+    With ``genie``, a group's call is skipped, flipping nothing, when no
+    write has reached the group since its last call in this ``iterate``
+    call; the observer still follows it.  The genie returns each line within
+    t of its transmitted line to that line and leaves every other line
+    alone, so on words that only its own write has changed since, it flips
+    nothing: in pair lo's frozen left half, where ``copies`` drops its
+    flips, it flips them again and they are dropped again.  A shrinking
+    ``act`` only removes items, and a round whose every call is skipped
+    writes nothing, which ends the call as any round that changes no bit.
+    BDD is idempotent too, but its repeats are too rare to pay for the
+    flags.
     """
     scaled = 0 if weights is None else len(weights[0])
     if weights is not None and not scaled:  # else it would silently decode plain
@@ -220,6 +233,14 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
         rounds = np.where(np.greater(w, top), np.inf, w).T.tolist()
     rounds += [None] * (iters - scaled)
     bits, keys = words.reshape(-1, copy=False), synd.reshape(-1, copy=False)
+    block = words[0].size  # one group's bits
+    # each group's blocks, taken once: words, syndrome words, LLRs, bits, genie
+    views = [tuple(None if a is None else a[g] for a in (words, synd, llr, hard, genie))
+             for g in range(lo, hi)]
+    # genie only: no write has reached the group since its last call, which a
+    # repeat would therefore leave as it is
+    fresh = np.zeros(len(words), dtype=bool)
+    none = np.zeros(0, dtype=np.intp)
 
     def write(x):
         bits[x] ^= 1
@@ -229,21 +250,26 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
     ell = 0
     while ell < iters:
         # a dropped item gets no flip in this call, so its words stay zero
-        act = np.flatnonzero(synd[lo:hi].any(axis=(0, 2)))
+        act = synd[lo:hi].any(axis=(0, 2)).nonzero()[0]
         if not len(act):
             return
-        free = ell >= scaled  # weight-free
+        key = rounds[ell]  # None: weight-free
         # rounds ell + 1 .. end - 1 weigh as this one
-        end = next((i for i in range(ell + 1, iters) if rounds[i] != rounds[ell]), iters)
+        end = next((i for i in range(ell + 1, iters) if rounds[i] != key), iters)
         before, written = synd[lo:hi].copy() if end > ell + 1 else None, []
-        for g in range(lo, hi):
-            weigh = (None,) * 3 if free else (weights[g - lo][ell], llr[g], hard[g])
-            x = copies(lo, g, line_flips(comp, words[g], synd[g], act, *weigh,
-                                         None if genie is None else genie[g]))
-            write(x)
+        for g, (w, s, l, h, t) in enumerate(views, lo):
+            if fresh[g]:
+                x = none
+            else:
+                weigh = (None,) * 3 if key is None else (key[g - lo], l, h)
+                x = copies(lo, g, line_flips(comp, w, s, act, *weigh, t))
+                write(x)
+                if t is not None:  # its own write leaves it a fixed point
+                    fresh[x // block] = False
+                    fresh[g] = True
             written.append(x)
             if observer is not None:
-                observer(g, ell - scaled if free else ell)
+                observer(g, ell if key is not None else ell - scaled)
         ell += 1
         if before is not None and np.array_equal(before, synd[lo:hi]):
             x = np.sort(np.concatenate(written))  # each bit written an even number of times
@@ -252,9 +278,9 @@ def iterate(comp, words, synd, copies, iters, lo, hi, weights=None, llr=None, ha
                     return
                 if observer is not None:  # the skipped rounds' writes cancel as this one's
                     for r in range(ell, end):
-                        for g, x in zip(range(lo, hi), written):
+                        for g, x in enumerate(written, lo):
                             write(x)
-                            observer(g, r - scaled if free else r)
+                            observer(g, r if key is not None else r - scaled)
                 ell = end
 
 

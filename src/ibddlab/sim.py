@@ -75,7 +75,8 @@ DECODE_CALL_BITS = 1 << 18
 def _check_numbers(config) -> None:
     """Store each ``int`` field of a dataclass as an int (``bch._integer``),
     each ``float`` field, and each ``float | None`` field but a None, as a float
-    (``_real``) and each ``bool`` as a bool."""
+    (``_real``) and each ``bool`` as a bool; refuse a ``str`` field that holds
+    no str."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "int":
@@ -86,6 +87,8 @@ def _check_numbers(config) -> None:
             if not isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{f.name} must be a bool, got {value!r}")
             object.__setattr__(config, f.name, bool(value))
+        elif f.type == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a str, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -174,10 +177,12 @@ class SimConfig:
 
 
 def _check_point(point) -> None:
-    """Check the fields ``BerPoint`` and ``SkippedPoint`` share: types, mode, E_b/N_0."""
+    """Check the fields ``BerPoint`` and ``SkippedPoint`` share: mode, scheme,
+    types, E_b/N_0."""
+    for name, known in (("mode", MODES), ("scheme", tuple(_SCHEMES))):
+        if getattr(point, name) not in known:  # a tuple: an unhashable value is refused too
+            raise ValueError(f"{name} must be one of {known}, got {getattr(point, name)!r}")
     _check_numbers(point)
-    if point.mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {point.mode!r}")
     if not math.isfinite(point.ebn0_db):
         raise ValueError(f"ebn0_db must be finite, got {point.ebn0_db}")
 

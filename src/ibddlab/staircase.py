@@ -20,6 +20,9 @@ is one call, in every mode: the scaled rounds, then the weight-free ones.  A
 stream whose window pairs are all codewords is done for that position, and a
 round that changes no bit skips the next rounds in which each pair weighs as
 it does, weights above the window's largest channel |LLR| weighing as inf.
+The genie skips a pair that no write has reached since its last call in the
+position, as it would flip nothing there: most of a window's older pairs
+after its first round.
 Block 0's bits are read as 0 with LLR 0: it sits only in the left half of
 pair 0, the window's oldest pair at slide 1, whose left half takes no flip.
 
@@ -226,22 +229,25 @@ def window_decode(
         genie = _pairs(_binary(transmitted, "transmitted").astype(np.uint8).reshape(llr.shape))
 
     # bit (r, c) of a pair is also bit (c, h + r) of the pair before if c < h, else
-    # bit (c - h, r) of the pair after: the step between their flat indices, per (r, c)
+    # bit (c - h, r) of the pair after: the step between their flat indices, per
+    # (r, c), tiled over the S items of one pair's block
     width = 2 * half
     size = len(llr) * half * width  # one pair's bits
     r, c = np.divmod(np.arange(half * width), width)
-    partner = r - r * width - c + np.where(c < half, c * width + half - size,
-                                           (c - half) * width + size)
+    step = np.tile(r - r * width - c + np.where(c < half, c * width + half - size,
+                                                (c - half) * width + size), len(llr))
 
     def copies(lo, p, x):
         """Both copies of the bits ``x`` flipped in pair p, as flat indices
         into ``pairs``: pair lo's left half, the frozen emitted block or
-        block 0, is kept, and block N's bits have no second copy."""
+        block 0, is kept, and block N's bits, in the last pair, have no
+        second copy."""
         if p == lo:
             x = x[x % width >= half]
+        y = x + step[x]
         x = x + p * size
-        y = x + partner[x % (half * width)]
-        return np.concatenate([x, y[y < pairs.size]])
+        y += p * size
+        return np.concatenate([x, y if p < n_blocks - 1 else y[y < pairs.size]])
 
     for b in range(1, n_blocks + 1):
         # pair p joins blocks p and p+1; slot 0 (pair b-1) joins the frozen block b-1

@@ -721,6 +721,10 @@ def test_plotdata_rejects_foreign_csv(tmp_path, capsys):
                    [{"skipped": True}], [skip | {"color": "red"}], [good | {"skipped": True}],
                    [good, skip | {"mode": "x"}], [skip | {"ebn0_db": float("inf")}],
                    [skip | {"ebn0_db": float("nan")}],
+                   # str fields that hold no str, and a scheme sim does not know
+                   [skip | {"scheme": None, "component": [1], "reason": 5}],
+                   [skip | {"reason": 5}], [skip | {"component": [1]}],
+                   [good | {"component": 15}], [good | {"scheme": "rs"}],
                    [good | {"mode": 3}]):
         src.write_text(json.dumps({"points": points}))
         assert main(["plotdata", "--in", str(src)]) == 1

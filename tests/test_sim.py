@@ -372,7 +372,7 @@ def test_statistics_are_pinned():
 
 
 # ``product.line_flips`` calls of (ibdd, ibdd_sr, ideal) at each _PINNED point
-_PINNED_CALLS = [(8, 24, 8), (8, 24, 12), (258, 604, 286), (14, 8, 6)]
+_PINNED_CALLS = [(8, 24, 7), (8, 24, 10), (258, 604, 168), (14, 8, 6)]
 
 
 def test_group_calls_are_pinned(monkeypatch):
@@ -389,7 +389,17 @@ def test_group_calls_are_pinned(monkeypatch):
     nine later scaled rounds, then plain round 1 runs, 2 calls; at 13.37,
     rounds 3, 4 and 5 ran too, 5 calls.  Slide 19's second pair weighs 11.84
     in round 5 and the first 14.91, now both inf like every weight of rounds
-    6-10, so round 5 skips round 6, which ran at 13.37: two pairs' calls fewer."""
+    6-10, so round 5 skips round 6, which ran at 13.37: two pairs' calls fewer.
+
+    The genie skips a group that no write has reached since its last call.
+    At the all-zero product point, round 4's row call flips nothing, so the
+    columns, last written by their own round-3 call, are skipped and the
+    round ends the call: 7 calls, not 8.  With random information, round 5's
+    column call flips nothing, and round 6 skips both groups: 10, not 12.
+    On the staircase each window position calls every pair in its first
+    round, 74 calls over the 20 positions, and after that only the pairs a
+    write reached: 94 later calls instead of 212, 168 in all.  The two
+    (255,231) frames decode in 3 rounds whose every call flips bits: 6."""
     rule, calls = product.line_flips, []
 
     def spy(*args):
@@ -715,14 +725,22 @@ def _mk_point(mode, ebn0, ber):
     ("ber", -0.0625, "ber must lie in"),
     ("ber_ci95", (2e-3, 1e-3), "ber_ci95 must lie in"),
     ("wilson_ci95", (float("nan"), 0.5), "wilson_ci95 must lie in"),
+    ("scheme", None, "scheme must be one of"),
+    ("scheme", "rs", "scheme must be one of"),
+    ("component", [1], "component must be a str"),
+    ("reason", 5, "reason must be a str"),
 ], ids=["ber", "frames", "mode", "ber_ci95", "wilson_ci95", "ebn0-nan", "bits-negative",
-        "bit-errors-above", "ber-negative", "ci-reversed", "wilson-nan"])
+        "bit-errors-above", "ber-negative", "ci-reversed", "wilson-nan", "scheme-none",
+        "scheme-unknown", "component-list", "skip-reason-int"])
 def test_ber_point_refuses_wrong_values(field, value, message):
     """A BerPoint holds only what run_point writes, so a results file read
     back with a wrong-typed or out-of-range value is refused with a
-    ValueError naming the field."""
+    ValueError naming the field; so is a SkippedPoint, the one that holds a
+    ``reason``."""
+    point = (SkippedPoint("pc", "n15k11t1", "ibdd_sr", 4.0, 1, "no usable schedule")
+             if field == "reason" else _mk_point("ibdd", 4.0, 1e-3))
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(_mk_point("ibdd", 4.0, 1e-3), **{field: value})
+        dataclasses.replace(point, **{field: value})
 
 
 def test_interpolate_log_linear_hand_case():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ibddlab import product, staircase
@@ -455,6 +457,109 @@ def test_flat_kernel_matches_triple_oracle(sc_30_20, prof_30_20, rng, monkeypatc
         seen += calls
     assert any(g == lo and np.any(c < half) for g, lo, _, _, c in seen)
     assert any(g == last - 1 and np.any(c >= half) for g, _, last, _, c in seen)
+
+
+def _window_calls(monkeypatch):
+    """A list that gains ``(lo, hi, calls)`` per ``window_decode`` window
+    position, ``calls`` the (pair, flips) of each of its ``line_flips`` calls
+    in order, ``flips`` the flat indices into the pair's block."""
+    real, rule, log = staircase.iterate, product.line_flips, []
+
+    def position(comp, words, synd, copies, iters, lo, hi, *args):
+        log.append((lo, hi, [], words))
+        return real(comp, words, synd, copies, iters, lo, hi, *args)
+
+    def spy(comp, words, synd, act, *args):
+        flips = rule(comp, words, synd, act, *args)
+        pairs = log[-1][3]
+        log[-1][2].append(((words.ctypes.data - pairs.ctypes.data) // words.nbytes, flips))
+        return flips
+
+    monkeypatch.setattr(staircase, "iterate", position)
+    monkeypatch.setattr(product, "line_flips", spy)
+    return log
+
+
+def _skipped(lo, hi, calls) -> bool:
+    """Whether a window position skipped a group call: with none, every
+    round calls pairs lo..hi-1 in turn."""
+    seq = [p for p, _ in calls]
+    return len(seq) % (hi - lo) != 0 or seq != [lo + i % (hi - lo) for i in range(len(seq))]
+
+
+def test_random_stacks_match_stream_oracle(sc_30_20, monkeypatch):
+    """On random stacks of 1-3 streams of 1-8 blocks, window 2-5, at 3-5 dB,
+    where windows churn, every mode decodes each stream bit for bit as the
+    per-stream loop, ibdd_sr on random weights of a 0.5 grid.  The cases
+    cover streams shorter than the window, flips in pair lo's frozen left
+    half, which neither writes, flips in block N, which has no second copy,
+    and genie calls skipped because no write reached their pair."""
+    half, seen = sc_30_20.block_size, set()
+    grid = np.arange(0.0, 6.5, 0.5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(streams=st.integers(1, 3), n_blocks=st.integers(1, 8), window=st.integers(2, 5),
+           ebn0_db=st.floats(3.0, 5.0), seed=st.integers(0, 2**32 - 1))
+    @example(streams=2, n_blocks=2, window=5, ebn0_db=3.0, seed=1)
+    def check(streams, n_blocks, window, ebn0_db, seed):
+        rng = np.random.default_rng(seed)
+        drawn = [_noisy_stream(sc_30_20, rng, n_blocks, ebn0_db) for _ in range(streams)]
+        tx = np.array([blocks[1:] for blocks, _ in drawn])
+        llr = np.array([llrs for _, llrs in drawn])
+        sched = WindowSchedule(early=(), steady=rng.choice(grid, (window, 4)), steady_slide=1,
+                               ebn0_db=ebn0_db, rate=sc_30_20.rate)
+        cfg = _default_cfg(sched, window_blocks=window, sr_iters=4, plain_iters=3)
+        if n_blocks < window:
+            seen.add("short")
+        for mode in ("ibdd", "ibdd_sr", "ideal"):
+            log = _window_calls(monkeypatch)
+            got = window_decode(sc_30_20, llr, cfg, mode=mode, transmitted=tx)
+            monkeypatch.undo()
+            want = [oracles.window_decode(sc_30_20, lf, cfg, mode, tf) for lf, tf in zip(llr, tx)]
+            np.testing.assert_array_equal(got, np.array(want))
+            for lo, hi, calls, _ in log:
+                for p, flips in calls:
+                    if p == lo and np.any(flips % (2 * half) < half):
+                        seen.add("frozen")
+                    if p == n_blocks - 1 and np.any(flips % (2 * half) >= half):
+                        seen.add("block N")
+                if mode == "ideal" and _skipped(lo, hi, calls):
+                    seen.add("skip")
+
+    check()
+    assert seen == {"short", "frozen", "block N", "skip"}
+
+
+@pytest.mark.parametrize("errors,want", [
+    # rows 0-2 of block 2 hold 3 errors each, column 0 too; columns 1-6 one each
+    ([(0, 0), (0, 1), (0, 2), (1, 0), (1, 3), (1, 4), (2, 0), (2, 5), (2, 6)],
+     [[0, 1, 2, 1, 2]]),
+    # a 3x3 grid, stuck, and one more error in row 0 at column 3
+    ([(r, c) for r in range(3) for c in range(3)] + [(0, 3)], [[0, 1, 2, 1], [1, 2], [2]]),
+], ids=["corrects", "stalls"])
+def test_genie_skips_the_pairs_no_write_reached(sc_30_20, monkeypatch, errors, want):
+    """A 3-block stream, window 3, with the all-zero codeword sent and
+    errors in block 2 only: row r of pair 1 and row c of pair 2 hold its bit
+    (r, c), and the genie corrects a row of at most t = 2 errors.
+
+    corrects: round 1, pairs 0 and 1 flip nothing, and pair 2 corrects
+    columns 1-6, which writes pair 1 too.  Round 2 skips pair 0, which no
+    write reached; pair 1 corrects rows 0-2, now of one error each, writing
+    pair 2, which then flips nothing, and the stream is clean: 5 calls, 6
+    without skips.  stalls: pair 2 corrects column 3 only.  Round 2 skips
+    pair 0, pair 1 flips nothing, and pair 2, reached by no write since its
+    own, is skipped too: the round writes nothing and the position ends.
+    Slides 2 and 3 each run one round that changes nothing: 7 calls, 9
+    without skips.  Both decode as the per-stream loop."""
+    llr = np.full((3, 15, 15), 8.0)
+    for r, c in errors:
+        llr[1, r, c] = -8.0
+    tx = np.zeros(llr.shape, dtype=np.uint8)
+    cfg = _default_cfg(None, window_blocks=3)
+    log = _window_calls(monkeypatch)
+    got = window_decode(sc_30_20, llr, cfg, mode="ideal", transmitted=tx)
+    np.testing.assert_array_equal(got, oracles.window_decode(sc_30_20, llr, cfg, "ideal", tx))
+    assert [[p for p, _ in calls] for *_, calls, _ in log if calls] == want
 
 
 @pytest.mark.parametrize("ebn0_db", [3.0, 3.5, 4.0])
